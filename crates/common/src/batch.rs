@@ -1,19 +1,26 @@
 //! Columnar batches: typed column arrays with null bitmaps.
 //!
-//! A [`Batch`] is the unit the execution kernels operate on since the
-//! columnar redesign: each column holds one contiguous typed array
-//! ([`Column`]) plus a validity bitmap ([`NullBitmap`]), in the style of
-//! RisingLight's array executors. Kernels iterate a typed slice per column
-//! instead of matching a [`Value`] enum per cell, which keeps the hot loops
-//! (predicate evaluation, partition hashing, join key extraction)
-//! monomorphic and SIMD-friendly.
+//! A [`Batch`] is the one representation data has inside the engine, at rest
+//! and in flight: base tables and resident intermediates are runs of
+//! batches, and every operator consumes and produces them. Each column holds
+//! one contiguous typed array ([`Column`]) plus a validity bitmap
+//! ([`NullBitmap`]), in the style of RisingLight's array executors. Kernels
+//! iterate a typed slice per column instead of matching a [`Value`] enum per
+//! cell, which keeps the hot loops (predicate evaluation, partition hashing,
+//! join key comparison) monomorphic.
 //!
-//! The row-oriented [`Tuple`] API stays as the *view/conversion layer at the
-//! edges* — SQL binder output, result rendering, the spill tuple codec and
-//! the wire frames — so [`Batch::from_rows`] / [`Batch::to_rows`] are exact
-//! inverses: the roundtrip preserves every value bit-for-bit, including NaN
-//! payloads, `-0.0`, empty strings and the `Int64` vs `Date` distinction
-//! (they hash and compare alike but render differently).
+//! Column payloads sit behind [`Arc`]s, so cloning a batch, projecting it
+//! ([`Batch::project`]) or widening it ([`Batch::hstack`]) shares the arrays
+//! instead of copying them — an unfiltered scan hands out the stored chunks
+//! themselves. Rows move between batches only through [`Batch::take`],
+//! [`Batch::gather`] and [`Batch::concat`].
+//!
+//! The row-oriented [`Tuple`] API is the *conversion layer at the edges* —
+//! ingest, result delivery, the spill tuple codec and the wire frames — so
+//! [`Batch::from_rows`] / [`Batch::to_rows`] are exact inverses: the
+//! roundtrip preserves every value bit-for-bit, including NaN payloads,
+//! `-0.0`, empty strings and the `Int64` vs `Date` distinction (they hash
+//! and compare alike but render differently).
 //!
 //! Column typing is *inferred from the data*, not declared: a column starts
 //! typed after its first non-null value and is promoted to the row-fallback
@@ -25,7 +32,7 @@
 use crate::env::{parse_env_bool, parse_env_positive_usize, read_env};
 use crate::tuple::{Relation, Tuple};
 use crate::value::{DataType, Value};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Environment variable selecting the number of rows per kernel batch.
 pub const BATCH_SIZE_ENV: &str = "RDO_BATCH_SIZE";
@@ -51,12 +58,13 @@ pub fn batch_size() -> usize {
     })
 }
 
-/// Environment variable selecting whether data at rest (resident intermediate
-/// partitions, spill pages, wire frames) uses the columnar [`Batch`] layout.
+/// Environment variable selecting whether serialized pages (spill pages and
+/// wire frames) may use the columnar layout. Resident data is always
+/// columnar; the knob only picks the byte layout of what leaves memory.
 pub const COLUMNAR_ENV: &str = "RDO_COLUMNAR";
 
-/// The process-wide at-rest format default: `RDO_COLUMNAR` (0/1 switch,
-/// warn-on-invalid) or `true`. Columnar at rest is an optimization, never a
+/// The process-wide page-layout default: `RDO_COLUMNAR` (0/1 switch,
+/// warn-on-invalid) or `true`. The layout is an optimization, never a
 /// semantic change — results, plans and logical metrics are identical either
 /// way — so the knob exists for A/B measurement and as an escape hatch.
 pub fn columnar_default() -> bool {
@@ -64,7 +72,7 @@ pub fn columnar_default() -> bool {
     *COLUMNAR.get_or_init(|| {
         read_env(
             COLUMNAR_ENV,
-            "the columnar at-rest format stays on",
+            "the columnar page layout stays on",
             parse_env_bool,
         )
         .unwrap_or(true)
@@ -92,6 +100,33 @@ impl NullBitmap {
             words: Vec::with_capacity(rows.div_ceil(64)),
             len: 0,
         }
+    }
+
+    /// A bitmap of `len` bits, all set (`valid`) or all clear.
+    pub fn filled(len: usize, valid: bool) -> Self {
+        let mut words = vec![if valid { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if valid && !len.is_multiple_of(64) {
+            // Trailing bits of the last word stay zero (see the type docs).
+            *words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
+        Self { words, len }
+    }
+
+    /// Appends every bit of `other`.
+    pub fn extend_from(&mut self, other: &NullBitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // `other`'s trailing bits are zero, so the spill-over of its last
+            // word is zero exactly when it is not needed.
+            for &word in &other.words {
+                *self.words.last_mut().expect("shift > 0") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
     }
 
     /// Appends one bit.
@@ -127,8 +162,9 @@ impl NullBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// True if every slot holds a value (kernels use this to skip the
-    /// per-row validity check entirely).
+    /// True if every slot holds a value. Kernels check this once per key or
+    /// predicate column per batch and skip the per-slot validity test on
+    /// NULL-free columns.
     pub fn all_valid(&self) -> bool {
         self.count_valid() == self.len
     }
@@ -238,61 +274,32 @@ impl Column {
     /// row world).
     pub fn value(&self, i: usize) -> Value {
         match self {
-            Column::Int64 { values, validity } => {
-                if validity.is_valid(i) {
-                    Value::Int64(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Float64 { values, validity } => {
-                if validity.is_valid(i) {
-                    Value::Float64(values[i])
-                } else {
-                    Value::Null
-                }
+            Column::Int64 { values, validity } if validity.is_valid(i) => Value::Int64(values[i]),
+            Column::Float64 { values, validity } if validity.is_valid(i) => {
+                Value::Float64(values[i])
             }
             Column::Utf8 {
                 offsets,
                 bytes,
                 validity,
-            } => {
-                if validity.is_valid(i) {
-                    let s = &bytes[offsets[i]..offsets[i + 1]];
-                    Value::Utf8(String::from_utf8_lossy(s).into_owned())
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Bool { values, validity } => {
-                if validity.is_valid(i) {
-                    Value::Bool(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Date { values, validity } => {
-                if validity.is_valid(i) {
-                    Value::Date(values[i])
-                } else {
-                    Value::Null
-                }
-            }
+            } if validity.is_valid(i) => Value::Utf8(utf8_slot(offsets, bytes, i).to_owned()),
+            Column::Bool { values, validity } if validity.is_valid(i) => Value::Bool(values[i]),
+            Column::Date { values, validity } if validity.is_valid(i) => Value::Date(values[i]),
             Column::Mixed { values } => values[i].clone(),
+            _ => Value::Null,
         }
     }
 
     /// Borrowed string at slot `i` of a [`Column::Utf8`] (`None` for null
-    /// slots or non-string columns). The zero-copy path string kernels use.
+    /// slots or non-string columns). The zero-copy path string kernels use;
+    /// agrees with [`Column::value`] on every slot.
     pub fn str_at(&self, i: usize) -> Option<&str> {
         match self {
             Column::Utf8 {
                 offsets,
                 bytes,
                 validity,
-            } if validity.is_valid(i) => {
-                std::str::from_utf8(&bytes[offsets[i]..offsets[i + 1]]).ok()
-            }
+            } if validity.is_valid(i) => Some(utf8_slot(offsets, bytes, i)),
             Column::Mixed { values } => values[i].as_str(),
             _ => None,
         }
@@ -318,19 +325,13 @@ impl Column {
     /// [`Column::approx_value_bytes`] over every slot).
     pub fn approx_bytes(&self) -> usize {
         match self {
+            // 8 per slot, 8 more per string, plus the string bytes — which
+            // are the whole buffer, null slots being zero-length.
             Column::Utf8 {
-                offsets, validity, ..
-            } => {
-                let n = offsets.len() - 1;
-                let mut total = 8 * n;
-                for i in 0..n {
-                    if validity.is_valid(i) {
-                        // 16 + len instead of the 8 already counted.
-                        total += 8 + (offsets[i + 1] - offsets[i]);
-                    }
-                }
-                total
-            }
+                offsets,
+                bytes,
+                validity,
+            } => 8 * (offsets.len() - 1) + 8 * validity.count_valid() + bytes.len(),
             Column::Mixed { values } => values
                 .iter()
                 .map(|v| match v {
@@ -342,16 +343,22 @@ impl Column {
         }
     }
 
+    /// Approximate bytes of the slots at `indices` (the shuffle volume of the
+    /// rows an exchange moves), same accounting as [`Column::approx_bytes`].
+    pub fn approx_bytes_at(&self, indices: &[u32]) -> usize {
+        match self {
+            Column::Utf8 { .. } | Column::Mixed { .. } => indices
+                .iter()
+                .map(|&i| self.approx_value_bytes(i as usize))
+                .sum(),
+            _ => 8 * indices.len(),
+        }
+    }
+
     /// Keeps the slots whose mask bit is true, preserving order.
     pub fn filter(&self, mask: &[bool]) -> Column {
         debug_assert_eq!(mask.len(), self.len());
-        let kept: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &keep)| keep)
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.take(&kept)
+        self.take(&mask_indices(mask))
     }
 
     /// Gathers the slots at `indices`, in index order (join output
@@ -404,11 +411,187 @@ impl Column {
 }
 
 fn take_bitmap(validity: &NullBitmap, indices: &[u32]) -> NullBitmap {
+    if validity.all_valid() {
+        return NullBitmap::filled(indices.len(), true);
+    }
     let mut out = NullBitmap::with_capacity(indices.len());
     for &i in indices {
         out.push(validity.is_valid(i as usize));
     }
     out
+}
+
+/// The string at slot `i` of a `Utf8` payload.
+///
+/// # Panics
+/// Panics on invalid UTF-8. Every way of building a [`Batch`] rules it out —
+/// [`Batch::from_rows`] copies `String`s and [`Batch::from_columns`] (the
+/// decode edge of the page and wire codecs) rejects it — so the slot hashes,
+/// compares and materializes as the same string on every path.
+pub fn utf8_slot<'a>(offsets: &[usize], bytes: &'a [u8], i: usize) -> &'a str {
+    std::str::from_utf8(&bytes[offsets[i]..offsets[i + 1]])
+        .expect("Utf8 column holds invalid UTF-8 (Batch::from_columns rejects it)")
+}
+
+/// The typed payloads of `cols` when every one of them is the `$variant`
+/// with a fixed-width payload.
+macro_rules! fixed_parts {
+    ($cols:expr, $variant:ident) => {
+        $cols
+            .iter()
+            .map(|c| match c {
+                Column::$variant { values, validity } => Some((values.as_slice(), validity)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()
+    };
+}
+
+fn gather_fixed<T: Copy>(
+    parts: &[(&[T], &NullBitmap)],
+    picks: &[(u32, u32)],
+) -> (Vec<T>, NullBitmap) {
+    let values = picks
+        .iter()
+        .map(|&(c, s)| parts[c as usize].0[s as usize])
+        .collect();
+    let validity = if parts.iter().all(|(_, v)| v.all_valid()) {
+        NullBitmap::filled(picks.len(), true)
+    } else {
+        let mut out = NullBitmap::with_capacity(picks.len());
+        for &(c, s) in picks {
+            out.push(parts[c as usize].1.is_valid(s as usize));
+        }
+        out
+    };
+    (values, validity)
+}
+
+fn concat_fixed<T: Copy>(parts: &[(&[T], &NullBitmap)]) -> (Vec<T>, NullBitmap) {
+    let rows = parts.iter().map(|(v, _)| v.len()).sum();
+    let mut values = Vec::with_capacity(rows);
+    let mut validity = NullBitmap::with_capacity(rows);
+    for (v, bits) in parts {
+        values.extend_from_slice(v);
+        validity.extend_from(bits);
+    }
+    (values, validity)
+}
+
+impl Column {
+    /// Gathers slots from several columns (the same schema position of a run
+    /// of chunks): pick `(c, s)` is slot `s` of `cols[c]`, output in pick
+    /// order. Chunks of one typed variant gather into that variant; a run
+    /// mixing variants (say an all-NULL chunk beside an `Int64` one) is
+    /// re-inferred value by value, exactly as [`Batch::from_rows`] would.
+    pub fn gather(cols: &[&Column], picks: &[(u32, u32)]) -> Column {
+        if cols.is_empty() {
+            return Column::Mixed { values: Vec::new() };
+        }
+        if let Some(parts) = fixed_parts!(cols, Int64) {
+            let (values, validity) = gather_fixed(&parts, picks);
+            return Column::Int64 { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Date) {
+            let (values, validity) = gather_fixed(&parts, picks);
+            return Column::Date { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Float64) {
+            let (values, validity) = gather_fixed(&parts, picks);
+            return Column::Float64 { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Bool) {
+            let (values, validity) = gather_fixed(&parts, picks);
+            return Column::Bool { values, validity };
+        }
+        if cols.iter().all(|c| matches!(c, Column::Utf8 { .. })) {
+            let mut offsets = Vec::with_capacity(picks.len() + 1);
+            let mut out = Vec::new();
+            let mut bits = NullBitmap::with_capacity(picks.len());
+            offsets.push(0);
+            for &(c, s) in picks {
+                let Column::Utf8 {
+                    offsets: from,
+                    bytes,
+                    validity,
+                } = cols[c as usize]
+                else {
+                    unreachable!("checked above")
+                };
+                let s = s as usize;
+                out.extend_from_slice(&bytes[from[s]..from[s + 1]]);
+                offsets.push(out.len());
+                bits.push(validity.is_valid(s));
+            }
+            return Column::Utf8 {
+                offsets,
+                bytes: out,
+                validity: bits,
+            };
+        }
+        let mut builder = ColumnBuilder::new();
+        for &(c, s) in picks {
+            match cols[c as usize] {
+                Column::Mixed { values } => builder.push(&values[s as usize]),
+                typed => builder.push(&typed.value(s as usize)),
+            }
+        }
+        builder.finish()
+    }
+
+    /// Concatenates columns end to end (see [`Column::gather`] for how runs
+    /// of differing variants are typed).
+    pub fn concat(cols: &[&Column]) -> Column {
+        if cols.is_empty() {
+            return Column::Mixed { values: Vec::new() };
+        }
+        if let Some(parts) = fixed_parts!(cols, Int64) {
+            let (values, validity) = concat_fixed(&parts);
+            return Column::Int64 { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Date) {
+            let (values, validity) = concat_fixed(&parts);
+            return Column::Date { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Float64) {
+            let (values, validity) = concat_fixed(&parts);
+            return Column::Float64 { values, validity };
+        }
+        if let Some(parts) = fixed_parts!(cols, Bool) {
+            let (values, validity) = concat_fixed(&parts);
+            return Column::Bool { values, validity };
+        }
+        if cols.iter().all(|c| matches!(c, Column::Utf8 { .. })) {
+            let mut offsets = vec![0usize];
+            let mut out = Vec::new();
+            let mut bits = NullBitmap::new();
+            for col in cols {
+                let Column::Utf8 {
+                    offsets: from,
+                    bytes,
+                    validity,
+                } = col
+                else {
+                    unreachable!("checked above")
+                };
+                let base = out.len();
+                out.extend_from_slice(bytes);
+                offsets.extend(from[1..].iter().map(|o| base + o));
+                bits.extend_from(validity);
+            }
+            return Column::Utf8 {
+                offsets,
+                bytes: out,
+                validity: bits,
+            };
+        }
+        let picks: Vec<(u32, u32)> = cols
+            .iter()
+            .enumerate()
+            .flat_map(|(c, col)| (0..col.len() as u32).map(move |s| (c as u32, s)))
+            .collect();
+        Column::gather(cols, &picks)
+    }
 }
 
 impl PartialEq for Column {
@@ -627,22 +810,30 @@ fn push_typed(column: &mut Column, value: &Value) {
 }
 
 /// A batch of rows in columnar form: one [`Column`] per schema position,
-/// all of the same length.
+/// all of the same length. Columns are shared (`Arc`), so clones,
+/// projections and horizontal concatenations copy no payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     rows: usize,
 }
 
 impl Batch {
+    fn from_parts(columns: Vec<Column>, rows: usize) -> Self {
+        Self {
+            columns: columns.into_iter().map(Arc::new).collect(),
+            rows,
+        }
+    }
+
     /// An empty batch with `width` (empty) columns.
     pub fn empty(width: usize) -> Self {
-        Self {
-            columns: (0..width)
+        Self::from_parts(
+            (0..width)
                 .map(|_| Column::Mixed { values: Vec::new() })
                 .collect(),
-            rows: 0,
-        }
+            0,
+        )
     }
 
     /// Builds a batch from rows (the conversion edge from the tuple world).
@@ -656,10 +847,10 @@ impl Batch {
                 builder.push(value);
             }
         }
-        Self {
-            columns: builders.into_iter().map(ColumnBuilder::finish).collect(),
-            rows: rows.len(),
-        }
+        Self::from_parts(
+            builders.into_iter().map(ColumnBuilder::finish).collect(),
+            rows.len(),
+        )
     }
 
     /// Builds a batch from a relation's rows.
@@ -669,15 +860,47 @@ impl Batch {
 
     /// Assembles a batch directly from columns (the decode edge of the
     /// columnar storage/spill/wire codecs). Every column must have the same
-    /// length; that length becomes the row count.
+    /// length; that length becomes the row count. A `Utf8` column must be
+    /// well-formed — offsets ascending from 0 to the buffer length, every
+    /// slot valid UTF-8 on its own — and is rejected otherwise, so a string
+    /// slot can never hash (borrowed bytes) differently from how it
+    /// materializes (an owned `String`).
     pub fn from_columns(columns: Vec<Column>) -> crate::Result<Self> {
+        let malformed = |what: &str| crate::RdoError::Execution(format!("batch columns {what}"));
         let rows = columns.first().map_or(0, Column::len);
-        if columns.iter().any(|c| c.len() != rows) {
-            return Err(crate::RdoError::Execution(
-                "batch columns have mismatched lengths".to_string(),
-            ));
+        for column in &columns {
+            if let Column::Utf8 {
+                offsets,
+                bytes,
+                validity,
+            } = column
+            {
+                let ascending = offsets.windows(2).all(|w| w[0] <= w[1]);
+                if offsets.first() != Some(&0) || offsets.last() != Some(&bytes.len()) || !ascending
+                {
+                    return Err(malformed("hold malformed string offsets"));
+                }
+                if validity.len() != offsets.len() - 1 {
+                    return Err(malformed("have mismatched lengths"));
+                }
+                if (0..validity.len())
+                    .any(|i| !validity.is_valid(i) && offsets[i] != offsets[i + 1])
+                {
+                    return Err(malformed("hold bytes in a NULL string slot"));
+                }
+                // One pass over the buffer, then every slot must start on a
+                // character boundary.
+                let text =
+                    std::str::from_utf8(bytes).map_err(|_| malformed("hold invalid UTF-8"))?;
+                if !offsets.iter().all(|&o| text.is_char_boundary(o)) {
+                    return Err(malformed("hold invalid UTF-8"));
+                }
+            }
+            if column.len() != rows {
+                return Err(malformed("have mismatched lengths"));
+            }
         }
-        Ok(Self { columns, rows })
+        Ok(Self::from_parts(columns, rows))
     }
 
     /// Materializes every row (the conversion edge back to the tuple world).
@@ -711,9 +934,9 @@ impl Batch {
         self.columns.len()
     }
 
-    /// The columns.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    /// The columns, in schema order.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &Column> {
+        self.columns.iter().map(Arc::as_ref)
     }
 
     /// Column at position `c`.
@@ -742,34 +965,72 @@ impl Batch {
         self.columns.iter().map(|c| c.approx_bytes()).sum()
     }
 
+    /// Approximate bytes of the rows at `indices` (sums
+    /// [`Batch::row_bytes`] over them, one column at a time).
+    pub fn approx_bytes_at(&self, indices: &[u32]) -> usize {
+        self.columns
+            .iter()
+            .map(|c| c.approx_bytes_at(indices))
+            .sum()
+    }
+
     /// Keeps the rows whose mask bit is true, preserving order.
     pub fn filter(&self, mask: &[bool]) -> Batch {
         debug_assert_eq!(mask.len(), self.rows);
-        let kept = mask.iter().filter(|&&k| k).count();
-        Batch {
-            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
-            rows: kept,
-        }
+        self.take(&mask_indices(mask))
     }
 
     /// Gathers the rows at `indices`, in index order (indices may repeat).
     pub fn take(&self, indices: &[u32]) -> Batch {
-        Batch {
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
-            rows: indices.len(),
-        }
+        Self::from_parts(
+            self.columns.iter().map(|c| c.take(indices)).collect(),
+            indices.len(),
+        )
     }
 
-    /// Keeps the columns at `indexes`, in that order (projection).
+    /// Gathers rows out of a run of chunks with the same columns: pick
+    /// `(c, s)` is row `s` of `chunks[c]`, output in pick order.
+    pub fn gather(chunks: &[Batch], picks: &[(u32, u32)]) -> Batch {
+        let width = chunks.first().map_or(0, Batch::num_columns);
+        let columns = (0..width)
+            .map(|c| {
+                let cols: Vec<&Column> = chunks.iter().map(|b| b.column(c)).collect();
+                Column::gather(&cols, picks)
+            })
+            .collect();
+        Self::from_parts(columns, picks.len())
+    }
+
+    /// Concatenates a run of chunks with the same columns into one batch. A
+    /// single chunk is shared, not copied.
+    pub fn concat(chunks: &[Batch]) -> Batch {
+        if let [only] = chunks {
+            return only.clone();
+        }
+        let width = chunks.first().map_or(0, Batch::num_columns);
+        let columns = (0..width)
+            .map(|c| {
+                let cols: Vec<&Column> = chunks.iter().map(|b| b.column(c)).collect();
+                Column::concat(&cols)
+            })
+            .collect();
+        Self::from_parts(columns, chunks.iter().map(Batch::num_rows).sum())
+    }
+
+    /// Keeps the columns at `indexes`, in that order (projection). Shares
+    /// the column payloads.
     pub fn project(&self, indexes: &[usize]) -> Batch {
         Batch {
-            columns: indexes.iter().map(|&i| self.columns[i].clone()).collect(),
+            columns: indexes
+                .iter()
+                .map(|&i| Arc::clone(&self.columns[i]))
+                .collect(),
             rows: self.rows,
         }
     }
 
     /// Concatenates the columns of two batches with the same row count
-    /// (join output: `probe ++ build`).
+    /// (join output: `probe ++ build`). Shares the column payloads.
     pub fn hstack(&self, other: &Batch) -> Batch {
         debug_assert_eq!(self.rows, other.rows, "hstack needs equal row counts");
         let mut columns = self.columns.clone();
@@ -779,6 +1040,97 @@ impl Batch {
             rows: self.rows,
         }
     }
+}
+
+/// Assembles selected rows of successive chunks into full batches.
+///
+/// Operators that pick rows chunk by chunk — a filtering scan, each
+/// destination of a re-partition exchange — push `(chunk, indices)` pairs
+/// here instead of materializing one small batch per input chunk: the picks
+/// accumulate across chunks and every `target_rows` of them are gathered into
+/// one output batch, so each surviving row is copied exactly once and the
+/// output never fragments. A chunk that survives whole while nothing is
+/// pending is passed through shared, not copied.
+#[derive(Debug)]
+pub struct BatchAssembler {
+    target_rows: usize,
+    /// Chunks the pending picks refer to (column payloads shared).
+    pending: Vec<Batch>,
+    /// `(index into pending, slot)`, chunk indexes non-decreasing.
+    picks: Vec<(u32, u32)>,
+    out: Vec<Batch>,
+}
+
+impl BatchAssembler {
+    /// An assembler emitting batches of `target_rows` rows (the last one may
+    /// be shorter).
+    pub fn new(target_rows: usize) -> Self {
+        Self {
+            target_rows: target_rows.max(1),
+            pending: Vec::new(),
+            picks: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Appends the rows of `chunk` at `indices`, in index order.
+    pub fn push(&mut self, chunk: &Batch, indices: &[u32]) {
+        if indices.is_empty() {
+            return;
+        }
+        let c = self.pending.len() as u32;
+        self.pending.push(chunk.clone());
+        self.picks.extend(indices.iter().map(|&s| (c, s)));
+        while self.picks.len() >= self.target_rows {
+            self.emit(self.target_rows);
+        }
+    }
+
+    /// Appends every row of `chunk`.
+    pub fn push_all(&mut self, chunk: &Batch) {
+        if self.picks.is_empty() {
+            if !chunk.is_empty() {
+                self.out.push(chunk.clone());
+            }
+        } else {
+            let all: Vec<u32> = (0..chunk.num_rows() as u32).collect();
+            self.push(chunk, &all);
+        }
+    }
+
+    /// Gathers the first `n` pending picks into an output batch.
+    fn emit(&mut self, n: usize) {
+        let rest = self.picks.split_off(n);
+        self.out.push(Batch::gather(&self.pending, &self.picks));
+        self.picks = rest;
+        // Keep only the chunks a remaining pick refers to.
+        match self.picks.first() {
+            None => self.pending.clear(),
+            Some(&(first, _)) => {
+                self.pending.drain(..first as usize);
+                for pick in &mut self.picks {
+                    pick.0 -= first;
+                }
+            }
+        }
+    }
+
+    /// The assembled batches, in push order.
+    pub fn finish(mut self) -> Vec<Batch> {
+        if !self.picks.is_empty() {
+            self.emit(self.picks.len());
+        }
+        self.out
+    }
+}
+
+/// The positions of the set bits of a selection mask, in order.
+pub fn mask_indices(mask: &[bool]) -> Vec<u32> {
+    mask.iter()
+        .enumerate()
+        .filter(|(_, &keep)| keep)
+        .map(|(i, _)| i as u32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -932,6 +1284,152 @@ mod tests {
         let batch = Batch::from_rows(1, &rows);
         assert_eq!(batch.column(0).str_at(0), Some("hello"));
         assert_eq!(batch.column(0).str_at(1), None);
+    }
+
+    #[test]
+    fn filled_and_extended_bitmaps_match_pushed_ones() {
+        for (left, right) in [(0usize, 5usize), (3, 64), (64, 1), (70, 130), (128, 0)] {
+            let bit = |i: usize| i % 3 != 1;
+            let mut pushed = NullBitmap::new();
+            let mut a = NullBitmap::new();
+            let mut b = NullBitmap::new();
+            for i in 0..left {
+                pushed.push(bit(i));
+                a.push(bit(i));
+            }
+            for i in left..left + right {
+                pushed.push(bit(i));
+                b.push(bit(i));
+            }
+            a.extend_from(&b);
+            assert_eq!(a, pushed, "{left} + {right}");
+        }
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let mut pushed = NullBitmap::new();
+            (0..len).for_each(|_| pushed.push(true));
+            assert_eq!(NullBitmap::filled(len, true), pushed);
+            assert!(NullBitmap::filled(len, true).all_valid());
+            assert_eq!(NullBitmap::filled(len, false).count_valid(), 0);
+        }
+    }
+
+    #[test]
+    fn concat_and_gather_match_the_row_roundtrip() {
+        let rows = mixed_rows();
+        // Chunk boundaries that leave an all-NULL (Mixed) chunk beside typed
+        // ones: column 0 of rows[1..2] is NULL only.
+        let chunks: Vec<Batch> = [&rows[0..1], &rows[1..2], &rows[2..3]]
+            .iter()
+            .map(|c| Batch::from_rows(6, c))
+            .collect();
+        assert_eq!(Batch::concat(&chunks), Batch::from_rows(6, &rows));
+        assert_eq!(Batch::concat(&chunks).to_rows(), rows);
+        let picks = [(2u32, 0u32), (0, 0), (1, 0), (0, 0)];
+        let expected = vec![
+            rows[2].clone(),
+            rows[0].clone(),
+            rows[1].clone(),
+            rows[0].clone(),
+        ];
+        assert_eq!(Batch::gather(&chunks, &picks).to_rows(), expected);
+        assert_eq!(
+            Batch::gather(&chunks, &picks),
+            Batch::from_rows(6, &expected)
+        );
+        // One chunk is shared, none is an empty batch of no columns.
+        assert_eq!(Batch::concat(&chunks[..1]), chunks[0]);
+        assert_eq!(Batch::concat(&[]).num_rows(), 0);
+        assert_eq!(Batch::gather(&[], &[]).num_columns(), 0);
+    }
+
+    #[test]
+    fn assembler_packs_picks_into_full_batches_in_order() {
+        let rows: Vec<Tuple> = (0..50)
+            .map(|i| Tuple::new(vec![Value::Int64(i), Value::from(format!("r{i}"))]))
+            .collect();
+        let chunks: Vec<Batch> = rows.chunks(7).map(|c| Batch::from_rows(2, c)).collect();
+        // Keep every third row of every chunk.
+        let mut assembler = BatchAssembler::new(4);
+        let mut expected = Vec::new();
+        for (c, chunk) in chunks.iter().enumerate() {
+            let keep: Vec<u32> = (0..chunk.num_rows() as u32)
+                .filter(|s| s % 3 == 0)
+                .collect();
+            expected.extend(keep.iter().map(|&s| rows[c * 7 + s as usize].clone()));
+            assembler.push(chunk, &keep);
+        }
+        let out = assembler.finish();
+        assert!(out[..out.len() - 1].iter().all(|b| b.num_rows() == 4));
+        let got: Vec<Tuple> = out.iter().flat_map(Batch::to_rows).collect();
+        assert_eq!(got, expected);
+
+        // Whole chunks pass through shared while nothing is pending, and are
+        // absorbed in order once something is.
+        let mut assembler = BatchAssembler::new(100);
+        assembler.push_all(&chunks[0]);
+        assembler.push(&chunks[1], &[6, 0]);
+        assembler.push_all(&chunks[2]);
+        assembler.push_all(&Batch::empty(2));
+        let out = assembler.finish();
+        assert_eq!(out.len(), 2);
+        assert!(std::ptr::eq(out[0].column(0), chunks[0].column(0)));
+        let mut expected = vec![rows[13].clone(), rows[7].clone()];
+        expected.extend_from_slice(&rows[14..21]);
+        assert_eq!(out[1].to_rows(), expected);
+        assert!(BatchAssembler::new(0).finish().is_empty());
+    }
+
+    #[test]
+    fn projections_share_their_columns() {
+        let batch = Batch::from_rows(6, &mixed_rows());
+        let projected = batch.project(&[2, 0]);
+        assert!(std::ptr::eq(projected.column(0), batch.column(2)));
+        let wide = projected.hstack(&batch);
+        assert!(std::ptr::eq(wide.column(1), batch.column(0)));
+        assert!(std::ptr::eq(batch.clone().column(4), batch.column(4)));
+    }
+
+    #[test]
+    fn byte_accounting_of_selected_rows_matches_tuples() {
+        let rows = mixed_rows();
+        let batch = Batch::from_rows(6, &rows);
+        let picked = [2u32, 0];
+        assert_eq!(
+            batch.approx_bytes_at(&picked),
+            rows[2].approx_bytes() + rows[0].approx_bytes()
+        );
+        assert_eq!(batch.approx_bytes_at(&[]), 0);
+    }
+
+    /// A string slot hashes from its borrowed bytes and materializes as an
+    /// owned `String`; the two can only agree on valid UTF-8, so the decode
+    /// edge refuses anything else.
+    #[test]
+    fn from_columns_rejects_malformed_string_columns() {
+        let utf8 = |offsets: Vec<usize>, bytes: Vec<u8>| Column::Utf8 {
+            validity: NullBitmap::filled(offsets.len() - 1, true),
+            offsets,
+            bytes,
+        };
+        // Valid, including a multi-byte character.
+        let ok = Batch::from_columns(vec![utf8(vec![0, 2, 3], "éa".as_bytes().to_vec())]).unwrap();
+        assert_eq!(ok.column(0).str_at(0), Some("é"));
+        assert_eq!(ok.column(0).value(0), Value::from("é"));
+        // Invalid byte, a slot boundary inside a character, broken offsets.
+        assert!(Batch::from_columns(vec![utf8(vec![0, 1], vec![0xff])]).is_err());
+        assert!(Batch::from_columns(vec![utf8(vec![0, 1, 2], "é".as_bytes().to_vec())]).is_err());
+        assert!(Batch::from_columns(vec![utf8(vec![0, 3], b"ab".to_vec())]).is_err());
+        assert!(Batch::from_columns(vec![utf8(vec![1, 2], b"ab".to_vec())]).is_err());
+        assert!(Batch::from_columns(vec![utf8(vec![0, 2, 1, 2], b"ab".to_vec())]).is_err());
+        // A NULL slot owns no bytes (the byte accounting counts the buffer).
+        let mut validity = NullBitmap::new();
+        validity.push(false);
+        assert!(Batch::from_columns(vec![Column::Utf8 {
+            offsets: vec![0, 1],
+            bytes: b"a".to_vec(),
+            validity,
+        }])
+        .is_err());
     }
 
     #[test]

@@ -144,8 +144,9 @@ impl Value {
 }
 
 /// Maps a string to a float preserving lexicographic order on the first eight
-/// bytes. Used only for histogram bucketing of string columns.
-fn string_rank(s: &str) -> f64 {
+/// bytes — [`Value::numeric_rank`] of a string, callable on a borrowed slot
+/// of a string column. Used only for histogram bucketing of string columns.
+pub fn string_rank(s: &str) -> f64 {
     let mut bytes = [0u8; 8];
     for (i, b) in s.as_bytes().iter().take(8).enumerate() {
         bytes[i] = *b;

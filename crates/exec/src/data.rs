@@ -1,6 +1,16 @@
 //! Partitioned intermediate data flowing between operators.
+//!
+//! A [`PartitionedData`] is what one operator hands the next: per cluster
+//! partition, a run of [`Batch`]es. Scans produce it (sharing the stored
+//! chunks when nothing is filtered out), exchanges re-arrange it, joins
+//! consume two of them, and the Sink moves its batches into the catalog —
+//! all without a row in sight. Rows are produced in exactly one place,
+//! [`PartitionedData::gather`], when a query's result leaves the operator
+//! pipeline as a [`Relation`]; [`PartitionedData::from_rows`] and
+//! [`PartitionedData::partition_rows`] are the explicit row edges for
+//! transports and tests that hold tuples.
 
-use rdo_common::{Relation, Schema, Tuple, Value};
+use rdo_common::{batch_size, Batch, Relation, Schema, Tuple, Value};
 use rdo_sketch::hll::hash_value;
 
 /// Data produced by an operator, kept partitioned exactly as it would be across
@@ -8,7 +18,7 @@ use rdo_sketch::hll::hash_value;
 #[derive(Debug, Clone)]
 pub struct PartitionedData {
     schema: Schema,
-    partitions: Vec<Vec<Tuple>>,
+    partitions: Vec<Vec<Batch>>,
     /// Column (unqualified name) the data is currently hash-partitioned on, if
     /// any. A subsequent hash join on the same column skips the re-partition
     /// exchange for this input — the "already partitioned on the join key(s)"
@@ -21,14 +31,34 @@ pub struct PartitionedData {
 }
 
 impl PartitionedData {
-    /// Creates partitioned data.
-    pub fn new(schema: Schema, partitions: Vec<Vec<Tuple>>, partition_key: Option<String>) -> Self {
+    /// Creates partitioned data from per-partition batch runs.
+    pub fn new(schema: Schema, partitions: Vec<Vec<Batch>>, partition_key: Option<String>) -> Self {
         Self {
             schema,
             partitions,
             partition_key,
             base_table: None,
         }
+    }
+
+    /// Creates partitioned data from per-partition rows, chunked at
+    /// [`batch_size`] — the row edge in (transports that received tuples,
+    /// tests).
+    pub fn from_rows(
+        schema: Schema,
+        partitions: Vec<Vec<Tuple>>,
+        partition_key: Option<String>,
+    ) -> Self {
+        let width = schema.len();
+        let partitions = partitions
+            .iter()
+            .map(|rows| {
+                rows.chunks(batch_size())
+                    .map(|chunk| Batch::from_rows(width, chunk))
+                    .collect()
+            })
+            .collect();
+        Self::new(schema, partitions, partition_key)
     }
 
     /// Creates empty data with the given schema and partition count.
@@ -47,14 +77,34 @@ impl PartitionedData {
         &self.schema
     }
 
-    /// The partitions.
-    pub fn partitions(&self) -> &[Vec<Tuple>] {
+    /// The partitions: one run of batches each.
+    pub fn partitions(&self) -> &[Vec<Batch>] {
         &self.partitions
     }
 
-    /// Mutable access to the partitions.
-    pub fn partitions_mut(&mut self) -> &mut [Vec<Tuple>] {
-        &mut self.partitions
+    /// Consumes the data into its per-partition batch runs.
+    pub fn into_partitions(self) -> Vec<Vec<Batch>> {
+        self.partitions
+    }
+
+    /// The rows of one partition, materialized — the row edge out
+    /// (transports that ship tuples, tests).
+    pub fn partition_rows(&self, index: usize) -> Vec<Tuple> {
+        crate::partition::rows_of(&self.partitions[index])
+    }
+
+    /// Every partition's rows. Chunk boundaries are not part of the data's
+    /// identity — two runs that bucketed or received the same rows
+    /// differently still compare equal here.
+    pub fn to_rows(&self) -> Vec<Vec<Tuple>> {
+        (0..self.num_partitions())
+            .map(|p| self.partition_rows(p))
+            .collect()
+    }
+
+    /// Number of rows in one partition.
+    pub fn partition_len(&self, index: usize) -> usize {
+        self.partitions[index].iter().map(Batch::num_rows).sum()
     }
 
     /// Number of partitions.
@@ -74,15 +124,15 @@ impl PartitionedData {
 
     /// Total number of rows.
     pub fn row_count(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
+        self.partitions.iter().flatten().map(Batch::num_rows).sum()
     }
 
-    /// Approximate total bytes.
+    /// Approximate total bytes (the tuple-model figure of the rows).
     pub fn approx_bytes(&self) -> usize {
         self.partitions
             .iter()
-            .flat_map(|p| p.iter())
-            .map(|t| t.approx_bytes())
+            .flatten()
+            .map(Batch::approx_bytes)
             .sum()
     }
 
@@ -93,47 +143,67 @@ impl PartitionedData {
     }
 
     /// Re-partitions the data by hashing the value at `key_index`; returns the
-    /// new data and the number of rows that had to move between partitions
-    /// (the shuffle volume the cost model charges for).
+    /// new data and the number of rows and bytes that had to move between
+    /// partitions (the shuffle volume the cost model charges for).
     pub fn repartition(&self, key_index: usize, key_name: &str) -> (PartitionedData, u64, u64) {
-        let n = self.num_partitions();
-        let mut new_partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+        Self::from_buckets(
+            self.schema.clone(),
+            self.partitions.iter().enumerate().map(|(from, chunks)| {
+                crate::partition::repartition_batches(
+                    chunks,
+                    key_index,
+                    from,
+                    self.num_partitions(),
+                )
+            }),
+            self.num_partitions(),
+            key_name,
+        )
+    }
+
+    /// Assembles the output of a re-partition exchange from the bucketed
+    /// source partitions (each the result of
+    /// [`crate::partition::repartition_batches`], in source-partition
+    /// order): destination runs concatenate in source order, which makes the
+    /// result independent of who bucketed which source.
+    pub fn from_buckets(
+        schema: Schema,
+        bucketed: impl IntoIterator<Item = (Vec<Vec<Batch>>, u64, u64)>,
+        num_partitions: usize,
+        key_name: &str,
+    ) -> (PartitionedData, u64, u64) {
+        let mut partitions: Vec<Vec<Batch>> = vec![Vec::new(); num_partitions];
         let mut moved_rows = 0u64;
         let mut moved_bytes = 0u64;
-        for (from, partition) in self.partitions.iter().enumerate() {
-            let (buckets, rows, bytes) =
-                crate::partition::repartition_partition(partition, key_index, from, n);
+        for (buckets, rows, bytes) in bucketed {
             moved_rows += rows;
             moved_bytes += bytes;
             for (to, mut bucket) in buckets.into_iter().enumerate() {
-                new_partitions[to].append(&mut bucket);
+                partitions[to].append(&mut bucket);
             }
         }
         let key_name = rdo_common::unqualified(key_name).to_string();
         (
-            PartitionedData::new(self.schema.clone(), new_partitions, Some(key_name)),
+            PartitionedData::new(schema, partitions, Some(key_name)),
             moved_rows,
             moved_bytes,
         )
     }
 
-    /// Gathers all partitions into a single relation (result delivery).
+    /// Gathers all partitions into a single relation, in partition order —
+    /// result delivery, and the one place a query's rows are materialized.
     pub fn gather(&self) -> Relation {
-        let mut rel = Relation::empty(self.schema.clone());
-        for p in &self.partitions {
-            for row in p {
-                rel.push(row.clone());
-            }
+        let mut rows = Vec::with_capacity(self.row_count());
+        for batch in self.partitions.iter().flatten() {
+            batch.extend_rows_into(&mut rows);
         }
-        rel
+        Relation::new(self.schema.clone(), rows).expect("batches match the schema width")
     }
 
-    /// Flattens into a single vector of rows (broadcast build sides).
-    pub fn all_rows(&self) -> Vec<Tuple> {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.iter().cloned())
-            .collect()
+    /// Every batch of every partition, in partition order (a broadcast build
+    /// side). Shares the column payloads.
+    pub fn all_batches(&self) -> Vec<Batch> {
+        self.partitions.iter().flatten().cloned().collect()
     }
 }
 
@@ -142,9 +212,9 @@ pub fn partition_for(value: &Value, n: usize) -> usize {
     partition_for_hash(hash_value(value), n)
 }
 
-/// Partition id from a pre-computed stable digest. The columnar repartition
-/// kernel hashes borrowed column slots (`rdo_sketch::hll::hash_int64` and
-/// friends) and routes through this, so row and batch placement agree by
+/// Partition id from a pre-computed stable digest. The re-partition operator
+/// hashes borrowed column slots (`rdo_sketch::hll::hash_int64` and friends)
+/// and routes through this, so row and batch placement agree by
 /// construction.
 pub fn partition_for_hash(hash: u64, n: usize) -> usize {
     (hash % n.max(1) as u64) as usize
@@ -162,7 +232,7 @@ mod tests {
             parts[(i % partitions as i64) as usize]
                 .push(Tuple::new(vec![Value::Int64(i), Value::Int64(i % 7)]));
         }
-        PartitionedData::new(schema, parts, None)
+        PartitionedData::from_rows(schema, parts, None)
     }
 
     #[test]
@@ -170,9 +240,39 @@ mod tests {
         let d = data(100, 4);
         assert_eq!(d.row_count(), 100);
         assert_eq!(d.num_partitions(), 4);
-        assert!(d.approx_bytes() > 0);
+        assert_eq!(d.approx_bytes(), d.gather().approx_bytes());
         assert_eq!(d.gather().len(), 100);
-        assert_eq!(d.all_rows().len(), 100);
+        assert_eq!(
+            d.all_batches().iter().map(Batch::num_rows).sum::<usize>(),
+            100
+        );
+    }
+
+    #[test]
+    fn rows_roundtrip_through_batches() {
+        let schema = Schema::for_dataset("t", &[("k", DataType::Int64), ("s", DataType::Utf8)]);
+        let parts: Vec<Vec<Tuple>> = (0..3)
+            .map(|p| {
+                (0..p * 5)
+                    .map(|i| {
+                        Tuple::new(vec![
+                            if i % 4 == 0 {
+                                Value::Null
+                            } else {
+                                Value::Int64(i)
+                            },
+                            Value::Utf8(format!("p{p}-{i}")),
+                        ])
+                    })
+                    .collect()
+            })
+            .collect();
+        let d = PartitionedData::from_rows(schema, parts.clone(), Some("k".into()));
+        for (p, rows) in parts.iter().enumerate() {
+            assert_eq!(&d.partition_rows(p), rows);
+            assert_eq!(d.partition_len(p), rows.len());
+        }
+        assert_eq!(d.gather().rows(), parts.concat().as_slice());
     }
 
     #[test]
@@ -185,8 +285,8 @@ mod tests {
         assert!(moved_rows > 0 && moved_rows <= 1000);
         assert!(moved_bytes > 0);
         // Every row must be in the partition its key hashes to.
-        for (p, rows) in r.partitions().iter().enumerate() {
-            for row in rows {
+        for p in 0..8 {
+            for row in r.partition_rows(p) {
                 assert_eq!(partition_for(row.value(1), 8), p);
             }
         }
@@ -214,5 +314,6 @@ mod tests {
         assert_eq!(d.row_count(), 0);
         assert_eq!(d.num_partitions(), 3);
         assert!(d.partition_key().is_none());
+        assert!(d.gather().is_empty());
     }
 }

@@ -4,11 +4,11 @@
 use crate::cost::ExecutionMetrics;
 use crate::data::PartitionedData;
 use crate::expr::Predicate;
-use crate::grace::{joined_partition, GraceContext, GraceTally};
-use crate::partition::{indexed_join_partition, scan_batch, IndexJoinTally, ScanTally};
+use crate::grace::{joined_partition, GraceContext, GraceTally, PreparedBuild};
+use crate::partition::{indexed_join_partition, scan_table_partition, IndexJoinTally, ScanTally};
 use crate::plan::{JoinAlgorithm, PhysicalPlan};
 use crate::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
-use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
+use rdo_common::{Batch, FieldRef, RdoError, Relation, Result};
 use rdo_storage::{Catalog, SpillReadTally};
 
 /// Executes physical plans against a catalog.
@@ -69,30 +69,24 @@ impl<'a> Executor<'a> {
         let table = self.catalog.table(table_name)?;
         let setup = prepare_scan(table, dataset, projection)?;
 
-        // Stream each partition batch by batch through the columnar scan
-        // kernel: columnar-backed tables hand over their stored batches with
-        // no row conversion, memory-backed ones are chunked at the batch
-        // size, spilled ones decode each page (columnar pages straight into
-        // their column form). Kernel chunk-invariance makes results and
-        // tallies identical whichever backing delivers the batches.
-        let mut partitions: Vec<Vec<Tuple>> = Vec::with_capacity(table.num_partitions());
+        // Every partition goes through the scan operator: resident tables
+        // lend their stored chunks (an unfiltered scan passes them on
+        // shared), spilled ones decode page by page. Chunk-invariance makes
+        // results and tallies identical whichever backing delivers them.
+        let mut partitions: Vec<Vec<Batch>> = Vec::with_capacity(table.num_partitions());
         let mut tally = ScanTally::default();
         let mut spill_read = SpillReadTally::default();
         for p in 0..table.num_partitions() {
-            let mut out_rows: Vec<Tuple> = Vec::new();
-            let page_tally = table.scan_batches(p, |batch| {
-                let (out, partial) = scan_batch(
-                    &setup.schema,
-                    predicates,
-                    setup.projection_indexes.as_deref(),
-                    batch,
-                )?;
-                tally.add(&partial);
-                out.extend_rows_into(&mut out_rows);
-                Ok(true)
-            })?;
-            spill_read.add(&page_tally);
-            partitions.push(out_rows);
+            let (out, partial, pages) = scan_table_partition(
+                table,
+                p,
+                &setup.schema,
+                predicates,
+                setup.projection_indexes.as_deref(),
+            )?;
+            tally.add(&partial);
+            spill_read.add(&pages);
+            partitions.push(out);
         }
         metrics.spill_pages_read += spill_read.pages;
         metrics.spill_bytes_read += spill_read.bytes;
@@ -188,23 +182,19 @@ impl<'a> Executor<'a> {
         let setup =
             prepare_indexed_join(table, dataset, projection.as_deref(), right.schema(), keys)?;
 
-        let broadcast_rows = right.all_rows();
+        let broadcast = right.all_batches();
         let partitions_count = table.num_partitions();
-        metrics.rows_broadcast += broadcast_rows.len() as u64 * partitions_count as u64;
-        metrics.bytes_broadcast += broadcast_rows
-            .iter()
-            .map(|r| r.approx_bytes() as u64)
-            .sum::<u64>()
-            * partitions_count as u64;
+        metrics.rows_broadcast += right.row_count() as u64 * partitions_count as u64;
+        metrics.bytes_broadcast += right.approx_bytes() as u64 * partitions_count as u64;
 
-        let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(partitions_count);
+        let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(partitions_count);
         let mut tally = IndexJoinTally::default();
         for p in 0..partitions_count {
             let (out, partial) = indexed_join_partition(
-                &broadcast_rows,
+                &broadcast,
                 index,
                 p,
-                table.partition(p),
+                table.batches(p),
                 &setup.left_schema,
                 predicates,
                 setup.projection_indexes.as_deref(),
@@ -267,19 +257,13 @@ pub fn hash_join(
 
     let out_schema = left.schema().join(right.schema());
     let num_partitions = left.num_partitions().max(right.num_partitions());
-    let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(num_partitions);
+    let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(num_partitions);
     let mut tally = GraceTally::default();
-    let empty: Vec<Tuple> = Vec::new();
     for p in 0..num_partitions {
-        let build_rows = right.partitions().get(p).unwrap_or(&empty);
-        let probe_rows = left.partitions().get(p).unwrap_or(&empty);
-        let (out, partial) = joined_partition(
-            probe_rows,
-            build_rows,
-            &left_key_indexes,
-            &right_key_indexes,
-            grace,
-        )?;
+        let build = right.partitions().get(p).map_or(&[][..], Vec::as_slice);
+        let probe = left.partitions().get(p).map_or(&[][..], Vec::as_slice);
+        let (out, partial) =
+            joined_partition(probe, build, &left_key_indexes, &right_key_indexes, grace)?;
         tally.add(&partial);
         out_partitions.push(out);
     }
@@ -310,27 +294,19 @@ pub fn broadcast_join(
     span.attr_str("algo", "broadcast");
     let (left_key_indexes, right_key_indexes) = resolve_keys(&left, &right, keys)?;
 
-    let broadcast_rows = right.all_rows();
     let partitions_count = left.num_partitions();
-    metrics.rows_broadcast += broadcast_rows.len() as u64 * partitions_count as u64;
-    metrics.bytes_broadcast += broadcast_rows
-        .iter()
-        .map(|r| r.approx_bytes() as u64)
-        .sum::<u64>()
-        * partitions_count as u64;
+    metrics.rows_broadcast += right.row_count() as u64 * partitions_count as u64;
+    metrics.bytes_broadcast += right.approx_bytes() as u64 * partitions_count as u64;
 
+    // The replicated build side is indexed once and probed by every
+    // partition; each partition is still charged its own copy of the build
+    // rows, as on the real cluster.
+    let build = PreparedBuild::prepare(&right.all_batches(), &right_key_indexes, grace);
     let out_schema = left.schema().join(right.schema());
-    let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(partitions_count);
+    let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(partitions_count);
     let mut tally = GraceTally::default();
-    for probe_rows in left.partitions() {
-        // Each partition builds its own copy of the broadcast hash table.
-        let (out, partial) = joined_partition(
-            probe_rows,
-            &broadcast_rows,
-            &left_key_indexes,
-            &right_key_indexes,
-            grace,
-        )?;
+    for probe in left.partitions() {
+        let (out, partial) = build.join_partition(probe, &left_key_indexes, &right_key_indexes)?;
         tally.add(&partial);
         out_partitions.push(out);
     }
@@ -351,7 +327,7 @@ pub fn broadcast_join(
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use rdo_common::{DataType, Schema, Value};
+    use rdo_common::{DataType, Schema, Tuple, Value};
     use rdo_storage::IngestOptions;
 
     /// Builds a small catalog with `orders(o_orderkey, o_custkey)` and

@@ -15,6 +15,7 @@
 //! the result, so [`Predicate::evaluate`] is the ground truth while
 //! [`Predicate::estimate_selectivity`] is what the static baselines see.
 
+use rdo_common::batch::utf8_slot;
 use rdo_common::{Batch, Column, FieldRef, NullBitmap, RdoError, Result, Schema, Tuple, Value};
 use rdo_sketch::DatasetStats;
 use std::cmp::Ordering;
@@ -298,6 +299,10 @@ impl Predicate {
         is_date: bool,
         mask: &mut [bool],
     ) -> bool {
+        // One pass over the bitmap up front: NULL-free columns skip the
+        // per-slot validity test.
+        let no_nulls = validity.all_valid();
+        let valid = |i: usize| no_nulls || validity.is_valid(i);
         let rhs_of = |v: &Value| match v {
             Value::Int64(b) | Value::Date(b) => Some(NumRhs::Int(*b)),
             Value::Float64(b) if !is_date => Some(NumRhs::Float(*b)),
@@ -307,7 +312,7 @@ impl Predicate {
             PredicateExpr::Compare { op, value: rhs, .. } => {
                 let Some(rhs) = rhs_of(rhs) else { return false };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, rhs.ord_i64(values[i]));
+                    *m = *m && valid(i) && cmp_matches(*op, rhs.ord_i64(values[i]));
                 }
                 true
             }
@@ -317,7 +322,7 @@ impl Predicate {
                 };
                 for (i, m) in mask.iter_mut().enumerate() {
                     *m = *m
-                        && validity.is_valid(i)
+                        && valid(i)
                         && lo.ord_i64(values[i]) != Ordering::Less
                         && hi.ord_i64(values[i]) != Ordering::Greater;
                 }
@@ -330,7 +335,7 @@ impl Predicate {
                 let entries: Vec<NumRhs> = list.iter().filter_map(rhs_of).collect();
                 for (i, m) in mask.iter_mut().enumerate() {
                     *m = *m
-                        && validity.is_valid(i)
+                        && valid(i)
                         && entries
                             .iter()
                             .any(|e| e.ord_i64(values[i]) == Ordering::Equal);
@@ -345,6 +350,10 @@ impl Predicate {
     /// (cross-type variant order); integers widen and compare through the
     /// same NaN-aware total order as [`Value`]'s `Ord`.
     fn eval_float_fast(&self, values: &[f64], validity: &NullBitmap, mask: &mut [bool]) -> bool {
+        // One pass over the bitmap up front: NULL-free columns skip the
+        // per-slot validity test.
+        let no_nulls = validity.all_valid();
+        let valid = |i: usize| no_nulls || validity.is_valid(i);
         let rhs_of = |v: &Value| match v {
             Value::Int64(b) => Some(*b as f64),
             Value::Float64(b) => Some(*b),
@@ -354,7 +363,7 @@ impl Predicate {
             PredicateExpr::Compare { op, value: rhs, .. } => {
                 let Some(rhs) = rhs_of(rhs) else { return false };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, values[i].total_cmp(&rhs));
+                    *m = *m && valid(i) && cmp_matches(*op, values[i].total_cmp(&rhs));
                 }
                 true
             }
@@ -364,7 +373,7 @@ impl Predicate {
                 };
                 for (i, m) in mask.iter_mut().enumerate() {
                     *m = *m
-                        && validity.is_valid(i)
+                        && valid(i)
                         && values[i].total_cmp(&lo) != Ordering::Less
                         && values[i].total_cmp(&hi) != Ordering::Greater;
                 }
@@ -374,7 +383,7 @@ impl Predicate {
                 let entries: Vec<f64> = list.iter().filter_map(rhs_of).collect();
                 for (i, m) in mask.iter_mut().enumerate() {
                     *m = *m
-                        && validity.is_valid(i)
+                        && valid(i)
                         && entries
                             .iter()
                             .any(|e| values[i].total_cmp(e) == Ordering::Equal);
@@ -394,14 +403,16 @@ impl Predicate {
         validity: &NullBitmap,
         mask: &mut [bool],
     ) -> bool {
-        let str_at =
-            |i: usize| std::str::from_utf8(&bytes[offsets[i]..offsets[i + 1]]).unwrap_or("");
+        // One pass over the bitmap up front: NULL-free columns skip the
+        // per-slot validity test.
+        let no_nulls = validity.all_valid();
+        let valid = |i: usize| no_nulls || validity.is_valid(i);
+        let str_at = |i: usize| utf8_slot(offsets, bytes, i);
         match &self.expr {
             PredicateExpr::Compare { op, value: rhs, .. } => {
                 let Value::Utf8(rhs) = rhs else { return false };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m =
-                        *m && validity.is_valid(i) && cmp_matches(*op, str_at(i).cmp(rhs.as_str()));
+                    *m = *m && valid(i) && cmp_matches(*op, str_at(i).cmp(rhs.as_str()));
                 }
                 true
             }
@@ -410,17 +421,14 @@ impl Predicate {
                     return false;
                 };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && str_at(i) >= lo.as_str()
-                        && str_at(i) <= hi.as_str();
+                    *m = *m && valid(i) && str_at(i) >= lo.as_str() && str_at(i) <= hi.as_str();
                 }
                 true
             }
             PredicateExpr::InList { values: list, .. } => {
                 let entries: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && entries.contains(&str_at(i));
+                    *m = *m && valid(i) && entries.contains(&str_at(i));
                 }
                 true
             }
@@ -430,11 +438,15 @@ impl Predicate {
 
     /// Fast path over a `Bool` payload slice.
     fn eval_bool_fast(&self, values: &[bool], validity: &NullBitmap, mask: &mut [bool]) -> bool {
+        // One pass over the bitmap up front: NULL-free columns skip the
+        // per-slot validity test.
+        let no_nulls = validity.all_valid();
+        let valid = |i: usize| no_nulls || validity.is_valid(i);
         match &self.expr {
             PredicateExpr::Compare { op, value: rhs, .. } => {
                 let Value::Bool(rhs) = rhs else { return false };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, values[i].cmp(rhs));
+                    *m = *m && valid(i) && cmp_matches(*op, values[i].cmp(rhs));
                 }
                 true
             }
@@ -443,14 +455,14 @@ impl Predicate {
                     return false;
                 };
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && values[i] >= *lo && values[i] <= *hi;
+                    *m = *m && valid(i) && values[i] >= *lo && values[i] <= *hi;
                 }
                 true
             }
             PredicateExpr::InList { values: list, .. } => {
                 let entries: Vec<bool> = list.iter().filter_map(Value::as_bool).collect();
                 for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && entries.contains(&values[i]);
+                    *m = *m && valid(i) && entries.contains(&values[i]);
                 }
                 true
             }

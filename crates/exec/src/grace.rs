@@ -1,9 +1,12 @@
 //! The memory-budgeted grace/hybrid hash join kernel.
 //!
-//! The in-memory [`crate::partition::hash_join_partition`] builds a hash table
-//! over the whole build side of one partition; with a join budget configured
+//! The in-memory join ([`crate::partition::JoinBuildTable`]) indexes the whole
+//! build side of one partition; with a join budget configured
 //! (`RDO_JOIN_BUDGET` / [`rdo_storage::SpillConfig::join_budget_bytes`]) this
-//! module takes over whenever that table would exceed the budget:
+//! module takes over whenever that build side would exceed the budget. The
+//! decision is taken on the batches ([`PreparedBuild::prepare`]); only a
+//! partition that actually goes out of core is converted to rows, because
+//! the spill pages it streams through are sized and written tuple by tuple:
 //!
 //! 1. Both sides of the partition are hashed into `fanout` grace buckets
 //!    (a *different* hash than the partition-level exchange, so co-partitioned
@@ -34,8 +37,10 @@
 //! therefore deterministic too.
 
 use crate::cost::ExecutionMetrics;
-use crate::partition::{composite_key, hash_join_partition, JoinTally};
-use rdo_common::{Result, Tuple, Value};
+use crate::partition::{
+    chunk_rows, composite_key, hash_join_partition, rows_of, JoinBuildTable, JoinTally,
+};
+use rdo_common::{batch_size, Batch, Result, Tuple, Value};
 use rdo_sketch::hll::hash_value;
 use rdo_storage::{Catalog, SpillManager, SpillPartitionWriter, SpilledPartitions};
 use std::collections::HashMap;
@@ -212,40 +217,98 @@ impl GraceTally {
     }
 }
 
-/// Joins one partition, going through the grace path when a context is given:
-/// the single dispatch point shared by the serial and the partition-parallel
-/// executor, for both the hash and the broadcast join.
-pub fn joined_partition(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-    grace: Option<&GraceContext>,
-) -> Result<(Vec<Tuple>, GraceTally)> {
-    match grace {
-        Some(ctx) => grace_join_partition(
-            probe_rows,
-            build_rows,
-            probe_key_indexes,
-            build_key_indexes,
-            ctx,
-        ),
-        None => {
-            let (out, join) =
-                hash_join_partition(probe_rows, build_rows, probe_key_indexes, build_key_indexes);
-            Ok((
-                out,
-                GraceTally {
-                    join,
-                    ..GraceTally::default()
-                },
-            ))
+/// The build side of a join, prepared once for any number of probe
+/// partitions: the hash join prepares one per partition, the broadcast join
+/// one for all of them.
+pub enum PreparedBuild {
+    /// The build side fits the join budget (or there is none): the
+    /// in-memory index, shared by every probe.
+    InMemory(JoinBuildTable),
+    /// The build side exceeds the budget: its rows, for the grace path.
+    OverBudget {
+        /// The build rows, converted once.
+        rows: Vec<Tuple>,
+        /// The budget and spill manager of the grace join.
+        ctx: GraceContext,
+    },
+}
+
+impl PreparedBuild {
+    /// Sizes the build side against the join budget of `grace` (if any) and
+    /// prepares the matching representation.
+    pub fn prepare(
+        build: &[Batch],
+        build_key_indexes: &[usize],
+        grace: Option<&GraceContext>,
+    ) -> Self {
+        match grace {
+            Some(ctx)
+                if build.iter().map(|b| b.approx_bytes() as u64).sum::<u64>()
+                    > ctx.budget_bytes =>
+            {
+                PreparedBuild::OverBudget {
+                    rows: rows_of(build),
+                    ctx: ctx.clone(),
+                }
+            }
+            _ => PreparedBuild::InMemory(JoinBuildTable::build(build, build_key_indexes)),
+        }
+    }
+
+    /// Joins one probe partition against the prepared build side. The
+    /// `join` part of the tally charges the build rows once per call, as a
+    /// partition building its own table would.
+    pub fn join_partition(
+        &self,
+        probe: &[Batch],
+        probe_key_indexes: &[usize],
+        build_key_indexes: &[usize],
+    ) -> Result<(Vec<Batch>, GraceTally)> {
+        match self {
+            PreparedBuild::InMemory(table) => {
+                let (out, join) = table.probe_partition(probe, probe_key_indexes);
+                Ok((
+                    out,
+                    GraceTally {
+                        join,
+                        ..GraceTally::default()
+                    },
+                ))
+            }
+            PreparedBuild::OverBudget { rows, ctx } => {
+                let (out, tally) = grace_join_partition(
+                    &rows_of(probe),
+                    rows,
+                    probe_key_indexes,
+                    build_key_indexes,
+                    ctx,
+                )?;
+                Ok((chunk_rows(&out, batch_size()), tally))
+            }
         }
     }
 }
 
-/// The memory-budgeted join of one partition. Below the budget this *is* the
-/// in-memory kernel; above it, both sides go through grace partitioning.
+/// Joins one partition, going through the grace path when a context is given
+/// and the build side is over its budget: the single dispatch point shared by
+/// the serial and the partition-parallel executor.
+pub fn joined_partition(
+    probe: &[Batch],
+    build: &[Batch],
+    probe_key_indexes: &[usize],
+    build_key_indexes: &[usize],
+    grace: Option<&GraceContext>,
+) -> Result<(Vec<Batch>, GraceTally)> {
+    PreparedBuild::prepare(build, build_key_indexes, grace).join_partition(
+        probe,
+        probe_key_indexes,
+        build_key_indexes,
+    )
+}
+
+/// The memory-budgeted join of one partition's rows. Below the budget this
+/// *is* the in-memory join; above it, both sides go through grace
+/// partitioning.
 pub fn grace_join_partition(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],
@@ -791,8 +854,15 @@ mod tests {
         let probe = rows(30, 5);
         let build = rows(10, 5);
         let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
-        let (out, tally) = joined_partition(&probe, &build, &[0], &[0], None).unwrap();
-        assert_eq!(out, expected);
+        let (out, tally) = joined_partition(
+            &chunk_rows(&probe, 7),
+            &chunk_rows(&build, 4),
+            &[0],
+            &[0],
+            None,
+        )
+        .unwrap();
+        assert_eq!(rows_of(&out), expected);
         assert_eq!(tally.join, expected_tally);
         assert_eq!(
             tally,
@@ -801,5 +871,31 @@ mod tests {
                 ..GraceTally::default()
             }
         );
+    }
+
+    /// A prepared build side — in memory or over budget — gives every probe
+    /// partition the rows and the tally a private build would, and only the
+    /// over-budget one spills.
+    #[test]
+    fn prepared_build_is_shared_across_probe_partitions() {
+        let build = rows(60, 13);
+        let probes = [rows(90, 13), rows(7, 13), Vec::new()];
+        for budget in [1u64, u64::MAX] {
+            let ctx = GraceContext::new(manager(), budget);
+            let prepared = PreparedBuild::prepare(&chunk_rows(&build, 16), &[0], Some(&ctx));
+            assert_eq!(
+                matches!(prepared, PreparedBuild::OverBudget { .. }),
+                budget == 1
+            );
+            for probe in &probes {
+                let (expected, expected_tally) = hash_join_partition(probe, &build, &[0], &[0]);
+                let (out, tally) = prepared
+                    .join_partition(&chunk_rows(probe, 16), &[0], &[0])
+                    .unwrap();
+                assert_eq!(rows_of(&out), expected, "budget={budget}");
+                assert_eq!(tally.join, expected_tally);
+                assert_eq!(tally.pages_written > 0, budget == 1 && !probe.is_empty());
+            }
+        }
     }
 }

@@ -23,13 +23,16 @@
 //! * **Sink / Reader** — materialize intermediate results into temporary tables
 //!   (collecting online statistics) and read them back in later jobs.
 //!
-//! Internally the operator kernels are *columnar*: rows chunk into typed
-//! [`rdo_common::Batch`]es of `RDO_BATCH_SIZE` rows (see
-//! [`partition::batch_size`]), predicates evaluate column-at-a-time and
-//! partition hashing runs over borrowed column slots. The row-level kernel
-//! signatures are adapters over the batch kernels, and results are
-//! batch-size invariant, so every executor stays bit-identical to the
-//! row-at-a-time reference kernels (`*_rows`).
+//! Data has one representation end to end: [`rdo_common::Batch`]. Tables
+//! rest as runs of batches, [`PartitionedData`] carries runs of batches
+//! between operators, and every per-partition operator ([`partition`]) is
+//! written once over them — predicates evaluate column-at-a-time, hashing and
+//! join-key comparison run over borrowed column slots. Rows are produced once
+//! per query, when [`PartitionedData::gather`] hands the result to
+//! [`PostProcess`] and the caller. Results are invariant to where chunk
+//! boundaries fall (`RDO_BATCH_SIZE`, see [`partition::batch_size`]), and
+//! bit-identical to the row-at-a-time reference kernels (`*_rows`) the
+//! operators are tested against.
 
 pub mod cost;
 pub mod data;
@@ -39,6 +42,7 @@ pub mod grace;
 pub mod partition;
 pub mod plan;
 pub mod post;
+pub mod reference;
 pub mod setup;
 pub mod sink;
 
@@ -46,10 +50,9 @@ pub use cost::{CostModel, ExecutionMetrics};
 pub use data::PartitionedData;
 pub use executor::Executor;
 pub use expr::{evaluate_all_batch, CmpOp, Predicate, PredicateExpr, UdfFn};
-pub use grace::{GraceContext, GraceTally};
+pub use grace::{GraceContext, GraceTally, PreparedBuild};
 pub use partition::{
-    batch_size, column_partition_hash, hash_join_batch, repartition_batch, scan_batch,
-    JoinBuildTable, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE,
+    batch_size, column_partition_hashes, JoinBuildTable, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE,
 };
 pub use plan::{JoinAlgorithm, PhysicalPlan};
 pub use post::{AggregateExpr, AggregateFunc, PostProcess, SortKey};

@@ -1,43 +1,61 @@
-//! Per-partition operator kernels — columnar core, row-compatible edges.
+//! Per-partition operators — written once, over batches.
 //!
 //! Every physical operator of the engine decomposes into work that runs
-//! independently on one partition: filter/project a partition's rows, bucket a
-//! partition's rows for a re-partition exchange, build-and-probe one
-//! partition's hash table, probe one partition of a secondary index. The
-//! serial [`crate::Executor`] loops these kernels partition-by-partition; the
-//! partition-parallel executor (`rdo-parallel`) maps the *same* kernels across
-//! a worker pool. Sharing the kernels is what makes the two executors
-//! bit-identical: parallelism only changes *who* runs a partition, never what
-//! the partition computes.
+//! independently on one partition: filter/project a partition's chunks,
+//! bucket them for a re-partition exchange, build and probe one partition's
+//! join index, probe one partition of a secondary index. Each of those is one
+//! function here taking and returning [`Batch`] runs; the serial
+//! [`crate::Executor`] loops them partition by partition, the
+//! partition-parallel executor (`rdo-parallel`) maps the *same* functions
+//! across a worker pool. Sharing the operators is what makes the two
+//! executors bit-identical: parallelism only changes *who* runs a partition,
+//! never what the partition computes.
 //!
-//! Since the columnar redesign the kernels are *batch-at-a-time*: rows chunk
-//! into typed [`Batch`]es of [`batch_size`] rows (`RDO_BATCH_SIZE`, default
-//! 1024), predicates evaluate column-wise
-//! ([`crate::expr::evaluate_all_batch`]), and partition hashing runs over
-//! borrowed column slots ([`column_partition_hash`]) instead of per-tuple
-//! [`Value`] hashing. The public row-level entry points
-//! ([`scan_partition`], [`hash_join_partition`], [`repartition_partition`])
-//! keep their signatures and exact row-level semantics — they are thin
-//! adapters over the batch kernels, and since every kernel's output is an
-//! order-preserving concatenation across chunks, results and every tally
-//! counter are invariant to the batch size. The original row-at-a-time
-//! implementations survive as `*_rows` reference kernels for equivalence
-//! tests and the bench gate's row-vs-columnar comparison.
+//! * **Scan** ([`scan_table_partition`]) — predicates
+//!   evaluate column-wise ([`crate::expr::evaluate_all_batch`]); a chunk that
+//!   survives whole is passed on *shared* (projection included), otherwise
+//!   only the projected columns of the survivors are copied, packed into
+//!   full batches by a [`BatchAssembler`].
+//! * **Re-partition** ([`repartition_batches`]) — the key column is hashed
+//!   off its typed payload ([`column_partition_hashes`], the digest
+//!   [`crate::data::partition_for`] gives the materialized value), and each
+//!   destination assembles its rows into full batches.
+//! * **Hash / broadcast join** ([`JoinBuildTable`]) — a flat chained `u32`
+//!   index over the concatenated build side, hashed and compared straight
+//!   off column slots; matches come out probe-major in build-insertion
+//!   order, which is the order the row-at-a-time join produces.
+//! * **Indexed nested-loop join** ([`indexed_join_partition`]) — index
+//!   probes address base rows as `(chunk, slot)` and the output is gathered
+//!   from the stored chunks.
 //!
-//! Each kernel returns its output plus a tally of the counters it would
+//! Output order is an order-preserving concatenation across chunks, so
+//! results and every tally counter are invariant to where chunk boundaries
+//! fall (`RDO_BATCH_SIZE`). Rows exist in this module only in the *row
+//! adapters* (`*_chunked`, thin wrappers that convert at both ends for
+//! callers holding tuples). The original row-at-a-time implementations are
+//! kept apart in [`crate::reference`] as the oracle these operators are
+//! tested against, and re-exported here as `*_rows`.
+//!
+//! Each operator returns its output plus a tally of the counters it would
 //! contribute to [`crate::ExecutionMetrics`]; tallies are summed in partition
 //! order, which makes the merged metrics independent of worker interleaving.
 
-use crate::data::{partition_for, partition_for_hash};
+use crate::data::partition_for_hash;
 use crate::expr::{evaluate_all, evaluate_all_batch, Predicate};
-use rdo_common::{Batch, Column, Result, Schema, Tuple, Value};
+use rdo_common::batch::{mask_indices, utf8_slot};
+use rdo_common::{Batch, BatchAssembler, Column, NullBitmap, Result, Schema, Tuple, Value};
 use rdo_sketch::hll::{hash_bool, hash_float64, hash_int64, hash_null, hash_utf8, hash_value};
-use rdo_storage::SecondaryIndex;
-use std::collections::HashMap;
+use rdo_storage::{RowAddr, SecondaryIndex, SpillReadTally, Table};
 
-// The batch-size knob moved to `rdo_common` when storage went columnar (the
-// storage layer chunks resident partitions at the same size); re-exported
-// here so kernel call sites keep their import paths.
+// The row-at-a-time reference kernels live in [`crate::reference`]; their
+// historical paths stay valid.
+pub use crate::reference::{
+    composite_key, hash_join_partition_rows, repartition_partition_rows, scan_partition_rows,
+};
+
+// The batch-size knob lives in `rdo_common` (the storage layer chunks
+// resident partitions at the same size); re-exported here so kernel call
+// sites keep their import paths.
 pub use rdo_common::{batch_size, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE};
 
 /// Counters produced by scanning one partition.
@@ -60,32 +78,78 @@ impl ScanTally {
     }
 }
 
-/// Filters and projects one column batch — the columnar scan kernel.
-/// Counts every input row/byte, applies the conjunction column-wise, and
-/// keeps survivors in input order.
-pub fn scan_batch(
+/// Filters and projects one chunk into `out`: counts every input row/byte,
+/// applies the conjunction column-wise, and hands the survivors — only their
+/// projected columns — to the assembler. A chunk that survives whole is
+/// shared, not copied.
+fn scan_into(
     schema: &Schema,
     predicates: &[Predicate],
     projection: Option<&[usize]>,
     batch: &Batch,
-) -> Result<(Batch, ScanTally)> {
-    let mut tally = ScanTally {
+    out: &mut BatchAssembler,
+) -> Result<ScanTally> {
+    let mask = evaluate_all_batch(predicates, schema, batch)?;
+    let kept = mask_indices(&mask);
+    let projected;
+    let view = match projection {
+        Some(indexes) => {
+            projected = batch.project(indexes);
+            &projected
+        }
+        None => batch,
+    };
+    if kept.len() == batch.num_rows() {
+        out.push_all(view);
+    } else {
+        out.push(view, &kept);
+    }
+    Ok(ScanTally {
         scanned_rows: batch.num_rows() as u64,
         scanned_bytes: batch.approx_bytes() as u64,
-        kept: 0,
-    };
-    let mask = evaluate_all_batch(predicates, schema, batch)?;
-    let filtered = batch.filter(&mask);
-    tally.kept = filtered.num_rows() as u64;
-    let out = match projection {
-        Some(indexes) => filtered.project(indexes),
-        None => filtered,
-    };
-    Ok((out, tally))
+        kept: kept.len() as u64,
+    })
 }
 
-/// Filters and projects the rows of one partition. Row-level adapter over
-/// [`scan_batch`] at the process-wide [`batch_size`].
+/// Scans partition `partition` of `table` — the per-partition scan operator
+/// both executors run. Resident tables lend their stored chunks (an
+/// unfiltered scan returns them shared); spilled ones decode page by page and
+/// report the pages fetched.
+pub fn scan_table_partition(
+    table: &Table,
+    partition: usize,
+    schema: &Schema,
+    predicates: &[Predicate],
+    projection: Option<&[usize]>,
+) -> Result<(Vec<Batch>, ScanTally, SpillReadTally)> {
+    let mut out = BatchAssembler::new(batch_size());
+    let mut tally = ScanTally::default();
+    let pages = table.scan_batches(partition, |batch| {
+        tally.add(&scan_into(schema, predicates, projection, batch, &mut out)?);
+        Ok(true)
+    })?;
+    Ok((out.finish(), tally, pages))
+}
+
+/// Chunks rows into batches of `chunk_size` rows — the entry edge of the row
+/// adapters.
+pub(crate) fn chunk_rows(rows: &[Tuple], chunk_size: usize) -> Vec<Batch> {
+    rows.chunks(chunk_size.max(1))
+        .map(|chunk| Batch::from_rows(chunk[0].len(), chunk))
+        .collect()
+}
+
+/// Materializes a batch run as rows — the exit edge of the row adapters.
+pub(crate) fn rows_of(batches: &[Batch]) -> Vec<Tuple> {
+    let mut out = Vec::with_capacity(batches.iter().map(Batch::num_rows).sum());
+    for batch in batches {
+        batch.extend_rows_into(&mut out);
+    }
+    out
+}
+
+/// Filters and projects the rows of one partition. Row adapter over the
+/// scan operator at the process-wide [`batch_size`].
 pub fn scan_partition(
     schema: &Schema,
     predicates: &[Predicate],
@@ -104,69 +168,14 @@ pub fn scan_partition_chunked(
     rows: &[Tuple],
     chunk_size: usize,
 ) -> Result<(Vec<Tuple>, ScanTally)> {
-    let mut out = Vec::new();
+    let mut out = BatchAssembler::new(chunk_size);
     let mut tally = ScanTally::default();
-    for chunk in rows.chunks(chunk_size.max(1)) {
-        let batch = Batch::from_rows(chunk[0].len(), chunk);
-        let (kept, t) = scan_batch(schema, predicates, projection, &batch)?;
-        tally.add(&t);
-        kept.extend_rows_into(&mut out);
+    for batch in chunk_rows(rows, chunk_size) {
+        tally.add(&scan_into(
+            schema, predicates, projection, &batch, &mut out,
+        )?);
     }
-    Ok((out, tally))
-}
-
-/// The original row-at-a-time scan kernel, kept as the reference
-/// implementation the batch path is tested against (and the row side of the
-/// bench gate's row-vs-columnar case).
-pub fn scan_partition_rows(
-    schema: &Schema,
-    predicates: &[Predicate],
-    projection: Option<&[usize]>,
-    rows: &[Tuple],
-) -> Result<(Vec<Tuple>, ScanTally)> {
-    let mut out = Vec::new();
-    let mut tally = ScanTally::default();
-    for row in rows {
-        tally.scanned_rows += 1;
-        tally.scanned_bytes += row.approx_bytes() as u64;
-        if evaluate_all(predicates, schema, row)? {
-            let projected = match projection {
-                Some(indexes) => row.project(indexes),
-                None => row.clone(),
-            };
-            out.push(projected);
-            tally.kept += 1;
-        }
-    }
-    Ok((out, tally))
-}
-
-/// Extracts a composite join key, treating any NULL component as "no key"
-/// (SQL equi-join semantics: NULL never matches).
-pub fn composite_key(row: &Tuple, indexes: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(indexes.len());
-    for &i in indexes {
-        let v = row.value(i);
-        if v.is_null() {
-            return None;
-        }
-        key.push(v.clone());
-    }
-    Some(key)
-}
-
-/// Batch analogue of [`composite_key`]: the key of row `row` of a batch, or
-/// `None` if any component is NULL.
-pub fn composite_key_at(batch: &Batch, row: usize, indexes: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(indexes.len());
-    for &c in indexes {
-        let col = batch.column(c);
-        if col.is_null(row) {
-            return None;
-        }
-        key.push(col.value(row));
-    }
-    Some(key)
+    Ok((rows_of(&out.finish()), tally))
 }
 
 /// Counters produced by one partition of a hash/broadcast join.
@@ -189,29 +198,217 @@ impl JoinTally {
     }
 }
 
-/// A join build table over a columnar build side, constructed once per
-/// partition and probed batch-at-a-time. Keys map to build-row indexes in
-/// insertion order, so probe output preserves the row kernel's
-/// probe-major/build-insertion-order sequence exactly.
+/// One key column of a join side, borrowed as its typed payload. `Int64` and
+/// `Date` share a class (they hash and compare alike, as [`Value`]s do);
+/// `validity` is `None` when the column has no NULLs, so the loops skip the
+/// per-slot test.
+enum KeySlots<'a> {
+    Int {
+        values: &'a [i64],
+        validity: Option<&'a NullBitmap>,
+    },
+    Float {
+        values: &'a [f64],
+        validity: Option<&'a NullBitmap>,
+    },
+    Bool {
+        values: &'a [bool],
+        validity: Option<&'a NullBitmap>,
+    },
+    Utf8 {
+        offsets: &'a [usize],
+        bytes: &'a [u8],
+        validity: Option<&'a NullBitmap>,
+    },
+    Mixed(&'a [Value]),
+}
+
+/// A non-null key slot, by equality class.
+#[derive(PartialEq)]
+enum KeyRef<'a> {
+    Int(i64),
+    /// IEEE-754 bits: `NaN` equals the same `NaN`, `-0.0` differs from `0.0`.
+    Float(u64),
+    Bool(bool),
+    Utf8(&'a [u8]),
+}
+
+impl<'a> KeySlots<'a> {
+    fn of(column: &'a Column) -> Self {
+        let nullable = |validity: &'a NullBitmap| (!validity.all_valid()).then_some(validity);
+        match column {
+            Column::Int64 { values, validity } | Column::Date { values, validity } => {
+                KeySlots::Int {
+                    values,
+                    validity: nullable(validity),
+                }
+            }
+            Column::Float64 { values, validity } => KeySlots::Float {
+                values,
+                validity: nullable(validity),
+            },
+            Column::Bool { values, validity } => KeySlots::Bool {
+                values,
+                validity: nullable(validity),
+            },
+            Column::Utf8 {
+                offsets,
+                bytes,
+                validity,
+            } => KeySlots::Utf8 {
+                offsets,
+                bytes,
+                validity: nullable(validity),
+            },
+            Column::Mixed { values } => KeySlots::Mixed(values),
+        }
+    }
+
+    /// The key at slot `i`, `None` for NULL.
+    fn get(&self, i: usize) -> Option<KeyRef<'a>> {
+        let valid = |validity: &Option<&NullBitmap>| validity.is_none_or(|v| v.is_valid(i));
+        match self {
+            KeySlots::Int { values, validity } => valid(validity).then(|| KeyRef::Int(values[i])),
+            KeySlots::Float { values, validity } => {
+                valid(validity).then(|| KeyRef::Float(values[i].to_bits()))
+            }
+            KeySlots::Bool { values, validity } => valid(validity).then(|| KeyRef::Bool(values[i])),
+            KeySlots::Utf8 {
+                offsets,
+                bytes,
+                validity,
+            } => valid(validity).then(|| KeyRef::Utf8(&bytes[offsets[i]..offsets[i + 1]])),
+            KeySlots::Mixed(values) => match &values[i] {
+                Value::Int64(v) | Value::Date(v) => Some(KeyRef::Int(*v)),
+                Value::Float64(v) => Some(KeyRef::Float(v.to_bits())),
+                Value::Bool(v) => Some(KeyRef::Bool(*v)),
+                Value::Utf8(s) => Some(KeyRef::Utf8(s.as_bytes())),
+                Value::Null => None,
+            },
+        }
+    }
+
+    /// True if no slot is NULL.
+    fn no_nulls(&self) -> bool {
+        match self {
+            KeySlots::Int { validity, .. }
+            | KeySlots::Float { validity, .. }
+            | KeySlots::Bool { validity, .. }
+            | KeySlots::Utf8 { validity, .. } => validity.is_none(),
+            KeySlots::Mixed(values) => !values.iter().any(Value::is_null),
+        }
+    }
+}
+
+/// The key columns of one join side plus one digest per row.
+struct KeyedSide<'a> {
+    keys: Vec<KeySlots<'a>>,
+    /// Per row: the digests of the key components folded together.
+    hashes: Vec<u64>,
+    /// Per row: false when a key component is NULL (the row can never
+    /// match). `None` when no key column holds a NULL.
+    keyed: Option<Vec<bool>>,
+}
+
+/// The key columns of `batch`, borrowed.
+fn key_slots<'a>(batch: &'a Batch, key_indexes: &[usize]) -> Vec<KeySlots<'a>> {
+    key_indexes
+        .iter()
+        .map(|&c| KeySlots::of(batch.column(c)))
+        .collect()
+}
+
+impl<'a> KeyedSide<'a> {
+    fn new(batch: &'a Batch, key_indexes: &[usize]) -> Self {
+        let keys = key_slots(batch, key_indexes);
+        let mut columns = key_indexes
+            .iter()
+            .map(|&c| column_partition_hashes(batch.column(c)));
+        // A join on no columns is a cross product: one bucket for everyone.
+        let mut hashes = columns.next().unwrap_or_else(|| vec![0; batch.num_rows()]);
+        for column in columns {
+            for (h, c) in hashes.iter_mut().zip(column) {
+                *h = (h.rotate_left(23) ^ c).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+        }
+        let keyed = (!keys.iter().all(KeySlots::no_nulls)).then(|| {
+            (0..batch.num_rows())
+                .map(|i| keys.iter().all(|k| k.get(i).is_some()))
+                .collect()
+        });
+        Self {
+            keys,
+            hashes,
+            keyed,
+        }
+    }
+
+    fn is_keyed(&self, i: usize) -> bool {
+        self.keyed.as_ref().is_none_or(|k| k[i])
+    }
+}
+
+/// End of a bucket chain / empty bucket.
+const NO_ROW: u32 = u32::MAX;
+
+/// A join build table: a flat chained index over a columnar build side.
+///
+/// The build chunks are concatenated once; `heads[bucket]` is the first build
+/// row of a bucket and `next[row]` the following one, both plain `u32` row
+/// ids. Rows are linked in ascending order, so a probe walks its matches in
+/// build-insertion order and the output keeps the row join's
+/// probe-major/build-insertion-order sequence exactly. Keys are hashed and
+/// compared off the column slots — no per-row key is ever allocated — with
+/// the equality of [`Value`] keys in a hash map: `Int64` and `Date` match
+/// each other, floats match on their bit pattern, integers never match
+/// floats, NULL matches nothing.
+///
+/// One table serves any number of probe partitions (a broadcast join builds
+/// it once and shares it).
 pub struct JoinBuildTable {
     build: Batch,
-    table: HashMap<Vec<Value>, Vec<u32>>,
+    key_indexes: Vec<usize>,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// `hash >> shift` is the bucket: the top bits, which — unlike the low
+    /// ones — say nothing about the partition a re-partition exchange
+    /// (`hash % n`) put the row in.
+    shift: u32,
 }
 
 impl JoinBuildTable {
-    /// Builds the table over `build`'s key columns (NULL keys never enter).
-    pub fn build(build: Batch, key_indexes: &[usize]) -> Self {
-        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.num_rows());
-        for i in 0..build.num_rows() {
-            if let Some(key) = composite_key_at(&build, i, key_indexes) {
-                table.entry(key).or_default().push(i as u32);
+    /// Builds the table over the key columns of a build side given as a run
+    /// of chunks (NULL keys never enter the index).
+    pub fn build(chunks: &[Batch], key_indexes: &[usize]) -> Self {
+        let build = Batch::concat(chunks);
+        let rows = build.num_rows();
+        assert!(rows < NO_ROW as usize, "build side exceeds u32 row ids");
+        let bits = rows.next_power_of_two().trailing_zeros().max(4);
+        let shift = 64 - bits;
+        let mut heads = vec![NO_ROW; 1 << bits];
+        let mut next = vec![NO_ROW; rows];
+        if rows > 0 {
+            let side = KeyedSide::new(&build, key_indexes);
+            // Link back to front: every chain ascends.
+            for row in (0..rows).rev() {
+                if side.is_keyed(row) {
+                    let bucket = (side.hashes[row] >> shift) as usize;
+                    next[row] = heads[bucket];
+                    heads[bucket] = row as u32;
+                }
             }
         }
-        Self { build, table }
+        Self {
+            build,
+            key_indexes: key_indexes.to_vec(),
+            heads,
+            next,
+            shift,
+        }
     }
 
-    /// Rows on the build side (counted once per partition, however many
-    /// probe batches follow).
+    /// Rows on the build side (counted once per probing partition, however
+    /// many probe batches follow).
     pub fn build_rows(&self) -> u64 {
         self.build.num_rows() as u64
     }
@@ -223,14 +420,51 @@ impl JoinBuildTable {
     pub fn probe(&self, probe: &Batch, key_indexes: &[usize]) -> (Batch, JoinTally) {
         let mut probe_idx: Vec<u32> = Vec::new();
         let mut build_idx: Vec<u32> = Vec::new();
-        for i in 0..probe.num_rows() {
-            let Some(key) = composite_key_at(probe, i, key_indexes) else {
-                continue;
-            };
-            if let Some(matches) = self.table.get(&key) {
-                for &m in matches {
-                    probe_idx.push(i as u32);
-                    build_idx.push(m);
+        if !self.build.is_empty() {
+            let build_keys = key_slots(&self.build, &self.key_indexes);
+            let side = KeyedSide::new(probe, key_indexes);
+            match (&side.keys[..], &build_keys[..], &side.keyed) {
+                // The common case — one NULL-free integer key against an
+                // integer key — compares payloads without the class dispatch.
+                (
+                    [KeySlots::Int { values, .. }],
+                    [KeySlots::Int {
+                        values: build_values,
+                        ..
+                    }],
+                    None,
+                ) => {
+                    for (i, (&key, &hash)) in values.iter().zip(&side.hashes).enumerate() {
+                        let mut row = self.heads[(hash >> self.shift) as usize];
+                        while row != NO_ROW {
+                            if build_values[row as usize] == key {
+                                probe_idx.push(i as u32);
+                                build_idx.push(row);
+                            }
+                            row = self.next[row as usize];
+                        }
+                    }
+                }
+                _ => {
+                    for i in 0..probe.num_rows() {
+                        if !side.is_keyed(i) {
+                            continue;
+                        }
+                        let mut row = self.heads[(side.hashes[i] >> self.shift) as usize];
+                        while row != NO_ROW {
+                            let r = row as usize;
+                            if side
+                                .keys
+                                .iter()
+                                .zip(&build_keys)
+                                .all(|(p, b)| p.get(i) == b.get(r))
+                            {
+                                probe_idx.push(i as u32);
+                                build_idx.push(row);
+                            }
+                            row = self.next[r];
+                        }
+                    }
                 }
             }
         }
@@ -239,30 +473,45 @@ impl JoinBuildTable {
             probe_rows: probe.num_rows() as u64,
             output_rows: probe_idx.len() as u64,
         };
-        let out = probe.take(&probe_idx).hstack(&self.build.take(&build_idx));
+        // Every probe row matching exactly once (a foreign key into its
+        // primary key) leaves the probe side as it is: share it.
+        let matched_once = probe_idx.len() == probe.num_rows()
+            && probe_idx.iter().enumerate().all(|(i, &p)| p as usize == i);
+        let probe_side = if matched_once {
+            probe.clone()
+        } else {
+            probe.take(&probe_idx)
+        };
+        (probe_side.hstack(&self.build.take(&build_idx)), tally)
+    }
+
+    /// Probes the table with every chunk of one probe partition — the
+    /// per-partition join operator. The tally charges the build side once.
+    pub fn probe_partition(
+        &self,
+        probe: &[Batch],
+        key_indexes: &[usize],
+    ) -> (Vec<Batch>, JoinTally) {
+        let mut tally = JoinTally {
+            build_rows: self.build_rows(),
+            ..JoinTally::default()
+        };
+        let mut out = Vec::with_capacity(probe.len());
+        for chunk in probe {
+            let (joined, partial) = self.probe(chunk, key_indexes);
+            tally.add(&partial);
+            if !joined.is_empty() {
+                out.push(joined);
+            }
+        }
         (out, tally)
     }
 }
 
-/// Columnar hash join over two batches: builds a [`JoinBuildTable`] over
-/// `build` and probes it with `probe`, emitting `probe ++ build` columns.
-pub fn hash_join_batch(
-    probe: &Batch,
-    build: &Batch,
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-) -> (Batch, JoinTally) {
-    let table = JoinBuildTable::build(build.clone(), build_key_indexes);
-    let (out, mut tally) = table.probe(probe, probe_key_indexes);
-    tally.build_rows = table.build_rows();
-    (out, tally)
-}
-
 /// Builds a hash table over `build_rows` and probes it with `probe_rows`,
-/// emitting `probe ++ build` rows. Used per partition by the hash join (with
-/// co-partitioned inputs) and by the broadcast join (with the replicated build
-/// side). Row-level adapter over the columnar join: the build table is built
-/// once, the probe side streams through in [`batch_size`] chunks.
+/// emitting `probe ++ build` rows. Row adapter over [`JoinBuildTable`]: the
+/// build table is built once, the probe side streams through in
+/// [`batch_size`] chunks.
 pub fn hash_join_partition(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],
@@ -278,8 +527,8 @@ pub fn hash_join_partition(
     )
 }
 
-/// [`hash_join_partition`] with an explicit probe chunk size. Output and
-/// tally are chunk-size invariant.
+/// [`hash_join_partition`] with an explicit chunk size. Output and tally are
+/// chunk-size invariant.
 pub fn hash_join_partition_chunked(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],
@@ -287,53 +536,10 @@ pub fn hash_join_partition_chunked(
     build_key_indexes: &[usize],
     chunk_size: usize,
 ) -> (Vec<Tuple>, JoinTally) {
-    let build_width = build_rows.first().map(Tuple::len).unwrap_or(0);
-    let table = JoinBuildTable::build(Batch::from_rows(build_width, build_rows), build_key_indexes);
-    let mut tally = JoinTally {
-        build_rows: table.build_rows(),
-        probe_rows: 0,
-        output_rows: 0,
-    };
-    let mut out = Vec::new();
-    for chunk in probe_rows.chunks(chunk_size.max(1)) {
-        let probe = Batch::from_rows(chunk[0].len(), chunk);
-        let (joined, t) = table.probe(&probe, probe_key_indexes);
-        tally.add(&t);
-        joined.extend_rows_into(&mut out);
-    }
-    (out, tally)
-}
-
-/// The original row-at-a-time hash join kernel, kept as the reference
-/// implementation the batch path is tested against.
-pub fn hash_join_partition_rows(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-) -> (Vec<Tuple>, JoinTally) {
-    let mut tally = JoinTally::default();
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(build_rows.len());
-    for row in build_rows {
-        tally.build_rows += 1;
-        if let Some(key) = composite_key(row, build_key_indexes) {
-            table.entry(key).or_default().push(row);
-        }
-    }
-    let mut out = Vec::new();
-    for row in probe_rows {
-        tally.probe_rows += 1;
-        let Some(key) = composite_key(row, probe_key_indexes) else {
-            continue;
-        };
-        if let Some(matches) = table.get(&key) {
-            for m in matches {
-                out.push(row.concat(m));
-                tally.output_rows += 1;
-            }
-        }
-    }
-    (out, tally)
+    let table = JoinBuildTable::build(&chunk_rows(build_rows, chunk_size), build_key_indexes);
+    let (out, tally) =
+        table.probe_partition(&chunk_rows(probe_rows, chunk_size), probe_key_indexes);
+    (rows_of(&out), tally)
 }
 
 /// Counters produced by one partition of an indexed nested-loop join.
@@ -357,126 +563,182 @@ impl IndexJoinTally {
 }
 
 /// Probes one partition of a secondary index with the broadcast build rows,
-/// emitting `indexed ++ probe` rows. `base_rows` is the indexed table's
-/// partition; residual key pairs beyond the indexed one and the scan's local
-/// predicates are checked after each index fetch.
+/// emitting `indexed ++ probe` columns. `base` is the indexed table's
+/// partition as stored — the index addresses its rows as `(chunk, slot)`;
+/// residual key pairs beyond the indexed one and the scan's local predicates
+/// are checked after each index fetch, and the output is gathered from the
+/// stored chunks (projected columns only).
 ///
-/// Stays row-at-a-time deliberately: each probe row fetches a handful of
-/// base rows through the index, so there is no contiguous column run for a
-/// batch to amortize over.
+/// Probes one row at a time deliberately: each probe row fetches a handful
+/// of base rows through the index, so there is no contiguous column run to
+/// amortize a vectorized probe over.
 #[allow(clippy::too_many_arguments)]
 pub fn indexed_join_partition(
-    broadcast_rows: &[Tuple],
+    broadcast: &[Batch],
     index: &SecondaryIndex,
     partition: usize,
-    base_rows: &[Tuple],
+    base: &[Batch],
     left_schema: &Schema,
     predicates: &[Predicate],
     projection: Option<&[usize]>,
     left_key_indexes: &[usize],
     right_key_indexes: &[usize],
     first_right_key_index: usize,
-) -> Result<(Vec<Tuple>, IndexJoinTally)> {
+) -> Result<(Vec<Batch>, IndexJoinTally)> {
     let mut tally = IndexJoinTally::default();
-    let mut out = Vec::new();
-    for probe_row in broadcast_rows {
-        tally.index_lookups += 1;
-        let key = probe_row.value(first_right_key_index);
-        for &offset in index.probe(partition, key) {
-            tally.index_fetched_rows += 1;
-            let base_row = &base_rows[offset];
-            let all_keys_match = left_key_indexes
-                .iter()
-                .zip(right_key_indexes)
-                .skip(1)
-                .all(|(&li, &ri)| base_row.value(li) == probe_row.value(ri));
-            if !all_keys_match {
-                continue;
+    let mut base_picks: Vec<RowAddr> = Vec::new();
+    let mut probe_picks: Vec<(u32, u32)> = Vec::new();
+    for (c, probe) in broadcast.iter().enumerate() {
+        let keys = probe.column(first_right_key_index);
+        for i in 0..probe.num_rows() {
+            tally.index_lookups += 1;
+            for &(chunk, slot) in index.probe(partition, &keys.value(i)) {
+                tally.index_fetched_rows += 1;
+                let base_chunk = &base[chunk as usize];
+                let all_keys_match = left_key_indexes
+                    .iter()
+                    .zip(right_key_indexes)
+                    .skip(1)
+                    .all(|(&li, &ri)| base_chunk.value(slot as usize, li) == probe.value(i, ri));
+                if !all_keys_match {
+                    continue;
+                }
+                if !predicates.is_empty()
+                    && !evaluate_all(predicates, left_schema, &base_chunk.row(slot as usize))?
+                {
+                    continue;
+                }
+                base_picks.push((chunk, slot));
+                probe_picks.push((c as u32, i as u32));
+                tally.output_rows += 1;
             }
-            if !evaluate_all(predicates, left_schema, base_row)? {
-                continue;
-            }
-            let left_row = match projection {
-                Some(indexes) => base_row.project(indexes),
-                None => base_row.clone(),
-            };
-            out.push(left_row.concat(probe_row));
-            tally.output_rows += 1;
         }
     }
+    if base_picks.is_empty() {
+        return Ok((Vec::new(), tally));
+    }
+    let projected: Vec<Batch> = match projection {
+        Some(indexes) => base.iter().map(|b| b.project(indexes)).collect(),
+        None => base.to_vec(),
+    };
+    let chunk = batch_size();
+    let out = base_picks
+        .chunks(chunk)
+        .zip(probe_picks.chunks(chunk))
+        .map(|(left, right)| {
+            Batch::gather(&projected, left).hstack(&Batch::gather(broadcast, right))
+        })
+        .collect();
     Ok((out, tally))
 }
 
-/// Stable digest of one column slot without materializing a [`Value`]:
-/// dispatches the variant once per column, then hashes the borrowed payload
-/// through the same primitives `rdo_sketch::hll::hash_value` uses, so
-/// partition placement is representation-invariant (cross-checked in the
-/// tests below and in `rdo-sketch`).
-pub fn column_partition_hash(col: &Column, i: usize) -> u64 {
+/// Stable digest of every slot of a column, without materializing a
+/// [`Value`]: the variant is dispatched once per column and the borrowed
+/// payloads hash through the same primitives `rdo_sketch::hll::hash_value`
+/// uses, so partition placement is representation-invariant (cross-checked
+/// in the tests below and in `rdo-sketch`). The validity bitmap is checked
+/// (`all_valid`) once for the whole column; NULL-free columns hash in a loop
+/// with no per-slot test.
+pub fn column_partition_hashes(col: &Column) -> Vec<u64> {
+    fn slots<T: Copy>(values: &[T], validity: &NullBitmap, hash: impl Fn(T) -> u64) -> Vec<u64> {
+        if validity.all_valid() {
+            return values.iter().map(|&v| hash(v)).collect();
+        }
+        let null = hash_null();
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if validity.is_valid(i) { hash(v) } else { null })
+            .collect()
+    }
     match col {
         Column::Int64 { values, validity } | Column::Date { values, validity } => {
-            if validity.is_valid(i) {
-                hash_int64(values[i])
-            } else {
-                hash_null()
-            }
+            slots(values, validity, hash_int64)
         }
-        Column::Float64 { values, validity } => {
-            if validity.is_valid(i) {
-                hash_float64(values[i])
-            } else {
-                hash_null()
-            }
+        Column::Float64 { values, validity } => slots(values, validity, hash_float64),
+        Column::Bool { values, validity } => slots(values, validity, hash_bool),
+        Column::Utf8 {
+            offsets,
+            bytes,
+            validity,
+        } => {
+            let no_nulls = validity.all_valid();
+            (0..validity.len())
+                .map(|i| {
+                    if no_nulls || validity.is_valid(i) {
+                        hash_utf8(utf8_slot(offsets, bytes, i))
+                    } else {
+                        hash_null()
+                    }
+                })
+                .collect()
         }
-        Column::Utf8 { .. } => match col.str_at(i) {
-            Some(s) => hash_utf8(s),
-            None => hash_null(),
-        },
-        Column::Bool { values, validity } => {
-            if validity.is_valid(i) {
-                hash_bool(values[i])
-            } else {
-                hash_null()
-            }
-        }
-        Column::Mixed { values } => hash_value(&values[i]),
+        Column::Mixed { values } => values.iter().map(hash_value).collect(),
     }
 }
 
-/// Buckets one batch's rows by the hash of the key column — the columnar
-/// half of a `HashRepartition` exchange. Returns the buckets (indexed by
-/// destination partition, rows in input order) and the rows/bytes that left
-/// partition `from`.
-pub fn repartition_batch(
-    batch: &Batch,
+/// Splits a run of chunks over `destinations` outputs. For each chunk,
+/// `route` is handed one (cleared) slot list per destination and pushes every
+/// slot onto the list of the destination it is bound for; each destination
+/// assembles its rows, in input order, into full batches. A chunk bound
+/// whole for one destination is passed on shared.
+pub fn scatter_batches(
+    chunks: &[Batch],
+    destinations: usize,
+    mut route: impl FnMut(&Batch, &mut [Vec<u32>]),
+) -> Vec<Vec<Batch>> {
+    let mut out: Vec<BatchAssembler> = (0..destinations)
+        .map(|_| BatchAssembler::new(batch_size()))
+        .collect();
+    let mut slots: Vec<Vec<u32>> = vec![Vec::new(); destinations];
+    for chunk in chunks {
+        slots.iter_mut().for_each(Vec::clear);
+        route(chunk, &mut slots);
+        for (assembler, idx) in out.iter_mut().zip(&slots) {
+            if idx.len() == chunk.num_rows() {
+                assembler.push_all(chunk);
+            } else {
+                assembler.push(chunk, idx);
+            }
+        }
+    }
+    out.into_iter().map(BatchAssembler::finish).collect()
+}
+
+/// Buckets one source partition's chunks by the hash of the key column — the
+/// per-partition half of a `HashRepartition` exchange. Returns, per
+/// destination partition, the rows bound for it (input order, assembled into
+/// full batches) and the rows/bytes that left partition `from` (the shuffle
+/// volume the cost model charges for). The exchange concatenates the
+/// destination runs in source-partition order, so the result is
+/// deterministic no matter which worker ran which source partition.
+pub fn repartition_batches(
+    chunks: &[Batch],
     key_index: usize,
     from: usize,
     num_partitions: usize,
-) -> (Vec<Batch>, u64, u64) {
-    let col = batch.column(key_index);
-    let mut bucket_idx: Vec<Vec<u32>> = vec![Vec::new(); num_partitions];
+) -> (Vec<Vec<Batch>>, u64, u64) {
     let mut moved_rows = 0u64;
     let mut moved_bytes = 0u64;
-    for i in 0..batch.num_rows() {
-        let to = partition_for_hash(column_partition_hash(col, i), num_partitions);
-        if to != from {
-            moved_rows += 1;
-            moved_bytes += batch.row_bytes(i) as u64;
+    let buckets = scatter_batches(chunks, num_partitions, |chunk, slots| {
+        for (i, hash) in column_partition_hashes(chunk.column(key_index))
+            .into_iter()
+            .enumerate()
+        {
+            slots[partition_for_hash(hash, num_partitions)].push(i as u32);
         }
-        bucket_idx[to].push(i as u32);
-    }
-    let buckets = bucket_idx.iter().map(|idx| batch.take(idx)).collect();
+        for (to, idx) in slots.iter().enumerate() {
+            if to != from {
+                moved_rows += idx.len() as u64;
+                moved_bytes += chunk.approx_bytes_at(idx) as u64;
+            }
+        }
+    });
     (buckets, moved_rows, moved_bytes)
 }
 
-/// Buckets one source partition's rows by the hash of the key column — the
-/// per-partition half of a `HashRepartition` exchange. Returns the buckets
-/// (indexed by destination partition) and the rows/bytes that left partition
-/// `from` (the shuffle volume the cost model charges for). The exchange
-/// concatenates buckets in source-partition order, so the result is
-/// deterministic no matter which worker ran which source partition.
-/// Row-level adapter over [`repartition_batch`] at the process-wide
-/// [`batch_size`].
+/// Buckets one source partition's rows by the hash of the key column. Row
+/// adapter over [`repartition_batches`] at the process-wide [`batch_size`].
 pub fn repartition_partition(
     rows: &[Tuple],
     key_index: usize,
@@ -495,46 +757,20 @@ pub fn repartition_partition_chunked(
     num_partitions: usize,
     chunk_size: usize,
 ) -> (Vec<Vec<Tuple>>, u64, u64) {
-    let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); num_partitions];
-    let mut moved_rows = 0u64;
-    let mut moved_bytes = 0u64;
-    for chunk in rows.chunks(chunk_size.max(1)) {
-        let batch = Batch::from_rows(chunk[0].len(), chunk);
-        let (batch_buckets, mr, mb) = repartition_batch(&batch, key_index, from, num_partitions);
-        moved_rows += mr;
-        moved_bytes += mb;
-        for (bucket, b) in buckets.iter_mut().zip(&batch_buckets) {
-            b.extend_rows_into(bucket);
-        }
-    }
-    (buckets, moved_rows, moved_bytes)
-}
-
-/// The original row-at-a-time repartition kernel, kept as the reference
-/// implementation the batch path is tested against.
-pub fn repartition_partition_rows(
-    rows: &[Tuple],
-    key_index: usize,
-    from: usize,
-    num_partitions: usize,
-) -> (Vec<Vec<Tuple>>, u64, u64) {
-    let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); num_partitions];
-    let mut moved_rows = 0u64;
-    let mut moved_bytes = 0u64;
-    for row in rows {
-        let to = partition_for(row.value(key_index), num_partitions);
-        if to != from {
-            moved_rows += 1;
-            moved_bytes += row.approx_bytes() as u64;
-        }
-        buckets[to].push(row.clone());
-    }
+    let (buckets, moved_rows, moved_bytes) = repartition_batches(
+        &chunk_rows(rows, chunk_size),
+        key_index,
+        from,
+        num_partitions,
+    );
+    let buckets = buckets.iter().map(|run| rows_of(run)).collect();
     (buckets, moved_rows, moved_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::partition_for;
     use rdo_common::{DataType, FieldRef, Schema};
 
     fn rows(n: i64) -> Vec<Tuple> {
@@ -723,12 +959,10 @@ mod tests {
         let batch = Batch::from_rows(3, &rows);
         for c in 0..batch.num_columns() {
             let col = batch.column(c);
-            for i in 0..batch.num_rows() {
-                assert_eq!(
-                    column_partition_hash(col, i),
-                    hash_value(&col.value(i)),
-                    "column {c} row {i}"
-                );
+            let hashes = column_partition_hashes(col);
+            assert_eq!(hashes.len(), batch.num_rows());
+            for (i, hash) in hashes.into_iter().enumerate() {
+                assert_eq!(hash, hash_value(&col.value(i)), "column {c} row {i}");
             }
         }
         let mixed = Batch::from_rows(
@@ -742,8 +976,8 @@ mod tests {
             ],
         );
         let col = mixed.column(0);
-        for i in 0..mixed.num_rows() {
-            assert_eq!(column_partition_hash(col, i), hash_value(&col.value(i)));
+        for (i, hash) in column_partition_hashes(col).into_iter().enumerate() {
+            assert_eq!(hash, hash_value(&col.value(i)));
         }
     }
 

@@ -7,10 +7,19 @@
 //! operator. Here the temporary file is a temporary [`rdo_storage::Table`] and
 //! the Reader is an ordinary scan of it (which the executor charges at
 //! intermediate-read rates).
+//!
+//! The Sink never touches a row: the sketches observe the batches column slot
+//! by column slot ([`DatasetStatsBuilder::observe_batch`]), and the batches
+//! themselves move into the catalog ([`store`]) — as they are when the data
+//! is already laid out the way the table will be, re-bucketed batch to batch
+//! ([`stored_layout`]) when it is not.
 
 use crate::cost::ExecutionMetrics;
 use crate::data::PartitionedData;
-use rdo_common::Result;
+use crate::partition::{repartition_batches, scatter_batches};
+use rdo_common::{Batch, Result};
+use rdo_sketch::{DatasetStats, DatasetStatsBuilder};
+use rdo_storage::table::resolve_key;
 use rdo_storage::Catalog;
 
 /// What a materialization produced.
@@ -30,21 +39,6 @@ pub struct MaterializeOutcome {
     pub spilled: bool,
 }
 
-/// Materializes `data` into the catalog as temporary table `name`, hash-
-/// partitioned on `partition_key`, collecting online statistics on
-/// `tracked_columns` when `collect_stats` is true.
-///
-/// The paper disables online statistics for the final iteration ("the online
-/// statistics framework is enabled in all the iterations except for the last
-/// one"), which callers express through `collect_stats`.
-///
-/// This serial Sink observes the *gathered* relation row by row on the
-/// coordinator. The dynamic driver does **not** call it — every driver path
-/// goes through `rdo_parallel::sink::materialize`, which builds one sketch
-/// per partition and merges the partials (slightly different, equally valid
-/// GK summaries). Prefer the parallel Sink in new code so registered
-/// statistics stay identical across all execution paths; this one remains the
-/// single-threaded reference implementation.
 /// Counts how many of `tracked_columns` actually exist in `schema` (matched
 /// unqualified or fully qualified) — the per-row statistics work the Sink
 /// charges to the cost model. Shared by the serial and parallel Sinks so their
@@ -62,30 +56,64 @@ pub fn tracked_columns_present(schema: &rdo_common::Schema, tracked_columns: &[S
         .count() as u64
 }
 
-pub fn materialize(
+/// The batches of `data` laid out as a table of `num_partitions` partitions
+/// hash-partitioned on `partition_key` stores them: exactly the assignment
+/// and row order that gathering the data and re-hashing it row by row gives
+/// (round-robin over the gathered order when there is no key). Data already
+/// partitioned that way is returned as it is, batches shared.
+pub fn stored_layout(
+    data: &PartitionedData,
+    partition_key: Option<&str>,
+    num_partitions: usize,
+) -> Result<Vec<Vec<Batch>>> {
+    let Some(key) = partition_key else {
+        let mut gathered = 0usize;
+        return Ok(scatter_batches(
+            &data.all_batches(),
+            num_partitions,
+            |chunk, slots| {
+                for s in 0..chunk.num_rows() {
+                    slots[(gathered + s) % num_partitions].push(s as u32);
+                }
+                gathered += chunk.num_rows();
+            },
+        ));
+    };
+    if data.is_partitioned_on(key) && data.num_partitions() == num_partitions {
+        return Ok(data.partitions().to_vec());
+    }
+    let key_index = resolve_key(data.schema(), key)?;
+    let bucketed = data
+        .partitions()
+        .iter()
+        .enumerate()
+        .map(|(from, chunks)| repartition_batches(chunks, key_index, from, num_partitions));
+    let (laid_out, _, _) =
+        PartitionedData::from_buckets(data.schema().clone(), bucketed, num_partitions, key);
+    Ok(laid_out.into_partitions())
+}
+
+/// Moves `data` into the catalog as temporary table `name` with statistics
+/// built by the caller, and records the materialization in `metrics` — the
+/// half of the Sink the serial and the parallel one share. `stats_values` is
+/// the number of values the caller's sketches observed.
+pub fn store(
     catalog: &mut Catalog,
     name: &str,
     data: &PartitionedData,
     partition_key: Option<&str>,
-    tracked_columns: &[String],
-    collect_stats: bool,
+    stats: DatasetStats,
+    stats_values: u64,
     metrics: &mut ExecutionMetrics,
 ) -> Result<MaterializeOutcome> {
-    let relation = data.gather();
-    let rows = relation.len() as u64;
-    let bytes = relation.approx_bytes() as u64;
-    let stats_values = if collect_stats {
-        tracked_columns_present(relation.schema(), tracked_columns) * rows
-    } else {
-        0
-    };
-
-    let stored = catalog.register_intermediate(
+    let rows = data.row_count() as u64;
+    let bytes = data.approx_bytes() as u64;
+    let stored = catalog.register_intermediate_partitioned(
         name,
-        relation,
+        data.schema().clone(),
+        stored_layout(data, partition_key, catalog.num_partitions())?,
         partition_key,
-        tracked_columns,
-        collect_stats,
+        stats,
     )?;
 
     metrics.rows_materialized += rows;
@@ -102,6 +130,49 @@ pub fn materialize(
         stats_values,
         spilled: stored.spilled,
     })
+}
+
+/// Materializes `data` into the catalog as temporary table `name`, hash-
+/// partitioned on `partition_key`, collecting online statistics on
+/// `tracked_columns` when `collect_stats` is true.
+///
+/// The paper disables online statistics for the final iteration ("the online
+/// statistics framework is enabled in all the iterations except for the last
+/// one"), which callers express through `collect_stats`.
+///
+/// This serial Sink feeds one sketch per tracked column with the data in
+/// gathered order (partition by partition) on the coordinator. The dynamic
+/// driver does **not** call it — every driver path goes through
+/// `rdo_parallel::sink::materialize`, which builds one sketch per partition
+/// and merges the partials (slightly different, equally valid GK summaries).
+/// Prefer the parallel Sink in new code so registered statistics stay
+/// identical across all execution paths; this one remains the
+/// single-threaded reference implementation.
+pub fn materialize(
+    catalog: &mut Catalog,
+    name: &str,
+    data: &PartitionedData,
+    partition_key: Option<&str>,
+    tracked_columns: &[String],
+    collect_stats: bool,
+    metrics: &mut ExecutionMetrics,
+) -> Result<MaterializeOutcome> {
+    // Even without sketches the row count is known after materialization.
+    let tracked: &[String] = if collect_stats { tracked_columns } else { &[] };
+    let stats_values = tracked_columns_present(data.schema(), tracked) * data.row_count() as u64;
+    let mut builder = DatasetStatsBuilder::new(data.schema(), tracked);
+    for batch in data.partitions().iter().flatten() {
+        builder.observe_batch(batch);
+    }
+    store(
+        catalog,
+        name,
+        data,
+        partition_key,
+        builder.build(),
+        stats_values,
+        metrics,
+    )
 }
 
 #[cfg(test)]

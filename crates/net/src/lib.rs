@@ -45,7 +45,7 @@
 //! let parts = (0..4)
 //!     .map(|p| (0..50).map(|i| Tuple::new(vec![Value::Int64(p + 4 * i)])).collect())
 //!     .collect();
-//! let data = PartitionedData::new(schema, parts, None);
+//! let data = PartitionedData::from_rows(schema, parts, None);
 //!
 //! // One worker, served from a thread.
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -59,7 +59,7 @@
 //!     InProcessTransport.repartition(&exchange, &data, &pool).unwrap();
 //! let tcp = TcpTransport::connect(&[addr]).unwrap();
 //! let (actual, rows, _) = tcp.repartition(&exchange, &data, &pool).unwrap();
-//! assert_eq!(actual.partitions(), expected.partitions());
+//! assert_eq!(actual.to_rows(), expected.to_rows());
 //! assert_eq!(rows, expected_rows);
 //! assert!(tcp.stats().bytes_sent > 0, "tuples really used the socket");
 //!

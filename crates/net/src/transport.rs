@@ -4,7 +4,10 @@
 //! set of worker processes, one persistent connection per worker. Partitions
 //! are assigned to workers as contiguous ranges (`owner(p) = p·W / n` for `n`
 //! partitions over `W` workers), and every exchange moves its tuples as
-//! framed page batches through the partition's owner:
+//! framed page batches through the partition's owner. The wire format ships
+//! tuples, so this transport is an explicit row edge: each exchange
+//! materializes the partitions it sends ([`PartitionedData::partition_rows`])
+//! and re-chunks what it receives ([`PartitionedData::from_rows`]):
 //!
 //! * **Repartition** — each source partition streams to its owner, the owner
 //!   runs the shared bucketing kernel and streams the buckets back with the
@@ -26,7 +29,7 @@
 use crate::frame::read_page_batch;
 use crate::frame::{expect_frame, payload, write_frame, write_page_batch, Tag};
 use crate::worker::read_bucketed_response;
-use rdo_common::{RdoError, Relation, Result, Tuple};
+use rdo_common::{Batch, RdoError, Relation, Result, Tuple};
 use rdo_exec::PartitionedData;
 use rdo_parallel::{
     default_transport, Broadcast, HashRepartition, ParallelConfig, Transport, TransportKind,
@@ -298,7 +301,7 @@ impl Transport for TcpTransport {
                     &mut conn.writer,
                     Tag::Page,
                     &[],
-                    &data.partitions()[from],
+                    &data.partition_rows(from),
                     self.compress,
                     self.columnar,
                     &mut conn.scratch,
@@ -332,7 +335,7 @@ impl Transport for TcpTransport {
         }
         let key_name = rdo_common::unqualified(&exchange.key_name).to_string();
         Ok((
-            PartitionedData::new(data.schema().clone(), new_partitions, Some(key_name)),
+            PartitionedData::from_rows(data.schema().clone(), new_partitions, Some(key_name)),
             moved_rows,
             moved_bytes,
         ))
@@ -342,8 +345,8 @@ impl Transport for TcpTransport {
         &self,
         exchange: &Broadcast,
         data: &PartitionedData,
-    ) -> Result<(Arc<Vec<Tuple>>, u64, u64)> {
-        let rows = data.all_rows();
+    ) -> Result<(Vec<Batch>, u64, u64)> {
+        let rows = data.gather().into_rows();
         let mut span = rdo_trace::span("net.broadcast");
         span.attr_u64("rows", rows.len() as u64);
         let wire_before = self.stats();
@@ -380,11 +383,14 @@ impl Transport for TcpTransport {
             }
         }
         // The logical charge is identical to the in-process exchange: a copy
-        // per *partition*, not per worker process.
+        // per *partition*, not per worker process. The coordinator joins
+        // against the batches it already holds.
         let copies = exchange.target_partitions as u64;
-        let replicated_rows = rows.len() as u64 * copies;
-        let replicated_bytes = rows.iter().map(|r| r.approx_bytes() as u64).sum::<u64>() * copies;
-        Ok((Arc::new(rows), replicated_rows, replicated_bytes))
+        Ok((
+            data.all_batches(),
+            data.row_count() as u64 * copies,
+            data.approx_bytes() as u64 * copies,
+        ))
     }
 
     fn gather(&self, data: &PartitionedData) -> Result<Relation> {
@@ -401,7 +407,7 @@ impl Transport for TcpTransport {
                     &mut conn.writer,
                     Tag::Page,
                     &[],
-                    &data.partitions()[p],
+                    &data.partition_rows(p),
                     self.compress,
                     self.columnar,
                     &mut conn.scratch,
@@ -515,7 +521,7 @@ mod tests {
                 Value::Utf8(format!("row-{i}")),
             ]));
         }
-        PartitionedData::new(schema, parts, None)
+        PartitionedData::from_rows(schema, parts, None)
     }
 
     fn spawn_workers(n: usize) -> (Vec<SocketAddr>, Vec<std::thread::JoinHandle<Result<()>>>) {
@@ -550,12 +556,12 @@ mod tests {
             assert_eq!(transport.name(), "tcp");
 
             let (actual, rows, bytes) = transport.repartition(&exchange, &input, &pool).unwrap();
-            assert_eq!(actual.partitions(), expected_data.partitions());
+            assert_eq!(actual.to_rows(), expected_data.to_rows());
             assert_eq!(actual.partition_key(), expected_data.partition_key());
             assert_eq!((rows, bytes), (expected_rows, expected_bytes));
 
             let (replica, rr, rb) = transport.broadcast(&bcast, &input).unwrap();
-            assert_eq!(*replica, *expected_replica);
+            assert_eq!(replica, expected_replica);
             assert_eq!((rr, rb), (er, eb));
 
             assert_eq!(transport.gather(&input).unwrap(), expected_gather);

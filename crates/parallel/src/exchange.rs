@@ -5,12 +5,14 @@
 //! loops. Here each movement is an explicit operator that runs its
 //! per-partition half on the worker pool and reports the rows/bytes it moved,
 //! so the cost model's network charges correspond to real, metered exchanges.
+//! All three move batches: a re-shuffle re-buckets them, a broadcast shares
+//! them, and [`Gather`] — result delivery — is where a query's rows are
+//! finally materialized.
 
 use crate::pool::WorkerPool;
-use rdo_common::{Relation, Tuple};
-use rdo_exec::partition::repartition_partition;
+use rdo_common::{Batch, Relation};
+use rdo_exec::partition::repartition_batches;
 use rdo_exec::PartitionedData;
-use std::sync::Arc;
 
 /// Re-shuffles tuples so every row lives in the partition its key hashes to
 /// (the exchange in front of each hash-join input that is not already
@@ -40,34 +42,17 @@ impl HashRepartition {
     pub fn apply(&self, data: &PartitionedData, pool: &WorkerPool) -> (PartitionedData, u64, u64) {
         let n = data.num_partitions();
         let bucketed = pool.map_indexed(n, |from| {
-            repartition_partition(&data.partitions()[from], self.key_index, from, n)
+            repartition_batches(&data.partitions()[from], self.key_index, from, n)
         });
-
-        let mut new_partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        let mut moved_rows = 0u64;
-        let mut moved_bytes = 0u64;
-        for (buckets, rows, bytes) in bucketed {
-            moved_rows += rows;
-            moved_bytes += bytes;
-            for (to, mut bucket) in buckets.into_iter().enumerate() {
-                new_partitions[to].append(&mut bucket);
-            }
-        }
-
-        let key_name = rdo_common::unqualified(&self.key_name).to_string();
-        (
-            PartitionedData::new(data.schema().clone(), new_partitions, Some(key_name)),
-            moved_rows,
-            moved_bytes,
-        )
+        PartitionedData::from_buckets(data.schema().clone(), bucketed, n, &self.key_name)
     }
 }
 
 /// Replicates an input to every one of `target_partitions` partitions (the
-/// exchange in front of broadcast and indexed nested-loop joins). The rows are
-/// shared behind an [`Arc`] — workers probe the same replica instead of each
-/// cloning it, while the metrics still charge the full `rows × partitions`
-/// replication the real cluster would pay.
+/// exchange in front of broadcast and indexed nested-loop joins). The batches
+/// are shared — workers probe the same replica instead of each copying it —
+/// while the metrics still charge the full `rows × partitions` replication
+/// the real cluster would pay.
 #[derive(Debug, Clone, Copy)]
 pub struct Broadcast {
     /// Number of partitions the input is replicated to.
@@ -80,15 +65,16 @@ impl Broadcast {
         Self { target_partitions }
     }
 
-    /// Runs the exchange: flattens the input into one shared row vector and
-    /// returns it with the replication volume (rows, bytes) charged for
-    /// shipping a copy to every target partition.
-    pub fn apply(&self, data: &PartitionedData) -> (Arc<Vec<Tuple>>, u64, u64) {
-        let rows = data.all_rows();
+    /// Runs the exchange: flattens the input into one run of (shared)
+    /// batches and returns it with the replication volume (rows, bytes)
+    /// charged for shipping a copy to every target partition.
+    pub fn apply(&self, data: &PartitionedData) -> (Vec<Batch>, u64, u64) {
         let copies = self.target_partitions as u64;
-        let replicated_rows = rows.len() as u64 * copies;
-        let replicated_bytes = rows.iter().map(|r| r.approx_bytes() as u64).sum::<u64>() * copies;
-        (Arc::new(rows), replicated_rows, replicated_bytes)
+        (
+            data.all_batches(),
+            data.row_count() as u64 * copies,
+            data.approx_bytes() as u64 * copies,
+        )
     }
 }
 
@@ -107,7 +93,7 @@ impl Gather {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::{DataType, Schema, Value};
+    use rdo_common::{DataType, Schema, Tuple, Value};
     use rdo_exec::data::partition_for;
 
     fn data(n: i64, partitions: usize) -> PartitionedData {
@@ -117,7 +103,7 @@ mod tests {
             parts[(i % partitions as i64) as usize]
                 .push(Tuple::new(vec![Value::Int64(i), Value::Int64(i % 7)]));
         }
-        PartitionedData::new(schema, parts, None)
+        PartitionedData::from_rows(schema, parts, None)
     }
 
     #[test]
@@ -131,8 +117,8 @@ mod tests {
             assert_eq!(rows, expected_rows);
             assert_eq!(bytes, expected_bytes);
             assert!(out.is_partitioned_on("g"));
-            for (p, rows) in out.partitions().iter().enumerate() {
-                for row in rows {
+            for p in 0..8 {
+                for row in out.partition_rows(p) {
                     assert_eq!(partition_for(row.value(1), 8), p);
                 }
             }
@@ -142,13 +128,15 @@ mod tests {
     #[test]
     fn broadcast_charges_replication_volume() {
         let input = data(30, 3);
-        let (rows, replicated_rows, replicated_bytes) = Broadcast::new(4).apply(&input);
-        assert_eq!(rows.len(), 30);
+        let (replica, replicated_rows, replicated_bytes) = Broadcast::new(4).apply(&input);
+        assert_eq!(replica.iter().map(Batch::num_rows).sum::<usize>(), 30);
         assert_eq!(replicated_rows, 30 * 4);
-        assert!(replicated_bytes > 0);
-        // Shared, not copied: clones of the Arc point at the same rows.
-        let other = Arc::clone(&rows);
-        assert!(Arc::ptr_eq(&rows, &other));
+        assert_eq!(replicated_bytes, input.approx_bytes() as u64 * 4);
+        // Shared, not copied: the replica's columns are the input's.
+        assert!(std::ptr::eq(
+            replica[0].column(0),
+            input.partitions()[0][0].column(0)
+        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The partition-parallel plan executor.
 //!
 //! Executes the same [`PhysicalPlan`]s as the serial [`rdo_exec::Executor`],
-//! but maps the per-partition kernels of [`rdo_exec::partition`] across a
-//! [`WorkerPool`] and moves tuples between partitions through the explicit
+//! but maps the per-partition operators of [`rdo_exec::partition`] across a
+//! [`WorkerPool`] and moves batches between partitions through the explicit
 //! exchange operators of [`crate::exchange`]. Results and metrics are
 //! identical to the serial executor for every worker count; see the crate
 //! docs for why.
@@ -11,9 +11,11 @@ use crate::config::ParallelConfig;
 use crate::exchange::{Broadcast, HashRepartition};
 use crate::pool::WorkerPool;
 use crate::transport::{default_transport, Transport};
-use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
-use rdo_exec::grace::{joined_partition, GraceContext, GraceTally};
-use rdo_exec::partition::{indexed_join_partition, scan_batch, IndexJoinTally, ScanTally};
+use rdo_common::{Batch, FieldRef, RdoError, Relation, Result};
+use rdo_exec::grace::{joined_partition, GraceContext, GraceTally, PreparedBuild};
+use rdo_exec::partition::{
+    indexed_join_partition, scan_table_partition, IndexJoinTally, ScanTally,
+};
 use rdo_exec::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
 use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PartitionedData, PhysicalPlan, Predicate};
 use rdo_storage::{Catalog, SpillReadTally};
@@ -148,29 +150,21 @@ impl<'a> ParallelExecutor<'a> {
         let table = self.catalog.table_handle(table_name)?;
         let setup = prepare_scan(&table, dataset, projection)?;
 
-        // Each partition streams batch by batch through the columnar scan
-        // kernel — columnar-backed tables hand over their stored batches with
-        // no row conversion, memory-backed ones are chunked at the batch
-        // size, spilled ones decode each page through the buffer pool.
+        // Each partition goes through the scan operator — resident tables
+        // lend their stored chunks (an unfiltered scan passes them on
+        // shared), spilled ones decode each page through the buffer pool.
         // Per-partition tallies fold in partition order, so metrics are
         // identical for every worker count and every backing.
         let results = self.map_partitions(table.num_partitions(), |p| {
-            let mut out_rows: Vec<Tuple> = Vec::new();
-            let mut partial = ScanTally::default();
-            let page_tally = table.scan_batches(p, |batch| {
-                let (out, page_partial) = scan_batch(
-                    &setup.schema,
-                    predicates,
-                    setup.projection_indexes.as_deref(),
-                    batch,
-                )?;
-                partial.add(&page_partial);
-                out.extend_rows_into(&mut out_rows);
-                Ok(true)
-            })?;
-            Ok((out_rows, partial, page_tally))
+            scan_table_partition(
+                &table,
+                p,
+                &setup.schema,
+                predicates,
+                setup.projection_indexes.as_deref(),
+            )
         })?;
-        let mut partitions: Vec<Vec<Tuple>> = Vec::with_capacity(results.len());
+        let mut partitions: Vec<Vec<Batch>> = Vec::with_capacity(results.len());
         let mut tally = ScanTally::default();
         let mut spill_read = SpillReadTally::default();
         for (rows, partial, page_tally) in results {
@@ -245,9 +239,7 @@ impl<'a> ParallelExecutor<'a> {
         let (first_left_key, first_right_key) = &keys[0];
         let mut span = rdo_trace::span("exec.join");
         span.attr_str("algo", "hash");
-        let rows_in =
-            |data: &PartitionedData| data.partitions().iter().map(Vec::len).sum::<usize>() as u64;
-        span.attr_u64("rows_in", rows_in(&left) + rows_in(&right));
+        span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
 
         let left = if left.is_partitioned_on(&first_left_key.field) {
             left
@@ -272,29 +264,25 @@ impl<'a> ParallelExecutor<'a> {
 
         let out_schema = left.schema().join(right.schema());
         let num_partitions = left.num_partitions().max(right.num_partitions());
-        let empty: Vec<Tuple> = Vec::new();
         let grace = GraceContext::from_catalog(self.catalog);
         let results = self.map_partitions(num_partitions, |p| {
-            let build_rows = right.partitions().get(p).unwrap_or(&empty);
-            let probe_rows = left.partitions().get(p).unwrap_or(&empty);
             joined_partition(
-                probe_rows,
-                build_rows,
+                left.partitions().get(p).map_or(&[][..], Vec::as_slice),
+                right.partitions().get(p).map_or(&[][..], Vec::as_slice),
                 &left_key_indexes,
                 &right_key_indexes,
                 grace.as_ref(),
             )
         })?;
-        let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(num_partitions);
+        let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(num_partitions);
         let mut tally = GraceTally::default();
-        for (rows, partial) in results {
+        for (batches, partial) in results {
             tally.add(&partial);
-            out_partitions.push(rows);
+            out_partitions.push(batches);
         }
         tally.record(metrics);
-        let joined_rows = out_partitions.iter().map(Vec::len).sum::<usize>() as u64;
-        span.attr_u64("rows_out", joined_rows);
-        rdo_trace::counter("progress.rows_produced", joined_rows);
+        span.attr_u64("rows_out", tally.join.output_rows);
+        rdo_trace::counter("progress.rows_produced", tally.join.output_rows);
 
         let key_name = rdo_common::unqualified(&first_left_key.field).to_string();
         Ok(PartitionedData::new(
@@ -305,9 +293,9 @@ impl<'a> ParallelExecutor<'a> {
     }
 
     /// Broadcast join: a [`Broadcast`] exchange replicates the build side,
-    /// then every probe partition builds its own hash table over the shared
-    /// replica (each partition of the real cluster would do the same with its
-    /// received copy).
+    /// the replica is indexed once, and every probe partition probes the
+    /// shared index (each partition of the real cluster would build the same
+    /// table over its received copy, which is what the metrics charge).
     fn broadcast_join(
         &self,
         left: PartitionedData,
@@ -318,12 +306,10 @@ impl<'a> ParallelExecutor<'a> {
         let (left_key_indexes, right_key_indexes) = resolve_keys(&left, &right, keys)?;
         let mut span = rdo_trace::span("exec.join");
         span.attr_str("algo", "broadcast");
-        let rows_in =
-            |data: &PartitionedData| data.partitions().iter().map(Vec::len).sum::<usize>() as u64;
-        span.attr_u64("rows_in", rows_in(&left) + rows_in(&right));
+        span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
 
         let partitions_count = left.num_partitions();
-        let (broadcast_rows, replicated_rows, replicated_bytes) = self
+        let (replica, replicated_rows, replicated_bytes) = self
             .transport
             .broadcast(&Broadcast::new(partitions_count), &right)?;
         metrics.rows_broadcast += replicated_rows;
@@ -331,25 +317,19 @@ impl<'a> ParallelExecutor<'a> {
 
         let out_schema = left.schema().join(right.schema());
         let grace = GraceContext::from_catalog(self.catalog);
+        let build = PreparedBuild::prepare(&replica, &right_key_indexes, grace.as_ref());
         let results = self.map_partitions(partitions_count, |p| {
-            joined_partition(
-                &left.partitions()[p],
-                &broadcast_rows,
-                &left_key_indexes,
-                &right_key_indexes,
-                grace.as_ref(),
-            )
+            build.join_partition(&left.partitions()[p], &left_key_indexes, &right_key_indexes)
         })?;
-        let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(partitions_count);
+        let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(partitions_count);
         let mut tally = GraceTally::default();
-        for (rows, partial) in results {
+        for (batches, partial) in results {
             tally.add(&partial);
-            out_partitions.push(rows);
+            out_partitions.push(batches);
         }
         tally.record(metrics);
-        let joined_rows = out_partitions.iter().map(Vec::len).sum::<usize>() as u64;
-        span.attr_u64("rows_out", joined_rows);
-        rdo_trace::counter("progress.rows_produced", joined_rows);
+        span.attr_u64("rows_out", tally.join.output_rows);
+        rdo_trace::counter("progress.rows_produced", tally.join.output_rows);
 
         let partition_key = left.partition_key().map(|s| s.to_string());
         Ok(PartitionedData::new(
@@ -398,7 +378,7 @@ impl<'a> ParallelExecutor<'a> {
             prepare_indexed_join(&table, dataset, projection.as_deref(), right.schema(), keys)?;
 
         let partitions_count = table.num_partitions();
-        let (broadcast_rows, replicated_rows, replicated_bytes) = self
+        let (replica, replicated_rows, replicated_bytes) = self
             .transport
             .broadcast(&Broadcast::new(partitions_count), &right)?;
         metrics.rows_broadcast += replicated_rows;
@@ -406,10 +386,10 @@ impl<'a> ParallelExecutor<'a> {
 
         let results = self.map_partitions(partitions_count, |p| {
             indexed_join_partition(
-                &broadcast_rows,
+                &replica,
                 index,
                 p,
-                table.partition(p),
+                table.batches(p),
                 &setup.left_schema,
                 predicates,
                 setup.projection_indexes.as_deref(),
@@ -418,11 +398,11 @@ impl<'a> ParallelExecutor<'a> {
                 setup.first_right_key_index,
             )
         })?;
-        let mut out_partitions: Vec<Vec<Tuple>> = Vec::with_capacity(partitions_count);
+        let mut out_partitions: Vec<Vec<Batch>> = Vec::with_capacity(partitions_count);
         let mut tally = IndexJoinTally::default();
-        for (rows, partial) in results {
+        for (batches, partial) in results {
             tally.add(&partial);
-            out_partitions.push(rows);
+            out_partitions.push(batches);
         }
         metrics.index_lookups += tally.index_lookups;
         metrics.index_fetched_rows += tally.index_fetched_rows;
@@ -441,7 +421,7 @@ impl<'a> ParallelExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::{DataType, Relation, Schema, Value};
+    use rdo_common::{DataType, Relation, Schema, Tuple, Value};
     use rdo_exec::{CmpOp, Executor};
     use rdo_storage::IngestOptions;
 

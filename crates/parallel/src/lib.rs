@@ -5,7 +5,7 @@
 //! `num_partitions` partitions), but the serial [`rdo_exec::Executor`] walks
 //! those partitions one after another on a single thread. This crate executes
 //! the *same* physical plans with one task per partition on a pool of scoped
-//! worker threads, exchanging tuples between partitions through explicit
+//! worker threads, exchanging batches between partitions through explicit
 //! exchange operators — the role Hyracks' connectors play in the paper's
 //! architecture.
 //!
@@ -37,7 +37,7 @@
 //!   single-worker configuration *bit-identical* to the serial executor by
 //!   construction: both run the same kernels over the same partitions in the
 //!   same order.
-//! * **Exchange operators** — [`exchange::HashRepartition`] re-shuffles tuples
+//! * **Exchange operators** — [`exchange::HashRepartition`] re-shuffles rows
 //!   to the partition their key hashes to, [`exchange::Broadcast`] replicates
 //!   a (small) build side to every partition, [`exchange::Gather`] collects
 //!   partitions on the coordinator for result delivery. The serial executor

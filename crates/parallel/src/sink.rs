@@ -10,14 +10,13 @@
 //! identical for every worker count.
 //!
 //! Note the statistics semantics differ slightly from the serial
-//! [`rdo_exec::materialize`], which observes the *gathered* relation row by
-//! row on the coordinator: HyperLogLog merging is exact, but a GK sketch
+//! [`rdo_exec::materialize`], which feeds one sketch per column with the data
+//! in gathered order on the coordinator: HyperLogLog merging is exact, but a GK sketch
 //! merged from per-partition partials is a different (equally valid,
 //! error-bounded) summary than one built sequentially. Both satisfy the same
 //! accuracy guarantees; the dynamic driver uses this parallel Sink in all
 //! configurations so its planning decisions never depend on the worker count.
 
-use crate::exchange::Gather;
 use crate::pool::WorkerPool;
 use rdo_common::Result;
 use rdo_exec::{ExecutionMetrics, MaterializeOutcome, PartitionedData};
@@ -28,14 +27,15 @@ use rdo_storage::Catalog;
 /// hash-partitioned on `partition_key`, collecting online statistics on
 /// `tracked_columns` (when `collect_stats` is true) from per-partition
 /// partials merged at the barrier. Sketch building runs on the caller's
-/// persistent `pool` (one pool per driver execution, shared by every stage).
+/// persistent `pool` (one pool per driver execution, shared by every stage)
+/// and reads the batches column slot by column slot.
 ///
-/// When `data` is already hash-partitioned on `partition_key` with the
-/// cluster's partition count, its layout is registered verbatim — re-hashing
-/// the gathered relation on the coordinator would reproduce exactly the same
-/// assignment, so the serial rebuild is skipped. The catalog's spill policy
-/// then decides whether the table stays resident or goes to the paged disk
-/// store; logical page writes land in the `spill_*` metrics.
+/// The batches then move into the catalog ([`rdo_exec::sink::store`]): as
+/// they are when `data` is already hash-partitioned on `partition_key` with
+/// the cluster's partition count, re-bucketed batch to batch otherwise. The
+/// catalog's spill policy decides whether the table stays resident or goes
+/// to the paged disk store; logical page writes land in the `spill_*`
+/// metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn materialize(
     pool: &WorkerPool,
@@ -48,26 +48,19 @@ pub fn materialize(
     metrics: &mut ExecutionMetrics,
 ) -> Result<MaterializeOutcome> {
     let rows = data.row_count() as u64;
-    let bytes = data.approx_bytes() as u64;
     let mut span = rdo_trace::span("sink.materialize");
     span.attr_str("table", name);
-    span.attr_u64("rows", rows);
-    span.attr_u64("bytes", bytes);
 
     // Statistics cost accounting, shared with the serial Sink: one
     // observation per tracked column actually present in the schema, per row.
-    let stats_values = if collect_stats {
-        rdo_exec::sink::tracked_columns_present(data.schema(), tracked_columns) * rows
-    } else {
-        0
-    };
+    let tracked: &[String] = if collect_stats { tracked_columns } else { &[] };
+    let stats_values = rdo_exec::sink::tracked_columns_present(data.schema(), tracked) * rows;
 
     // Per-partition sketch building on the pool, merged in partition order.
-    let tracked: &[String] = if collect_stats { tracked_columns } else { &[] };
     let partials = pool.map_indexed(data.num_partitions(), |p| {
         let mut builder = DatasetStatsBuilder::new(data.schema(), tracked);
-        for row in &data.partitions()[p] {
-            builder.observe(row);
+        for batch in &data.partitions()[p] {
+            builder.observe_batch(batch);
         }
         builder
     });
@@ -76,35 +69,18 @@ pub fn materialize(
         merged.merge(partial);
     }
 
-    let layout_matches = partition_key.is_some_and(|key| data.is_partitioned_on(key))
-        && data.num_partitions() == catalog.num_partitions();
-    let stored = if layout_matches {
-        catalog.register_intermediate_partitioned(
-            name,
-            data.schema().clone(),
-            data.partitions().to_vec(),
-            partition_key,
-            merged.build(),
-        )?
-    } else {
-        let relation = Gather.apply(data);
-        catalog.register_intermediate_prebuilt(name, relation, partition_key, merged.build())?
-    };
-
-    metrics.rows_materialized += rows;
-    metrics.bytes_materialized += bytes;
-    metrics.stats_values_observed += stats_values;
-    metrics.spill_pages_written += stored.pages_written;
-    metrics.spill_bytes_written += stored.bytes_written;
-    metrics.spill_logical_bytes_written += stored.logical_bytes_written;
-
-    Ok(MaterializeOutcome {
-        table: name.to_string(),
-        rows,
-        bytes,
+    let outcome = rdo_exec::sink::store(
+        catalog,
+        name,
+        data,
+        partition_key,
+        merged.build(),
         stats_values,
-        spilled: stored.spilled,
-    })
+        metrics,
+    )?;
+    span.attr_u64("rows", outcome.rows);
+    span.attr_u64("bytes", outcome.bytes);
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -206,7 +182,7 @@ mod tests {
         for p in 0..cat.num_partitions() {
             assert_eq!(
                 fast.partition_to_vec(p).unwrap(),
-                rehashed.partition(p),
+                rehashed.partition_to_vec(p).unwrap(),
                 "partition {p} layouts identical"
             );
         }

@@ -17,7 +17,7 @@
 
 use crate::exchange::{Broadcast, Gather, HashRepartition};
 use crate::pool::WorkerPool;
-use rdo_common::{Relation, Result, Tuple};
+use rdo_common::{Batch, Relation, Result};
 use rdo_exec::PartitionedData;
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
         &self,
         exchange: &Broadcast,
         data: &PartitionedData,
-    ) -> Result<(Arc<Vec<Tuple>>, u64, u64)>;
+    ) -> Result<(Vec<Batch>, u64, u64)>;
 
     /// Runs the [`Gather`] exchange: collects every partition on the
     /// coordinator, in partition order.
@@ -76,7 +76,7 @@ impl Transport for InProcessTransport {
         &self,
         exchange: &Broadcast,
         data: &PartitionedData,
-    ) -> Result<(Arc<Vec<Tuple>>, u64, u64)> {
+    ) -> Result<(Vec<Batch>, u64, u64)> {
         Ok(exchange.apply(data))
     }
 
@@ -93,7 +93,7 @@ pub fn default_transport() -> Arc<dyn Transport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::{DataType, Schema, Value};
+    use rdo_common::{DataType, Schema, Tuple, Value};
 
     fn data(n: i64, partitions: usize) -> PartitionedData {
         let schema = Schema::for_dataset("t", &[("k", DataType::Int64), ("g", DataType::Int64)]);
@@ -102,7 +102,7 @@ mod tests {
             parts[(i % partitions as i64) as usize]
                 .push(Tuple::new(vec![Value::Int64(i), Value::Int64(i % 7)]));
         }
-        PartitionedData::new(schema, parts, None)
+        PartitionedData::from_rows(schema, parts, None)
     }
 
     /// The in-process transport is a transparent wrapper over the exchange
@@ -123,7 +123,7 @@ mod tests {
         let bcast = Broadcast::new(4);
         let (expected_rows, er, eb) = bcast.apply(&input);
         let (actual_rows, ar, ab) = transport.broadcast(&bcast, &input).unwrap();
-        assert_eq!(*actual_rows, *expected_rows);
+        assert_eq!(actual_rows, expected_rows);
         assert_eq!((ar, ab), (er, eb));
 
         assert_eq!(transport.gather(&input).unwrap(), input.gather());

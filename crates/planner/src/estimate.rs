@@ -25,7 +25,7 @@
 use crate::learned::LearnedStatsCatalog;
 use crate::query::{JoinCondition, QuerySpec};
 use rdo_common::{RdoError, Result};
-use rdo_exec::expr::evaluate_all;
+use rdo_exec::expr::evaluate_all_batch;
 use rdo_sketch::StatsCatalog;
 use rdo_storage::Catalog;
 
@@ -131,14 +131,11 @@ impl<'a> SizeEstimator<'a> {
         }
         let predicates: Vec<_> = spec.predicates_for(alias).into_iter().cloned().collect();
         let mut count = 0u64;
-        // Page-streamed so the oracle also works on spilled intermediates.
+        // Streamed so the oracle also works on spilled intermediates.
         for p in 0..table.num_partitions() {
-            table.scan_pages(p, |rows| {
-                for row in rows {
-                    if evaluate_all(&predicates, &schema, row)? {
-                        count += 1;
-                    }
-                }
+            table.scan_batches(p, |batch| {
+                let mask = evaluate_all_batch(&predicates, &schema, batch)?;
+                count += mask.iter().filter(|&&m| m).count() as u64;
                 Ok(true)
             })?;
         }

@@ -14,7 +14,7 @@ use super::{dp_full_plan, LeafStats, Optimizer};
 use crate::algorithm::JoinAlgorithmRule;
 use crate::query::QuerySpec;
 use rdo_common::{Result, Value};
-use rdo_exec::expr::evaluate_all;
+use rdo_exec::expr::evaluate_all_batch;
 use rdo_exec::{ExecutionMetrics, PhysicalPlan};
 use rdo_parallel::WorkerPool;
 use rdo_sketch::{ColumnStatsBuilder, StatsCatalog};
@@ -143,20 +143,22 @@ impl PilotRunOptimizer {
                         .collect(),
                 };
                 let mut remaining = per_partition;
-                table.scan_pages(p, |rows| {
-                    for row in rows.iter().take(remaining) {
-                        partial.sampled += 1;
-                        partial.bytes += row.approx_bytes() as u64;
-                        if evaluate_all(&predicates, &schema, row)? {
-                            partial.qualified += 1;
-                            for ((_, idx), builder) in
-                                tracked_indexes.iter().zip(partial.builders.iter_mut())
-                            {
-                                builder.observe(row.value(*idx));
-                            }
-                        }
+                table.scan_batches(p, |batch| {
+                    let head = if batch.num_rows() > remaining {
+                        batch.take(&(0..remaining as u32).collect::<Vec<_>>())
+                    } else {
+                        batch.clone()
+                    };
+                    let mask = evaluate_all_batch(&predicates, &schema, &head)?;
+                    partial.sampled += head.num_rows() as u64;
+                    partial.bytes += head.approx_bytes() as u64;
+                    partial.qualified += mask.iter().filter(|&&m| m).count() as u64;
+                    for ((_, idx), builder) in
+                        tracked_indexes.iter().zip(partial.builders.iter_mut())
+                    {
+                        builder.observe_column(&head.column(*idx).filter(&mask));
                     }
-                    remaining = remaining.saturating_sub(rows.len());
+                    remaining = remaining.saturating_sub(batch.num_rows());
                     Ok(remaining > 0)
                 })?;
                 Ok(partial)

@@ -3,8 +3,9 @@
 
 use crate::gk::GkSketch;
 use crate::histogram::EquiHeightHistogram;
-use crate::hll::HyperLogLog;
-use rdo_common::Value;
+use crate::hll::{hash_bool, hash_float64, hash_int64, hash_utf8, hash_value, HyperLogLog};
+use rdo_common::value::string_rank;
+use rdo_common::{Column, NullBitmap, Value};
 
 /// Statistics describing one column of a (base or intermediate) dataset.
 #[derive(Debug, Clone)]
@@ -84,12 +85,60 @@ impl ColumnStatsBuilder {
             self.null_count += 1;
             return;
         }
-        let rank = value.numeric_rank();
+        self.observe_ranked(value.numeric_rank(), hash_value(value));
+    }
+
+    /// Observes one non-null value by its histogram rank and stable digest.
+    fn observe_ranked(&mut self, rank: f64, hash: u64) {
         self.count += 1;
         self.gk.insert(rank);
-        self.hll.insert(value);
+        self.hll.insert_hash(hash);
         self.min = Some(self.min.map_or(rank, |m| m.min(rank)));
         self.max = Some(self.max.map_or(rank, |m| m.max(rank)));
+    }
+
+    /// Observes every slot of a column in slot order, straight off the typed
+    /// payload: the sketch state afterwards is exactly what observing the
+    /// materialized [`Value`]s one by one would leave.
+    pub fn observe_column(&mut self, column: &Column) {
+        // Ranks and digests below replay `Value::numeric_rank` and
+        // `hash_value` per variant.
+        fn slots<T: Copy>(
+            builder: &mut ColumnStatsBuilder,
+            values: &[T],
+            validity: &NullBitmap,
+            ranked: impl Fn(T) -> (f64, u64),
+        ) {
+            let no_nulls = validity.all_valid();
+            for (i, &v) in values.iter().enumerate() {
+                if no_nulls || validity.is_valid(i) {
+                    let (rank, hash) = ranked(v);
+                    builder.observe_ranked(rank, hash);
+                } else {
+                    builder.null_count += 1;
+                }
+            }
+        }
+        match column {
+            Column::Int64 { values, validity } | Column::Date { values, validity } => {
+                slots(self, values, validity, |v| (v as f64, hash_int64(v)))
+            }
+            Column::Float64 { values, validity } => {
+                slots(self, values, validity, |v| (v, hash_float64(v)))
+            }
+            Column::Bool { values, validity } => slots(self, values, validity, |v| {
+                (if v { 1.0 } else { 0.0 }, hash_bool(v))
+            }),
+            Column::Utf8 { .. } => {
+                for i in 0..column.len() {
+                    match column.str_at(i) {
+                        Some(s) => self.observe_ranked(string_rank(s), hash_utf8(s)),
+                        None => self.null_count += 1,
+                    }
+                }
+            }
+            Column::Mixed { values } => self.observe_all(values),
+        }
     }
 
     /// Observes many values.

@@ -7,7 +7,7 @@
 //! tracked columns.
 
 use crate::column::{ColumnStats, ColumnStatsBuilder};
-use rdo_common::{FieldRef, RdoError, Relation, Result, Schema, Tuple};
+use rdo_common::{Batch, FieldRef, RdoError, Relation, Result, Schema, Tuple};
 use std::collections::HashMap;
 
 /// Statistics for one dataset (base or intermediate).
@@ -90,6 +90,16 @@ impl DatasetStatsBuilder {
         self.row_count += 1;
         for ((_, idx), builder) in self.tracked.iter().zip(self.builders.iter_mut()) {
             builder.observe(tuple.value(*idx));
+        }
+    }
+
+    /// Observes every row of a batch, one tracked column at a time. Each
+    /// column's sketch sees its values in row order, so the state is the one
+    /// [`DatasetStatsBuilder::observe`] leaves after the same rows.
+    pub fn observe_batch(&mut self, batch: &Batch) {
+        self.row_count += batch.num_rows() as u64;
+        for ((_, idx), builder) in self.tracked.iter().zip(self.builders.iter_mut()) {
+            builder.observe_column(batch.column(*idx));
         }
     }
 
@@ -308,6 +318,69 @@ mod tests {
         assert_eq!(stats.row_count, 20);
         assert_eq!(stats.column("o_orderkey").unwrap().count, 20);
         assert_eq!(stats.column("o_custkey").unwrap().count, 10);
+    }
+
+    /// Column-slot observation leaves the very sketch state row-by-row
+    /// observation does: same GK tuples, same HLL registers, same counters,
+    /// for every column representation and wherever the chunks are cut.
+    #[test]
+    fn batch_observation_matches_row_observation() {
+        let schema = Schema::for_dataset(
+            "t",
+            &[
+                ("i", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Utf8),
+                ("b", DataType::Bool),
+                ("d", DataType::Date),
+                ("m", DataType::Int64),
+            ],
+        );
+        let rows: Vec<Tuple> = (0..500i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int64(i % 37)
+                    },
+                    match i % 7 {
+                        0 => Value::Float64(f64::NAN),
+                        1 => Value::Float64(-0.0),
+                        2 => Value::Null,
+                        _ => Value::Float64(i as f64 / 3.0),
+                    },
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Utf8(format!("name-é{}", i % 23))
+                    },
+                    Value::Bool(i % 3 == 0),
+                    Value::Date(i % 90),
+                    // Heterogeneous: lands in a Mixed column.
+                    if i % 2 == 0 {
+                        Value::Int64(i)
+                    } else {
+                        Value::Utf8(format!("m{i}"))
+                    },
+                ])
+            })
+            .collect();
+        let mut by_rows = DatasetStatsBuilder::all_columns(&schema);
+        for row in &rows {
+            by_rows.observe(row);
+        }
+        for chunk_size in [1usize, 3, 64, 1024] {
+            let mut by_batches = DatasetStatsBuilder::all_columns(&schema);
+            for chunk in rows.chunks(chunk_size) {
+                by_batches.observe_batch(&Batch::from_rows(6, chunk));
+            }
+            assert_eq!(
+                format!("{by_batches:?}"),
+                format!("{by_rows:?}"),
+                "chunk size {chunk_size}"
+            );
+        }
     }
 
     #[test]

@@ -226,11 +226,8 @@ pub fn decode_batch(bytes: &[u8], rows: usize) -> Result<Batch> {
                     }
                     offsets.push(total);
                 }
+                // `Batch::from_columns` below rejects invalid UTF-8.
                 let raw = take(bytes, &mut pos, total)?;
-                for i in 0..rows {
-                    std::str::from_utf8(&raw[offsets[i]..offsets[i + 1]])
-                        .map_err(|_| corrupt("invalid UTF-8"))?;
-                }
                 Column::Utf8 {
                     offsets,
                     bytes: raw.to_vec(),
@@ -266,7 +263,7 @@ pub fn decode_batch(bytes: &[u8], rows: usize) -> Result<Batch> {
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes after last column"));
     }
-    Batch::from_columns(columns)
+    Batch::from_columns(columns).map_err(|e| corrupt(&e.to_string()))
 }
 
 /// Encodes `rows` as one columnar page body (convenience over

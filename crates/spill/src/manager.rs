@@ -67,8 +67,9 @@ pub struct SpillConfig {
     pub prefetch_pages: usize,
     /// Columnar page layout ([`crate::colcodec`]): pages store their rows as
     /// column runs — type tag, null bitmap, contiguous values — so the LZ
-    /// compressor sees same-type byte runs. On by default (`RDO_COLUMNAR`).
-    /// Purely physical: decoded rows, page boundaries, per-page row counts
+    /// compressor sees same-type byte runs. On by default (`RDO_COLUMNAR`;
+    /// this field and the wire frames of `rdo-net` are all the knob
+    /// selects — resident tables are columnar regardless). Purely physical: decoded rows, page boundaries, per-page row counts
     /// and all *logical* byte counters are identical to the row codec; only
     /// the stored bytes shrink.
     pub columnar: bool,
@@ -482,7 +483,7 @@ mod tests {
         assert_eq!(
             config.columnar,
             rdo_common::columnar_default(),
-            "the config default seeds the process-wide rest format"
+            "the config default is the process-wide page layout"
         );
         if std::env::var(rdo_common::COLUMNAR_ENV).is_err() {
             assert!(config.columnar, "columnar pages are on by default");

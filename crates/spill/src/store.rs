@@ -26,6 +26,7 @@ use crate::colcodec;
 use crate::compress::{decode_page, encode_page_with, LzScratch};
 use crate::manager::{SpillManager, SpillReadTally, SpillWriteTally};
 use rdo_common::{Batch, Result, Tuple};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -146,14 +147,29 @@ impl SpillPartitionWriter {
     /// buffer reaches the page size (a page holds at least one row, so an
     /// oversized row becomes an oversized page rather than an error).
     pub fn append(&mut self, p: usize, row: &Tuple) -> Result<()> {
+        self.append_cow(p, Cow::Borrowed(row))
+    }
+
+    /// Appends every row of `batch` to partition `p`, one row at a time: the
+    /// pages cut exactly as if the rows had been appended individually, and
+    /// the batch is never materialized as a whole `Vec<Tuple>`.
+    pub fn append_batch(&mut self, p: usize, batch: &Batch) -> Result<()> {
+        for r in 0..batch.num_rows() {
+            self.append_cow(p, Cow::Owned(batch.row(r)))?;
+        }
+        Ok(())
+    }
+
+    fn append_cow(&mut self, p: usize, row: Cow<'_, Tuple>) -> Result<()> {
+        let approx = row.approx_bytes();
         let encoded = if self.columnar {
-            let len = encoded_tuple_len(row);
-            self.pending[p].push(row.clone());
+            let len = encoded_tuple_len(&row);
+            self.pending[p].push(row.into_owned());
             self.pending_len[p] += len;
             len
         } else {
             let before = self.bufs[p].len();
-            encode_tuple(&mut self.bufs[p], row);
+            encode_tuple(&mut self.bufs[p], &row);
             self.bufs[p].len() - before
         };
         self.buffered_bytes += encoded as u64;
@@ -161,7 +177,7 @@ impl SpillPartitionWriter {
         self.rows_in_buf[p] += 1;
         self.parts[p].rows += 1;
         self.total_rows += 1;
-        self.approx_bytes += row.approx_bytes();
+        self.approx_bytes += approx;
         if self.body_len(p) >= self.page_size {
             self.flush_partition(p)?;
         }
@@ -933,6 +949,41 @@ mod tests {
         for p in 0..fanout {
             let expected: Vec<Tuple> = data.iter().skip(p).step_by(fanout).cloned().collect();
             assert_eq!(store.read_partition(p).unwrap(), expected);
+        }
+    }
+
+    /// Streaming a batch into the writer cuts the very pages appending its
+    /// rows one by one does, in both page layouts.
+    #[test]
+    fn append_batch_cuts_the_same_pages_as_row_appends() {
+        let data = rows(900, "batch");
+        for columnar in [false, true] {
+            let write = |by_batch: bool| {
+                let mgr = manager_with(
+                    SpillConfig::default()
+                        .with_budget(1)
+                        .with_page_size(512)
+                        .with_columnar(columnar),
+                );
+                let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 2).unwrap();
+                for (p, part) in data.chunks(450).enumerate() {
+                    if by_batch {
+                        for chunk in part.chunks(64) {
+                            writer.append_batch(p, &Batch::from_rows(3, chunk)).unwrap();
+                        }
+                    } else {
+                        for row in part {
+                            writer.append(p, row).unwrap();
+                        }
+                    }
+                }
+                let peak = writer.peak_buffered_bytes();
+                let (store, tally) = writer.finish().unwrap();
+                let parts: Vec<Vec<Tuple>> =
+                    (0..2).map(|p| store.read_partition(p).unwrap()).collect();
+                (tally, peak, store.approx_bytes(), parts)
+            };
+            assert_eq!(write(true), write(false), "columnar={columnar}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::index::SecondaryIndex;
 use crate::table::Table;
-use rdo_common::{RdoError, Relation, Result, Schema, Tuple};
+use rdo_common::{Batch, RdoError, Relation, Result, Schema};
 use rdo_sketch::{DatasetStats, DatasetStatsBuilder, StatsCatalog};
 use rdo_spill::{SpillConfig, SpillManager};
 use std::collections::HashMap;
@@ -91,12 +91,6 @@ pub struct Catalog {
     indexes: HashMap<(String, String), SecondaryIndex>,
     stats: StatsCatalog,
     spill: Option<Arc<SpillManager>>,
-    /// Store resident intermediates as columnar batch runs (`RDO_COLUMNAR`,
-    /// on by default; [`Catalog::configure_spill`] overrides it from the
-    /// run's `SpillConfig`). Base datasets always stay row-backed — the
-    /// secondary indexes and the indexed nested-loop join borrow their row
-    /// slices.
-    columnar: bool,
 }
 
 /// Compile-time guarantee that catalog reads can be shared across the worker
@@ -125,7 +119,6 @@ impl Catalog {
             indexes: HashMap::new(),
             stats: StatsCatalog::new(),
             spill: None,
-            columnar: rdo_common::columnar_default(),
         };
         debug_assert!(catalog.num_partitions >= 1, "partition count clamp failed");
         catalog
@@ -143,10 +136,6 @@ impl Catalog {
     /// driver executions reuse one directory and buffer pool) and otherwise
     /// creates a fresh manager.
     pub fn configure_spill(&mut self, config: SpillConfig) -> Result<()> {
-        // The columnar at-rest knob rides on the spill config so one
-        // `DynamicConfig` axis controls every layer; it applies to resident
-        // intermediates whether or not a budget is set.
-        self.columnar = config.columnar;
         if !config.enabled() {
             self.spill = None;
             return Ok(());
@@ -178,7 +167,8 @@ impl Catalog {
         self.spill.as_ref().map(|m| m.dir().to_path_buf())
     }
 
-    /// Ingests a base dataset: partitions it, collects statistics and builds the
+    /// Ingests a base dataset: collects statistics, partitions it into
+    /// columnar chunks (the only time its rows are converted) and builds the
     /// requested secondary indexes.
     pub fn ingest(
         &mut self,
@@ -241,36 +231,17 @@ impl Catalog {
         self.store_intermediate(name, table)
     }
 
-    /// Registers a materialized intermediate result whose statistics were
-    /// already built elsewhere — the partition-parallel Sink builds one
+    /// Registers an intermediate from the batches the operators produced,
+    /// *already* hash-partitioned on `partition_key` with the cluster's
+    /// partition count, with statistics built elsewhere (the Sink builds one
     /// [`DatasetStatsBuilder`] per partition and merges the partials at the
-    /// re-optimization barrier, then hands the merged [`DatasetStats`] in here
-    /// instead of re-observing the gathered relation on the coordinator.
-    pub fn register_intermediate_prebuilt(
-        &mut self,
-        name: impl Into<String>,
-        relation: Relation,
-        partition_key: Option<&str>,
-        stats: DatasetStats,
-    ) -> Result<StoredIntermediate> {
-        let name = name.into();
-        self.stats.register(name.clone(), stats);
-        let table =
-            Table::from_relation(name.clone(), relation, self.num_partitions, partition_key)?
-                .into_temporary();
-        self.store_intermediate(name, table)
-    }
-
-    /// Registers an intermediate whose data is *already* hash-partitioned on
-    /// `partition_key` with the cluster's partition count, skipping the
-    /// gather-and-rehash of the relation-based paths (the parallel Sink's fast
-    /// path). The layout is taken verbatim, which is exactly what re-hashing
-    /// would reproduce for a matching key.
+    /// re-optimization barrier). The layout is taken verbatim and the batches
+    /// are shared, not copied.
     pub fn register_intermediate_partitioned(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
-        partitions: Vec<Vec<Tuple>>,
+        partitions: Vec<Vec<Batch>>,
         partition_key: Option<&str>,
         stats: DatasetStats,
     ) -> Result<StoredIntermediate> {
@@ -306,16 +277,6 @@ impl Catalog {
                 if let Some(manager) = manager {
                     manager.retain(table.approx_bytes() as u64);
                 }
-                // Resident intermediates rest columnar by default: the batch
-                // kernels consume the stored chunks with no row conversion.
-                // Accounting (`approx_bytes`) is backing-invariant, so the
-                // budget arithmetic above and the release in `drop_table`
-                // agree regardless of the layout.
-                let table = if self.columnar {
-                    table.into_columnar()
-                } else {
-                    table
-                };
                 self.tables.insert(name, Arc::new(table));
                 StoredIntermediate::default()
             }
@@ -393,6 +354,12 @@ impl Catalog {
 mod tests {
     use super::*;
     use rdo_common::{DataType, Schema, Tuple, Value};
+
+    fn batches_of(table: &Table) -> Vec<Vec<Batch>> {
+        (0..table.num_partitions())
+            .map(|p| table.batches(p).to_vec())
+            .collect()
+    }
 
     fn relation(n: i64) -> Relation {
         let schema = Schema::for_dataset(
@@ -620,12 +587,13 @@ mod tests {
         let expected: Vec<Vec<Tuple>> = (0..rehash.num_partitions())
             .map(|p| rehash.partition_to_vec(p).unwrap())
             .collect();
+        let batches = batches_of(rehash);
 
         let stored = cat
             .register_intermediate_partitioned(
                 "via_parts",
                 rel.schema().clone(),
-                expected.clone(),
+                batches,
                 Some("o_custkey"),
                 builder.build(),
             )
@@ -653,45 +621,38 @@ mod tests {
     }
 
     #[test]
-    fn intermediates_rest_columnar_and_base_tables_stay_row_backed() {
+    fn base_tables_and_intermediates_rest_columnar() {
         let mut cat = Catalog::new(4);
-        assert_eq!(
-            cat.columnar,
-            rdo_common::columnar_default(),
-            "a fresh catalog seeds the process-wide rest format"
-        );
-        // Pin columnar on explicitly: the suite also runs under CI legs
-        // that export RDO_COLUMNAR=0 for the whole process.
-        cat.configure_spill(SpillConfig::disabled().with_columnar(true))
-            .unwrap();
         cat.ingest(
             "orders",
             relation(100),
-            IngestOptions::partitioned_on("o_orderkey"),
+            IngestOptions::partitioned_on("o_orderkey").with_index("o_custkey"),
         )
         .unwrap();
-        assert!(
-            !cat.table("orders").unwrap().is_columnar(),
-            "base datasets keep borrowable row partitions"
-        );
-        cat.register_intermediate("I_col", relation(60), Some("o_custkey"), &[], false)
-            .unwrap();
-        let table = cat.table("I_col").unwrap();
-        assert!(table.is_columnar() && table.is_temporary());
-        assert_eq!(table.gather().sorted(), relation(60).sorted());
+        let orders = cat.table("orders").unwrap();
+        assert!(!orders.is_spilled() && !orders.is_temporary());
+        assert_eq!(orders.gather().sorted(), relation(100).sorted());
+        // The index addresses rows through the stored chunks.
+        let index = cat.secondary_index("orders", "o_custkey").unwrap();
+        for p in 0..4 {
+            for &(chunk, slot) in index.probe(p, &Value::Int64(3)) {
+                let batch = &orders.batches(p)[chunk as usize];
+                assert_eq!(batch.value(slot as usize, 1), Value::Int64(3));
+            }
+        }
 
-        // The knob rides on the spill config: a row-layout run converts
-        // nothing.
-        cat.configure_spill(SpillConfig::disabled().with_columnar(false))
-            .unwrap();
-        cat.register_intermediate("I_row", relation(60), Some("o_custkey"), &[], false)
-            .unwrap();
-        let row = cat.table("I_row").unwrap();
-        assert!(!row.is_columnar());
-        assert_eq!(
-            row.gather().sorted(),
-            cat.table("I_col").unwrap().gather().sorted()
-        );
+        // The page-layout knob no longer decides how a resident table rests.
+        for columnar_pages in [true, false] {
+            cat.configure_spill(SpillConfig::disabled().with_columnar(columnar_pages))
+                .unwrap();
+            let name = format!("I_{columnar_pages}");
+            cat.register_intermediate(&name, relation(60), Some("o_custkey"), &[], false)
+                .unwrap();
+            let table = cat.table(&name).unwrap();
+            assert!(table.is_temporary() && !table.is_spilled());
+            assert!(!table.batches(0).is_empty() || table.partition_len(0) == 0);
+            assert_eq!(table.gather().sorted(), relation(60).sorted());
+        }
     }
 
     #[test]
@@ -717,8 +678,15 @@ mod tests {
         let rel = relation(40);
         let mut builder = DatasetStatsBuilder::new(rel.schema(), &["o_custkey".into()]);
         builder.observe_relation(&rel);
-        cat.register_intermediate_prebuilt("I_1", rel, Some("o_custkey"), builder.build())
-            .unwrap();
+        let table = Table::from_relation("scratch", rel.clone(), 2, Some("o_custkey")).unwrap();
+        cat.register_intermediate_partitioned(
+            "I_1",
+            rel.schema().clone(),
+            batches_of(&table),
+            Some("o_custkey"),
+            builder.build(),
+        )
+        .unwrap();
         assert!(cat.table("I_1").unwrap().is_temporary());
         assert_eq!(cat.stats().row_count("I_1"), Some(40));
         assert!(cat

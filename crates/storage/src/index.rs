@@ -3,7 +3,7 @@
 //! The paper's Indexed Nested-Loop join requires "a base dataset with an index
 //! on the join key(s)"; the broadcast side probes the local index of each
 //! partition. A [`SecondaryIndex`] therefore holds one hash index per partition,
-//! mapping key values to local row offsets — intermediate results never have
+//! mapping key values to local row addresses — intermediate results never have
 //! secondary indexes, which is exactly why the cost-based and pilot-run
 //! baselines lose INL opportunities in Figure 8 of the paper.
 
@@ -11,14 +11,19 @@ use crate::table::Table;
 use rdo_common::{FieldRef, RdoError, Result, Value};
 use std::collections::HashMap;
 
+/// Where an indexed row lives inside its partition: `(chunk, slot)` is row
+/// `slot` of `Table::batches(partition)[chunk]` — the pick
+/// [`rdo_common::Batch::gather`] takes.
+pub type RowAddr = (u32, u32);
+
 /// A secondary index on one column of a table.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     table: String,
     column: String,
-    /// One hash index per partition: key value → row offsets within the
-    /// partition.
-    partitions: Vec<HashMap<Value, Vec<usize>>>,
+    /// One hash index per partition: key value → row addresses within the
+    /// partition, in storage order.
+    partitions: Vec<HashMap<Value, Vec<RowAddr>>>,
 }
 
 impl SecondaryIndex {
@@ -31,13 +36,17 @@ impl SecondaryIndex {
             .or_else(|_| FieldRef::parse(column).and_then(|f| table.schema().resolve(&f)))
             .map_err(|_| RdoError::UnknownField(column.to_string()))?;
         let mut partitions = Vec::with_capacity(table.num_partitions());
-        for p in table.partitions() {
-            let mut index: HashMap<Value, Vec<usize>> = HashMap::with_capacity(p.len());
-            for (offset, row) in p.iter().enumerate() {
-                index
-                    .entry(row.value(idx).clone())
-                    .or_default()
-                    .push(offset);
+        for p in 0..table.num_partitions() {
+            let mut index: HashMap<Value, Vec<RowAddr>> =
+                HashMap::with_capacity(table.partition_len(p));
+            for (chunk, batch) in table.batches(p).iter().enumerate() {
+                let keys = batch.column(idx);
+                for slot in 0..batch.num_rows() {
+                    index
+                        .entry(keys.value(slot))
+                        .or_default()
+                        .push((chunk as u32, slot as u32));
+                }
             }
             partitions.push(index);
         }
@@ -63,8 +72,9 @@ impl SecondaryIndex {
         self.partitions.len()
     }
 
-    /// Looks up the row offsets matching `key` in the given partition.
-    pub fn probe(&self, partition: usize, key: &Value) -> &[usize] {
+    /// Looks up the addresses of the rows matching `key` in the given
+    /// partition.
+    pub fn probe(&self, partition: usize, key: &Value) -> &[RowAddr] {
         self.partitions[partition]
             .get(key)
             .map(|v| v.as_slice())
@@ -117,8 +127,8 @@ mod tests {
         let key = Value::Int64(7);
         let mut matches = 0;
         for p in 0..4 {
-            for &offset in idx.probe(p, &key) {
-                assert_eq!(t.partition(p)[offset].value(1), &key);
+            for &(chunk, slot) in idx.probe(p, &key) {
+                assert_eq!(t.batches(p)[chunk as usize].value(slot as usize, 1), key);
                 matches += 1;
             }
         }

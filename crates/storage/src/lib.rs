@@ -3,7 +3,8 @@
 //! AsterixDB hash-partitions every dataset across the nodes of the cluster and
 //! collects statistical sketches while ingesting (its LSM load pipeline). This
 //! crate reproduces that substrate: a [`Table`] is a set of hash partitions
-//! (memory-resident, or spilled to the paged disk store of `rdo-spill`), a
+//! (resident as columnar batch runs, or spilled to the paged disk store of
+//! `rdo-spill`), a
 //! [`Catalog`] owns tables, their secondary indexes and the ingestion-time
 //! [`rdo_sketch::StatsCatalog`], and intermediate results produced at
 //! re-optimization points
@@ -16,7 +17,7 @@ pub mod index;
 pub mod table;
 
 pub use catalog::{Catalog, IngestOptions, StoredIntermediate};
-pub use index::SecondaryIndex;
+pub use index::{RowAddr, SecondaryIndex};
 pub use table::Table;
 
 // Spill-layer types surfaced through the storage API so downstream crates

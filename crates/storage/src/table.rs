@@ -1,5 +1,15 @@
-//! Hash-partitioned tables: memory-resident or spilled to the paged disk
-//! store of `rdo-spill`.
+//! Hash-partitioned tables: resident as columnar batch runs, or spilled to
+//! the paged disk store of `rdo-spill`.
+//!
+//! A resident partition is a run of [`Batch`] chunks of at most
+//! [`batch_size()`] rows. Base datasets are chunked once, when they are
+//! loaded ([`Table::from_relation`]); intermediates arrive from the Sink as
+//! the batches the operators produced ([`Table::from_partitions`]). Either
+//! way [`Table::scan_batches`] borrows the stored chunks — a scan never
+//! converts anything — and the secondary indexes and the indexed nested-loop
+//! join address rows as `(chunk, slot)` through [`Table::batches`]. Rows
+//! appear only at the edges: [`Table::partition_to_vec`],
+//! [`Table::scan_pages`] and [`Table::gather`] materialize them on request.
 
 use rdo_common::{
     batch_size, unqualified, Batch, FieldRef, RdoError, Relation, Result, Schema, Tuple, Value,
@@ -8,20 +18,14 @@ use rdo_sketch::hll::hash_value;
 use rdo_spill::{
     SpillManager, SpillPartitionWriter, SpillReadTally, SpillWriteTally, SpilledPartitions,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Where a table's partitions live.
-///
-/// Base datasets are always [`Backing::Memory`] (the paper keeps them in the
-/// LSM storage of the cluster nodes; the secondary indexes and the indexed
-/// nested-loop join borrow their row slices). Materialized intermediates are
-/// [`Backing::Columnar`] by default (`RDO_COLUMNAR`) — each partition a run
-/// of [`Batch`] chunks the batch kernels consume without any row
-/// conversion — or [`Backing::Spilled`] when the catalog's spill policy
-/// decides the working set exceeds the memory budget.
+/// Where a table's partitions live: resident as runs of [`Batch`] chunks, or
+/// in the paged disk store when the catalog's spill policy decides an
+/// intermediate does not fit the memory budget. Base datasets never spill
+/// (the paper keeps them in the LSM storage of the cluster nodes).
 #[derive(Debug, Clone)]
 enum Backing {
-    Memory(Vec<Vec<Tuple>>),
     Columnar(Vec<Vec<Batch>>),
     Spilled(Arc<SpilledPartitions>),
 }
@@ -38,6 +42,9 @@ pub struct Table {
     schema: Schema,
     backing: Backing,
     num_partitions: usize,
+    /// Tuple-model bytes of a resident table, summed on first use (only the
+    /// spill policy asks).
+    approx_bytes: OnceLock<usize>,
     /// Column (unqualified name) on which the table is hash-partitioned, if any.
     partition_key: Option<String>,
     /// True for materialized intermediate results (the paper's temporary files).
@@ -46,7 +53,9 @@ pub struct Table {
 
 impl Table {
     /// Builds a table by hash-partitioning `relation` on `partition_key` into
-    /// `num_partitions` partitions. With no partition key rows are distributed
+    /// `num_partitions` partitions and chunking each partition into batches
+    /// of [`batch_size()`] rows — the one row-to-column conversion a base
+    /// dataset ever sees. With no partition key rows are distributed
     /// round-robin (AsterixDB's behaviour for external data without a key).
     pub fn from_relation(
         name: impl Into<String>,
@@ -54,7 +63,6 @@ impl Table {
         num_partitions: usize,
         partition_key: Option<&str>,
     ) -> Result<Self> {
-        let name = name.into();
         let num_partitions = num_partitions.max(1);
         let schema = relation.schema().clone();
         let key_index = match partition_key {
@@ -69,24 +77,26 @@ impl Table {
             };
             partitions[p].push(row);
         }
-        Ok(Self {
-            name,
-            schema,
-            backing: Backing::Memory(partitions),
-            num_partitions,
-            partition_key: partition_key.map(|k| unqualified(k).to_string()),
-            temporary: false,
-        })
+        let width = schema.len();
+        let chunk = batch_size();
+        let partitions = partitions
+            .into_iter()
+            .map(|rows: Vec<Tuple>| {
+                rows.chunks(chunk)
+                    .map(|c| Batch::from_rows(width, c))
+                    .collect()
+            })
+            .collect();
+        Self::from_partitions(name, schema, partitions, partition_key)
     }
 
-    /// Builds a table directly from already-partitioned data, skipping the
-    /// gather-and-rehash of [`Table::from_relation`]. The caller guarantees
-    /// the rows are hash-partitioned on `partition_key` (the parallel Sink
-    /// uses this when the materialized data's partitioning already matches).
+    /// Builds a table directly from already-partitioned batches. The caller
+    /// guarantees the rows are hash-partitioned on `partition_key` (the Sink
+    /// hands over the batches its operators produced).
     pub fn from_partitions(
         name: impl Into<String>,
         schema: Schema,
-        partitions: Vec<Vec<Tuple>>,
+        partitions: Vec<Vec<Batch>>,
         partition_key: Option<&str>,
     ) -> Result<Self> {
         if partitions.is_empty() {
@@ -98,12 +108,12 @@ impl Table {
             // The key must exist in the schema, same as from_relation.
             resolve_key(&schema, key)?;
         }
-        let num_partitions = partitions.len();
         Ok(Self {
             name: name.into(),
             schema,
-            backing: Backing::Memory(partitions),
-            num_partitions,
+            num_partitions: partitions.len(),
+            backing: Backing::Columnar(partitions),
+            approx_bytes: OnceLock::new(),
             partition_key: partition_key.map(|k| unqualified(k).to_string()),
             temporary: false,
         })
@@ -115,53 +125,22 @@ impl Table {
         self
     }
 
-    /// Re-chunks a memory-backed table into the columnar at-rest format:
-    /// each partition becomes a run of [`Batch`]es of at most
-    /// [`batch_size()`] rows, which the batch kernels consume with no row
-    /// materialization. Columnar and spilled tables are returned unchanged.
-    pub fn into_columnar(self) -> Self {
-        let Backing::Memory(partitions) = self.backing else {
-            return self;
-        };
-        let width = self.schema.len();
-        let chunk = batch_size();
-        let columnar = partitions
-            .into_iter()
-            .map(|rows| {
-                rows.chunks(chunk)
-                    .map(|c| Batch::from_rows(width, c))
-                    .collect()
-            })
-            .collect();
-        Self {
-            backing: Backing::Columnar(columnar),
-            ..self
-        }
-    }
-
-    /// Moves a memory- or columnar-backed table into the paged disk store of
-    /// `manager`, returning the spilled table and the logical page-write
-    /// volume. A table that is already spilled is returned unchanged with a
-    /// zero tally.
+    /// Moves a resident table into the paged disk store of `manager`,
+    /// returning the spilled table and the logical page-write volume. A table
+    /// that is already spilled is returned unchanged with a zero tally.
     pub fn into_spilled(self, manager: &Arc<SpillManager>) -> Result<(Self, SpillWriteTally)> {
-        let (store, tally) = match self.backing {
-            Backing::Memory(ref partitions) => {
-                SpilledPartitions::write(Arc::clone(manager), partitions)?
-            }
-            Backing::Columnar(ref partitions) => {
-                // Stream batch by batch — never materializes a partition.
-                let mut writer = SpillPartitionWriter::new(Arc::clone(manager), partitions.len())?;
-                for (p, batches) in partitions.iter().enumerate() {
-                    for batch in batches {
-                        for row in batch.to_rows() {
-                            writer.append(p, &row)?;
-                        }
-                    }
-                }
-                writer.finish()?
-            }
-            Backing::Spilled(_) => return Ok((self, SpillWriteTally::default())),
+        let Backing::Columnar(partitions) = &self.backing else {
+            return Ok((self, SpillWriteTally::default()));
         };
+        // The row codec sizes the pages, so the writer takes rows — streamed
+        // out of each batch one at a time.
+        let mut writer = SpillPartitionWriter::new(Arc::clone(manager), partitions.len())?;
+        for (p, batches) in partitions.iter().enumerate() {
+            for batch in batches {
+                writer.append_batch(p, batch)?;
+            }
+        }
+        let (store, tally) = writer.finish()?;
         Ok((
             Self {
                 backing: Backing::Spilled(Arc::new(store)),
@@ -191,53 +170,20 @@ impl Table {
         matches!(self.backing, Backing::Spilled(_))
     }
 
-    /// True if the partitions are stored as columnar [`Batch`] runs.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.backing, Backing::Columnar(_))
-    }
-
-    /// Rows of one partition of a **memory-backed** table.
+    /// The stored chunks of one partition of a **resident** table. Row
+    /// addresses `(chunk, slot)` — what the secondary indexes hold — index
+    /// into this slice.
     ///
     /// # Panics
-    /// Panics for columnar and spilled tables, whose partitions have no
-    /// borrowable row slice — use [`Table::scan_batches`] /
-    /// [`Table::scan_pages`] (streaming) or [`Table::partition_to_vec`]
-    /// instead. Only base datasets are required to be memory-backed (secondary
-    /// indexes and the indexed nested-loop join rely on this accessor).
-    pub fn partition(&self, index: usize) -> &[Tuple] {
+    /// Panics for spilled tables, whose pages have no borrowable form —
+    /// stream them with [`Table::scan_batches`]. Only base datasets are
+    /// guaranteed resident.
+    pub fn batches(&self, index: usize) -> &[Batch] {
         match &self.backing {
-            Backing::Memory(partitions) => &partitions[index],
-            Backing::Columnar(_) => {
-                panic!(
-                    "table `{}` is columnar; stream it with scan_batches",
-                    self.name
-                )
-            }
+            Backing::Columnar(partitions) => &partitions[index],
             Backing::Spilled(_) => {
                 panic!(
-                    "table `{}` is spilled; stream it with scan_pages",
-                    self.name
-                )
-            }
-        }
-    }
-
-    /// All partitions of a **memory-backed** table.
-    ///
-    /// # Panics
-    /// Panics for columnar and spilled tables (see [`Table::partition`]).
-    pub fn partitions(&self) -> &[Vec<Tuple>] {
-        match &self.backing {
-            Backing::Memory(partitions) => partitions,
-            Backing::Columnar(_) => {
-                panic!(
-                    "table `{}` is columnar; stream it with scan_batches",
-                    self.name
-                )
-            }
-            Backing::Spilled(_) => {
-                panic!(
-                    "table `{}` is spilled; stream it with scan_pages",
+                    "table `{}` is spilled; stream it with scan_batches",
                     self.name
                 )
             }
@@ -245,20 +191,16 @@ impl Table {
     }
 
     /// Streams partition `index` through `f` in storage order, one page of
-    /// rows at a time. Memory-backed tables deliver the whole partition as a
-    /// single page and report a zero read tally; spilled tables fetch pages
-    /// through the buffer pool and report the logical pages/bytes fetched.
-    /// `f` returns whether to keep going (early stop charges only what was
-    /// read).
+    /// rows at a time — the row-edge twin of [`Table::scan_batches`].
+    /// Resident tables materialize each stored chunk's rows and report a
+    /// zero read tally; spilled tables fetch pages through the buffer pool
+    /// and report the logical pages/bytes fetched. `f` returns whether to
+    /// keep going (early stop charges only what was read).
     pub fn scan_pages<F>(&self, index: usize, mut f: F) -> Result<SpillReadTally>
     where
         F: FnMut(&[Tuple]) -> Result<bool>,
     {
         match &self.backing {
-            Backing::Memory(partitions) => {
-                f(&partitions[index])?;
-                Ok(SpillReadTally::default())
-            }
             Backing::Columnar(partitions) => {
                 for batch in &partitions[index] {
                     if !f(&batch.to_rows())? {
@@ -271,26 +213,17 @@ impl Table {
         }
     }
 
-    /// Streams partition `index` through `f` as [`Batch`]es in storage order
-    /// — the batch-native twin of [`Table::scan_pages`], with the same
-    /// early-stop and tally contract. Columnar partitions hand out their
-    /// stored batches with no conversion; memory partitions are chunked at
-    /// [`batch_size()`] rows; spilled partitions decode each page (columnar
-    /// pages straight into their column representation).
+    /// Streams partition `index` through `f` as [`Batch`]es in storage
+    /// order. Resident partitions lend their stored chunks — no conversion,
+    /// and cloning a lent batch shares its columns; spilled partitions
+    /// decode each page (columnar pages straight into their column
+    /// representation). `f` returns whether to keep going; the tally counts
+    /// the spill pages actually fetched.
     pub fn scan_batches<F>(&self, index: usize, mut f: F) -> Result<SpillReadTally>
     where
         F: FnMut(&Batch) -> Result<bool>,
     {
         match &self.backing {
-            Backing::Memory(partitions) => {
-                let width = self.schema.len();
-                for chunk in partitions[index].chunks(batch_size().max(1)) {
-                    if !f(&Batch::from_rows(width, chunk))? {
-                        break;
-                    }
-                }
-                Ok(SpillReadTally::default())
-            }
             Backing::Columnar(partitions) => {
                 for batch in &partitions[index] {
                     if !f(batch)? {
@@ -303,16 +236,14 @@ impl Table {
         }
     }
 
-    /// Materializes one partition into an owned vector (works for every
-    /// backing; prefer [`Table::scan_batches`] / [`Table::scan_pages`] on hot
-    /// paths).
+    /// Materializes one partition into an owned vector of rows (works for
+    /// both backings; prefer [`Table::scan_batches`] on hot paths).
     pub fn partition_to_vec(&self, index: usize) -> Result<Vec<Tuple>> {
         match &self.backing {
-            Backing::Memory(partitions) => Ok(partitions[index].clone()),
             Backing::Columnar(partitions) => {
                 let mut out = Vec::with_capacity(self.partition_len(index));
                 for batch in &partitions[index] {
-                    out.extend(batch.to_rows());
+                    batch.extend_rows_into(&mut out);
                 }
                 Ok(out)
             }
@@ -323,7 +254,6 @@ impl Table {
     /// Number of rows in one partition.
     pub fn partition_len(&self, index: usize) -> usize {
         match &self.backing {
-            Backing::Memory(partitions) => partitions[index].len(),
             Backing::Columnar(partitions) => partitions[index].iter().map(Batch::num_rows).sum(),
             Backing::Spilled(store) => store.partition_rows(index),
         }
@@ -342,12 +272,7 @@ impl Table {
     /// Total number of rows across partitions.
     pub fn row_count(&self) -> usize {
         match &self.backing {
-            Backing::Memory(partitions) => partitions.iter().map(|p| p.len()).sum(),
-            Backing::Columnar(partitions) => partitions
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(Batch::num_rows)
-                .sum(),
+            Backing::Columnar(partitions) => partitions.iter().flatten().map(Batch::num_rows).sum(),
             Backing::Spilled(store) => store.row_count(),
         }
     }
@@ -356,44 +281,35 @@ impl Table {
     /// both backings so cost inputs never depend on where the table lives).
     pub fn approx_bytes(&self) -> usize {
         match &self.backing {
-            Backing::Memory(partitions) => partitions
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(|t| t.approx_bytes())
-                .sum(),
-            // `Batch::approx_bytes` matches the tuple-model accounting
-            // slot for slot, so the figure is backing-invariant.
-            Backing::Columnar(partitions) => partitions
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(Batch::approx_bytes)
-                .sum(),
+            // `Batch::approx_bytes` matches the tuple-model accounting slot
+            // for slot, so the figure is the one the rows would give.
+            Backing::Columnar(partitions) => *self
+                .approx_bytes
+                .get_or_init(|| partitions.iter().flatten().map(Batch::approx_bytes).sum()),
             Backing::Spilled(store) => store.approx_bytes(),
         }
     }
 
-    /// Exact serialized bytes on disk (zero for memory-resident tables).
+    /// Exact serialized bytes on disk (zero for resident tables).
     pub fn spilled_bytes(&self) -> u64 {
         match &self.backing {
-            Backing::Memory(_) | Backing::Columnar(_) => 0,
+            Backing::Columnar(_) => 0,
             Backing::Spilled(store) => store.serialized_bytes(),
         }
     }
 
     /// Materializes all partitions back into a single relation, surfacing
     /// spill-read errors (a spilled table's pages live on disk and the read
-    /// can fail). Memory-backed tables are infallible.
+    /// can fail). Resident tables are infallible.
     pub fn try_gather(&self) -> Result<Relation> {
-        let mut rel = Relation::empty(self.schema.clone());
+        let mut rows = Vec::with_capacity(self.row_count());
         for p in 0..self.num_partitions {
-            self.scan_pages(p, |rows| {
-                for row in rows {
-                    rel.push(row.clone());
-                }
+            self.scan_batches(p, |batch| {
+                batch.extend_rows_into(&mut rows);
                 Ok(true)
             })?;
         }
-        Ok(rel)
+        Relation::new(self.schema.clone(), rows)
     }
 
     /// Materializes all partitions back into a single relation (coordinator-side
@@ -423,7 +339,8 @@ pub fn partition_of(value: &Value, num_partitions: usize) -> usize {
     (hash_value(value) % num_partitions as u64) as usize
 }
 
-fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
+/// Resolves a (possibly qualified) partition-key name to its column index.
+pub fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
     if let Ok(field) = FieldRef::parse(key) {
         if let Ok(idx) = schema.resolve(&field) {
             return Ok(idx);
@@ -448,6 +365,27 @@ mod tests {
         Relation::new(schema, rows).unwrap()
     }
 
+    /// The rows `Table::from_relation` assigns to each partition, computed
+    /// independently of the table.
+    fn expected_partitions(rel: &Relation, n: usize, keyed: bool) -> Vec<Vec<Tuple>> {
+        let mut parts = vec![Vec::new(); n];
+        for (i, row) in rel.rows().iter().enumerate() {
+            let p = if keyed {
+                partition_of(row.value(0), n)
+            } else {
+                i % n
+            };
+            parts[p].push(row.clone());
+        }
+        parts
+    }
+
+    fn sizes(t: &Table) -> Vec<usize> {
+        (0..t.num_partitions())
+            .map(|p| t.partition_len(p))
+            .collect()
+    }
+
     #[test]
     fn partitioning_preserves_all_rows() {
         let t = Table::from_relation("t", relation(1000), 8, Some("k")).unwrap();
@@ -460,8 +398,8 @@ mod tests {
     fn same_key_lands_in_same_partition() {
         let t = Table::from_relation("t", relation(500), 4, Some("k")).unwrap();
         // Re-derive each row's partition and check it matches its location.
-        for (p, rows) in t.partitions().iter().enumerate() {
-            for row in rows {
+        for p in 0..4 {
+            for row in t.partition_to_vec(p).unwrap() {
                 assert_eq!(partition_of(row.value(0), 4), p);
             }
         }
@@ -471,14 +409,13 @@ mod tests {
     fn round_robin_without_key() {
         let t = Table::from_relation("t", relation(100), 4, None).unwrap();
         assert!(t.partition_key().is_none());
-        let sizes: Vec<usize> = t.partitions().iter().map(|p| p.len()).collect();
-        assert_eq!(sizes, vec![25, 25, 25, 25]);
+        assert_eq!(sizes(&t), vec![25, 25, 25, 25]);
     }
 
     #[test]
     fn partition_balance_is_reasonable() {
         let t = Table::from_relation("t", relation(10_000), 10, Some("k")).unwrap();
-        let sizes: Vec<usize> = t.partitions().iter().map(|p| p.len()).collect();
+        let sizes = sizes(&t);
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(min > 700 && max < 1300, "unbalanced partitions: {sizes:?}");
@@ -501,7 +438,7 @@ mod tests {
     fn single_partition_cluster() {
         let t = Table::from_relation("t", relation(10), 0, Some("k")).unwrap();
         assert_eq!(t.num_partitions(), 1);
-        assert_eq!(t.partition(0).len(), 10);
+        assert_eq!(t.partition_len(0), 10);
     }
 
     #[test]
@@ -513,18 +450,28 @@ mod tests {
 
     #[test]
     fn approx_bytes_positive() {
-        let t = Table::from_relation("t", relation(10), 2, Some("k")).unwrap();
-        assert!(t.approx_bytes() > 0);
+        let rel = relation(10);
+        let expected = rel.approx_bytes();
+        let t = Table::from_relation("t", rel, 2, Some("k")).unwrap();
+        assert_eq!(t.approx_bytes(), expected, "tuple-model accounting");
     }
 
     #[test]
     fn from_partitions_reuses_layout_verbatim() {
         let source = Table::from_relation("t", relation(200), 4, Some("k")).unwrap();
-        let cloned: Vec<Vec<Tuple>> = source.partitions().to_vec();
+        let cloned: Vec<Vec<Batch>> = (0..4).map(|p| source.batches(p).to_vec()).collect();
         let direct =
             Table::from_partitions("t2", source.schema().clone(), cloned, Some("k")).unwrap();
         assert_eq!(direct.num_partitions(), 4);
-        assert_eq!(direct.partitions(), source.partitions());
+        for p in 0..4 {
+            assert_eq!(direct.batches(p), source.batches(p));
+            // Shared, not copied.
+            assert!(std::ptr::eq(
+                direct.batches(p)[0].column(0),
+                source.batches(p)[0].column(0)
+            ));
+        }
+        assert_eq!(direct.approx_bytes(), source.approx_bytes());
         assert!(direct.is_partitioned_on("k"));
         assert!(Table::from_partitions(
             "bad",
@@ -543,11 +490,12 @@ mod tests {
         let manager =
             SpillManager::create(SpillConfig::default().with_budget(1).with_page_size(512))
                 .unwrap();
-        let memory = Table::from_relation("t", relation(777), 4, Some("k"))
+        let rel = relation(777);
+        let expected_parts = expected_partitions(&rel, 4, true);
+        let memory = Table::from_relation("t", rel, 4, Some("k"))
             .unwrap()
             .into_temporary();
         let expected_gather = memory.gather();
-        let expected_parts: Vec<Vec<Tuple>> = memory.partitions().to_vec();
         let approx = memory.approx_bytes();
 
         let (spilled, tally) = memory.into_spilled(&manager).unwrap();
@@ -579,24 +527,22 @@ mod tests {
 
     #[test]
     fn columnar_table_is_equivalent_to_memory_table() {
-        let memory = Table::from_relation("t", relation(777), 4, Some("k"))
+        let rel = relation(777);
+        let expected_parts = expected_partitions(&rel, 4, true);
+        let approx = rel.approx_bytes();
+        let columnar = Table::from_relation("t", rel.clone(), 4, Some("k"))
             .unwrap()
             .into_temporary();
-        let expected_gather = memory.gather();
-        let expected_parts: Vec<Vec<Tuple>> = memory.partitions().to_vec();
-        let approx = memory.approx_bytes();
-
-        let columnar = memory.into_columnar();
-        assert!(columnar.is_columnar() && !columnar.is_spilled());
+        assert!(!columnar.is_spilled());
         assert_eq!(columnar.row_count(), 777);
         assert_eq!(
             columnar.approx_bytes(),
             approx,
-            "accounting is backing-invariant"
+            "accounting is the tuple model's"
         );
         assert_eq!(columnar.spilled_bytes(), 0);
         assert!(columnar.is_temporary() && columnar.is_partitioned_on("k"));
-        assert_eq!(columnar.gather(), expected_gather);
+        assert_eq!(columnar.gather().sorted(), rel.sorted());
         for (p, expected) in expected_parts.iter().enumerate() {
             assert_eq!(&columnar.partition_to_vec(p).unwrap(), expected);
             assert_eq!(columnar.partition_len(p), expected.len());
@@ -619,41 +565,56 @@ mod tests {
                 .unwrap();
             assert_eq!(&batched, expected);
         }
-        // Columnar → spilled streams without materializing, roundtrips.
+        // Columnar → spilled streams row by row, roundtrips.
+        let expected_gather = columnar.gather();
         let manager =
             SpillManager::create(SpillConfig::default().with_budget(1).with_page_size(512))
                 .unwrap();
         let (spilled, tally) = columnar.into_spilled(&manager).unwrap();
         assert!(spilled.is_spilled() && tally.pages > 0);
         assert_eq!(spilled.gather(), expected_gather);
-        // Converting non-memory backings is a no-op.
-        assert!(spilled.clone().into_columnar().is_spilled());
+    }
+
+    /// Spilling a columnar table streams each batch into the page writer;
+    /// the pages are the ones writing the same rows would cut.
+    #[test]
+    fn spilling_batches_writes_the_pages_the_rows_would() {
+        let config = SpillConfig::default().with_budget(1).with_page_size(512);
+        let rel = relation(600);
+        let parts = expected_partitions(&rel, 3, true);
+        let by_rows = {
+            let manager = SpillManager::create(config).unwrap();
+            let (store, tally) = SpilledPartitions::write(manager, &parts).unwrap();
+            (tally, store.approx_bytes())
+        };
+        let manager = SpillManager::create(config).unwrap();
+        let (spilled, tally) = Table::from_relation("t", rel, 3, Some("k"))
+            .unwrap()
+            .into_spilled(&manager)
+            .unwrap();
+        assert_eq!((tally, spilled.approx_bytes()), by_rows);
+        for (p, expected) in parts.iter().enumerate() {
+            assert_eq!(&spilled.partition_to_vec(p).unwrap(), expected);
+        }
     }
 
     #[test]
     fn memory_scan_batches_chunks_at_batch_size() {
         let t = Table::from_relation("t", relation(100), 1, None).unwrap();
         let mut rows_seen = 0usize;
-        let mut batches = 0usize;
+        let mut lent = Vec::new();
         t.scan_batches(0, |batch| {
             assert!(batch.num_rows() <= rdo_common::batch_size());
             assert_eq!(batch.num_columns(), 2);
             rows_seen += batch.num_rows();
-            batches += 1;
+            lent.push(batch as *const Batch);
             Ok(true)
         })
         .unwrap();
         assert_eq!(rows_seen, 100);
-        assert!(batches >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "columnar")]
-    fn borrowing_partitions_of_a_columnar_table_panics() {
-        let t = Table::from_relation("t", relation(10), 2, Some("k"))
-            .unwrap()
-            .into_columnar();
-        let _ = t.partitions();
+        // A resident scan lends the stored chunks themselves.
+        let stored: Vec<*const Batch> = t.batches(0).iter().map(|b| b as *const Batch).collect();
+        assert_eq!(lent, stored);
     }
 
     #[test]
@@ -664,7 +625,7 @@ mod tests {
             .unwrap()
             .into_spilled(&manager)
             .unwrap();
-        let _ = spilled.partitions();
+        let _ = spilled.batches(0);
     }
 
     #[test]

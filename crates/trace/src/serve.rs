@@ -317,6 +317,12 @@ mod tests {
         register_query("serve-pruned-q", &handle);
         assert!(progress_body().contains("serve-pruned-q"));
         drop(handle);
+        // A scrape running concurrently (another test's) upgrades the weak
+        // reference for the moment it renders the collector; wait that out.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while progress_body().contains("serve-pruned-q") && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert!(!progress_body().contains("serve-pruned-q"));
     }
 

@@ -125,8 +125,9 @@ fn main() -> rdo_common::Result<()> {
 
     // A third decomposition, one level below the driver stages: the physical
     // operator kernels themselves, timed head to head — the row-at-a-time
-    // reference kernels (`*_rows`) against the columnar batch kernels that
-    // now back them — over the same query data (every alias's scan, every
+    // reference kernels (`*_rows`) against the batch operators behind their
+    // row adapters (conversion at both ends included) — over the same query
+    // data (every alias's scan, every
     // join condition, every repartition of the four queries). Outputs are
     // asserted identical; only the wall time differs.
     println!(
@@ -148,115 +149,7 @@ fn main() -> rdo_common::Result<()> {
         );
     }
 
-    // A fourth decomposition, at the storage boundary: the same scan→join
-    // pipeline executed over an intermediate resting as row-vector partitions
-    // and again over one resting as columnar batches (the `RDO_COLUMNAR`
-    // knob, pinned here per catalog so the example is env-independent).
-    // Outputs are asserted identical; only the rest format differs.
-    println!(
-        "\nscan→join pipeline over a resting intermediate, row vs columnar \
-         rest format (best of {KERNEL_REPS} reps):"
-    );
-    println!(
-        "{:<12} {:>12} {:>12} {:>10}",
-        "pipeline", "row ms", "columnar ms", "col/row"
-    );
-    let (rest_row_s, rest_col_s) = rest_format_timings()?;
-    println!(
-        "{:<12} {:>12.2} {:>12.2} {:>9.2}x",
-        "scan→join",
-        rest_row_s * 1_000.0,
-        rest_col_s * 1_000.0,
-        rest_col_s / rest_row_s.max(f64::MIN_POSITIVE)
-    );
     Ok(())
-}
-
-/// Times one hash-join pipeline over a registered intermediate twice: once
-/// with the catalog pinned to the row rest format and once pinned to columnar
-/// partitions. The probe side is a 50k-row intermediate (the shape
-/// `register_intermediate` exists for), the build side a 10k-row base table;
-/// both catalogs hold bit-identical data, and the joined outputs are asserted
-/// equal before anything is timed.
-fn rest_format_timings() -> rdo_common::Result<(f64, f64)> {
-    let build_catalog = |columnar: bool| -> rdo_common::Result<Catalog> {
-        let mut catalog = Catalog::new(8);
-        catalog.configure_spill(SpillConfig::disabled().with_columnar(columnar))?;
-        let dim_schema = Schema::for_dataset(
-            "dim",
-            &[("d_id", DataType::Int64), ("d_val", DataType::Int64)],
-        );
-        let dim: Vec<Tuple> = (0..10_000)
-            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int64(i % 17)]))
-            .collect();
-        catalog.ingest(
-            "dim",
-            Relation::new(dim_schema, dim)?,
-            IngestOptions::partitioned_on("d_id"),
-        )?;
-        let temp_schema = Schema::for_dataset(
-            "temp",
-            &[
-                ("t_id", DataType::Int64),
-                ("t_dim", DataType::Int64),
-                ("t_tag", DataType::Utf8),
-            ],
-        );
-        let temp: Vec<Tuple> = (0..50_000)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int64(i),
-                    Value::Int64(i % 10_000),
-                    Value::Utf8(format!("tag-{:04}", i % 500)),
-                ])
-            })
-            .collect();
-        catalog.register_intermediate(
-            "temp",
-            Relation::new(temp_schema, temp)?,
-            Some("t_dim"),
-            &[],
-            false,
-        )?;
-        assert_eq!(
-            catalog.table("temp")?.is_columnar(),
-            columnar,
-            "the intermediate must rest in the requested layout"
-        );
-        Ok(catalog)
-    };
-    let plan = PhysicalPlan::join(
-        PhysicalPlan::scan("temp"),
-        PhysicalPlan::scan("dim"),
-        FieldRef::new("temp", "t_dim"),
-        FieldRef::new("dim", "d_id"),
-        JoinAlgorithm::Hash,
-    );
-    let run = |catalog: &Catalog| -> rdo_common::Result<Relation> {
-        let mut metrics = ExecutionMetrics::new();
-        Ok(Executor::new(catalog)
-            .execute(&plan, &mut metrics)?
-            .gather())
-    };
-
-    let row_catalog = build_catalog(false)?;
-    let col_catalog = build_catalog(true)?;
-    assert_eq!(
-        run(&row_catalog)?,
-        run(&col_catalog)?,
-        "rest formats must produce identical join output"
-    );
-
-    let best = |catalog: &Catalog| -> rdo_common::Result<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..KERNEL_REPS {
-            let start = Instant::now();
-            run(catalog)?;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(best)
-    };
-    Ok((best(&row_catalog)?, best(&col_catalog)?))
 }
 
 const KERNEL_REPS: usize = 5;
@@ -266,7 +159,7 @@ const KERNEL_REPS: usize = 5;
 /// seconds) with the best-of-`KERNEL_REPS` wall time for each path.
 fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f64, f64)>> {
     // Pre-resolve everything once so the timed loops run kernels only.
-    // Scans: (alias-resolved schema, predicates, partitions) per alias.
+    // Scans: (alias-resolved schema, predicates, partition rows) per alias.
     let mut scans = Vec::new();
     // Joins and repartitions: predicate-filtered partition-0 sides.
     let mut joins = Vec::new();
@@ -278,8 +171,10 @@ fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f
             let setup = prepare_scan(table, alias, None)?;
             let predicates: Vec<Predicate> =
                 query.predicates_for(alias).into_iter().cloned().collect();
-            let filtered =
-                scan_partition_rows(&setup.schema, &predicates, None, table.partition(0))?.0;
+            let partitions: Vec<Vec<Tuple>> = (0..table.num_partitions())
+                .map(|p| table.partition_to_vec(p))
+                .collect::<rdo_common::Result<_>>()?;
+            let filtered = scan_partition_rows(&setup.schema, &predicates, None, &partitions[0])?.0;
             if let Some(columns) = query.join_key_columns().get(alias) {
                 let key = setup
                     .schema
@@ -304,14 +199,14 @@ fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f
                     &right_setup.schema,
                     &right_predicates,
                     None,
-                    right_table.partition(0),
+                    &right_table.partition_to_vec(0)?,
                 )?
                 .0;
                 let probe_key = setup.schema.resolve(&join.left)?;
                 let build_key = right_setup.schema.resolve(&join.right)?;
                 joins.push((filtered.clone(), right_rows, probe_key, build_key));
             }
-            scans.push((setup.schema, predicates, table));
+            scans.push((setup.schema, predicates, partitions));
         }
     }
 
@@ -327,17 +222,17 @@ fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f
     };
 
     let scan_row = best(&mut || {
-        for (schema, predicates, table) in &scans {
-            for p in 0..table.num_partitions() {
-                scan_partition_rows(schema, predicates, None, table.partition(p))?;
+        for (schema, predicates, partitions) in &scans {
+            for rows in partitions {
+                scan_partition_rows(schema, predicates, None, rows)?;
             }
         }
         Ok(())
     })?;
     let scan_batch = best(&mut || {
-        for (schema, predicates, table) in &scans {
-            for p in 0..table.num_partitions() {
-                scan_partition_chunked(schema, predicates, None, table.partition(p), chunk)?;
+        for (schema, predicates, partitions) in &scans {
+            for rows in partitions {
+                scan_partition_chunked(schema, predicates, None, rows, chunk)?;
             }
         }
         Ok(())

@@ -1,20 +1,23 @@
-//! Batch-kernel vs row-kernel equivalence on the four evaluation queries.
+//! Batch-operator vs row-kernel equivalence on the four evaluation queries.
 //!
-//! The columnar redesign keeps the row-at-a-time kernels as reference
-//! implementations (`*_rows`); this suite drives both paths over the real
-//! Q8/Q9/Q17/Q50 benchmark tables — every alias, every partition, with the
-//! queries' own predicates and join keys — and asserts outputs and tallies
-//! are identical at several chunk sizes, including the degenerate size 1 and
-//! the boundary-unfriendly size 3. Together with the serial/parallel/
-//! distributed equivalence suites (which exercise the batch kernels through
-//! the executors) this pins the columnar core to the row semantics
-//! bit-for-bit.
+//! The row-at-a-time kernels survive as reference implementations
+//! (`*_rows`); this suite drives both paths over the real Q8/Q9/Q17/Q50
+//! benchmark tables — every alias, every partition, with the queries' own
+//! predicates and join keys — and asserts outputs and tallies are identical
+//! at several chunk sizes, including the degenerate size 1 and the
+//! boundary-unfriendly size 3. It also pins the two places batches meet
+//! rows: a base table's stored chunks scan exactly like the rows they hold,
+//! and [`PartitionedData`] round-trips between its batch and row forms.
+//! Together with the serial/parallel/distributed equivalence suites (which
+//! exercise the batch operators through the executors) this pins the
+//! columnar engine to the row semantics bit-for-bit.
 
 use runtime_dynamic_optimization::exec::partition::{
     hash_join_partition_chunked, hash_join_partition_rows, repartition_partition_chunked,
-    repartition_partition_rows, scan_partition_chunked, scan_partition_rows,
+    repartition_partition_rows, scan_partition_chunked, scan_partition_rows, scan_table_partition,
 };
 use runtime_dynamic_optimization::exec::setup::prepare_scan;
+use runtime_dynamic_optimization::exec::PartitionedData;
 use runtime_dynamic_optimization::prelude::*;
 
 const CHUNK_SIZES: [usize; 4] = [1, 3, 1024, 100_000];
@@ -38,7 +41,7 @@ fn batch_scan_matches_row_scan_on_evaluation_queries() {
             let predicates: Vec<Predicate> =
                 query.predicates_for(alias).into_iter().cloned().collect();
             for p in 0..table.num_partitions() {
-                let rows = table.partition(p);
+                let rows = &table.partition_to_vec(p).expect("resident base table");
                 let reference =
                     scan_partition_rows(&setup.schema, &predicates, None, rows).expect("row scan");
                 for chunk_size in CHUNK_SIZES {
@@ -53,6 +56,86 @@ fn batch_scan_matches_row_scan_on_evaluation_queries() {
                 }
             }
         }
+    }
+}
+
+/// The scan operator over a base table's *stored chunks* — what the executors
+/// run — against the row scan over the same rows registered as tuples: same
+/// survivors in the same order, same tally, with and without a projection.
+/// A scan that filters nothing passes the stored chunks on shared.
+#[test]
+fn stored_chunks_scan_like_the_rows_they_hold() {
+    let env = env();
+    for query in all_queries() {
+        for alias in query.aliases() {
+            let table = env
+                .catalog
+                .table(query.table_of(alias).expect("alias has a table"))
+                .expect("table exists");
+            let setup = prepare_scan(table, alias, None).expect("scan setup");
+            let predicates: Vec<Predicate> =
+                query.predicates_for(alias).into_iter().cloned().collect();
+            let last = setup.schema.len() - 1;
+            for p in 0..table.num_partitions() {
+                let rows = table.partition_to_vec(p).expect("resident base table");
+                for projection in [None, Some(vec![last, 0])] {
+                    let projection = projection.as_deref();
+                    let (expected, expected_tally) =
+                        scan_partition_rows(&setup.schema, &predicates, projection, &rows)
+                            .expect("row scan");
+                    let (batches, tally, pages) =
+                        scan_table_partition(table, p, &setup.schema, &predicates, projection)
+                            .expect("batch scan");
+                    let got: Vec<Tuple> = batches.iter().flat_map(Batch::to_rows).collect();
+                    assert_eq!(got, expected, "{} {alias} partition {p}", query.name);
+                    assert_eq!(tally, expected_tally);
+                    assert_eq!(pages.pages, 0, "a resident table reads no spill page");
+                }
+                let (unfiltered, _, _) =
+                    scan_table_partition(table, p, &setup.schema, &[], None).expect("scan");
+                assert_eq!(unfiltered.as_slice(), table.batches(p));
+                for (lent, stored) in unfiltered.iter().zip(table.batches(p)) {
+                    assert!(
+                        std::ptr::eq(lent.column(0), stored.column(0)),
+                        "an unfiltered scan shares the stored columns"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Operator output keeps its identity across the row edge: batches → rows →
+/// batches gives the same rows, counts and byte accounting, and the gathered
+/// relation is the partitions' rows end to end.
+#[test]
+fn partitioned_data_roundtrips_between_batches_and_rows() {
+    let env = env();
+    let executor = Executor::new(&env.catalog);
+    for table in ["lineitem", "orders", "part"] {
+        let mut metrics = ExecutionMetrics::new();
+        let data = executor
+            .execute(&PhysicalPlan::scan(table), &mut metrics)
+            .expect("scan");
+        let rows = data.to_rows();
+        let back = PartitionedData::from_rows(
+            data.schema().clone(),
+            rows.clone(),
+            data.partition_key().map(str::to_string),
+        );
+        assert_eq!(back.to_rows(), rows, "{table}");
+        assert_eq!(back.row_count(), data.row_count());
+        assert_eq!(back.approx_bytes(), data.approx_bytes());
+        assert_eq!(
+            data.approx_bytes(),
+            rows.iter()
+                .flatten()
+                .map(Tuple::approx_bytes)
+                .sum::<usize>(),
+            "batch accounting is the tuple model's"
+        );
+        assert_eq!(data.gather().rows(), rows.concat().as_slice());
+        assert_eq!(back.gather(), data.gather());
     }
 }
 
@@ -154,8 +237,8 @@ fn filtered_side(
         .expect("table exists");
     let setup = prepare_scan(table, alias, None).expect("scan setup");
     let predicates: Vec<Predicate> = query.predicates_for(alias).into_iter().cloned().collect();
-    let (rows, _) =
-        scan_partition_rows(&setup.schema, &predicates, None, table.partition(0)).expect("scan");
+    let base = table.partition_to_vec(0).expect("resident base table");
+    let (rows, _) = scan_partition_rows(&setup.schema, &predicates, None, &base).expect("scan");
     let key_idx = setup.schema.resolve(key).expect("key resolves");
     (rows, key_idx)
 }

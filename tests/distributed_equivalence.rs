@@ -126,7 +126,7 @@ fn distributed_runs_compose_with_spill_and_grace() {
     cluster.shutdown().expect("clean worker shutdown");
 }
 
-/// The at-rest layout knob is transport-invariant and negotiated per frame:
+/// The page-layout knob is transport-invariant and negotiated per frame:
 /// worker fleets pinned to either `RDO_COLUMNAR` setting — including one
 /// *disagreeing* with the coordinator, so row and columnar frames mix on the
 /// same sockets — produce results, metrics and plans bit-identical to the

@@ -245,7 +245,7 @@ fn compression_and_prefetch_axes_are_bit_identical() {
     );
 }
 
-/// The at-rest layout knob is physical-only for grace partition files too:
+/// The page-layout knob is physical-only for grace partition files too:
 /// columnar bucket pages change neither results nor plans nor any logical
 /// grace counter (page counts, logical volumes, recursions, fallbacks and
 /// the peak transient footprint all follow the row codec's size accounting),

@@ -217,7 +217,7 @@ fn compression_and_prefetch_axes_are_bit_identical() {
     );
 }
 
-/// The at-rest layout knob is physical-only: columnar spill pages change
+/// The page-layout knob is physical-only: columnar spill pages change
 /// neither results nor plans nor any logical metric — page counts, logical
 /// byte volumes and peak-transient figures are decided by the row codec's
 /// size accounting in both layouts — while the compressed columnar pages
@@ -266,6 +266,77 @@ fn columnar_pages_are_bit_identical_and_never_larger() {
             col.total.spill_bytes_written > 0,
             "{}: the columnar run still went out-of-core",
             query.name
+        );
+    }
+}
+
+/// An intermediate reaches the paged store as batches (the Sink hands over
+/// what the operators produced; the page writer streams each batch's rows)
+/// or as a relation of tuples (`register_intermediate`, the row edge): either
+/// way the same pages are written — page count, stored and logical bytes —
+/// and a scan reads back the same rows, in both page layouts.
+#[test]
+fn batches_and_rows_spill_to_the_same_pages() {
+    let env = env();
+    let tracked = vec!["l_partkey".to_string()];
+    for columnar_pages in [true, false] {
+        let spill = SpillConfig::disabled()
+            .with_budget(TINY_BUDGET)
+            .with_columnar(columnar_pages);
+        let scan = |catalog: &Catalog, table: &str| {
+            let mut metrics = ExecutionMetrics::new();
+            let data = Executor::new(catalog)
+                .execute(&PhysicalPlan::scan(table), &mut metrics)
+                .expect("scan");
+            (data, metrics)
+        };
+
+        let mut by_batches = env.catalog.clone();
+        by_batches.configure_spill(spill).expect("spill config");
+        let (data, _) = scan(&by_batches, "lineitem");
+        let mut sink = ExecutionMetrics::new();
+        let outcome = runtime_dynamic_optimization::parallel::materialize(
+            &WorkerPool::new(2),
+            &mut by_batches,
+            "I_spill",
+            &data,
+            Some("l_partkey"),
+            &tracked,
+            true,
+            &mut sink,
+        )
+        .expect("materialize");
+        assert!(outcome.spilled && sink.spill_pages_written > 0);
+
+        let mut by_rows = env.catalog.clone();
+        by_rows.configure_spill(spill).expect("spill config");
+        let stored = by_rows
+            .register_intermediate("I_spill", data.gather(), Some("l_partkey"), &tracked, true)
+            .expect("register rows");
+        assert!(stored.spilled);
+        assert_eq!(
+            (
+                sink.spill_pages_written,
+                sink.spill_bytes_written,
+                sink.spill_logical_bytes_written
+            ),
+            (
+                stored.pages_written,
+                stored.bytes_written,
+                stored.logical_bytes_written
+            ),
+            "columnar_pages={columnar_pages}"
+        );
+
+        let (from_batches, batch_metrics) = scan(&by_batches, "I_spill");
+        let (from_rows, row_metrics) = scan(&by_rows, "I_spill");
+        assert_eq!(from_batches.to_rows(), from_rows.to_rows());
+        assert_eq!(batch_metrics, row_metrics);
+        assert_eq!(batch_metrics.spill_pages_read, sink.spill_pages_written);
+        assert_eq!(
+            from_batches.gather().sorted(),
+            data.gather().sorted(),
+            "nothing lost on the way through the pages"
         );
     }
 }
