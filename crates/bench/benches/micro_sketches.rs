@@ -3,7 +3,7 @@
 //! small overhead rests on these being cheap relative to join work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdo_common::Value;
+use rdo_common::{Batch, Tuple, Value};
 use rdo_sketch::{ColumnStatsBuilder, EquiHeightHistogram, GkSketch, HyperLogLog};
 
 fn bench_sketches(c: &mut Criterion) {
@@ -36,6 +36,47 @@ fn bench_sketches(c: &mut Criterion) {
                     builder.observe(&Value::Int64((i % 10_000) as i64));
                 }
                 builder.build().distinct
+            });
+        });
+        // The Sink's coordinator step: four sealed per-partition partials
+        // merged into one sketch.
+        group.bench_with_input(BenchmarkId::new("gk_merge", n), &n, |b, &n| {
+            let partials: Vec<GkSketch> = (0..4)
+                .map(|p| {
+                    let mut partial = GkSketch::new(0.01);
+                    let ranks = (0..n).filter(|i| i % 4 == p);
+                    partial.extend(ranks.map(|i| ((i * 2_654_435_761) % 1_000_003) as f64));
+                    partial.seal();
+                    partial
+                })
+                .collect();
+            b.iter(|| {
+                let mut merged = GkSketch::new(0.01);
+                partials.iter().for_each(|partial| merged.merge(partial));
+                merged.quantile(0.5)
+            });
+        });
+        // The Sink's worker step: a typed column observed straight off its
+        // payload, an `Int64` and a `Utf8` one.
+        let rows: Vec<Tuple> = (0..n as i64)
+            .map(|i| {
+                let key = (i * 2_654_435_761) % 1_000_003;
+                Tuple::new(vec![
+                    Value::Int64(key),
+                    Value::Utf8(format!("name{key:07}")),
+                ])
+            })
+            .collect();
+        let batches: Vec<Batch> = rows.chunks(1024).map(|c| Batch::from_rows(2, c)).collect();
+        group.bench_with_input(BenchmarkId::new("column_stats_batch", n), &n, |b, _| {
+            b.iter(|| {
+                let mut int64 = ColumnStatsBuilder::new();
+                let mut utf8 = ColumnStatsBuilder::new();
+                for batch in &batches {
+                    int64.observe_column(batch.column(0));
+                    utf8.observe_column(batch.column(1));
+                }
+                (int64.build().distinct, utf8.build().distinct)
             });
         });
     }

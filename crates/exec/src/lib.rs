@@ -20,8 +20,9 @@
 //!   partition of the probe input.
 //! * **Indexed nested-loop join** — the build input is broadcast and used to
 //!   probe a secondary index of a base dataset.
-//! * **Sink / Reader** — materialize intermediate results into temporary tables
-//!   (collecting online statistics) and read them back in later jobs.
+//! * **Sink / Reader** — store materialized intermediate results as temporary
+//!   tables ([`sink::store`]; the Sink that sketches them on the worker pool
+//!   is `rdo_parallel::sink::materialize`) and read them back in later jobs.
 //!
 //! Data has one representation end to end: [`rdo_common::Batch`]. Tables
 //! rest as runs of batches, [`PartitionedData`] carries runs of batches
@@ -56,4 +57,4 @@ pub use partition::{
 };
 pub use plan::{JoinAlgorithm, PhysicalPlan};
 pub use post::{AggregateExpr, AggregateFunc, PostProcess, SortKey};
-pub use sink::{materialize, MaterializeOutcome};
+pub use sink::MaterializeOutcome;

@@ -51,9 +51,10 @@
 //!   interleaving.
 //! * **Barriers at re-optimization points** — the dynamic driver (Algorithm 1)
 //!   materializes each chosen join before re-planning. [`sink::materialize`]
-//!   is that barrier: workers build one `DatasetStatsBuilder` (GK + HLL) per
-//!   partition and the coordinator merges the partials before registering the
-//!   intermediate, mirroring the paper's per-partition Sink statistics.
+//!   is that barrier: workers build and seal one `DatasetStatsBuilder`
+//!   (GK + HLL) per partition, the partials are merged per tracked column on
+//!   the pool, in partition order, and the intermediate is registered,
+//!   mirroring the paper's per-partition Sink statistics.
 //!
 //! * **Transport seam** — each exchange routes through a [`Transport`]
 //!   ([`transport`] module): [`InProcessTransport`] (the default) performs the

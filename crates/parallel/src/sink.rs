@@ -1,34 +1,43 @@
-//! The parallel Sink: the barrier at each re-optimization point.
+//! The Sink: the barrier at each re-optimization point.
 //!
 //! Algorithm 1 materializes the chosen join's result before re-planning; that
-//! materialization is a natural barrier for the worker pool. Each worker
-//! builds a [`DatasetStatsBuilder`] (GK + HLL sketches) over its partitions,
-//! and the coordinator merges the per-partition partials **in partition
-//! order** before registering the intermediate table — mirroring the paper's
-//! per-partition Sink operators whose local statistics are combined when the
-//! job finishes. The fixed merge order makes the registered statistics
-//! identical for every worker count.
+//! materialization is a natural barrier for the worker pool, and this is the
+//! engine's one Sink — every driver, at every worker count, goes through it.
+//! It has three steps, each a child span of `sink.materialize`:
 //!
-//! Note the statistics semantics differ slightly from the serial
-//! [`rdo_exec::materialize`], which feeds one sketch per column with the data
-//! in gathered order on the coordinator: HyperLogLog merging is exact, but a GK sketch
-//! merged from per-partition partials is a different (equally valid,
-//! error-bounded) summary than one built sequentially. Both satisfy the same
-//! accuracy guarantees; the dynamic driver uses this parallel Sink in all
-//! configurations so its planning decisions never depend on the worker count.
+//! * `sink.sketch`, once per partition, on the pool: a worker builds a
+//!   [`DatasetStatsBuilder`] (GK + HLL sketches) over its partition's batches
+//!   and seals it, so everything quadratic-looking about a GK sketch (sorting
+//!   and absorbing its last buffer) happens where the partition was read;
+//! * `sink.merge`: the partials are merged **per tracked column on the
+//!   pool** — columns do not depend on each other — each column taking the
+//!   partials **in partition order**, mirroring the paper's per-partition
+//!   Sink operators whose local statistics are combined when the job
+//!   finishes. The fixed merge order makes the registered statistics
+//!   identical for every worker count;
+//! * `sink.store`: the batches move into the catalog ([`rdo_exec::sink::store`]).
+//!
+//! HyperLogLog merging is exact; a GK sketch merged from per-partition
+//! partials is a different (equally valid, error-bounded) summary than one
+//! built over the gathered data would be. The registered one is always the
+//! merged one, so planning decisions never depend on the worker count.
 
 use crate::pool::WorkerPool;
 use rdo_common::Result;
 use rdo_exec::{ExecutionMetrics, MaterializeOutcome, PartitionedData};
-use rdo_sketch::DatasetStatsBuilder;
+use rdo_sketch::{DatasetStats, DatasetStatsBuilder};
 use rdo_storage::Catalog;
 
 /// Materializes `data` into the catalog as temporary table `name`,
 /// hash-partitioned on `partition_key`, collecting online statistics on
-/// `tracked_columns` (when `collect_stats` is true) from per-partition
-/// partials merged at the barrier. Sketch building runs on the caller's
+/// `tracked_columns` from per-partition partials merged at the barrier.
+///
+/// The paper disables online statistics for the final iteration ("the online
+/// statistics framework is enabled in all the iterations except for the last
+/// one"), which callers express through `collect_stats`; the row count is
+/// registered either way. Sketch building and merging run on the caller's
 /// persistent `pool` (one pool per driver execution, shared by every stage)
-/// and reads the batches column slot by column slot.
+/// and read the batches column slot by column slot.
 ///
 /// The batches then move into the catalog ([`rdo_exec::sink::store`]): as
 /// they are when `data` is already hash-partitioned on `partition_key` with
@@ -51,33 +60,45 @@ pub fn materialize(
     let mut span = rdo_trace::span("sink.materialize");
     span.attr_str("table", name);
 
-    // Statistics cost accounting, shared with the serial Sink: one
-    // observation per tracked column actually present in the schema, per row.
+    // Statistics cost accounting: one observation per tracked column
+    // actually present in the schema, per row.
     let tracked: &[String] = if collect_stats { tracked_columns } else { &[] };
     let stats_values = rdo_exec::sink::tracked_columns_present(data.schema(), tracked) * rows;
 
-    // Per-partition sketch building on the pool, merged in partition order.
     let partials = pool.map_indexed(data.num_partitions(), |p| {
+        let mut span = rdo_trace::span("sink.sketch");
+        span.attr_u64("partition", p as u64);
         let mut builder = DatasetStatsBuilder::new(data.schema(), tracked);
         for batch in &data.partitions()[p] {
             builder.observe_batch(batch);
         }
+        builder.seal();
         builder
     });
-    let mut merged = DatasetStatsBuilder::new(data.schema(), tracked);
-    for partial in &partials {
-        merged.merge(partial);
-    }
+    let stats = {
+        let _span = rdo_trace::span("sink.merge");
+        let names = DatasetStatsBuilder::new(data.schema(), tracked).tracked_columns();
+        let columns = pool.map_indexed(names.len(), |column| {
+            DatasetStatsBuilder::merged_column(&partials, column)
+        });
+        DatasetStats {
+            row_count: rows,
+            columns: names.into_iter().zip(columns).collect(),
+        }
+    };
 
-    let outcome = rdo_exec::sink::store(
-        catalog,
-        name,
-        data,
-        partition_key,
-        merged.build(),
-        stats_values,
-        metrics,
-    )?;
+    let outcome = {
+        let _span = rdo_trace::span("sink.store");
+        rdo_exec::sink::store(
+            catalog,
+            name,
+            data,
+            partition_key,
+            stats,
+            stats_values,
+            metrics,
+        )?
+    };
     span.attr_u64("rows", outcome.rows);
     span.attr_u64("bytes", outcome.bytes);
     Ok(outcome)
@@ -139,13 +160,49 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.rows, 100);
         assert_eq!(outcome.stats_values, 100);
+        assert!(outcome.bytes > 0);
         assert_eq!(metrics.rows_materialized, 100);
         assert_eq!(metrics.stats_values_observed, 100);
+        // Online statistics exist for the tracked column, and only for it.
         let stats = cat.stats().get("I_1").unwrap();
         assert_eq!(stats.row_count, 100);
         let column = stats.column("o_custkey").unwrap();
         assert!((column.distinct_nonzero() - 10.0).abs() < 2.0);
+        assert!(stats.column("o_orderkey").is_none());
         assert!(cat.table("I_1").unwrap().is_partitioned_on("o_custkey"));
+
+        // Reading the intermediate back charges intermediate-read metrics, not
+        // base-scan metrics.
+        let mut read = ExecutionMetrics::new();
+        let relation = rdo_exec::Executor::new(&cat)
+            .execute_to_relation(&PhysicalPlan::scan("I_1"), &mut read)
+            .unwrap();
+        assert_eq!(relation.len(), 100);
+        assert_eq!(read.rows_intermediate_read, 100);
+        assert_eq!(read.rows_scanned, 0);
+    }
+
+    #[test]
+    fn tracked_columns_missing_from_schema_are_ignored() {
+        let mut cat = catalog();
+        let (data, mut metrics) = scan(&cat, 1);
+        let outcome = materialize(
+            &WorkerPool::new(1),
+            &mut cat,
+            "I_2",
+            &data,
+            None,
+            &["not_a_column".to_string(), "o_custkey".to_string()],
+            true,
+            &mut metrics,
+        )
+        .unwrap();
+        assert_eq!(
+            outcome.stats_values, 100,
+            "only the real column is observed"
+        );
+        let stats = cat.stats().get("I_2").unwrap();
+        assert_eq!(stats.columns.len(), 1);
     }
 
     #[test]
@@ -215,14 +272,23 @@ mod tests {
         let table = cat.table("I_spill").unwrap();
         assert!(table.is_spilled());
         assert_eq!(table.row_count(), 100);
-        // Statistics were merged from per-partition partials before spilling.
+        // Statistics were merged from per-partition partials before spilling,
+        // exactly as in memory.
         assert_eq!(m.stats_values_observed, 100);
-        assert!(cat
-            .stats()
-            .get("I_spill")
-            .unwrap()
-            .column("o_custkey")
-            .is_some());
+        let stats = cat.stats().get("I_spill").unwrap();
+        assert_eq!(stats.row_count, 100);
+        assert!(stats.column("o_custkey").is_some());
+
+        // Reading the spilled intermediate charges the same logical
+        // intermediate-read metrics as the memory path, plus page reads.
+        let mut read = ExecutionMetrics::new();
+        let relation = rdo_exec::Executor::new(&cat)
+            .execute_to_relation(&PhysicalPlan::scan("I_spill"), &mut read)
+            .unwrap();
+        assert_eq!(relation.len(), 100);
+        assert_eq!(read.rows_intermediate_read, 100);
+        assert_eq!(read.spill_pages_read, m.spill_pages_written);
+        assert_eq!(read.spill_bytes_read, m.spill_bytes_written);
     }
 
     #[test]
@@ -263,11 +329,7 @@ mod tests {
                 stats.column("o_custkey").unwrap(),
                 reference.column("o_custkey").unwrap(),
             );
-            assert_eq!(
-                a.distinct_nonzero(),
-                b.distinct_nonzero(),
-                "workers={workers}"
-            );
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "workers={workers}");
         }
     }
 

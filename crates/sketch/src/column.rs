@@ -79,63 +79,73 @@ impl ColumnStatsBuilder {
         }
     }
 
-    /// Observes one value.
+    /// Observes one value. NULL — and a `Float64` NaN, which has no rank (see
+    /// [`crate::gk`]) — only counts toward `null_count`.
     pub fn observe(&mut self, value: &Value) {
-        if value.is_null() {
+        let rank = value.numeric_rank();
+        if value.is_null() || rank.is_nan() {
             self.null_count += 1;
             return;
         }
-        self.observe_ranked(value.numeric_rank(), hash_value(value));
+        self.observe_present(1, [(rank, hash_value(value))]);
     }
 
-    /// Observes one non-null value by its histogram rank and stable digest.
-    fn observe_ranked(&mut self, rank: f64, hash: u64) {
-        self.count += 1;
-        self.gk.insert(rank);
-        self.hll.insert_hash(hash);
-        self.min = Some(self.min.map_or(rank, |m| m.min(rank)));
-        self.max = Some(self.max.map_or(rank, |m| m.max(rank)));
+    /// Feeds the `(rank, digest)` of every non-null value among `slots`
+    /// slots (no rank is NaN), in slot order, to the three sketches in one
+    /// loop: ranks go to the GK buffer a chunk at a time, digests to the HLL
+    /// registers, and min/max fold in locals.
+    fn observe_present(&mut self, slots: usize, present: impl IntoIterator<Item = (f64, u64)>) {
+        // NaN is the identity of `f64::min`/`max` and never a rank, so it
+        // stands for "nothing yet" without an `Option` per value.
+        let mut min = self.min.unwrap_or(f64::NAN);
+        let mut max = self.max.unwrap_or(f64::NAN);
+        let mut seen = 0u64;
+        let hll = &mut self.hll;
+        self.gk.extend(present.into_iter().map(|(rank, hash)| {
+            hll.insert_hash(hash);
+            min = min.min(rank);
+            max = max.max(rank);
+            seen += 1;
+            rank
+        }));
+        if seen > 0 {
+            (self.min, self.max) = (Some(min), Some(max));
+        }
+        self.count += seen;
+        self.null_count += slots as u64 - seen;
     }
 
     /// Observes every slot of a column in slot order, straight off the typed
     /// payload: the sketch state afterwards is exactly what observing the
     /// materialized [`Value`]s one by one would leave.
     pub fn observe_column(&mut self, column: &Column) {
+        fn valid<'a, T: Copy>(
+            values: &'a [T],
+            validity: &'a NullBitmap,
+        ) -> impl Iterator<Item = T> + 'a {
+            let slots = values.iter().enumerate();
+            slots.filter_map(|(i, &v)| validity.is_valid(i).then_some(v))
+        }
         // Ranks and digests below replay `Value::numeric_rank` and
         // `hash_value` per variant.
-        fn slots<T: Copy>(
-            builder: &mut ColumnStatsBuilder,
-            values: &[T],
-            validity: &NullBitmap,
-            ranked: impl Fn(T) -> (f64, u64),
-        ) {
-            let no_nulls = validity.all_valid();
-            for (i, &v) in values.iter().enumerate() {
-                if no_nulls || validity.is_valid(i) {
-                    let (rank, hash) = ranked(v);
-                    builder.observe_ranked(rank, hash);
-                } else {
-                    builder.null_count += 1;
-                }
-            }
-        }
         match column {
             Column::Int64 { values, validity } | Column::Date { values, validity } => {
-                slots(self, values, validity, |v| (v as f64, hash_int64(v)))
+                let ranked = valid(values, validity).map(|v| (v as f64, hash_int64(v)));
+                self.observe_present(values.len(), ranked)
             }
             Column::Float64 { values, validity } => {
-                slots(self, values, validity, |v| (v, hash_float64(v)))
+                let ranked = valid(values, validity).filter(|v| !v.is_nan());
+                self.observe_present(values.len(), ranked.map(|v| (v, hash_float64(v))))
             }
-            Column::Bool { values, validity } => slots(self, values, validity, |v| {
-                (if v { 1.0 } else { 0.0 }, hash_bool(v))
-            }),
+            Column::Bool { values, validity } => {
+                let ranked =
+                    valid(values, validity).map(|v| (f64::from(u8::from(v)), hash_bool(v)));
+                self.observe_present(values.len(), ranked)
+            }
             Column::Utf8 { .. } => {
-                for i in 0..column.len() {
-                    match column.str_at(i) {
-                        Some(s) => self.observe_ranked(string_rank(s), hash_utf8(s)),
-                        None => self.null_count += 1,
-                    }
-                }
+                let strings = (0..column.len()).filter_map(|i| column.str_at(i));
+                let ranked = strings.map(|s| (string_rank(s), hash_utf8(s)));
+                self.observe_present(column.len(), ranked)
             }
             Column::Mixed { values } => self.observe_all(values),
         }
@@ -146,6 +156,13 @@ impl ColumnStatsBuilder {
         for v in values {
             self.observe(v);
         }
+    }
+
+    /// Flushes the quantile sketch's buffer into its summary. A partial does
+    /// this where it was built, so that [`ColumnStatsBuilder::merge`] on the
+    /// coordinator only reads it.
+    pub fn seal(&mut self) {
+        self.gk.seal();
     }
 
     /// Merges another builder (per-partition collection then coordinator merge).
@@ -262,6 +279,142 @@ mod tests {
         assert_eq!(s.max, Some(9_999.0));
         let err = (s.distinct as f64 - 10_000.0).abs() / 10_000.0;
         assert!(err < 0.05, "distinct error {err}");
+    }
+
+    /// What the builder did per value before it read columns as slices, from
+    /// the sketches' own public entry points: the definition `observe` and
+    /// `observe_column` are held to.
+    fn reference(values: &[Value]) -> ColumnStatsBuilder {
+        let mut b = ColumnStatsBuilder::new();
+        for value in values {
+            if value.is_null() {
+                b.null_count += 1;
+                continue;
+            }
+            let rank = value.numeric_rank();
+            b.count += 1;
+            b.gk.insert(rank);
+            b.hll.insert_hash(hash_value(value));
+            b.min = Some(b.min.map_or(rank, |m| m.min(rank)));
+            b.max = Some(b.max.map_or(rank, |m| m.max(rank)));
+        }
+        b
+    }
+
+    /// One column of each representation, NULL-free and NULL-bearing, long
+    /// enough to cross several GK buffers. No NaN: those have their own rule.
+    fn columns_of_every_variant() -> Vec<Vec<Value>> {
+        let n = 1_300i64;
+        let typed: Vec<Box<dyn Fn(i64) -> Value>> = vec![
+            Box::new(|i| Value::Int64((i * 7919) % 257 - 100)),
+            Box::new(|i| Value::Date(i % 90)),
+            Box::new(|i| match i % 9 {
+                0 => Value::Float64(-0.0),
+                1 => Value::Float64(0.0),
+                2 => Value::Float64(f64::INFINITY),
+                3 => Value::Float64(f64::NEG_INFINITY),
+                _ => Value::Float64((i % 41) as f64 / 3.0 - 5.0),
+            }),
+            Box::new(|i| Value::Bool(i % 3 == 0)),
+            Box::new(|i| Value::Utf8(format!("né{}", (i * 31) % 77))),
+            // Heterogeneous: lands in a `Mixed` column.
+            Box::new(|i| {
+                if i % 2 == 0 {
+                    Value::Int64(i % 13)
+                } else {
+                    Value::Utf8(format!("m{}", i % 5))
+                }
+            }),
+        ];
+        let mut columns = Vec::new();
+        for make in &typed {
+            columns.push((0..n).map(make).collect());
+            columns.push(
+                (0..n)
+                    .map(|i| if i % 4 == 1 { Value::Null } else { make(i) })
+                    .collect(),
+            );
+        }
+        columns.push(vec![Value::Null; 300]);
+        columns
+    }
+
+    #[test]
+    fn slice_feeding_equals_observing_value_by_value() {
+        use rdo_common::{Batch, Tuple};
+        for values in columns_of_every_variant() {
+            let expected = format!("{:?}", reference(&values));
+            let mut by_value = ColumnStatsBuilder::new();
+            by_value.observe_all(&values);
+            assert_eq!(format!("{by_value:?}"), expected);
+
+            let rows: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+            for chunk_size in [1usize, 100, 255, 256, 257, 5_000] {
+                let mut by_column = ColumnStatsBuilder::new();
+                for chunk in rows.chunks(chunk_size) {
+                    by_column.observe_column(Batch::from_rows(1, chunk).column(0));
+                }
+                assert_eq!(format!("{by_column:?}"), expected, "chunks of {chunk_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_partials_merge_like_unsealed_ones() {
+        let columns = columns_of_every_variant();
+        let mut sealed = ColumnStatsBuilder::new();
+        let mut unsealed = ColumnStatsBuilder::new();
+        for values in &columns {
+            let mut partial = ColumnStatsBuilder::new();
+            partial.observe_all(values);
+            unsealed.merge(&partial);
+            partial.seal();
+            sealed.merge(&partial);
+        }
+        assert_eq!(format!("{sealed:?}"), format!("{unsealed:?}"));
+        assert_eq!(sealed.count() as usize, {
+            let nulls = columns.iter().flatten().filter(|v| v.is_null()).count();
+            columns.iter().map(Vec::len).sum::<usize>() - nulls
+        });
+    }
+
+    #[test]
+    fn a_nan_counts_with_the_nulls() {
+        use rdo_common::{Batch, Tuple};
+        let with_nans: Vec<Value> = (0..1_000)
+            .map(|i| match i % 5 {
+                0 => Value::Float64(f64::NAN),
+                1 => Value::Float64(-f64::NAN),
+                2 => Value::Null,
+                _ => Value::Float64(i as f64),
+            })
+            .collect();
+        let as_nulls: Vec<Value> = with_nans
+            .iter()
+            .map(|v| match v {
+                Value::Float64(f) if f.is_nan() => Value::Null,
+                v => v.clone(),
+            })
+            .collect();
+        let expected = format!("{:?}", reference(&as_nulls));
+
+        let mut by_value = ColumnStatsBuilder::new();
+        by_value.observe_all(&with_nans);
+        assert_eq!(format!("{by_value:?}"), expected);
+
+        let rows: Vec<Tuple> = with_nans
+            .iter()
+            .map(|v| Tuple::new(vec![v.clone()]))
+            .collect();
+        let mut by_column = ColumnStatsBuilder::new();
+        by_column.observe_column(Batch::from_rows(1, &rows).column(0));
+        assert_eq!(format!("{by_column:?}"), expected);
+
+        let stats = by_column.build();
+        assert_eq!((stats.count, stats.null_count), (400, 600));
+        assert_eq!((stats.min, stats.max), (Some(3.0), Some(999.0)));
+        let bounds = [stats.histogram.min(), stats.histogram.max()];
+        assert_eq!(bounds, [Some(3.0), Some(999.0)], "a sorted summary");
     }
 
     #[test]

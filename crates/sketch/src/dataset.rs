@@ -128,6 +128,27 @@ impl DatasetStatsBuilder {
         }
     }
 
+    /// Flushes every column's quantile buffer into its summary. A partial
+    /// does this on the worker that built it, so that merging it elsewhere
+    /// only reads it.
+    pub fn seal(&mut self) {
+        self.builders.iter_mut().for_each(ColumnStatsBuilder::seal);
+    }
+
+    /// The statistics of tracked column `index` over `partials` — builders
+    /// over disjoint row sets, all tracking the same columns — merged in
+    /// slice order: what [`DatasetStatsBuilder::merge`]-ing them into a fresh
+    /// builder and building it gives for that column. Columns do not depend
+    /// on each other, so a caller may compute them concurrently.
+    pub fn merged_column(partials: &[DatasetStatsBuilder], index: usize) -> ColumnStats {
+        let mut merged = ColumnStatsBuilder::new();
+        for partial in partials {
+            debug_assert_eq!(partial.tracked[index].0, partials[0].tracked[index].0);
+            merged.merge(&partial.builders[index]);
+        }
+        merged.build()
+    }
+
     /// Names of the columns being tracked.
     pub fn tracked_columns(&self) -> Vec<String> {
         self.tracked.iter().map(|(n, _)| n.clone()).collect()
@@ -318,6 +339,29 @@ mod tests {
         assert_eq!(stats.row_count, 20);
         assert_eq!(stats.column("o_orderkey").unwrap().count, 20);
         assert_eq!(stats.column("o_custkey").unwrap().count, 10);
+    }
+
+    #[test]
+    fn merged_column_equals_merging_sealed_or_unsealed_builders() {
+        let full = relation(3_000);
+        let mut partials: Vec<DatasetStatsBuilder> = (0..4)
+            .map(|_| DatasetStatsBuilder::all_columns(&schema()))
+            .collect();
+        for (i, row) in full.rows().iter().enumerate() {
+            partials[i % 4].observe(row);
+        }
+        let mut whole = DatasetStatsBuilder::all_columns(&schema());
+        partials.iter().for_each(|p| whole.merge(p));
+        let expected = whole.build();
+
+        partials.iter_mut().for_each(DatasetStatsBuilder::seal);
+        for (index, name) in partials[0].tracked_columns().iter().enumerate() {
+            assert_eq!(
+                format!("{:?}", DatasetStatsBuilder::merged_column(&partials, index)),
+                format!("{:?}", expected.column(name).unwrap()),
+                "{name}"
+            );
+        }
     }
 
     /// Column-slot observation leaves the very sketch state row-by-row
