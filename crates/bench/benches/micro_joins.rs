@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-use rdo_exec::{ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan};
+use rdo_core::{ParallelConfig, ParallelExecutor};
+use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PhysicalPlan};
 use rdo_storage::{Catalog, IngestOptions};
 
 fn build_catalog(fact_rows: i64, dim_rows: i64) -> Catalog {
@@ -67,7 +68,7 @@ fn bench_joins(c: &mut Criterion) {
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let executor = Executor::new(&catalog);
+                        let executor = ParallelExecutor::new(&catalog, ParallelConfig::serial());
                         let mut metrics = ExecutionMetrics::new();
                         executor.execute(plan, &mut metrics).unwrap().row_count()
                     });

@@ -23,14 +23,13 @@
 //! the diff.
 
 use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-use rdo_core::{DynamicConfig, DynamicDriver, ParallelConfig};
+use rdo_core::{DynamicConfig, DynamicDriver, ParallelConfig, ParallelExecutor};
 use rdo_exec::partition::{
     hash_join_partition_chunked, hash_join_partition_rows, repartition_partition_chunked,
     repartition_partition_rows, scan_partition_chunked, scan_partition_rows,
 };
 use rdo_exec::{
-    CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan, Predicate,
-    DEFAULT_BATCH_SIZE,
+    CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm, PhysicalPlan, Predicate, DEFAULT_BATCH_SIZE,
 };
 use rdo_storage::{Catalog, IngestOptions, SpillConfig, Table};
 use rdo_workloads::{all_queries, BenchmarkEnv, ScaleFactor};
@@ -327,7 +326,7 @@ fn run_join(
         FieldRef::new("dim", "d_id"),
         algorithm,
     );
-    let executor = Executor::new(catalog);
+    let executor = ParallelExecutor::new(catalog, ParallelConfig::serial());
     let mut metrics = ExecutionMetrics::new();
     let start = Instant::now();
     let data = executor
@@ -456,7 +455,7 @@ fn run_spill(label: &str, compress: bool, columnar: bool, model: &CostModel) -> 
     metrics.spill_pages_written += stored.pages_written;
     metrics.spill_bytes_written += stored.bytes_written;
     metrics.spill_logical_bytes_written += stored.logical_bytes_written;
-    let data = Executor::new(&catalog)
+    let data = ParallelExecutor::new(&catalog, ParallelConfig::serial())
         .execute(&PhysicalPlan::scan("temp"), &mut metrics)
         .expect("scan spilled intermediate");
     BenchRecord {
@@ -520,7 +519,7 @@ fn run_storage(label: &str, model: &CostModel) -> BenchRecord {
         FieldRef::new("dim", "d_id"),
         JoinAlgorithm::Hash,
     );
-    let data = Executor::new(&catalog)
+    let data = ParallelExecutor::new(&catalog, ParallelConfig::serial())
         .execute(&plan, &mut metrics)
         .expect("join over the intermediate");
     BenchRecord {

@@ -7,25 +7,23 @@
 //! failure by not having to start over from the beginning of a long-running
 //! query." This module implements that extension.
 //!
-//! [`CheckpointedDriver`] runs the same stages as [`crate::DynamicDriver`]
-//! (predicate push-down, one materialized join per re-optimization point, final
-//! job) but records every completed stage in a [`CheckpointLog`] and leaves the
-//! materialized intermediates in the catalog when a failure interrupts the run.
-//! A subsequent execution with the same log *replays* the completed stages —
-//! reusing their intermediates and statistics — and only executes the remaining
-//! ones. [`FailureInjector`] provides deterministic failure injection for tests
-//! and experiments.
+//! [`CheckpointedDriver`] runs [`crate::DynamicDriver`]'s stage loop — there
+//! is one Algorithm 1, and it reports every materialized stage to whoever
+//! owns the temporaries. This owner records each report in a
+//! [`CheckpointLog`] and leaves the intermediates in the catalog when a
+//! failure interrupts the run. A subsequent execution with the same log
+//! *replays* the completed stages — reusing their intermediates and
+//! statistics — and starts the loop from the remaining query.
+//! [`FailureInjector`] provides deterministic failure injection for tests and
+//! experiments.
 
-use crate::driver::{project_result, sanitize, DynamicConfig, DynamicDriver};
+pub use crate::driver::StageKind;
+use crate::driver::{DynamicConfig, DynamicDriver};
 use rdo_common::{RdoError, Relation, Result};
 use rdo_exec::ExecutionMetrics;
-use rdo_parallel::{materialize, ParallelExecutor, WorkerPool};
-use rdo_planner::greedy::join_edges;
-use rdo_planner::{
-    reconstruct_after_join, reconstruct_after_pushdown, CostBasedOptimizer, GreedyPlanner,
-    Optimizer, QuerySpec,
-};
+use rdo_planner::QuerySpec;
 use rdo_storage::Catalog;
+use rdo_trace::audit::AuditLog;
 
 /// Deterministic failure injection: the run fails after a given number of
 /// newly executed (and checkpointed) stages.
@@ -50,15 +48,6 @@ impl FailureInjector {
     fn should_fail(&self, executed_stages: u32) -> bool {
         matches!(self.fail_after, Some(limit) if executed_stages >= limit)
     }
-}
-
-/// The kind of checkpointed stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// A pushed-down single-variable query (Algorithm 1 lines 6–9).
-    Pushdown,
-    /// A materialized join from the re-optimization loop.
-    Join,
 }
 
 /// One completed (and materialized) stage.
@@ -120,6 +109,8 @@ pub struct RecoveredOutcome {
     /// Plan signature of every stage this run executed (recovered stages are
     /// annotated).
     pub stage_plans: Vec<String>,
+    /// The optimizer audit trail of the stages this run executed.
+    pub audit: AuditLog,
 }
 
 /// A dynamic-optimization driver whose stages double as recovery checkpoints.
@@ -149,22 +140,11 @@ impl CheckpointedDriver {
         log: &mut CheckpointLog,
     ) -> Result<RecoveredOutcome> {
         spec.validate()?;
-        // Shared persistent pool + spill policy, exactly as in DynamicDriver:
-        // spilled checkpoints survive between the failed and the recovering
-        // execution because the catalog keeps the same spill manager for an
-        // unchanged configuration.
-        catalog.configure_spill(self.config.spill)?;
-        let pool = WorkerPool::new(self.config.parallel.workers);
-        let transport = rdo_net::transport_from_config(&self.config.parallel)?;
-        let planner = GreedyPlanner::new(self.config.policy, self.config.rule);
-        let mut metrics = ExecutionMetrics::new();
-        let mut stage_plans = Vec::new();
-        let mut executed = 0u32;
-        let mut reoptimization_points = 0u32;
-        let mut intermediate_counter = 0usize;
 
         // ---- Replay the checkpointed stages. ----
-        let mut spec = spec.clone();
+        let mut remaining = spec.clone();
+        let mut materialized_joins = 0u32;
+        let mut stage_plans = Vec::new();
         for entry in &log.entries {
             if !catalog.has_table(&entry.table) {
                 return Err(RdoError::Execution(format!(
@@ -173,130 +153,39 @@ impl CheckpointedDriver {
                 )));
             }
             if entry.kind == StageKind::Join {
-                reoptimization_points += 1;
-                intermediate_counter += 1;
+                materialized_joins += 1;
             }
             stage_plans.push(format!("recovered {}", entry.description));
-            spec = entry.spec_after.clone();
+            remaining = entry.spec_after.clone();
         }
         let stages_recovered = log.len() as u32;
 
-        // ---- Predicate push-down stage (skipping already-recovered aliases). ----
-        if self.config.push_down_predicates {
-            loop {
-                let candidates = spec.pushdown_candidates();
-                let Some(alias) = candidates.first().cloned() else {
-                    break;
-                };
-                let mut stage_metrics = ExecutionMetrics::new();
-                let plan = DynamicDriver::pushdown_plan(&spec, &alias)?;
-                let description = format!("pushdown {}", plan.signature());
-                let data = {
-                    let executor =
-                        ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                            .with_transport(std::sync::Arc::clone(&transport));
-                    executor.execute(&plan, &mut stage_metrics)?
-                };
-                let table = format!("{}__ckpt_{}_filtered", sanitize(&spec.name), alias);
-                let partition_key = spec
-                    .joins_involving(&alias)
-                    .first()
-                    .and_then(|j| j.key_of(&alias))
-                    .map(|k| k.field.clone());
-                let tracked = DynamicDriver::tracked_columns(&spec, &alias);
-                materialize(
-                    &pool,
-                    catalog,
-                    &table,
-                    &data,
-                    partition_key.as_deref(),
-                    &tracked,
-                    self.config.collect_online_stats,
-                    &mut stage_metrics,
-                )?;
-                spec = reconstruct_after_pushdown(&spec, &alias, &table);
-                metrics.add(&stage_metrics);
-                stage_plans.push(description.clone());
+        // ---- Run the rest, one checkpoint per materialized stage. Spilled
+        // checkpoints survive between the failed and the recovering execution
+        // because the catalog keeps the same spill manager for an unchanged
+        // configuration. ----
+        let mut executed = 0u32;
+        let driver = DynamicDriver::new(self.config.clone());
+        let transport = driver.configured_transport()?;
+        let outcome = driver.run_stages(
+            remaining,
+            materialized_joins,
+            catalog,
+            transport,
+            &mut |stage| {
                 log.entries.push(CheckpointEntry {
-                    kind: StageKind::Pushdown,
-                    description,
-                    table,
-                    spec_after: spec.clone(),
+                    kind: stage.kind,
+                    description: stage.description.to_string(),
+                    table: stage.table.to_string(),
+                    spec_after: stage.spec_after.clone(),
                 });
                 executed += 1;
                 if injector.should_fail(executed) {
                     return Err(injected_failure(executed));
                 }
-            }
-        }
-
-        // ---- Re-optimization loop, one checkpoint per materialized join. ----
-        while join_edges(&spec).len() > 2
-            && self
-                .config
-                .reopt_budget
-                .is_none_or(|budget| reoptimization_points < budget)
-        {
-            reoptimization_points += 1;
-            let planned = planner.next_join(&spec, catalog, catalog.stats())?;
-            let plan = planner.join_plan(&spec, &planned)?;
-            let description = plan.signature();
-
-            let mut stage_metrics = ExecutionMetrics::new();
-            let data = {
-                let executor =
-                    ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                        .with_transport(std::sync::Arc::clone(&transport));
-                executor.execute(&plan, &mut stage_metrics)?
-            };
-            intermediate_counter += 1;
-            let table = format!("{}__ckptI{}", sanitize(&spec.name), intermediate_counter);
-            let new_spec =
-                reconstruct_after_join(&spec, &planned.probe_alias, &planned.build_alias, &table);
-            let remaining_edges = join_edges(&new_spec).len();
-            let collect = self.config.collect_online_stats && remaining_edges > 2;
-            let tracked = DynamicDriver::tracked_columns(&new_spec, &table);
-            let partition_key = planned.keys.first().map(|(probe, _)| probe.field.clone());
-            materialize(
-                &pool,
-                catalog,
-                &table,
-                &data,
-                partition_key.as_deref(),
-                &tracked,
-                collect,
-                &mut stage_metrics,
-            )?;
-            spec = new_spec;
-            metrics.add(&stage_metrics);
-            stage_plans.push(description.clone());
-            log.entries.push(CheckpointEntry {
-                kind: StageKind::Join,
-                description,
-                table,
-                spec_after: spec.clone(),
-            });
-            executed += 1;
-            if injector.should_fail(executed) {
-                return Err(injected_failure(executed));
-            }
-        }
-
-        // ---- Final job (never checkpointed: its output is the result). ----
-        let final_plan = if join_edges(&spec).len() > 2 {
-            CostBasedOptimizer::new(self.config.rule).plan(&spec, catalog, catalog.stats())?
-        } else {
-            planner.plan_remaining(&spec, catalog, catalog.stats())?
-        };
-        stage_plans.push(final_plan.signature());
-        let mut stage_metrics = ExecutionMetrics::new();
-        let relation = {
-            let executor = ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                .with_transport(std::sync::Arc::clone(&transport));
-            executor.execute_to_relation(&final_plan, &mut stage_metrics)?
-        };
-        metrics.add(&stage_metrics);
-        let result = project_result(relation, &spec.projection)?;
+                Ok(())
+            },
+        )?;
 
         // Success: the checkpoints are no longer needed.
         for table in log.tables() {
@@ -304,12 +193,14 @@ impl CheckpointedDriver {
         }
         log.entries.clear();
 
+        stage_plans.extend(outcome.stage_plans);
         Ok(RecoveredOutcome {
-            result,
-            metrics,
+            result: outcome.result,
+            metrics: outcome.total,
             stages_recovered,
             stages_executed: executed,
             stage_plans,
+            audit: outcome.audit,
         })
     }
 }
@@ -437,6 +328,7 @@ mod tests {
     #[test]
     fn failure_then_recovery_reuses_checkpointed_stages() {
         let mut cat = catalog();
+        let base_tables = cat.table_names();
         let expected = reference_result(&mut cat);
         let driver = CheckpointedDriver::new(DynamicConfig::default());
         let mut log = CheckpointLog::new();
@@ -475,8 +367,9 @@ mod tests {
             "recovered run must agree"
         );
         assert!(log.is_empty());
-        assert!(
-            cat.table_names().iter().all(|t| !t.contains("__ckpt")),
+        assert_eq!(
+            cat.table_names(),
+            base_tables,
             "all checkpoints dropped after success"
         );
     }

@@ -230,6 +230,29 @@ impl DynamicOutcome {
     }
 }
 
+/// The kind of a materialized stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageKind {
+    /// A pushed-down single-variable query (Algorithm 1 lines 6–9).
+    Pushdown,
+    /// A materialized join from the re-optimization loop.
+    Join,
+}
+
+/// A completed stage whose output now sits in the catalog as a temporary
+/// table — what the stage loop reports to its caller, who owns the
+/// temporaries: [`DynamicDriver`] drops them when the run ends,
+/// [`crate::CheckpointedDriver`] logs them as checkpoints.
+pub(crate) struct MaterializedStage<'a> {
+    pub(crate) kind: StageKind,
+    /// The stage's entry in [`DynamicOutcome::stage_plans`].
+    pub(crate) description: &'a str,
+    /// Name of the temporary table holding the stage's output.
+    pub(crate) table: &'a str,
+    /// The remaining query after the stage's reconstruction.
+    pub(crate) spec_after: &'a QuerySpec,
+}
+
 /// The runtime dynamic optimization driver.
 #[derive(Debug, Clone)]
 pub struct DynamicDriver {
@@ -252,8 +275,13 @@ impl DynamicDriver {
     /// for the TCP backend); use [`DynamicDriver::execute_with_transport`] to
     /// pass an explicit transport object instead.
     pub fn execute(&self, spec: &QuerySpec, catalog: &mut Catalog) -> Result<DynamicOutcome> {
-        let transport = rdo_net::transport_from_config(&self.config.parallel)?;
+        let transport = self.configured_transport()?;
         self.execute_with_transport(spec, catalog, transport)
+    }
+
+    /// The exchange transport the configuration selects.
+    pub(crate) fn configured_transport(&self) -> Result<Arc<dyn Transport>> {
+        rdo_net::transport_from_config(&self.config.parallel)
     }
 
     /// [`DynamicDriver::execute`] with an explicit exchange transport —
@@ -267,31 +295,55 @@ impl DynamicDriver {
         transport: Arc<dyn Transport>,
     ) -> Result<DynamicOutcome> {
         spec.validate()?;
-        // One persistent worker pool per execution, shared by every stage's
-        // executor and Sink barrier (threads spawn once, not per stage), and
-        // the spill policy applied to the catalog for the intermediates this
-        // run materializes.
+        let mut temporaries: Vec<String> = Vec::new();
+        let outcome = self.run_stages(spec.clone(), 0, catalog, transport, &mut |stage| {
+            temporaries.push(stage.table.to_string());
+            Ok(())
+        });
+        // Always clean up temporary tables, even on error.
+        for table in &temporaries {
+            catalog.drop_table(table);
+        }
+        outcome
+    }
+
+    /// Algorithm 1 from a given starting point: `spec` is the remaining
+    /// query and `materialized_joins` the re-optimization points already
+    /// spent on it (the query itself and 0, or what a checkpoint log
+    /// replayed). Every stage that materializes an intermediate is reported
+    /// to `on_stage` right after its Sink; an error from the callback stops
+    /// the run there. The temporaries stay in the catalog — dropping them is
+    /// the caller's decision.
+    pub(crate) fn run_stages(
+        &self,
+        mut spec: QuerySpec,
+        materialized_joins: u32,
+        catalog: &mut Catalog,
+        transport: Arc<dyn Transport>,
+        on_stage: &mut dyn FnMut(MaterializedStage<'_>) -> Result<()>,
+    ) -> Result<DynamicOutcome> {
         let trace = self.config.trace.clone();
         let _trace_guard = trace.install();
         // Live observability: start the RDO_METRICS_ADDR scrape listener (a
         // no-op without the knob) and expose this query's collector to it.
         rdo_trace::serve::ensure_started_from_env();
         rdo_trace::serve::register_query(&spec.name, &trace);
+        // The spill policy applies to the intermediates this run
+        // materializes, and one persistent worker pool is shared by every
+        // stage's executor and Sink barrier (threads spawn once, not per
+        // stage).
         catalog.configure_spill(self.config.spill)?;
         let pool = match &self.config.pool {
             Some(shared) => shared.clone(),
             None => WorkerPool::new(self.config.parallel.workers),
         };
         let planner = GreedyPlanner::new(self.config.policy, self.config.rule);
-        let mut spec = spec.clone();
         let mut total = ExecutionMetrics::new();
         let mut pushdown = ExecutionMetrics::new();
         let mut planner_invocations = 0u32;
-        let mut reoptimization_points = 0u32;
         let mut stage_plans = Vec::new();
         let mut audit = AuditLog::default();
-        let mut temp_tables: Vec<String> = Vec::new();
-        let mut intermediate_counter = 0usize;
+        let mut reoptimization_points = materialized_joins;
 
         let outcome = (|| -> Result<DynamicOutcome> {
             let mut root = rdo_trace::span("driver.execute");
@@ -304,7 +356,7 @@ impl DynamicDriver {
                     rdo_trace::note("stage", &format!("pushdown:{alias}"));
                     let mut stage_metrics = ExecutionMetrics::new();
                     let plan = Self::pushdown_plan(&spec, &alias)?;
-                    stage_plans.push(format!("pushdown {}", plan.signature()));
+                    let description = format!("pushdown {}", plan.signature());
                     // The value-qualified signature of this filtered scan —
                     // the key repeat queries find the measured cardinality
                     // under (the plan signature alone is predicate-blind).
@@ -323,15 +375,8 @@ impl DynamicDriver {
                         None => estimator,
                     };
                     let estimated_rows = estimator.dataset_size(&spec, &alias).ok();
-                    let data = {
-                        let executor = ParallelExecutor::with_pool(
-                            catalog,
-                            self.config.parallel,
-                            pool.clone(),
-                        )
-                        .with_transport(Arc::clone(&transport));
-                        executor.execute(&plan, &mut stage_metrics)?
-                    };
+                    let data = stage_executor(catalog, &pool, &transport)
+                        .execute(&plan, &mut stage_metrics)?;
                     let table_name = format!("{}__{}_filtered", sanitize(&spec.name), alias);
                     let partition_key = spec
                         .joins_involving(&alias)
@@ -358,10 +403,16 @@ impl DynamicDriver {
                     if let Some(learned) = &self.config.learned {
                         learned.observe(&learned_key, materialized.rows);
                     }
-                    temp_tables.push(table_name.clone());
                     spec = reconstruct_after_pushdown(&spec, &alias, &table_name);
                     pushdown.add(&stage_metrics);
                     total.add(&stage_metrics);
+                    on_stage(MaterializedStage {
+                        kind: StageKind::Pushdown,
+                        description: &description,
+                        table: &table_name,
+                        spec_after: &spec,
+                    })?;
+                    stage_plans.push(description);
                 }
             }
 
@@ -393,7 +444,6 @@ impl DynamicDriver {
                     };
                     (planned, plan, runner_up)
                 };
-                stage_plans.push(plan.signature());
                 // Explain the decision: the estimate the last stage corrected,
                 // the join the refreshed statistics picked, and the alternative
                 // it rejected.
@@ -407,15 +457,10 @@ impl DynamicDriver {
                 });
 
                 let mut stage_metrics = ExecutionMetrics::new();
-                let data = {
-                    let executor =
-                        ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                            .with_transport(Arc::clone(&transport));
-                    executor.execute(&plan, &mut stage_metrics)?
-                };
+                let data = stage_executor(catalog, &pool, &transport)
+                    .execute(&plan, &mut stage_metrics)?;
 
-                intermediate_counter += 1;
-                let name = format!("{}__I{}", sanitize(&spec.name), intermediate_counter);
+                let name = format!("{}__I{}", sanitize(&spec.name), reoptimization_points);
                 let new_spec = reconstruct_after_join(
                     &spec,
                     &planned.probe_alias,
@@ -451,9 +496,16 @@ impl DynamicDriver {
                 // across queries with different constants. Only the
                 // value-qualified `filter_key` observations of the push-down
                 // stages feed the catalog.
-                temp_tables.push(name);
                 spec = new_spec;
                 total.add(&stage_metrics);
+                let description = plan.signature();
+                on_stage(MaterializedStage {
+                    kind: StageKind::Join,
+                    description: &description,
+                    table: &name,
+                    spec_after: &spec,
+                })?;
+                stage_plans.push(description);
             }
 
             // ---- Stage 3: final job. With an unlimited budget at most two joins
@@ -488,23 +540,22 @@ impl DynamicDriver {
             stage_plans.push(final_plan.signature());
             stage_span.attr_str("plan", &final_plan.signature());
             let mut stage_metrics = ExecutionMetrics::new();
-            let relation = {
-                let executor =
-                    ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                        .with_transport(Arc::clone(&transport));
-                executor.execute_to_relation(&final_plan, &mut stage_metrics)?
-            };
+            let result = final_job(
+                &stage_executor(catalog, &pool, &transport),
+                &final_plan,
+                &spec.projection,
+                &mut stage_metrics,
+            )?;
             total.add(&stage_metrics);
+            // Like the join stages above, the final plan's signature is
+            // predicate-blind (any single-table filtered query renders as
+            // `σ(table)`), so its cardinality is not observed under it.
             audit.estimates.push(EstimateRecord {
                 stage: "final".to_string(),
                 operator: final_plan.signature(),
                 estimated_rows: final_estimate,
-                actual_rows: relation.len() as u64,
+                actual_rows: result.len() as u64,
             });
-            // Like the join stages above, the final plan's signature is
-            // predicate-blind (any single-table filtered query renders as
-            // `σ(table)`), so its cardinality is not observed under it.
-            let result = project_result(relation, &spec.projection)?;
 
             Ok(DynamicOutcome {
                 result,
@@ -517,10 +568,6 @@ impl DynamicDriver {
             })
         })();
 
-        // Always clean up temporary tables, even on error.
-        for table in &temp_tables {
-            catalog.drop_table(table);
-        }
         // RDO_TRACE names a Chrome trace_event export path: write the profile
         // collected by this execution there (last run wins). API users call
         // `profile()` on their handle clone instead.
@@ -537,7 +584,7 @@ impl DynamicDriver {
     /// Builds the single-variable query for one pushed-down dataset (the paper's
     /// Q2/Q3): its local predicates plus a projection onto the attributes the
     /// remaining query needs.
-    pub(crate) fn pushdown_plan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
+    fn pushdown_plan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
         let table = spec.table_of(alias)?;
         let predicates = spec.predicates_for(alias).into_iter().cloned().collect();
         let projection = spec.required_columns(alias, false);
@@ -550,7 +597,7 @@ impl DynamicDriver {
 
     /// The columns of `alias` worth collecting statistics on: its join keys in
     /// the (remaining) query.
-    pub(crate) fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<String> {
+    fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<String> {
         spec.join_key_columns().remove(alias).unwrap_or_default()
     }
 }
@@ -575,7 +622,29 @@ pub fn project_result(relation: Relation, projection: &[FieldRef]) -> Result<Rel
     Relation::new(out_schema, rows).map_err(|e| RdoError::Execution(e.to_string()))
 }
 
-pub(crate) fn sanitize(name: &str) -> String {
+/// The executor every stage of one execution runs on: the execution's worker
+/// pool and exchange transport over the catalog as it stands at that stage.
+fn stage_executor<'a>(
+    catalog: &'a Catalog,
+    pool: &WorkerPool,
+    transport: &Arc<dyn Transport>,
+) -> ParallelExecutor<'a> {
+    ParallelExecutor::with_pool(catalog, pool.clone()).with_transport(Arc::clone(transport))
+}
+
+/// The final job of every strategy, dynamic or static: execute the plan,
+/// gather its output on the coordinator and project it onto the SELECT list.
+pub(crate) fn final_job(
+    executor: &ParallelExecutor<'_>,
+    plan: &PhysicalPlan,
+    projection: &[FieldRef],
+    metrics: &mut ExecutionMetrics,
+) -> Result<Relation> {
+    let relation = executor.execute_to_relation(plan, metrics)?;
+    project_result(relation, projection)
+}
+
+fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect()

@@ -2,7 +2,7 @@
 //! paper compares and reports wall time, simulated cluster cost and (for the
 //! dynamic variants) the overhead breakdown.
 
-use crate::driver::{project_result, DynamicConfig, DynamicDriver};
+use crate::driver::{final_job, DynamicConfig, DynamicDriver};
 use crate::report::CostBreakdown;
 use rdo_common::{Relation, Result};
 use rdo_exec::{CostModel, ExecutionMetrics};
@@ -349,14 +349,11 @@ impl QueryRunner {
                 let _planning = rdo_trace::span("planner.plan");
                 optimizer.plan_with_overhead(spec, catalog, catalog.stats())?
             };
-            let relation = {
-                let mut stage_span = rdo_trace::span("stage.final");
-                stage_span.attr_str("plan", &plan.signature());
-                let executor = ParallelExecutor::with_pool(catalog, self.parallel, pool)
-                    .with_transport(transport);
-                executor.execute_to_relation(&plan, &mut metrics)?
-            };
-            (project_result(relation, &spec.projection)?, plan, metrics)
+            let mut stage_span = rdo_trace::span("stage.final");
+            stage_span.attr_str("plan", &plan.signature());
+            let executor = ParallelExecutor::with_pool(catalog, pool).with_transport(transport);
+            let result = final_job(&executor, &plan, &spec.projection, &mut metrics)?;
+            (result, plan, metrics)
         };
         let wall_seconds = start.elapsed().as_secs_f64();
         Ok(RunReport {

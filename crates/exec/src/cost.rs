@@ -153,9 +153,8 @@ impl ExecutionMetrics {
     /// Merges two per-partition metric partials into one. Every counter is a
     /// plain sum (except `grace_peak_transient_bytes`, a max-merged
     /// high-water mark), so the operation is associative and commutative —
-    /// the partition-parallel executor folds worker partials in partition
-    /// order and gets the same totals the serial executor accumulates,
-    /// regardless of which worker ran which partition.
+    /// the executor folds worker partials in partition order and gets the
+    /// same totals regardless of which worker ran which partition.
     #[must_use]
     pub fn merge(mut self, other: ExecutionMetrics) -> ExecutionMetrics {
         self.add(&other);

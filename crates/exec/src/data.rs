@@ -142,25 +142,6 @@ impl PartitionedData {
         self.partition_key.as_deref() == Some(unqualified)
     }
 
-    /// Re-partitions the data by hashing the value at `key_index`; returns the
-    /// new data and the number of rows and bytes that had to move between
-    /// partitions (the shuffle volume the cost model charges for).
-    pub fn repartition(&self, key_index: usize, key_name: &str) -> (PartitionedData, u64, u64) {
-        Self::from_buckets(
-            self.schema.clone(),
-            self.partitions.iter().enumerate().map(|(from, chunks)| {
-                crate::partition::repartition_batches(
-                    chunks,
-                    key_index,
-                    from,
-                    self.num_partitions(),
-                )
-            }),
-            self.num_partitions(),
-            key_name,
-        )
-    }
-
     /// Assembles the output of a re-partition exchange from the bucketed
     /// source partitions (each the result of
     /// [`crate::partition::repartition_batches`], in source-partition
@@ -273,31 +254,6 @@ mod tests {
             assert_eq!(d.partition_len(p), rows.len());
         }
         assert_eq!(d.gather().rows(), parts.concat().as_slice());
-    }
-
-    #[test]
-    fn repartition_moves_rows_to_hash_partition() {
-        let d = data(1000, 8);
-        let (r, moved_rows, moved_bytes) = d.repartition(1, "t.g");
-        assert_eq!(r.row_count(), 1000);
-        assert!(r.is_partitioned_on("g"));
-        assert!(r.is_partitioned_on("t.g"));
-        assert!(moved_rows > 0 && moved_rows <= 1000);
-        assert!(moved_bytes > 0);
-        // Every row must be in the partition its key hashes to.
-        for p in 0..8 {
-            for row in r.partition_rows(p) {
-                assert_eq!(partition_for(row.value(1), 8), p);
-            }
-        }
-    }
-
-    #[test]
-    fn repartition_on_same_key_moves_nothing_second_time() {
-        let d = data(500, 4);
-        let (once, _, _) = d.repartition(0, "k");
-        let (_twice, moved, _) = once.repartition(0, "k");
-        assert_eq!(moved, 0, "already partitioned data should not move");
     }
 
     #[test]

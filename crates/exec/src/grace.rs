@@ -77,7 +77,7 @@ pub struct GraceContext {
 
 impl GraceContext {
     /// The grace context of a catalog, if its spill configuration carries a
-    /// join budget. Both executors call this once per join and thread the
+    /// join budget. The executor calls this once per join and threads the
     /// context into every partition's kernel.
     pub fn from_catalog(catalog: &Catalog) -> Option<Self> {
         let manager = catalog.spill_manager()?;
@@ -290,8 +290,8 @@ impl PreparedBuild {
 }
 
 /// Joins one partition, going through the grace path when a context is given
-/// and the build side is over its budget: the single dispatch point shared by
-/// the serial and the partition-parallel executor.
+/// and the build side is over its budget: the hash join's single dispatch
+/// point.
 pub fn joined_partition(
     probe: &[Batch],
     build: &[Batch],

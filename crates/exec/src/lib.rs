@@ -1,13 +1,14 @@
 //! Physical execution layer of the simulated shared-nothing engine.
 //!
-//! This crate plays the role of Hyracks in the paper's architecture (Figure 2):
-//! it takes a physical plan (scans with pushed-down predicates and a tree of
-//! joins, each annotated with a join algorithm), executes it partition-by-
-//! partition against the [`rdo_storage::Catalog`], and charges a deterministic
-//! cost model for the distributed effects — re-partitioning (shuffle),
-//! broadcast replication, materialization of intermediate results at
-//! re-optimization points, secondary-index lookups and online statistics
-//! collection.
+//! This crate plays the role of Hyracks' operators in the paper's
+//! architecture (Figure 2): the physical plan (scans with pushed-down
+//! predicates and a tree of joins, each annotated with a join algorithm), the
+//! per-partition operators a plan decomposes into, and a deterministic cost
+//! model for the distributed effects — re-partitioning (shuffle), broadcast
+//! replication, materialization of intermediate results at re-optimization
+//! points, secondary-index lookups and online statistics collection. The
+//! executor that maps the operators over the partitions of the
+//! [`rdo_storage::Catalog`] is `rdo_parallel::ParallelExecutor`.
 //!
 //! The operators implemented here mirror Section 3 of the paper:
 //!
@@ -37,7 +38,6 @@
 
 pub mod cost;
 pub mod data;
-pub mod executor;
 pub mod expr;
 pub mod grace;
 pub mod partition;
@@ -49,7 +49,6 @@ pub mod sink;
 
 pub use cost::{CostModel, ExecutionMetrics};
 pub use data::PartitionedData;
-pub use executor::Executor;
 pub use expr::{evaluate_all_batch, CmpOp, Predicate, PredicateExpr, UdfFn};
 pub use grace::{GraceContext, GraceTally, PreparedBuild};
 pub use partition::{

@@ -4,12 +4,10 @@
 //! independently on one partition: filter/project a partition's chunks,
 //! bucket them for a re-partition exchange, build and probe one partition's
 //! join index, probe one partition of a secondary index. Each of those is one
-//! function here taking and returning [`Batch`] runs; the serial
-//! [`crate::Executor`] loops them partition by partition, the
-//! partition-parallel executor (`rdo-parallel`) maps the *same* functions
-//! across a worker pool. Sharing the operators is what makes the two
-//! executors bit-identical: parallelism only changes *who* runs a partition,
-//! never what the partition computes.
+//! function here taking and returning [`Batch`] runs; the plan executor
+//! (`rdo_parallel::ParallelExecutor`) maps them across a worker pool — or,
+//! at one worker, loops them on the calling thread. Parallelism only changes
+//! *who* runs a partition, never what the partition computes.
 //!
 //! * **Scan** ([`scan_table_partition`]) — predicates
 //!   evaluate column-wise ([`crate::expr::evaluate_all_batch`]); a chunk that
@@ -111,10 +109,10 @@ fn scan_into(
     })
 }
 
-/// Scans partition `partition` of `table` — the per-partition scan operator
-/// both executors run. Resident tables lend their stored chunks (an
-/// unfiltered scan returns them shared); spilled ones decode page by page and
-/// report the pages fetched.
+/// Scans partition `partition` of `table` — the per-partition scan
+/// operator. Resident tables lend their stored chunks (an unfiltered scan
+/// returns them shared); spilled ones decode page by page and report the
+/// pages fetched.
 pub fn scan_table_partition(
     table: &Table,
     partition: usize,

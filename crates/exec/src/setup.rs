@@ -1,11 +1,8 @@
-//! Coordinator-side operator setup shared by the serial executor and the
-//! partition-parallel executor (`rdo-parallel`).
+//! Coordinator-side operator setup of the plan executor (`rdo-parallel`).
 //!
 //! Schema aliasing, projection resolution, join-key resolution and
 //! partition-key survival are computed once per operator, before any
-//! per-partition work starts. Both executors call these helpers (as they share
-//! the kernels in [`crate::partition`]), so a change to name resolution or
-//! partition-key propagation can never make the two executors diverge.
+//! per-partition work starts.
 
 use crate::data::PartitionedData;
 use rdo_common::{FieldRef, Result, Schema};

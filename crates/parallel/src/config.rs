@@ -44,15 +44,11 @@ impl TransportKind {
 /// same worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Number of worker threads. `1` runs every partition on the calling
-    /// thread and is bit-identical to the serial executor; values above the
+    /// Number of worker threads. `1` runs every partition task in a plain
+    /// loop on the calling thread (no thread is spawned); values above the
     /// partition count are harmless (excess workers find the task counter
     /// exhausted and exit).
     pub workers: usize,
-    /// Number of partitions one task claims at a time (scheduling granularity,
-    /// a coarse morsel). `1` gives the best balance; larger morsels reduce
-    /// scheduling overhead when partitions are tiny.
-    pub morsel_size: usize,
     /// Transport backing the exchange operators. Results and metrics are
     /// bit-identical for every kind; only the physical route differs.
     pub transport: TransportKind,
@@ -64,18 +60,16 @@ impl Default for ParallelConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            morsel_size: 1,
             transport: TransportKind::InProcess,
         }
     }
 }
 
 impl ParallelConfig {
-    /// Single-worker configuration (bit-identical to the serial executor).
+    /// Single-worker configuration: every task runs on the calling thread.
     pub fn serial() -> Self {
         Self {
             workers: 1,
-            morsel_size: 1,
             transport: TransportKind::InProcess,
         }
     }
@@ -83,12 +77,6 @@ impl ParallelConfig {
     /// Builder-style worker-count override.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Builder-style morsel-size override.
-    pub fn with_morsel_size(mut self, morsel_size: usize) -> Self {
-        self.morsel_size = morsel_size.max(1);
         self
     }
 
@@ -160,7 +148,6 @@ mod tests {
     fn default_has_at_least_one_worker() {
         let config = ParallelConfig::default();
         assert!(config.workers >= 1);
-        assert_eq!(config.morsel_size, 1);
     }
 
     #[test]
@@ -170,9 +157,7 @@ mod tests {
 
     #[test]
     fn builders_clamp_to_one() {
-        let config = ParallelConfig::serial().with_workers(0).with_morsel_size(0);
-        assert_eq!(config.workers, 1);
-        assert_eq!(config.morsel_size, 1);
+        assert_eq!(ParallelConfig::serial().with_workers(0).workers, 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Exchange operators: the explicit data movements between partitions.
 //!
 //! In the paper's Hyracks runtime these are the connectors between operator
-//! instances; the serial executor performs them implicitly inside its join
-//! loops. Here each movement is an explicit operator that runs its
+//! instances. Each movement is an explicit operator that runs its
 //! per-partition half on the worker pool and reports the rows/bytes it moved,
 //! so the cost model's network charges correspond to real, metered exchanges.
 //! All three move batches: a re-shuffle re-buckets them, a broadcast shares
@@ -109,8 +108,9 @@ mod tests {
     #[test]
     fn hash_repartition_matches_serial_repartition_for_any_worker_count() {
         let input = data(500, 8);
-        let (expected, expected_rows, expected_bytes) = input.repartition(1, "t.g");
-        for workers in [1, 2, 4, 8] {
+        let (expected, expected_rows, expected_bytes) =
+            HashRepartition::new(1, "t.g").apply(&input, &WorkerPool::new(1));
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let (out, rows, bytes) = HashRepartition::new(1, "t.g").apply(&input, &pool);
             assert_eq!(out.partitions(), expected.partitions(), "workers={workers}");
@@ -123,6 +123,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn repartition_moves_rows_to_hash_partition() {
+        let d = data(1000, 8);
+        let (r, moved_rows, moved_bytes) =
+            HashRepartition::new(1, "t.g").apply(&d, &WorkerPool::new(1));
+        assert_eq!(r.row_count(), 1000);
+        assert!(r.is_partitioned_on("g"));
+        assert!(r.is_partitioned_on("t.g"));
+        assert!(moved_rows > 0 && moved_rows <= 1000);
+        assert!(moved_bytes > 0);
+        // Every row must be in the partition its key hashes to.
+        for p in 0..8 {
+            for row in r.partition_rows(p) {
+                assert_eq!(partition_for(row.value(1), 8), p);
+            }
+        }
+    }
+
+    #[test]
+    fn repartition_on_same_key_moves_nothing_second_time() {
+        let pool = WorkerPool::new(1);
+        let exchange = HashRepartition::new(0, "k");
+        let (once, _, _) = exchange.apply(&data(500, 4), &pool);
+        let (_twice, moved, _) = exchange.apply(&once, &pool);
+        assert_eq!(moved, 0, "already partitioned data should not move");
     }
 
     #[test]

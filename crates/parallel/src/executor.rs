@@ -1,10 +1,9 @@
-//! The partition-parallel plan executor.
+//! The plan executor.
 //!
-//! Executes the same [`PhysicalPlan`]s as the serial [`rdo_exec::Executor`],
-//! but maps the per-partition operators of [`rdo_exec::partition`] across a
-//! [`WorkerPool`] and moves batches between partitions through the explicit
-//! exchange operators of [`crate::exchange`]. Results and metrics are
-//! identical to the serial executor for every worker count; see the crate
+//! Executes a [`PhysicalPlan`] by mapping the per-partition operators of
+//! [`rdo_exec::partition`] across a [`WorkerPool`] and moving batches between
+//! partitions through the explicit exchange operators of [`crate::exchange`].
+//! Results and metrics are identical for every worker count; see the crate
 //! docs for why.
 
 use crate::config::ParallelConfig;
@@ -24,7 +23,6 @@ use std::sync::Arc;
 /// Executes physical plans against a catalog with one task per partition.
 pub struct ParallelExecutor<'a> {
     catalog: &'a Catalog,
-    config: ParallelConfig,
     pool: WorkerPool,
     transport: Arc<dyn Transport>,
 }
@@ -35,14 +33,13 @@ impl<'a> ParallelExecutor<'a> {
     /// [`WorkerPool`] up front and use [`ParallelExecutor::with_pool`] so the
     /// persistent threads are spawned once, not per stage.
     pub fn new(catalog: &'a Catalog, config: ParallelConfig) -> Self {
-        Self::with_pool(catalog, config, WorkerPool::new(config.workers))
+        Self::with_pool(catalog, WorkerPool::new(config.workers))
     }
 
     /// Creates an executor sharing an existing worker pool (an `Arc` clone).
-    pub fn with_pool(catalog: &'a Catalog, config: ParallelConfig, pool: WorkerPool) -> Self {
+    pub fn with_pool(catalog: &'a Catalog, pool: WorkerPool) -> Self {
         Self {
             catalog,
-            config,
             pool,
             transport: default_transport(),
         }
@@ -56,21 +53,6 @@ impl<'a> ParallelExecutor<'a> {
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
         self.transport = transport;
         self
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> ParallelConfig {
-        self.config
-    }
-
-    /// The executor's worker pool.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// The transport routing the executor's exchanges.
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
     }
 
     /// Executes a plan, returning the partitioned output.
@@ -107,34 +89,24 @@ impl<'a> ParallelExecutor<'a> {
         Ok(relation)
     }
 
-    /// Maps a fallible per-partition task over `partitions` partitions,
-    /// claiming `morsel_size` partitions per task, and returns the
-    /// per-partition outputs in partition order. The error of the lowest
-    /// failing partition wins, matching the serial executor's first-error
-    /// behaviour.
+    /// Maps a fallible per-partition task over `partitions` partitions, one
+    /// pool task (and one `pool.morsel` span) per partition, and returns the
+    /// outputs in partition order. The error of the lowest failing partition
+    /// wins, whichever worker hit it first.
     fn map_partitions<T: Send>(
         &self,
         partitions: usize,
         task: impl Fn(usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let morsel = self.config.morsel_size.max(1);
-        let morsels = partitions.div_ceil(morsel);
-        let chunks = self.pool.map_indexed(morsels, |m| {
-            let start = m * morsel;
-            let end = ((m + 1) * morsel).min(partitions);
-            // One span per morsel, not per partition: the morsel count depends
-            // only on (partitions, morsel_size), so the trace shape is the
-            // same for every worker count.
-            let mut span = rdo_trace::span("pool.morsel");
-            span.attr_u64("morsel", m as u64);
-            span.attr_u64("partitions", (end - start) as u64);
-            (start..end).map(&task).collect::<Vec<Result<T>>>()
-        });
-        let mut out = Vec::with_capacity(partitions);
-        for result in chunks.into_iter().flatten() {
-            out.push(result?);
-        }
-        Ok(out)
+        self.pool
+            .map_indexed(partitions, |p| {
+                let mut span = rdo_trace::span("pool.morsel");
+                span.attr_u64("morsel", p as u64);
+                span.attr_u64("partitions", 1);
+                task(p)
+            })
+            .into_iter()
+            .collect()
     }
 
     fn execute_scan(
@@ -422,7 +394,7 @@ impl<'a> ParallelExecutor<'a> {
 mod tests {
     use super::*;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, Executor};
+    use rdo_exec::CmpOp;
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -460,50 +432,283 @@ mod tests {
         cat
     }
 
+    fn join_plan(algorithm: JoinAlgorithm) -> PhysicalPlan {
+        PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            algorithm,
+        )
+    }
+
     fn plans() -> Vec<PhysicalPlan> {
-        let join = |algorithm| {
-            PhysicalPlan::join(
-                PhysicalPlan::scan("orders"),
-                PhysicalPlan::scan("customer"),
-                FieldRef::new("orders", "o_custkey"),
-                FieldRef::new("customer", "c_custkey"),
-                algorithm,
-            )
-        };
         vec![
             PhysicalPlan::scan("orders").with_predicates(vec![Predicate::compare(
                 FieldRef::new("orders", "o_custkey"),
                 CmpOp::Lt,
                 7i64,
             )]),
-            join(JoinAlgorithm::Hash),
-            join(JoinAlgorithm::Broadcast),
-            join(JoinAlgorithm::IndexedNestedLoop),
+            join_plan(JoinAlgorithm::Hash),
+            join_plan(JoinAlgorithm::Broadcast),
+            join_plan(JoinAlgorithm::IndexedNestedLoop),
         ]
     }
 
-    /// The core guarantee: identical partitions, partition keys and metrics to
-    /// the serial executor, for every worker count and morsel size.
+    fn executor(cat: &Catalog, workers: usize) -> ParallelExecutor<'_> {
+        ParallelExecutor::new(cat, ParallelConfig::serial().with_workers(workers))
+    }
+
+    #[test]
+    fn scan_with_filter_and_projection() {
+        let cat = catalog();
+        let exec = executor(&cat, 1);
+        let mut m = ExecutionMetrics::new();
+        let plan = PhysicalPlan::scan("orders")
+            .with_predicates(vec![Predicate::compare(
+                FieldRef::new("orders", "o_custkey"),
+                CmpOp::Eq,
+                3i64,
+            )])
+            .with_projection(vec![FieldRef::new("orders", "o_orderkey")]);
+        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+        assert_eq!(rel.len(), 10, "200 orders / 20 customers = 10 per customer");
+        assert_eq!(rel.schema().len(), 1);
+        assert_eq!(m.rows_scanned, 200);
+        assert_eq!(m.output_rows, 10);
+        assert_eq!(m.result_rows, 10);
+    }
+
+    #[test]
+    fn all_join_algorithms_agree() {
+        let cat = catalog();
+        let exec = executor(&cat, 1);
+        let mut results = Vec::new();
+        for algorithm in [
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Broadcast,
+            JoinAlgorithm::IndexedNestedLoop,
+        ] {
+            let mut m = ExecutionMetrics::new();
+            let rel = exec
+                .execute_to_relation(&join_plan(algorithm), &mut m)
+                .unwrap();
+            assert_eq!(rel.len(), 200, "every order matches exactly one customer");
+            let mut rows = rel.into_rows();
+            rows.sort();
+            results.push(rows);
+        }
+        // All three produce (orders, customer) column order.
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[1], results[2]);
+    }
+
+    #[test]
+    fn hash_join_charges_shuffle_only_when_needed() {
+        let cat = catalog();
+        let exec = executor(&cat, 1);
+        // orders is partitioned on o_orderkey; joining on o_custkey must shuffle
+        // the orders side. customer is partitioned on c_custkey already.
+        let mut m = ExecutionMetrics::new();
+        exec.execute(&join_plan(JoinAlgorithm::Hash), &mut m)
+            .unwrap();
+        assert!(m.rows_shuffled > 0);
+        assert!(
+            m.rows_shuffled <= 200,
+            "only the orders side should shuffle"
+        );
+
+        // Joining orders to customer on the orders primary key needs no shuffle
+        // for the orders side.
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_orderkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::Hash,
+        );
+        let mut m2 = ExecutionMetrics::new();
+        exec.execute(&plan, &mut m2).unwrap();
+        assert!(
+            m2.rows_shuffled <= 20,
+            "only the small customer side may move"
+        );
+    }
+
+    #[test]
+    fn broadcast_join_charges_replication() {
+        let cat = catalog();
+        let mut m = ExecutionMetrics::new();
+        executor(&cat, 1)
+            .execute(&join_plan(JoinAlgorithm::Broadcast), &mut m)
+            .unwrap();
+        assert_eq!(
+            m.rows_broadcast,
+            20 * 4,
+            "20 customers replicated to 4 partitions"
+        );
+        assert_eq!(m.rows_shuffled, 0);
+    }
+
+    #[test]
+    fn inl_join_uses_index_not_scan() {
+        let cat = catalog();
+        let mut m = ExecutionMetrics::new();
+        let rel = executor(&cat, 1)
+            .execute_to_relation(&join_plan(JoinAlgorithm::IndexedNestedLoop), &mut m)
+            .unwrap();
+        assert_eq!(rel.len(), 200);
+        // The orders table itself is never scanned.
+        assert_eq!(
+            m.rows_scanned, 20,
+            "only the customer build side is scanned"
+        );
+        assert_eq!(m.index_lookups, 20 * 4);
+        assert_eq!(m.index_fetched_rows, 200);
+    }
+
+    #[test]
+    fn inl_join_requires_index() {
+        let cat = catalog();
+        // The indexed side is customer.c_name, which has no index.
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("customer"),
+            PhysicalPlan::scan("orders"),
+            FieldRef::new("customer", "c_name"),
+            FieldRef::new("orders", "o_custkey"),
+            JoinAlgorithm::IndexedNestedLoop,
+        );
+        let mut m = ExecutionMetrics::new();
+        assert!(executor(&cat, 1).execute(&plan, &mut m).is_err());
+    }
+
+    #[test]
+    fn inl_join_requires_scan_input() {
+        let cat = catalog();
+        let plan = PhysicalPlan::join(
+            join_plan(JoinAlgorithm::Hash),
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::IndexedNestedLoop,
+        );
+        let mut m = ExecutionMetrics::new();
+        assert!(executor(&cat, 1).execute(&plan, &mut m).is_err());
+    }
+
+    #[test]
+    fn join_with_local_predicate_on_build_side() {
+        let cat = catalog();
+        let filtered_customer =
+            PhysicalPlan::scan("customer").with_predicates(vec![Predicate::compare(
+                FieldRef::new("customer", "c_custkey"),
+                CmpOp::Lt,
+                5i64,
+            )]);
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            filtered_customer,
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::Broadcast,
+        );
+        let mut m = ExecutionMetrics::new();
+        let rel = executor(&cat, 1)
+            .execute_to_relation(&plan, &mut m)
+            .unwrap();
+        assert_eq!(rel.len(), 50, "5 customers × 10 orders each");
+    }
+
+    #[test]
+    fn aliased_scan_joins() {
+        let cat = catalog();
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan_aliased("c2", "customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("c2", "c_custkey"),
+            JoinAlgorithm::Hash,
+        );
+        let mut m = ExecutionMetrics::new();
+        let rel = executor(&cat, 1)
+            .execute_to_relation(&plan, &mut m)
+            .unwrap();
+        assert_eq!(rel.len(), 200);
+        assert!(rel.schema().fields().iter().any(|f| f.name.dataset == "c2"));
+    }
+
+    #[test]
+    fn join_budget_runs_grace_join_with_identical_results() {
+        let reference = {
+            let cat = catalog();
+            let mut m = ExecutionMetrics::new();
+            let rel = executor(&cat, 1)
+                .execute_to_relation(&join_plan(JoinAlgorithm::Hash), &mut m)
+                .unwrap();
+            (rel, m)
+        };
+        let mut cat = catalog();
+        // A 1-byte join budget forces every partition's build side out of core.
+        cat.configure_spill(
+            rdo_storage::SpillConfig::default()
+                .with_join_budget(1)
+                .with_page_size(512),
+        )
+        .unwrap();
+        let exec = executor(&cat, 1);
+        for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::Broadcast] {
+            let mut m = ExecutionMetrics::new();
+            let rel = exec
+                .execute_to_relation(&join_plan(algorithm), &mut m)
+                .unwrap();
+            assert!(
+                m.grace_bytes_written > 0
+                    && m.grace_pages_read > 0
+                    && m.grace_partitions_spilled > 0,
+                "{algorithm:?} must go out-of-core: {m:?}"
+            );
+            if algorithm == JoinAlgorithm::Hash {
+                assert_eq!(rel, reference.0, "bit-identical to the in-memory join");
+                assert_eq!(m.build_rows, reference.1.build_rows);
+                assert_eq!(m.probe_rows, reference.1.probe_rows);
+                assert_eq!(m.output_rows, reference.1.output_rows);
+                assert_eq!(m.rows_shuffled, reference.1.rows_shuffled);
+            }
+        }
+        // Every grace partition file was dropped with its join.
+        let dir = cat.spill_dir().expect("join budget configured");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn unknown_dataset_errors() {
+        let cat = catalog();
+        let mut m = ExecutionMetrics::new();
+        assert!(executor(&cat, 1)
+            .execute(&PhysicalPlan::scan("missing"), &mut m)
+            .is_err());
+    }
+
+    /// The core guarantee: identical partitions, partition keys and metrics
+    /// at every worker count. The serial configuration (one worker: every
+    /// task in a plain loop on the calling thread) is the reference.
     #[test]
     fn matches_serial_executor_exactly() {
         let cat = catalog();
-        let serial = Executor::new(&cat);
         for plan in plans() {
-            let mut serial_metrics = ExecutionMetrics::new();
-            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
-            for workers in [1, 2, 4, 8] {
-                for morsel_size in [1, 3] {
-                    let config = ParallelConfig::serial()
-                        .with_workers(workers)
-                        .with_morsel_size(morsel_size);
-                    let parallel = ParallelExecutor::new(&cat, config);
-                    let mut metrics = ExecutionMetrics::new();
-                    let data = parallel.execute(&plan, &mut metrics).unwrap();
-                    assert_eq!(data.partitions(), expected.partitions());
-                    assert_eq!(data.partition_key(), expected.partition_key());
-                    assert_eq!(data.base_table(), expected.base_table());
-                    assert_eq!(metrics, serial_metrics, "workers={workers}");
-                }
+            let mut expected_metrics = ExecutionMetrics::new();
+            let expected = executor(&cat, 1)
+                .execute(&plan, &mut expected_metrics)
+                .unwrap();
+            for workers in [2, 4, 8] {
+                let mut metrics = ExecutionMetrics::new();
+                let data = executor(&cat, workers)
+                    .execute(&plan, &mut metrics)
+                    .unwrap();
+                assert_eq!(data.partitions(), expected.partitions());
+                assert_eq!(data.partition_key(), expected.partition_key());
+                assert_eq!(data.base_table(), expected.base_table());
+                assert_eq!(metrics, expected_metrics, "workers={workers}");
             }
         }
     }
@@ -511,22 +716,26 @@ mod tests {
     #[test]
     fn gathered_relation_and_result_rows_match_serial() {
         let cat = catalog();
-        let serial = Executor::new(&cat);
-        let parallel = ParallelExecutor::new(&cat, ParallelConfig::serial().with_workers(4));
         for plan in plans() {
-            let mut sm = ExecutionMetrics::new();
-            let mut pm = ExecutionMetrics::new();
-            let expected = serial.execute_to_relation(&plan, &mut sm).unwrap();
-            let actual = parallel.execute_to_relation(&plan, &mut pm).unwrap();
-            assert_eq!(actual, expected);
-            assert_eq!(pm, sm);
+            let mut expected_metrics = ExecutionMetrics::new();
+            let expected = executor(&cat, 1)
+                .execute_to_relation(&plan, &mut expected_metrics)
+                .unwrap();
+            for workers in [2, 4, 8] {
+                let mut metrics = ExecutionMetrics::new();
+                let actual = executor(&cat, workers)
+                    .execute_to_relation(&plan, &mut metrics)
+                    .unwrap();
+                assert_eq!(actual, expected, "workers={workers}");
+                assert_eq!(metrics, expected_metrics, "workers={workers}");
+            }
         }
     }
 
     /// The grace path is worker-count invariant too: with a tiny join budget
     /// every partition's build side spills, and results, partitions and every
-    /// metric counter (including the grace counters) still match the serial
-    /// executor exactly.
+    /// metric counter (including the grace counters) still match the
+    /// one-worker run exactly.
     #[test]
     fn grace_join_matches_serial_executor_exactly() {
         let mut cat = catalog();
@@ -536,17 +745,18 @@ mod tests {
                 .with_page_size(512),
         )
         .unwrap();
-        let serial = Executor::new(&cat);
         for plan in plans() {
-            let mut serial_metrics = ExecutionMetrics::new();
-            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
-            for workers in [1, 2, 4, 8] {
-                let config = ParallelConfig::serial().with_workers(workers);
-                let parallel = ParallelExecutor::new(&cat, config);
+            let mut expected_metrics = ExecutionMetrics::new();
+            let expected = executor(&cat, 1)
+                .execute(&plan, &mut expected_metrics)
+                .unwrap();
+            for workers in [2, 4, 8] {
                 let mut metrics = ExecutionMetrics::new();
-                let data = parallel.execute(&plan, &mut metrics).unwrap();
+                let data = executor(&cat, workers)
+                    .execute(&plan, &mut metrics)
+                    .unwrap();
                 assert_eq!(data.partitions(), expected.partitions());
-                assert_eq!(metrics, serial_metrics, "workers={workers}");
+                assert_eq!(metrics, expected_metrics, "workers={workers}");
             }
         }
         let dir = cat.spill_dir().expect("join budget configured");
@@ -560,7 +770,7 @@ mod tests {
     #[test]
     fn errors_propagate_from_workers() {
         let cat = catalog();
-        let parallel = ParallelExecutor::new(&cat, ParallelConfig::serial().with_workers(4));
+        let parallel = executor(&cat, 4);
         let mut metrics = ExecutionMetrics::new();
         assert!(parallel
             .execute(&PhysicalPlan::scan("missing"), &mut metrics)

@@ -1,13 +1,12 @@
-//! Partition-parallel execution for the simulated shared-nothing cluster.
+//! The plan executor of the simulated shared-nothing cluster.
 //!
 //! The storage layer models the cluster's data partitions faithfully
 //! ([`rdo_storage::Catalog`] holds every table hash-partitioned across
-//! `num_partitions` partitions), but the serial [`rdo_exec::Executor`] walks
-//! those partitions one after another on a single thread. This crate executes
-//! the *same* physical plans with one task per partition on a pool of scoped
-//! worker threads, exchanging batches between partitions through explicit
-//! exchange operators — the role Hyracks' connectors play in the paper's
-//! architecture.
+//! `num_partitions` partitions). This crate executes physical plans with one
+//! task per partition on a pool of persistent worker threads, exchanging
+//! batches between partitions through explicit exchange operators — the role
+//! Hyracks' connectors play in the paper's architecture. It is the engine's
+//! only executor: one worker is the serial configuration.
 //!
 //! # Architecture
 //!
@@ -32,17 +31,13 @@
 //!   execution; `WorkerPool::new`) and feeds them jobs through a
 //!   condvar-guarded dispatch slot, so per-stage spawn/join cost is gone;
 //!   workers pull partition indexes from a shared atomic counter and run the
-//!   per-partition kernels of [`rdo_exec::partition`]. With `workers = 1` the
-//!   tasks run in a plain loop on the calling thread, which makes the
-//!   single-worker configuration *bit-identical* to the serial executor by
-//!   construction: both run the same kernels over the same partitions in the
-//!   same order.
+//!   per-partition kernels of [`rdo_exec::partition`]. With `workers = 1` no
+//!   thread is spawned and the tasks run in a plain loop on the calling
+//!   thread.
 //! * **Exchange operators** — [`exchange::HashRepartition`] re-shuffles rows
 //!   to the partition their key hashes to, [`exchange::Broadcast`] replicates
 //!   a (small) build side to every partition, [`exchange::Gather`] collects
-//!   partitions on the coordinator for result delivery. The serial executor
-//!   performs these data movements implicitly inside its join loops; here they
-//!   are explicit, metered operators.
+//!   partitions on the coordinator for result delivery.
 //! * **Deterministic merging** — every task returns per-partition
 //!   [`rdo_exec::ExecutionMetrics`] partials folded in partition order with
 //!   [`rdo_exec::ExecutionMetrics::merge`] (associative and commutative), and
@@ -69,12 +64,11 @@
 //!
 //! # Example
 //!
-//! Execute a tiny join plan partition-parallel and check it against the
-//! serial executor:
+//! Execute a tiny join plan on four workers and check it against one:
 //!
 //! ```
 //! use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-//! use rdo_exec::{ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan};
+//! use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PhysicalPlan};
 //! use rdo_parallel::{ParallelConfig, ParallelExecutor};
 //! use rdo_storage::{Catalog, IngestOptions};
 //!
@@ -95,7 +89,7 @@
 //! );
 //!
 //! let mut serial_metrics = ExecutionMetrics::new();
-//! let expected = Executor::new(&catalog)
+//! let expected = ParallelExecutor::new(&catalog, ParallelConfig::serial())
 //!     .execute_to_relation(&plan, &mut serial_metrics)
 //!     .unwrap();
 //!

@@ -114,8 +114,8 @@ impl Drop for ThreadsGuard {
 ///
 /// Clones share the same threads; the threads are joined when the last clone
 /// drops. With `workers <= 1` no threads are spawned at all and every
-/// `map_indexed` runs inline — the single-worker pool is exactly the serial
-/// code path.
+/// `map_indexed` runs inline — the single-worker pool is a plain loop on the
+/// calling thread.
 #[derive(Clone)]
 pub struct WorkerPool {
     shared: Arc<Shared>,

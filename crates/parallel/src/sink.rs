@@ -174,7 +174,7 @@ mod tests {
         // Reading the intermediate back charges intermediate-read metrics, not
         // base-scan metrics.
         let mut read = ExecutionMetrics::new();
-        let relation = rdo_exec::Executor::new(&cat)
+        let relation = ParallelExecutor::new(&cat, ParallelConfig::serial())
             .execute_to_relation(&PhysicalPlan::scan("I_1"), &mut read)
             .unwrap();
         assert_eq!(relation.len(), 100);
@@ -282,7 +282,7 @@ mod tests {
         // Reading the spilled intermediate charges the same logical
         // intermediate-read metrics as the memory path, plus page reads.
         let mut read = ExecutionMetrics::new();
-        let relation = rdo_exec::Executor::new(&cat)
+        let relation = ParallelExecutor::new(&cat, ParallelConfig::serial())
             .execute_to_relation(&PhysicalPlan::scan("I_spill"), &mut read)
             .unwrap();
         assert_eq!(relation.len(), 100);

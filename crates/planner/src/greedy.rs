@@ -492,6 +492,7 @@ mod tests {
     use crate::query::DatasetRef;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
     use rdo_exec::{CmpOp, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     /// fact(f_id, f_dim, f_big) 10_000 rows; dim(d_id, d_cat) 100 rows;
@@ -677,7 +678,7 @@ mod tests {
         let planned = p.next_join(&q, &cat, cat.stats()).unwrap();
         let plan = p.join_plan(&q, &planned).unwrap();
         assert_eq!(plan.join_count(), 1);
-        let exec = rdo_exec::Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = rdo_exec::ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(
@@ -695,7 +696,7 @@ mod tests {
         let plan = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
         assert_eq!(plan.join_count(), 2);
         assert_eq!(plan.datasets().len(), 3);
-        let exec = rdo_exec::Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = rdo_exec::ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(rel.len(), 10_000);
@@ -708,7 +709,7 @@ mod tests {
         let p = planner(1_000.0);
         let plan = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
         assert_eq!(plan.join_count(), 0);
-        let exec = rdo_exec::Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = rdo_exec::ExecutionMetrics::new();
         assert_eq!(exec.execute_to_relation(&plan, &mut m).unwrap().len(), 100);
     }

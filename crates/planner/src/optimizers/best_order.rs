@@ -54,7 +54,8 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, ExecutionMetrics, Executor, Predicate};
+    use rdo_exec::{CmpOp, ExecutionMetrics, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -97,7 +98,7 @@ mod tests {
         // broadcast build side.
         let sig = plan.signature();
         assert!(sig.contains("⋈b"), "expected a broadcast join: {sig}");
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(
@@ -122,7 +123,7 @@ mod tests {
         let plan = BestOrderOptimizer::default()
             .plan(&q, &cat, cat.stats())
             .unwrap();
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(rel.len(), 10 * 50, "10 dim rows × 50 fact matches each");

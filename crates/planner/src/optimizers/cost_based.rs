@@ -54,7 +54,8 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{ExecutionMetrics, Executor, Predicate};
+    use rdo_exec::{ExecutionMetrics, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -91,7 +92,7 @@ mod tests {
         assert_eq!(opt.name(), "cost-based");
         let plan = opt.plan(&spec(), &cat, cat.stats()).unwrap();
         assert_eq!(plan.join_count(), 2);
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert!(!rel.is_empty());
@@ -112,7 +113,7 @@ mod tests {
         // broadcast side even though truth is 20 rows.
         let sig = plan.signature();
         assert!(sig.contains("σ(a)"), "plan signature: {sig}");
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert!(!rel.is_empty());

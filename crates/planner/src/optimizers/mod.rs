@@ -332,7 +332,8 @@ mod tests {
     use crate::estimate::{EstimationMode, SizeEstimator};
     use crate::query::DatasetRef;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, Executor, JoinAlgorithm, Predicate};
+    use rdo_exec::{CmpOp, JoinAlgorithm, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -390,7 +391,7 @@ mod tests {
         assert_eq!(greedy.datasets().len(), 3);
         assert_eq!(dp.datasets().len(), 3);
 
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m1 = ExecutionMetrics::new();
         let mut m2 = ExecutionMetrics::new();
         let r1 = exec.execute_to_relation(&greedy, &mut m1).unwrap();
@@ -509,7 +510,7 @@ mod tests {
             }
             _ => panic!("expected a join"),
         }
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert!(!rel.is_empty());

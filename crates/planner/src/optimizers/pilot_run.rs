@@ -13,7 +13,7 @@
 use super::{dp_full_plan, LeafStats, Optimizer};
 use crate::algorithm::JoinAlgorithmRule;
 use crate::query::QuerySpec;
-use rdo_common::{Result, Value};
+use rdo_common::Result;
 use rdo_exec::expr::evaluate_all_batch;
 use rdo_exec::{ExecutionMetrics, PhysicalPlan};
 use rdo_parallel::WorkerPool;
@@ -23,19 +23,20 @@ use std::collections::HashMap;
 
 /// Pilot-run based optimizer.
 ///
-/// With an executor handle attached ([`PilotRunOptimizer::with_pool`]) the
-/// sample probes run partition-parallel through `rdo-parallel`'s worker pool
-/// instead of a serial loop on the coordinator; per-partition sample partials
-/// are merged in partition order, so the derived estimates (and the charged
-/// overhead metrics) are identical for every worker count.
+/// The sample probes run one task per partition on a worker pool — a
+/// one-worker pool (a plain loop on the calling thread) unless
+/// [`PilotRunOptimizer::with_pool`] attaches the run's executor pool;
+/// per-partition sample partials are merged in partition order, so the
+/// derived estimates (and the charged overhead metrics) are identical for
+/// every worker count.
 #[derive(Debug, Clone)]
 pub struct PilotRunOptimizer {
     /// Physical join-algorithm rule.
     pub rule: JoinAlgorithmRule,
     /// Maximum number of rows sampled per dataset (the LIMIT of the pilot runs).
     pub sample_limit: usize,
-    /// Executor handle the probes run through (serial loop when absent).
-    pool: Option<WorkerPool>,
+    /// The pool the probes run on.
+    pool: WorkerPool,
 }
 
 impl PilotRunOptimizer {
@@ -44,13 +45,13 @@ impl PilotRunOptimizer {
         Self {
             rule,
             sample_limit,
-            pool: None,
+            pool: WorkerPool::new(1),
         }
     }
 
     /// Attaches the worker pool the sample probes execute on (builder style).
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 }
@@ -98,7 +99,7 @@ impl PilotRunOptimizer {
     /// Runs the pilot queries: scans up to `sample_limit` rows of each dataset
     /// (spread across its partitions), applies the dataset's local predicates
     /// and collects sample statistics on its join-key columns. One probe task
-    /// per partition, mapped over the attached worker pool when present.
+    /// per partition, mapped over the worker pool.
     fn pilot_runs(
         &self,
         spec: &QuerySpec,
@@ -166,12 +167,9 @@ impl PilotRunOptimizer {
 
             // One probe task per partition. Partials merge in partition order;
             // sample counts are plain sums and the distinct sketches merge
-            // through HyperLogLog unions, so the estimates are identical to
-            // the serial loop for every worker count.
-            let partials: Vec<Result<ProbePartial>> = match &self.pool {
-                Some(pool) => pool.map_indexed(table.num_partitions(), probe),
-                None => (0..table.num_partitions()).map(probe).collect(),
-            };
+            // through HyperLogLog unions, so the estimates are identical
+            // for every worker count.
+            let partials = self.pool.map_indexed(table.num_partitions(), probe);
             let mut sampled = 0u64;
             let mut qualified = 0u64;
             let mut builders: Vec<(String, ColumnStatsBuilder)> = tracked_indexes
@@ -234,19 +232,13 @@ impl Optimizer for PilotRunOptimizer {
     }
 }
 
-// Sampled values are real data, so the pilot estimates never see NULL-only
-// columns; keep a tiny helper to make that explicit for future maintenance.
-#[allow(dead_code)]
-fn is_countable(value: &Value) -> bool {
-    !value.is_null()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::DatasetRef;
-    use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple};
-    use rdo_exec::{CmpOp, Executor, Predicate};
+    use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
+    use rdo_exec::{CmpOp, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     /// fact has 20_000 rows with 10_000 distinct foreign keys — a bounded sample
@@ -294,7 +286,7 @@ mod tests {
         let (plan, overhead) = opt.plan_with_overhead(&spec(), &cat, cat.stats()).unwrap();
         assert!(overhead.rows_scanned > 0, "pilot runs scan sample rows");
         assert!(overhead.rows_scanned <= 2 * 1_000_u64 + 8);
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(
@@ -326,9 +318,9 @@ mod tests {
             CmpOp::Eq,
             1i64,
         ));
-        let serial = PilotRunOptimizer::new(JoinAlgorithmRule::default(), 800);
-        let (expected, expected_metrics) = serial.pilot_runs(&q, &cat).unwrap();
-        for workers in [1, 2, 4, 8] {
+        let one_worker = PilotRunOptimizer::new(JoinAlgorithmRule::default(), 800);
+        let (expected, expected_metrics) = one_worker.pilot_runs(&q, &cat).unwrap();
+        for workers in [2, 4, 8] {
             let parallel = PilotRunOptimizer::new(JoinAlgorithmRule::default(), 800)
                 .with_pool(WorkerPool::new(workers));
             let (estimates, metrics) = parallel.pilot_runs(&q, &cat).unwrap();

@@ -43,7 +43,8 @@ mod tests {
     use crate::optimizers::best_order::BestOrderOptimizer;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CostModel, ExecutionMetrics, Executor};
+    use rdo_exec::{CostModel, ExecutionMetrics};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -96,7 +97,7 @@ mod tests {
             .plan(&q, &cat, cat.stats())
             .unwrap();
 
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let model = CostModel::with_partitions(4);
         let mut mw = ExecutionMetrics::new();
         let mut mb = ExecutionMetrics::new();

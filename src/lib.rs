@@ -95,7 +95,7 @@ pub mod prelude {
         DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
     };
     pub use rdo_exec::{
-        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm,
+        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm,
         PhysicalPlan, PostProcess, Predicate, SortKey,
     };
     pub use rdo_lsm::{LsmDataset, LsmOptions, PrefixMergePolicy, TieredMergePolicy};

@@ -111,7 +111,7 @@ fn stored_chunks_scan_like_the_rows_they_hold() {
 #[test]
 fn partitioned_data_roundtrips_between_batches_and_rows() {
     let env = env();
-    let executor = Executor::new(&env.catalog);
+    let executor = ParallelExecutor::new(&env.catalog, ParallelConfig::serial());
     for table in ["lineitem", "orders", "part"] {
         let mut metrics = ExecutionMetrics::new();
         let data = executor

@@ -16,9 +16,10 @@ use runtime_dynamic_optimization::exec::partition::{
     hash_join_partition_chunked, hash_join_partition_rows, JoinTally,
 };
 use runtime_dynamic_optimization::exec::{
-    grace::joined_partition, ExecutionMetrics, Executor, GraceTally, JoinAlgorithm,
-    PartitionedData, PhysicalPlan, PreparedBuild,
+    grace::joined_partition, ExecutionMetrics, GraceTally, JoinAlgorithm, PartitionedData,
+    PhysicalPlan, PreparedBuild,
 };
+use runtime_dynamic_optimization::parallel::{ParallelConfig, ParallelExecutor};
 use runtime_dynamic_optimization::storage::{Catalog, IngestOptions};
 
 const CHUNK_SIZES: [usize; 3] = [1, 3, 1024];
@@ -285,7 +286,7 @@ fn customers_and_orders() -> Catalog {
 #[test]
 fn shared_broadcast_build_equals_four_private_ones() {
     let catalog = customers_and_orders();
-    let executor = Executor::new(&catalog);
+    let executor = ParallelExecutor::new(&catalog, ParallelConfig::serial());
     let mut scratch = ExecutionMetrics::new();
     let probe: PartitionedData = executor
         .execute(&PhysicalPlan::scan("o"), &mut scratch)

@@ -72,7 +72,7 @@ fn run_join(catalog: &Catalog, algorithm: JoinAlgorithm) -> Vec<Vec<Value>> {
         FieldRef::new("r", "rk"),
         algorithm,
     );
-    let executor = Executor::new(catalog);
+    let executor = ParallelExecutor::new(catalog, ParallelConfig::serial());
     let mut metrics = ExecutionMetrics::new();
     let relation = executor.execute_to_relation(&plan, &mut metrics).unwrap();
     let mut rows: Vec<Vec<Value>> = relation

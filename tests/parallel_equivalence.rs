@@ -1,9 +1,9 @@
-//! The partition-parallel executor is an *optimization*, never a semantic
-//! change: for every evaluation query (Q8, Q9, Q17, Q50) and every worker
-//! count, it must produce exactly the relations and metrics of the serial
-//! executor, and the dynamic driver's outcome must be invariant in the worker
-//! count. Plus: `ExecutionMetrics::merge` — the fold the parallel executor
-//! relies on — is associative and commutative; the Sink's sketches read off
+//! Parallelism is an *optimization*, never a semantic change: for every
+//! evaluation query (Q8, Q9, Q17, Q50) the executor must produce at every
+//! worker count exactly the relations and metrics it produces at one worker
+//! (a plain loop on the calling thread), and the dynamic driver's outcome must
+//! be invariant in the worker count. Plus: `ExecutionMetrics::merge` — the
+//! fold the executor relies on — is associative and commutative; the Sink's sketches read off
 //! column slots are the sketches tuples would build; the indexed nested-loop
 //! join addresses a columnar base table exactly as it would rows; and a
 //! 3-row `RDO_BATCH_SIZE` — base-table chunk boundaries in the middle of
@@ -23,9 +23,9 @@ fn env() -> BenchmarkEnv {
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The serial executor and the parallel executor at any worker count agree on
-/// the gathered relation and every metric counter, for the static cost-based
-/// plan of all four evaluation queries.
+/// The executor in its serial configuration (one worker) and at any other
+/// worker count agree on the gathered relation and every metric counter, for
+/// the static cost-based plan of all four evaluation queries.
 #[test]
 fn parallel_executor_matches_serial_on_all_evaluation_queries() {
     let env = env();
@@ -35,14 +35,13 @@ fn parallel_executor_matches_serial_on_all_evaluation_queries() {
             .plan(&query, &env.catalog, env.catalog.stats())
             .expect("static plan");
 
-        let serial = Executor::new(&env.catalog);
         let mut serial_metrics = ExecutionMetrics::new();
-        let expected = serial
+        let expected = ParallelExecutor::new(&env.catalog, ParallelConfig::serial())
             .execute_to_relation(&plan, &mut serial_metrics)
-            .expect("serial execution");
+            .expect("one-worker execution");
 
-        for workers in WORKER_COUNTS {
-            let config = ParallelConfig::serial().with_workers(workers);
+        for workers in &WORKER_COUNTS[1..] {
+            let config = ParallelConfig::serial().with_workers(*workers);
             let parallel = ParallelExecutor::new(&env.catalog, config);
             let mut metrics = ExecutionMetrics::new();
             let actual = parallel
@@ -98,35 +97,6 @@ fn dynamic_driver_is_worker_count_invariant() {
                         query.name
                     );
                 }
-            }
-        }
-    }
-}
-
-/// Morsel size is a scheduling knob only — it must never change results.
-#[test]
-fn morsel_size_never_changes_results() {
-    let env = env();
-    let query = q9();
-    let rule = JoinAlgorithmRule::default();
-    let plan = CostBasedOptimizer::new(rule)
-        .plan(&query, &env.catalog, env.catalog.stats())
-        .expect("static plan");
-    let mut reference = None;
-    for morsel_size in [1usize, 2, 3, 64] {
-        let config = ParallelConfig::serial()
-            .with_workers(4)
-            .with_morsel_size(morsel_size);
-        let executor = ParallelExecutor::new(&env.catalog, config);
-        let mut metrics = ExecutionMetrics::new();
-        let relation = executor
-            .execute_to_relation(&plan, &mut metrics)
-            .expect("parallel execution");
-        match &reference {
-            None => reference = Some((relation, metrics)),
-            Some((expected_relation, expected_metrics)) => {
-                assert_eq!(&relation, expected_relation, "morsel_size={morsel_size}");
-                assert_eq!(&metrics, expected_metrics, "morsel_size={morsel_size}");
             }
         }
     }
@@ -198,7 +168,7 @@ fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
 }
 
 /// The indexed nested-loop join fetches base rows by `(chunk, slot)` out of
-/// the columnar table: serial and parallel executors agree at every worker
+/// the columnar table: the executor agrees with itself at every worker
 /// count, and the rows are the ones a row-at-a-time join of the gathered
 /// tables produces.
 #[test]
@@ -270,11 +240,12 @@ fn indexed_join_over_a_columnar_base_table_matches_the_row_result() {
         JoinAlgorithm::IndexedNestedLoop,
     );
     let mut serial_metrics = ExecutionMetrics::new();
-    let expected = Executor::new(&catalog)
+    let expected = ParallelExecutor::new(&catalog, ParallelConfig::serial())
         .execute_to_relation(&plan, &mut serial_metrics)
-        .expect("serial INL");
+        .expect("one-worker INL");
     assert_eq!(serial_metrics.rows_scanned, 50, "orders is never scanned");
-    for workers in WORKER_COUNTS {
+    for workers in &WORKER_COUNTS[1..] {
+        let workers = *workers;
         let mut metrics = ExecutionMetrics::new();
         let actual =
             ParallelExecutor::new(&catalog, ParallelConfig::serial().with_workers(workers))

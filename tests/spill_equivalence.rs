@@ -285,7 +285,7 @@ fn batches_and_rows_spill_to_the_same_pages() {
             .with_columnar(columnar_pages);
         let scan = |catalog: &Catalog, table: &str| {
             let mut metrics = ExecutionMetrics::new();
-            let data = Executor::new(catalog)
+            let data = ParallelExecutor::new(catalog, ParallelConfig::serial())
                 .execute(&PhysicalPlan::scan(table), &mut metrics)
                 .expect("scan");
             (data, metrics)
