@@ -410,6 +410,119 @@ mod tests {
         );
     }
 
+    /// FNV-1a, so the pinned digests depend on nothing but the bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The bodies the compressor is pinned over: noise, zeros, row-codec and
+    /// column-codec pages of a fact-shaped table, the shortest inputs and the
+    /// lengths around the 16-bit offset limit.
+    fn pinned_corpus() -> Vec<(String, Vec<u8>)> {
+        let rows: Vec<Tuple> = (0..1_400i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Int64(i / 4),
+                    Value::Int64((i * 7_919) % 20_000),
+                    Value::Utf8(format!("Brand#{}", i % 25)),
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float64(100.0 + (i as f64) * 0.37)
+                    },
+                    Value::Date(9_000 + i % 365),
+                ])
+            })
+            .collect();
+        let mut row_page = Vec::new();
+        for row in &rows {
+            encode_tuple(&mut row_page, row);
+        }
+        let mut column_page = Vec::new();
+        crate::colcodec::encode_rows(&mut column_page, 5, &rows);
+        let mut corpus = vec![
+            ("row page".to_string(), row_page),
+            ("column page".to_string(), column_page),
+        ];
+        for len in [0usize, 1, 2, 3, 4, 5, 65_535, 65_536, 65_537] {
+            corpus.push((format!("noise {len}"), noise(len, 0x5EED + len as u64)));
+            corpus.push((format!("zeros {len}"), vec![0u8; len]));
+            // A 251-byte period: matches sit at one fixed offset and overlap
+            // their own output whenever they are longer than that.
+            corpus.push((
+                format!("period {len}"),
+                (0..len).map(|i| (i % 251) as u8).collect(),
+            ));
+        }
+        corpus
+    }
+
+    /// `compress_block_with` output, recorded on the commit before the
+    /// word-at-a-time match extension: stored-byte counters and `CostModel`
+    /// charges of every row-layout run follow from these bytes.
+    const PINNED_STREAMS: [(usize, u64); 29] = [
+        (24209, 0x0f6c3d252edaa3b6), // row page
+        (16930, 0xa4ed5f73b005fcd8), // column page
+        (0, 0xcbf29ce484222325),     // noise 0
+        (0, 0xcbf29ce484222325),     // zeros 0
+        (0, 0xcbf29ce484222325),     // period 0
+        (2, 0x0869b507b51afed4),     // noise 1
+        (2, 0x0868e807b519a27d),     // zeros 1
+        (2, 0x0868e807b519a27d),     // period 1
+        (3, 0xc5937d17d04ce6aa),     // noise 2
+        (3, 0xc41db217cf0f5a57),     // zeros 2
+        (3, 0xc41db117cf0f58a4),     // period 2
+        (4, 0x09e968fb36ee91bb),     // noise 3
+        (4, 0x4d7ab5fa3a724ae5),     // zeros 3
+        (4, 0x4d7751fa3a6f6b22),     // period 3
+        (5, 0xf5f7a511d2a975d1),     // noise 4
+        (5, 0x10751a787906820f),     // zeros 4
+        (5, 0x07d26a7874244803),     // period 4
+        (6, 0x1993b9f24db742ee),     // noise 5
+        (4, 0x4cccd1050126f9dc),     // zeros 5
+        (6, 0x383934dc38c2c775),     // period 5
+        (65793, 0x0c34cd33f921f8ec), // noise 65535
+        (261, 0xa69d35b377c3c638),   // zeros 65535
+        (511, 0xc1a0efeb57b2c7b3),   // period 65535
+        (65793, 0x309a911fc1c151e0), // noise 65536
+        (261, 0xa69d3cb377c3d21d),   // zeros 65536
+        (511, 0xc1a0eeeb57b2c600),   // period 65536
+        (65795, 0x410d65be0cc49c1c), // noise 65537
+        (261, 0xa69d3bb377c3d06a),   // zeros 65537
+        (511, 0xc1a0f1eb57b2cb19),   // period 65537
+    ];
+
+    #[test]
+    fn compressor_output_is_pinned_and_roundtrips() {
+        let mut scratch = LzScratch::new();
+        let corpus = pinned_corpus();
+        let actual: Vec<(usize, u64)> = corpus
+            .iter()
+            .map(|(name, body)| {
+                let stream = compress_block_with(&mut scratch, body);
+                assert_eq!(
+                    &decompress_block(&stream, body.len()).expect(name),
+                    body,
+                    "{name}"
+                );
+                (stream.len(), fnv1a(&stream))
+            })
+            .collect();
+        assert!(
+            actual == PINNED_STREAMS,
+            "compressor output changed; computed:\n{}",
+            corpus
+                .iter()
+                .zip(&actual)
+                .map(|((name, _), (len, digest))| format!(
+                    "        ({len}, {digest:#018x}), // {name}\n"
+                ))
+                .collect::<String>()
+        );
+    }
+
     fn body_strategy() -> impl Strategy<Value = Vec<u8>> {
         prop_oneof![
             // Short arbitrary bodies.
