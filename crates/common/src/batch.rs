@@ -129,6 +129,39 @@ impl NullBitmap {
         self.words.truncate(self.len.div_ceil(64));
     }
 
+    /// Appends the bitmap packed eight bits to the byte, bit `i` at bit
+    /// `i % 8` of byte `i / 8` — `len.div_ceil(8)` bytes, the page codecs'
+    /// bitmap layout.
+    pub fn write_le_bytes(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.len.div_ceil(8);
+        for word in &self.words {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.truncate(end);
+    }
+
+    /// The bitmap of `len` bits [`NullBitmap::write_le_bytes`] packed into
+    /// `packed`. Bits past `len` in the last byte are ignored.
+    ///
+    /// # Panics
+    /// Panics unless `packed` holds exactly `len.div_ceil(8)` bytes.
+    pub fn from_le_bytes(packed: &[u8], len: usize) -> Self {
+        assert_eq!(packed.len(), len.div_ceil(8), "bitmap bytes vs bits");
+        let mut words: Vec<u64> = packed
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        if !len.is_multiple_of(64) {
+            // Trailing bits of the last word stay zero (see the type docs).
+            *words.last_mut().expect("len > 0") &= (1u64 << (len % 64)) - 1;
+        }
+        Self { words, len }
+    }
+
     /// Appends one bit.
     pub fn push(&mut self, valid: bool) {
         let word = self.len / 64;
@@ -666,6 +699,7 @@ impl PartialEq for Column {
 /// untyped, adopts the variant of the first non-null value, and promotes the
 /// whole column to [`Column::Mixed`] on the first mismatch. Deterministic in
 /// the pushed values.
+#[derive(Debug)]
 enum ColumnBuilder {
     /// Only NULLs so far.
     Untyped {
@@ -691,19 +725,97 @@ impl ColumnBuilder {
                 *self = ColumnBuilder::Typed(column);
             }
             ColumnBuilder::Typed(column) => {
-                let accepts = match column.data_type() {
-                    // Already promoted: Mixed accepts every value.
-                    None => true,
-                    Some(dt) => value.is_null() || value.data_type() == dt,
-                };
-                if accepts {
-                    push_typed(column, value);
-                } else {
+                if !push_typed(column, value) {
                     // Promote: materialize what we have and fall back to rows.
                     let mut values: Vec<Value> =
                         (0..column.len()).map(|i| column.value(i)).collect();
                     values.push(value.clone());
                     *self = ColumnBuilder::Typed(Column::Mixed { values });
+                }
+            }
+        }
+    }
+
+    /// Pushes the slots of `column` at `slots`, in that order — the same
+    /// column as pushing their values one by one, but a source of the
+    /// builder's own variant is appended straight from its payload.
+    fn extend_slots(&mut self, column: &Column, mut slots: &[u32]) {
+        // Until a non-NULL value types the builder, go value by value.
+        while let (ColumnBuilder::Untyped { .. }, Some((&s, rest))) = (&*self, slots.split_first())
+        {
+            self.push(&column.value(s as usize));
+            slots = rest;
+        }
+        let ColumnBuilder::Typed(typed) = self else {
+            return;
+        };
+        fn fixed<T: Copy>(
+            (values, validity): (&mut Vec<T>, &mut NullBitmap),
+            (from, from_validity): (&[T], &NullBitmap),
+            slots: &[u32],
+        ) {
+            values.extend(slots.iter().map(|&s| from[s as usize]));
+            if from_validity.all_valid() {
+                validity.extend_from(&NullBitmap::filled(slots.len(), true));
+            } else {
+                for &s in slots {
+                    validity.push(from_validity.is_valid(s as usize));
+                }
+            }
+        }
+        match (typed, column) {
+            (
+                Column::Int64 { values, validity },
+                Column::Int64 {
+                    values: from,
+                    validity: bits,
+                },
+            )
+            | (
+                Column::Date { values, validity },
+                Column::Date {
+                    values: from,
+                    validity: bits,
+                },
+            ) => fixed((values, validity), (from, bits), slots),
+            (
+                Column::Float64 { values, validity },
+                Column::Float64 {
+                    values: from,
+                    validity: bits,
+                },
+            ) => fixed((values, validity), (from, bits), slots),
+            (
+                Column::Bool { values, validity },
+                Column::Bool {
+                    values: from,
+                    validity: bits,
+                },
+            ) => fixed((values, validity), (from, bits), slots),
+            (
+                Column::Utf8 {
+                    offsets,
+                    bytes,
+                    validity,
+                },
+                Column::Utf8 {
+                    offsets: from,
+                    bytes: from_bytes,
+                    validity: bits,
+                },
+            ) => {
+                for &s in slots {
+                    let s = s as usize;
+                    bytes.extend_from_slice(&from_bytes[from[s]..from[s + 1]]);
+                    offsets.push(bytes.len());
+                    validity.push(bits.is_valid(s));
+                }
+            }
+            // A source of another variant (or the row fallback): value by
+            // value, promoting on the first mismatch as `push` does.
+            _ => {
+                for &s in slots {
+                    self.push(&column.value(s as usize));
                 }
             }
         }
@@ -754,8 +866,9 @@ fn typed_column_with_nulls(value: &Value, nulls: usize) -> Column {
     }
 }
 
-/// Appends `value` (NULL or the column's own variant) to a typed column.
-fn push_typed(column: &mut Column, value: &Value) {
+/// Appends `value` to a typed column if it is NULL or of the column's own
+/// variant (`Mixed` takes everything); false, and nothing appended, otherwise.
+fn push_typed(column: &mut Column, value: &Value) -> bool {
     match (column, value) {
         (Column::Int64 { values, validity }, Value::Int64(v))
         | (Column::Date { values, validity }, Value::Date(v)) => {
@@ -805,8 +918,9 @@ fn push_typed(column: &mut Column, value: &Value) {
             validity.push(false);
         }
         (Column::Mixed { values }, v) => values.push(v.clone()),
-        _ => unreachable!("caller checked the variant"),
+        _ => return false,
     }
+    true
 }
 
 /// A batch of rows in columnar form: one [`Column`] per schema position,
@@ -840,17 +954,11 @@ impl Batch {
     /// Every row must have exactly `width` values. Column typing is inferred
     /// deterministically — see the module docs.
     pub fn from_rows(width: usize, rows: &[Tuple]) -> Self {
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
+        let mut builder = BatchBuilder::with_width(width);
         for row in rows {
-            debug_assert_eq!(row.len(), width, "row arity must match the batch width");
-            for (builder, value) in builders.iter_mut().zip(row.values()) {
-                builder.push(value);
-            }
+            builder.push_row(row);
         }
-        Self::from_parts(
-            builders.into_iter().map(ColumnBuilder::finish).collect(),
-            rows.len(),
-        )
+        builder.finish()
     }
 
     /// Builds a batch from a relation's rows.
@@ -1042,6 +1150,76 @@ impl Batch {
     }
 }
 
+/// A batch under construction: rows arrive as tuples ([`Self::push_row`], the
+/// row edge) or as slots of other batches ([`Self::extend_slots`], copied a
+/// column at a time) and [`Self::finish`] hands over what accumulated. Column
+/// typing follows [`Batch::from_rows`] — whatever mix of the two feeds it,
+/// the result is the batch `from_rows` builds from the same rows in the same
+/// order.
+#[derive(Debug, Default)]
+pub struct BatchBuilder {
+    columns: Vec<ColumnBuilder>,
+    rows: usize,
+}
+
+impl BatchBuilder {
+    /// An empty builder; the first row fixes its width.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty builder of `width` columns.
+    pub fn with_width(width: usize) -> Self {
+        Self {
+            columns: (0..width).map(|_| ColumnBuilder::new()).collect(),
+            rows: 0,
+        }
+    }
+
+    fn widen(&mut self, width: usize) {
+        if self.rows == 0 && self.columns.is_empty() {
+            *self = Self::with_width(width);
+        }
+        debug_assert_eq!(self.columns.len(), width, "row arity must match the width");
+    }
+
+    /// Rows accumulated since the last [`Self::finish`].
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Appends one row.
+    pub fn push_row(&mut self, row: &Tuple) {
+        self.widen(row.len());
+        for (builder, value) in self.columns.iter_mut().zip(row.values()) {
+            builder.push(value);
+        }
+        self.rows += 1;
+    }
+
+    /// Appends the rows of `batch` at `slots`, in slot-list order.
+    pub fn extend_slots(&mut self, batch: &Batch, slots: &[u32]) {
+        self.widen(batch.num_columns());
+        for (builder, column) in self.columns.iter_mut().zip(batch.columns()) {
+            builder.extend_slots(column, slots);
+        }
+        self.rows += slots.len();
+    }
+
+    /// The accumulated rows as a batch; the builder is left empty, keeping
+    /// its width.
+    pub fn finish(&mut self) -> Batch {
+        let done = std::mem::replace(self, Self::with_width(self.columns.len()));
+        Batch::from_parts(
+            done.columns
+                .into_iter()
+                .map(ColumnBuilder::finish)
+                .collect(),
+            done.rows,
+        )
+    }
+}
+
 /// Assembles selected rows of successive chunks into full batches.
 ///
 /// Operators that pick rows chunk by chunk — a filtering scan, each
@@ -1164,6 +1342,86 @@ mod tests {
                 Value::Null,
             ]),
         ]
+    }
+
+    /// However a builder is fed — tuples, slots of batches cut at any chunk
+    /// size, or both in turn — it builds the batch `from_rows` builds from
+    /// the same rows: typed columns adopt their variant after leading NULLs,
+    /// all-NULL columns stay `Mixed`, a second variant promotes.
+    #[test]
+    fn batch_builder_matches_from_rows_however_it_is_fed() {
+        let mut rows = mixed_rows();
+        rows.insert(
+            0,
+            Tuple::new(vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ]),
+        );
+        for i in 0..70i64 {
+            rows.push(Tuple::new(vec![
+                Value::Int64(i),
+                Value::Float64(i as f64),
+                Value::from(format!("s{i}").as_str()),
+                Value::Bool(i % 2 == 0),
+                // A second variant: the `Date` column promotes to `Mixed`.
+                if i == 40 {
+                    Value::Int64(i)
+                } else {
+                    Value::Date(i)
+                },
+                Value::Null,
+            ]));
+        }
+        let expected = Batch::from_rows(6, &rows);
+        assert!(matches!(expected.column(4), Column::Mixed { .. }));
+        assert!(matches!(expected.column(0), Column::Int64 { .. }));
+        for chunk in [1, 3, 64] {
+            let mut by_slots = BatchBuilder::new();
+            let mut alternating = BatchBuilder::new();
+            for (c, part) in rows.chunks(chunk).enumerate() {
+                let batch = Batch::from_rows(6, part);
+                let all: Vec<u32> = (0..part.len() as u32).collect();
+                by_slots.extend_slots(&batch, &all);
+                if c % 2 == 0 {
+                    alternating.extend_slots(&batch, &all);
+                } else {
+                    part.iter().for_each(|row| alternating.push_row(row));
+                }
+            }
+            assert_eq!(by_slots.num_rows(), rows.len());
+            assert_eq!(by_slots.finish(), expected, "chunk={chunk}");
+            assert_eq!(alternating.finish(), expected, "chunk={chunk}");
+            assert_eq!(by_slots.num_rows(), 0, "finish leaves the builder empty");
+        }
+        // Slot lists pick and repeat rows like `take`.
+        let mut picked = BatchBuilder::new();
+        picked.extend_slots(&expected, &[5, 5, 0, 73]);
+        let rows_picked = [&rows[5], &rows[5], &rows[0], &rows[73]].map(Tuple::clone);
+        assert_eq!(picked.finish(), Batch::from_rows(6, &rows_picked));
+    }
+
+    #[test]
+    fn bitmap_bytes_roundtrip_at_every_length() {
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+            let mut bitmap = NullBitmap::new();
+            (0..len).for_each(|i| bitmap.push(i % 3 != 1));
+            let mut bytes = vec![0xAB];
+            bitmap.write_le_bytes(&mut bytes);
+            assert_eq!(bytes.len(), 1 + len.div_ceil(8));
+            for i in 0..len {
+                assert_eq!(bytes[1 + i / 8] & (1 << (i % 8)) != 0, bitmap.is_valid(i));
+            }
+            // Garbage in the padding bits of the last byte is ignored.
+            if !len.is_multiple_of(8) {
+                *bytes.last_mut().unwrap() |= 0xFF << (len % 8);
+            }
+            assert_eq!(NullBitmap::from_le_bytes(&bytes[1..], len), bitmap);
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The in-memory join ([`crate::partition::JoinBuildTable`]) indexes the whole
 //! build side of one partition; with a join budget configured
 //! (`RDO_JOIN_BUDGET` / [`rdo_storage::SpillConfig::join_budget_bytes`]) this
-//! module takes over whenever that build side would exceed the budget. The
-//! decision is taken on the batches ([`PreparedBuild::prepare`]); only a
-//! partition that actually goes out of core is converted to rows, because
-//! the spill pages it streams through are sized and written tuple by tuple:
+//! module takes over whenever that build side would exceed the budget
+//! ([`PreparedBuild::prepare`] decides on the batches). The out-of-core path
+//! works on the same [`Batch`] runs as the in-memory one — bucket ids are
+//! hashed off the key columns, spill pages are cut from column slices, spilled
+//! buckets come back as decoded page batches, and every leaf probes a
+//! [`JoinBuildTable`]; no row is materialized on the way:
 //!
 //! 1. Both sides of the partition are hashed into `fanout` grace buckets
 //!    (a *different* hash than the partition-level exchange, so co-partitioned
@@ -14,10 +16,11 @@
 //!    the smallest that covers the build-side byte estimate within the
 //!    remaining recursion depth.
 //! 2. As many build buckets as fit in the budget stay resident (the *hybrid*
-//!    part); their probe rows join immediately.
+//!    part), gathered into one batch under one build table; their probe rows
+//!    join immediately.
 //! 3. The remaining buckets **stream** to spill files page by page: a first
-//!    pass sizes the buckets, a second routes each row either into a resident
-//!    bucket or through one page-sized write buffer per spilled bucket
+//!    pass sizes the buckets, a second routes each row either into the
+//!    resident batch or to the pending page of its spilled bucket
 //!    ([`rdo_storage::SpillPartitionWriter`]), so the partitioner's transient
 //!    footprint is O(fanout × page size) — it never materializes full
 //!    buckets. Spilled pairs are read back and joined one at a time —
@@ -27,23 +30,19 @@
 //!    the budget can hold) the bucket falls back to a block nested-loop join,
 //!    which needs no hash table.
 //!
-//! The kernel is an *optimization, never a semantic change*: every probe row
-//! is tagged with its original position and the per-row outputs are merged
-//! back in probe order, so results, join tallies and plan-visible metrics are
-//! bit-identical to the in-memory join at every worker count and budget. Only
-//! the dedicated grace counters (pages/bytes written and read, partitions
-//! spilled, recursions, fallbacks) reveal that the join went out-of-core;
-//! they are logical tallies — pure functions of the joined rows — and
-//! therefore deterministic too.
+//! The kernel is an *optimization, never a semantic change*: every output row
+//! carries the original position of its probe row and the pieces the leaves
+//! emit are merged back in probe order, so results, join tallies and
+//! plan-visible metrics are bit-identical to the in-memory join at every
+//! worker count and budget. Only the dedicated grace counters (pages/bytes
+//! written and read, partitions spilled, recursions, fallbacks) reveal that
+//! the join went out-of-core; they are logical tallies — pure functions of
+//! the joined rows — and therefore deterministic too.
 
 use crate::cost::ExecutionMetrics;
-use crate::partition::{
-    chunk_rows, composite_key, hash_join_partition, rows_of, JoinBuildTable, JoinTally,
-};
-use rdo_common::{batch_size, Batch, Result, Tuple, Value};
-use rdo_sketch::hll::hash_value;
+use crate::partition::{column_partition_hashes, key_slots, JoinBuildTable, JoinTally};
+use rdo_common::{batch_size, Batch, Result};
 use rdo_storage::{Catalog, SpillManager, SpillPartitionWriter, SpilledPartitions};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The fanout tiers the adaptive partitioner picks from, smallest first.
@@ -224,10 +223,10 @@ pub enum PreparedBuild {
     /// The build side fits the join budget (or there is none): the
     /// in-memory index, shared by every probe.
     InMemory(JoinBuildTable),
-    /// The build side exceeds the budget: its rows, for the grace path.
+    /// The build side exceeds the budget: its chunks, for the grace path.
     OverBudget {
-        /// The build rows, converted once.
-        rows: Vec<Tuple>,
+        /// The build chunks (column payloads shared with the caller's).
+        chunks: Vec<Batch>,
         /// The budget and spill manager of the grace join.
         ctx: GraceContext,
     },
@@ -242,15 +241,10 @@ impl PreparedBuild {
         grace: Option<&GraceContext>,
     ) -> Self {
         match grace {
-            Some(ctx)
-                if build.iter().map(|b| b.approx_bytes() as u64).sum::<u64>()
-                    > ctx.budget_bytes =>
-            {
-                PreparedBuild::OverBudget {
-                    rows: rows_of(build),
-                    ctx: ctx.clone(),
-                }
-            }
+            Some(ctx) if approx_bytes(build) > ctx.budget_bytes => PreparedBuild::OverBudget {
+                chunks: build.to_vec(),
+                ctx: ctx.clone(),
+            },
             _ => PreparedBuild::InMemory(JoinBuildTable::build(build, build_key_indexes)),
         }
     }
@@ -275,15 +269,8 @@ impl PreparedBuild {
                     },
                 ))
             }
-            PreparedBuild::OverBudget { rows, ctx } => {
-                let (out, tally) = grace_join_partition(
-                    &rows_of(probe),
-                    rows,
-                    probe_key_indexes,
-                    build_key_indexes,
-                    ctx,
-                )?;
-                Ok((chunk_rows(&out, batch_size()), tally))
+            PreparedBuild::OverBudget { chunks, ctx } => {
+                grace_join_partition(probe, chunks, probe_key_indexes, build_key_indexes, ctx)
             }
         }
     }
@@ -306,91 +293,158 @@ pub fn joined_partition(
     )
 }
 
-/// The memory-budgeted join of one partition's rows. Below the budget this
+fn approx_bytes(chunks: &[Batch]) -> u64 {
+    chunks.iter().map(|b| b.approx_bytes() as u64).sum()
+}
+
+fn num_rows(chunks: &[Batch]) -> u64 {
+    chunks.iter().map(|b| b.num_rows() as u64).sum()
+}
+
+/// Join output of one leaf for one probe chunk: `probe ++ build` rows, each
+/// with the original position of its probe row.
+struct Piece {
+    rows: Batch,
+    positions: Vec<u64>,
+}
+
+/// The memory-budgeted join of one partition's chunks. Below the budget this
 /// *is* the in-memory join; above it, both sides go through grace
 /// partitioning.
 pub fn grace_join_partition(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
+    probe: &[Batch],
+    build: &[Batch],
     probe_key_indexes: &[usize],
     build_key_indexes: &[usize],
     ctx: &GraceContext,
-) -> Result<(Vec<Tuple>, GraceTally)> {
+) -> Result<(Vec<Batch>, GraceTally)> {
     let mut tally = GraceTally::default();
-    let build_bytes: u64 = build_rows.iter().map(|t| t.approx_bytes() as u64).sum();
-    if build_bytes <= ctx.budget_bytes {
-        let (out, join) =
-            hash_join_partition(probe_rows, build_rows, probe_key_indexes, build_key_indexes);
+    if approx_bytes(build) <= ctx.budget_bytes {
+        let (out, join) = JoinBuildTable::build(build, build_key_indexes)
+            .probe_partition(probe, probe_key_indexes);
         tally.join = join;
         return Ok((out, tally));
     }
     // An empty probe side joins to nothing; charge the build rows the
     // in-memory kernel would have counted and skip the partitioning I/O.
-    if probe_rows.is_empty() {
-        tally.join.build_rows = build_rows.len() as u64;
+    let probe_rows = num_rows(probe);
+    if probe_rows == 0 {
+        tally.join.build_rows = num_rows(build);
         return Ok((Vec::new(), tally));
     }
 
-    let indexes: Vec<u64> = (0..probe_rows.len() as u64).collect();
-    let mut emitted: Vec<(u64, Vec<Tuple>)> = Vec::new();
+    let positions: Vec<u64> = (0..probe_rows).collect();
+    let mut pieces: Vec<Piece> = Vec::new();
     recurse(
-        probe_rows,
-        &indexes,
-        build_rows,
+        probe,
+        &positions,
+        build,
         0,
         probe_key_indexes,
         build_key_indexes,
         ctx,
-        &mut emitted,
+        &mut pieces,
         &mut tally,
     )?;
-    // Each probe row lives in exactly one bucket chain, so merging the
-    // per-row outputs by original position reproduces the in-memory order.
-    emitted.sort_unstable_by_key(|(i, _)| *i);
-    let mut out = Vec::with_capacity(tally.join.output_rows as usize);
-    for (_, rows) in emitted {
-        out.extend(rows);
-    }
-    Ok((out, tally))
+    Ok((merge_by_position(pieces), tally))
 }
 
-/// Grace bucket of a composite key at one recursion depth. Depth salts the
-/// hash so a bucket that fails to split at one level splits at the next, and
-/// the mixing makes it independent of the exchange-level `partition_for`
-/// (co-partitioned inputs, whose first key is constant modulo the partition
-/// count, still spread over all buckets).
-fn grace_bucket(key: &[Value], depth: usize, fanout: usize) -> usize {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
-    for v in key {
-        h ^= hash_value(v);
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
+/// Each probe row lives in exactly one bucket chain, and a leaf emits a probe
+/// row's matches in build order within one piece: sorting the output rows by
+/// (original position, piece, row) reproduces the in-memory order.
+fn merge_by_position(pieces: Vec<Piece>) -> Vec<Batch> {
+    let mut picks: Vec<(u64, u32, u32)> = pieces
+        .iter()
+        .enumerate()
+        .flat_map(|(p, piece)| {
+            let rows = piece.positions.iter().enumerate();
+            rows.map(move |(r, &position)| (position, p as u32, r as u32))
+        })
+        .collect();
+    picks.sort_unstable();
+    let pieces: Vec<Batch> = pieces.into_iter().map(|piece| piece.rows).collect();
+    picks
+        .chunks(batch_size())
+        .map(|run| {
+            // Gather from the pieces this run touches, not from all of them.
+            let mut used: Vec<u32> = run.iter().map(|&(_, p, _)| p).collect();
+            used.sort_unstable();
+            used.dedup();
+            let local: Vec<Batch> = used.iter().map(|&p| pieces[p as usize].clone()).collect();
+            let picks: Vec<(u32, u32)> = run
+                .iter()
+                .map(|&(_, p, r)| (used.binary_search(&p).expect("listed above") as u32, r))
+                .collect();
+            Batch::gather(&local, &picks)
+        })
+        .collect()
+}
+
+/// Marks a row whose key holds a NULL: it can never match, so it is counted
+/// and dropped instead of bucketed. Fanout is clamped to <= 1024.
+const NULL_BUCKET: u16 = u16::MAX;
+
+/// Grace bucket of every row of `chunk` at one recursion depth, hashed off the
+/// key columns. Depth salts the hash so a bucket that fails to split at one
+/// level splits at the next, and the mixing makes it independent of the
+/// exchange-level `partition_for` (co-partitioned inputs, whose first key is
+/// constant modulo the partition count, still spread over all buckets). The
+/// per-column digests are the ones `hash_value` gives the materialized keys,
+/// so placement does not depend on the column representation.
+fn bucket_ids(chunk: &Batch, key_indexes: &[usize], depth: usize, fanout: usize) -> Vec<u16> {
+    let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
+    let mut hashes = vec![seed; chunk.num_rows()];
+    for &k in key_indexes {
+        for (h, digest) in hashes
+            .iter_mut()
+            .zip(column_partition_hashes(chunk.column(k)))
+        {
+            *h ^= digest;
+            *h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            *h ^= *h >> 33;
+        }
     }
-    (h % fanout.max(1) as u64) as usize
+    let fanout = fanout.max(1) as u64;
+    let mut ids: Vec<u16> = hashes.into_iter().map(|h| (h % fanout) as u16).collect();
+    for key in key_slots(chunk, key_indexes) {
+        if !key.no_nulls() {
+            for (i, id) in ids.iter_mut().enumerate() {
+                if key.get(i).is_none() {
+                    *id = NULL_BUCKET;
+                }
+            }
+        }
+    }
+    ids
 }
 
 #[allow(clippy::too_many_arguments)]
 fn recurse(
-    probe: &[Tuple],
-    idx: &[u64],
-    build: &[Tuple],
+    probe: &[Batch],
+    positions: &[u64],
+    build: &[Batch],
     depth: usize,
     probe_keys: &[usize],
     build_keys: &[usize],
     ctx: &GraceContext,
-    emitted: &mut Vec<(u64, Vec<Tuple>)>,
+    pieces: &mut Vec<Piece>,
     tally: &mut GraceTally,
 ) -> Result<()> {
-    let build_bytes: u64 = build.iter().map(|t| t.approx_bytes() as u64).sum();
+    let build_bytes = approx_bytes(build);
     if build_bytes <= ctx.budget_bytes {
-        leaf_hash_join(probe, idx, build, probe_keys, build_keys, emitted, tally);
+        let table = JoinBuildTable::build(build, build_keys);
+        tally.join.build_rows += table.build_rows();
+        tally.join.probe_rows += positions.len() as u64;
+        probe_table(&table, probe, positions, probe_keys, pieces, tally);
         return Ok(());
     }
     if depth >= ctx.max_depth {
         // Pathological skew: the bucket no longer splits (or we stopped
         // trying). A block nested-loop join needs no build hash table.
         tally.fallbacks += 1;
-        leaf_nested_loop(probe, idx, build, probe_keys, build_keys, emitted, tally);
+        leaf_nested_loop(
+            probe, positions, build, probe_keys, build_keys, pieces, tally,
+        );
         return Ok(());
     }
     tally.recursions += 1;
@@ -401,24 +455,26 @@ fn recurse(
     span.attr_u64("bucket_bytes", build_bytes);
 
     // ---- Pass 1: size the buckets without materializing them — O(fanout)
-    // state plus one cached bucket id per row, so pass 2 never re-hashes.
-    // NULL-keyed rows never match; they are marked here and counted in
-    // pass 2. ----
-    const NULL_BUCKET: u16 = u16::MAX; // fanout is clamped to <= 1024
+    // state plus one cached bucket id per row, so pass 2 never re-hashes. ----
     let mut bucket_bytes = vec![0u64; fanout];
     let mut bucket_rows = vec![0u64; fanout];
-    let mut row_buckets: Vec<u16> = Vec::with_capacity(build.len());
-    for row in build {
-        match composite_key(row, build_keys) {
-            None => row_buckets.push(NULL_BUCKET),
-            Some(key) => {
-                let b = grace_bucket(&key, depth, fanout);
-                bucket_bytes[b] += row.approx_bytes() as u64;
-                bucket_rows[b] += 1;
-                row_buckets.push(b as u16);
+    let build_ids: Vec<Vec<u16>> = build
+        .iter()
+        .map(|chunk| {
+            let ids = bucket_ids(chunk, build_keys, depth, fanout);
+            let mut slots: Vec<Vec<u32>> = vec![Vec::new(); fanout];
+            for (slot, &id) in ids.iter().enumerate() {
+                if id != NULL_BUCKET {
+                    slots[id as usize].push(slot as u32);
+                }
             }
-        }
-    }
+            for (b, slots) in slots.iter().enumerate() {
+                bucket_bytes[b] += chunk.approx_bytes_at(slots) as u64;
+                bucket_rows[b] += slots.len() as u64;
+            }
+            ids
+        })
+        .collect();
 
     // ---- Hybrid: keep a prefix of buckets resident while they fit. Since the
     // total exceeds the budget, at least one non-empty bucket spills. ----
@@ -435,101 +491,83 @@ fn recurse(
         .collect();
     tally.partitions_spilled += spilled_nonempty.iter().filter(|s| **s).count() as u64;
 
-    // ---- Pass 2: route the build side. Resident buckets materialize (they
-    // fit the budget by construction); spilled buckets stream page by page
-    // through one write buffer each, so the transient footprint of the
+    // ---- Pass 2: route the build side. Resident rows are picked in build
+    // order (they fit the budget by construction); spilled buckets stream
+    // page by page through the writer, so the transient footprint of the
     // overflow is fanout × page size — not the overflow's own size. NULL-
     // keyed rows are counted the way the in-memory kernel counts its insert
     // attempts and dropped. ----
-    let mut build_buckets: Vec<Vec<Tuple>> = vec![Vec::new(); fanout];
+    let mut resident_picks: Vec<(u32, u32)> = Vec::new();
     let mut build_writer = SpillPartitionWriter::new(Arc::clone(&ctx.manager), fanout)?;
-    for (row, &bucket) in build.iter().zip(&row_buckets) {
-        if bucket == NULL_BUCKET {
-            tally.join.build_rows += 1;
-            continue;
-        }
-        let b = bucket as usize;
-        if resident[b] {
-            build_buckets[b].push(row.clone());
-        } else {
-            build_writer.append(b, row)?;
-        }
-    }
-    drop(row_buckets);
-    tally.peak_transient_bytes = tally
-        .peak_transient_bytes
-        .max(build_writer.peak_buffered_bytes());
-    let (build_store, build_written) = build_writer.finish()?;
-    tally.pages_written += build_written.pages;
-    tally.bytes_written += build_written.bytes;
-    tally.logical_bytes_written += build_written.logical_bytes;
-
-    // ---- One hash table over all resident buckets: a key's matches live in a
-    // single bucket and keep their build-order positions, so combining the
-    // resident buckets changes nothing about match order. ----
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-    for (b, bucket) in build_buckets.iter().enumerate() {
-        if resident[b] {
-            for row in bucket {
+    for (c, (chunk, ids)) in build.iter().zip(&build_ids).enumerate() {
+        let mut spilled: Vec<(usize, u32)> = Vec::new();
+        for (slot, &id) in ids.iter().enumerate() {
+            if id == NULL_BUCKET {
                 tally.join.build_rows += 1;
-                let key = composite_key(row, build_keys).expect("bucketed rows carry keys");
-                table.entry(key).or_default().push(row);
+            } else if resident[id as usize] {
+                resident_picks.push((c as u32, slot as u32));
+            } else {
+                spilled.push((id as usize, slot as u32));
             }
         }
+        build_writer.append_rows(chunk, spilled)?;
     }
+    drop(build_ids);
+    let (build_store, build_peak) = finish_writer(build_writer, tally)?;
+
+    // ---- One table over all resident rows, in build order: a key's matches
+    // live in a single bucket and keep their build-order positions, so
+    // indexing the resident buckets together changes nothing about match
+    // order. ----
+    tally.join.build_rows += resident_picks.len() as u64;
+    let table = JoinBuildTable::build(&[Batch::gather(build, &resident_picks)], build_keys);
+    drop(resident_picks);
 
     // ---- Stream the probe side: resident buckets join now, buckets with a
-    // spilled build partner stream to disk through per-bucket page buffers
-    // (original positions stay in memory), and buckets whose build side is
-    // empty can't match anything. ----
-    let mut probe_spill_idx: Vec<Vec<u64>> = vec![Vec::new(); fanout];
+    // spilled build partner stream to disk through the writer (original
+    // positions stay in memory), and buckets whose build side is empty can't
+    // match anything. Equal keys share a bucket, so probing a whole chunk
+    // against the resident table finds matches for resident-bucket rows
+    // only. ----
+    let mut spilled_positions: Vec<Vec<u64>> = vec![Vec::new(); fanout];
     let mut probe_writer = SpillPartitionWriter::new(Arc::clone(&ctx.manager), fanout)?;
-    for (row, &i) in probe.iter().zip(idx) {
-        let Some(key) = composite_key(row, probe_keys) else {
-            tally.join.probe_rows += 1;
-            continue;
-        };
-        let b = grace_bucket(&key, depth, fanout);
-        if resident[b] {
-            tally.join.probe_rows += 1;
-            if let Some(matches) = table.get(&key) {
-                let rows: Vec<Tuple> = matches.iter().map(|m| row.concat(m)).collect();
-                tally.join.output_rows += rows.len() as u64;
-                emitted.push((i, rows));
-            }
-        } else if spilled_nonempty[b] {
-            probe_writer.append(b, row)?;
-            probe_spill_idx[b].push(i);
-        } else {
-            tally.join.probe_rows += 1;
+    let mut base = 0usize;
+    for chunk in probe {
+        let ids = bucket_ids(chunk, probe_keys, depth, fanout);
+        let spilled: Vec<(usize, u32)> = ids
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| id != NULL_BUCKET && spilled_nonempty[id as usize])
+            .map(|(slot, &id)| (id as usize, slot as u32))
+            .collect();
+        for &(b, slot) in &spilled {
+            spilled_positions[b].push(positions[base + slot as usize]);
         }
+        tally.join.probe_rows += (chunk.num_rows() - spilled.len()) as u64;
+        probe_writer.append_rows(chunk, spilled)?;
+        base += chunk.num_rows();
     }
+    probe_table(&table, probe, positions, probe_keys, pieces, tally);
     drop(table);
-    drop(build_buckets);
-    tally.peak_transient_bytes = tally
-        .peak_transient_bytes
-        .max(probe_writer.peak_buffered_bytes());
-    let (probe_store, probe_written) = probe_writer.finish()?;
-    tally.pages_written += probe_written.pages;
-    tally.bytes_written += probe_written.bytes;
-    tally.logical_bytes_written += probe_written.logical_bytes;
+    let (probe_store, probe_peak) = finish_writer(probe_writer, tally)?;
+    tally.peak_transient_bytes = tally.peak_transient_bytes.max(build_peak).max(probe_peak);
 
     // ---- Read back and join each spilled pair, one at a time. ----
     for b in 0..fanout {
         if !spilled_nonempty[b] {
             continue;
         }
-        let bucket_build = read_partition(&build_store, b, tally)?;
-        let bucket_probe = read_partition(&probe_store, b, tally)?;
+        let bucket_build = read_bucket(&build_store, b, tally)?;
+        let bucket_probe = read_bucket(&probe_store, b, tally)?;
         recurse(
             &bucket_probe,
-            &probe_spill_idx[b],
+            &spilled_positions[b],
             &bucket_build,
             depth + 1,
             probe_keys,
             build_keys,
             ctx,
-            emitted,
+            pieces,
             tally,
         )?;
     }
@@ -537,92 +575,147 @@ fn recurse(
     Ok(())
 }
 
-/// Materializes one spilled bucket, charging the pages actually read.
-fn read_partition(
+/// Seals a bucket writer, charging the pages it wrote; returns the store and
+/// the writer's buffered-bytes high-water mark.
+fn finish_writer(
+    writer: SpillPartitionWriter,
+    tally: &mut GraceTally,
+) -> Result<(SpilledPartitions, u64)> {
+    let peak = writer.peak_buffered_bytes();
+    let (store, written) = writer.finish()?;
+    tally.pages_written += written.pages;
+    tally.bytes_written += written.bytes;
+    tally.logical_bytes_written += written.logical_bytes;
+    Ok((store, peak))
+}
+
+/// Reads one spilled bucket back as its page batches, charging the pages
+/// actually read.
+fn read_bucket(
     store: &SpilledPartitions,
     bucket: usize,
     tally: &mut GraceTally,
-) -> Result<Vec<Tuple>> {
-    let (rows, read) = store.read_partition_tallied(bucket)?;
+) -> Result<Vec<Batch>> {
+    let mut chunks = Vec::new();
+    let read = store.scan_batches(bucket, |page| {
+        chunks.push(page.clone());
+        Ok(true)
+    })?;
     tally.pages_read += read.pages;
     tally.bytes_read += read.bytes;
     tally.logical_bytes_read += read.logical_bytes;
-    Ok(rows)
+    Ok(chunks)
 }
 
-/// In-budget leaf: the same build-and-probe as the in-memory kernel, emitting
-/// per-probe-row outputs tagged with their original positions.
-fn leaf_hash_join(
-    probe: &[Tuple],
-    idx: &[u64],
-    build: &[Tuple],
+/// Probes `table` with every chunk of `probe`, emitting one piece per chunk
+/// that matched; `positions` holds the original position of every probe row,
+/// chunk after chunk.
+fn probe_table(
+    table: &JoinBuildTable,
+    probe: &[Batch],
+    positions: &[u64],
     probe_keys: &[usize],
-    build_keys: &[usize],
-    emitted: &mut Vec<(u64, Vec<Tuple>)>,
+    pieces: &mut Vec<Piece>,
     tally: &mut GraceTally,
 ) {
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
-    for row in build {
-        tally.join.build_rows += 1;
-        if let Some(key) = composite_key(row, build_keys) {
-            table.entry(key).or_default().push(row);
+    let mut base = 0usize;
+    for chunk in probe {
+        let (probe_idx, build_idx) = table.matches(chunk, probe_keys);
+        if !probe_idx.is_empty() {
+            let rows = table.joined(chunk, &probe_idx, &build_idx);
+            emit(pieces, tally, rows, &probe_idx, &positions[base..]);
         }
+        base += chunk.num_rows();
     }
-    for (row, &i) in probe.iter().zip(idx) {
-        tally.join.probe_rows += 1;
-        let Some(key) = composite_key(row, probe_keys) else {
-            continue;
-        };
-        if let Some(matches) = table.get(&key) {
-            let rows: Vec<Tuple> = matches.iter().map(|m| row.concat(m)).collect();
-            tally.join.output_rows += rows.len() as u64;
-            emitted.push((i, rows));
-        }
-    }
+}
+
+/// Records the join output of one probe chunk: `probe_idx[r]` is the chunk
+/// slot behind output row `r`, `positions` the chunk's original positions.
+fn emit(
+    pieces: &mut Vec<Piece>,
+    tally: &mut GraceTally,
+    rows: Batch,
+    probe_idx: &[u32],
+    positions: &[u64],
+) {
+    tally.join.output_rows += probe_idx.len() as u64;
+    pieces.push(Piece {
+        rows,
+        positions: probe_idx.iter().map(|&i| positions[i as usize]).collect(),
+    });
 }
 
 /// Fallback leaf for skewed buckets: block nested loop, no hash table. Scans
 /// the build side per probe row in build order, which is exactly the match
-/// order the hash table's insertion-ordered entries would produce.
+/// order the build table's ascending chains would produce, and compares key
+/// slots the way the table does.
 fn leaf_nested_loop(
-    probe: &[Tuple],
-    idx: &[u64],
-    build: &[Tuple],
+    probe: &[Batch],
+    positions: &[u64],
+    build: &[Batch],
     probe_keys: &[usize],
     build_keys: &[usize],
-    emitted: &mut Vec<(u64, Vec<Tuple>)>,
+    pieces: &mut Vec<Piece>,
     tally: &mut GraceTally,
 ) {
-    tally.join.build_rows += build.len() as u64;
-    let build_keyed: Vec<Option<Vec<Value>>> = build
-        .iter()
-        .map(|row| composite_key(row, build_keys))
-        .collect();
-    for (row, &i) in probe.iter().zip(idx) {
-        tally.join.probe_rows += 1;
-        let Some(key) = composite_key(row, probe_keys) else {
-            continue;
-        };
-        let mut rows = Vec::new();
-        for (b_row, b_key) in build.iter().zip(&build_keyed) {
-            if b_key.as_deref() == Some(key.as_slice()) {
-                rows.push(row.concat(b_row));
+    tally.join.build_rows += num_rows(build);
+    tally.join.probe_rows += positions.len() as u64;
+    let build_sides: Vec<_> = build.iter().map(|b| key_slots(b, build_keys)).collect();
+    let mut base = 0usize;
+    for chunk in probe {
+        let keys = key_slots(chunk, probe_keys);
+        let mut probe_idx: Vec<u32> = Vec::new();
+        let mut build_picks: Vec<(u32, u32)> = Vec::new();
+        for i in 0..chunk.num_rows() {
+            if keys.iter().any(|k| k.get(i).is_none()) {
+                continue;
+            }
+            for (c, (b, b_keys)) in build.iter().zip(&build_sides).enumerate() {
+                for r in 0..b.num_rows() {
+                    if keys.iter().zip(b_keys).all(|(p, q)| p.get(i) == q.get(r)) {
+                        probe_idx.push(i as u32);
+                        build_picks.push((c as u32, r as u32));
+                    }
+                }
             }
         }
-        if !rows.is_empty() {
-            tally.join.output_rows += rows.len() as u64;
-            emitted.push((i, rows));
+        if !probe_idx.is_empty() {
+            let rows = chunk
+                .take(&probe_idx)
+                .hstack(&Batch::gather(build, &build_picks));
+            emit(pieces, tally, rows, &probe_idx, &positions[base..]);
         }
+        base += chunk.num_rows();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{chunk_rows, hash_join_partition, rows_of};
+    use rdo_common::{Tuple, Value};
     use rdo_storage::SpillConfig;
 
     fn manager() -> Arc<SpillManager> {
         SpillManager::create(SpillConfig::default().with_page_size(512)).unwrap()
+    }
+
+    /// The kernel over rows: both sides cut into 16-row chunks on the way
+    /// in, the output materialized on the way out.
+    fn grace_rows(
+        probe: &[Tuple],
+        build: &[Tuple],
+        ctx: &GraceContext,
+    ) -> (Vec<Tuple>, GraceTally) {
+        let (out, tally) = grace_join_partition(
+            &chunk_rows(probe, 16),
+            &chunk_rows(build, 16),
+            &[0],
+            &[0],
+            ctx,
+        )
+        .unwrap();
+        (rows_of(&out), tally)
     }
 
     fn rows(n: i64, keys: i64) -> Vec<Tuple> {
@@ -650,8 +743,7 @@ mod tests {
                     let ctx = GraceContext::new(manager(), budget)
                         .with_fanout(fanout)
                         .with_max_depth(max_depth);
-                    let (out, tally) =
-                        grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+                    let (out, tally) = grace_rows(&probe, &build, &ctx);
                     assert_eq!(
                         out, expected,
                         "budget={budget} fanout={fanout} depth={max_depth}"
@@ -667,7 +759,7 @@ mod tests {
         let probe = rows(500, 101);
         let build = rows(300, 101);
         let ctx = GraceContext::new(manager(), 256);
-        let (_, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (_, tally) = grace_rows(&probe, &build, &ctx);
         assert!(tally.partitions_spilled > 0, "{tally:?}");
         assert!(tally.pages_written > 0 && tally.bytes_written > 0);
         assert!(tally.pages_read > 0 && tally.bytes_read > 0);
@@ -679,7 +771,7 @@ mod tests {
         let probe = rows(50, 7);
         let build = rows(10, 7);
         let ctx = GraceContext::new(manager(), u64::MAX);
-        let (_, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (_, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(tally.pages_written, 0);
         assert_eq!(tally.partitions_spilled, 0);
         assert_eq!(tally.recursions, 0);
@@ -698,7 +790,7 @@ mod tests {
             .collect();
         let (expected, _) = hash_join_partition(&probe, &build, &[0], &[0]);
         let ctx = GraceContext::new(manager(), 8).with_max_depth(2);
-        let (out, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected, "40 × 30 cross product on the hot key");
         assert!(tally.fallbacks > 0, "{tally:?}");
         assert_eq!(tally.join.output_rows, 40 * 30);
@@ -712,7 +804,7 @@ mod tests {
         build.push(Tuple::new(vec![Value::Null, Value::Int64(0)]));
         let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
         let ctx = GraceContext::new(manager(), 1);
-        let (out, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected);
         assert_eq!(tally.join, expected_tally);
         assert_eq!(tally.join.build_rows, 81);
@@ -723,7 +815,7 @@ mod tests {
     fn empty_probe_skips_partitioning_but_counts_build_rows() {
         let build = rows(200, 13);
         let ctx = GraceContext::new(manager(), 1);
-        let (out, tally) = grace_join_partition(&[], &build, &[0], &[0], &ctx).unwrap();
+        let (out, tally) = grace_rows(&[], &build, &ctx);
         assert!(out.is_empty());
         assert_eq!(tally.join.build_rows, 200);
         assert_eq!(tally.pages_written, 0, "nothing to join, nothing spilled");
@@ -735,7 +827,7 @@ mod tests {
         let probe = rows(400, 53);
         let build = rows(400, 53);
         let ctx = GraceContext::new(Arc::clone(&mgr), 128);
-        let (_, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (_, tally) = grace_rows(&probe, &build, &ctx);
         assert!(tally.bytes_written > 0);
         assert_eq!(
             std::fs::read_dir(mgr.dir()).unwrap().count(),
@@ -827,7 +919,7 @@ mod tests {
         let build = rows(4_000, 997);
         let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
         let ctx = GraceContext::new(manager(), 2_048); // 512-byte pages
-        let (out, tally) = grace_join_partition(&probe, &build, &[0], &[0], &ctx).unwrap();
+        let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected);
         assert_eq!(tally.join, expected_tally);
         assert!(tally.peak_transient_bytes > 0);

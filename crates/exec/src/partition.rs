@@ -200,7 +200,7 @@ impl JoinTally {
 /// `Date` share a class (they hash and compare alike, as [`Value`]s do);
 /// `validity` is `None` when the column has no NULLs, so the loops skip the
 /// per-slot test.
-enum KeySlots<'a> {
+pub(crate) enum KeySlots<'a> {
     Int {
         values: &'a [i64],
         validity: Option<&'a NullBitmap>,
@@ -223,7 +223,7 @@ enum KeySlots<'a> {
 
 /// A non-null key slot, by equality class.
 #[derive(PartialEq)]
-enum KeyRef<'a> {
+pub(crate) enum KeyRef<'a> {
     Int(i64),
     /// IEEE-754 bits: `NaN` equals the same `NaN`, `-0.0` differs from `0.0`.
     Float(u64),
@@ -263,7 +263,7 @@ impl<'a> KeySlots<'a> {
     }
 
     /// The key at slot `i`, `None` for NULL.
-    fn get(&self, i: usize) -> Option<KeyRef<'a>> {
+    pub(crate) fn get(&self, i: usize) -> Option<KeyRef<'a>> {
         let valid = |validity: &Option<&NullBitmap>| validity.is_none_or(|v| v.is_valid(i));
         match self {
             KeySlots::Int { values, validity } => valid(validity).then(|| KeyRef::Int(values[i])),
@@ -287,7 +287,7 @@ impl<'a> KeySlots<'a> {
     }
 
     /// True if no slot is NULL.
-    fn no_nulls(&self) -> bool {
+    pub(crate) fn no_nulls(&self) -> bool {
         match self {
             KeySlots::Int { validity, .. }
             | KeySlots::Float { validity, .. }
@@ -309,7 +309,7 @@ struct KeyedSide<'a> {
 }
 
 /// The key columns of `batch`, borrowed.
-fn key_slots<'a>(batch: &'a Batch, key_indexes: &[usize]) -> Vec<KeySlots<'a>> {
+pub(crate) fn key_slots<'a>(batch: &'a Batch, key_indexes: &[usize]) -> Vec<KeySlots<'a>> {
     key_indexes
         .iter()
         .map(|&c| KeySlots::of(batch.column(c)))
@@ -411,11 +411,9 @@ impl JoinBuildTable {
         self.build.num_rows() as u64
     }
 
-    /// Probes the table with one batch, emitting `probe ++ build` columns in
-    /// probe order. The returned tally covers this probe batch only —
-    /// `build_rows` stays 0 so callers can sum probe tallies without
-    /// multiply-counting the build side.
-    pub fn probe(&self, probe: &Batch, key_indexes: &[usize]) -> (Batch, JoinTally) {
+    /// The matches of one probe batch as parallel `(probe slot, build row)`
+    /// lists, probe-major with each slot's build rows in insertion order.
+    pub(crate) fn matches(&self, probe: &Batch, key_indexes: &[usize]) -> (Vec<u32>, Vec<u32>) {
         let mut probe_idx: Vec<u32> = Vec::new();
         let mut build_idx: Vec<u32> = Vec::new();
         if !self.build.is_empty() {
@@ -466,11 +464,11 @@ impl JoinBuildTable {
                 }
             }
         }
-        let tally = JoinTally {
-            build_rows: 0,
-            probe_rows: probe.num_rows() as u64,
-            output_rows: probe_idx.len() as u64,
-        };
+        (probe_idx, build_idx)
+    }
+
+    /// The `probe ++ build` rows of a match list from [`Self::matches`].
+    pub(crate) fn joined(&self, probe: &Batch, probe_idx: &[u32], build_idx: &[u32]) -> Batch {
         // Every probe row matching exactly once (a foreign key into its
         // primary key) leaves the probe side as it is: share it.
         let matched_once = probe_idx.len() == probe.num_rows()
@@ -478,9 +476,23 @@ impl JoinBuildTable {
         let probe_side = if matched_once {
             probe.clone()
         } else {
-            probe.take(&probe_idx)
+            probe.take(probe_idx)
         };
-        (probe_side.hstack(&self.build.take(&build_idx)), tally)
+        probe_side.hstack(&self.build.take(build_idx))
+    }
+
+    /// Probes the table with one batch, emitting `probe ++ build` columns in
+    /// probe order. The returned tally covers this probe batch only —
+    /// `build_rows` stays 0 so callers can sum probe tallies without
+    /// multiply-counting the build side.
+    pub fn probe(&self, probe: &Batch, key_indexes: &[usize]) -> (Batch, JoinTally) {
+        let (probe_idx, build_idx) = self.matches(probe, key_indexes);
+        let tally = JoinTally {
+            build_rows: 0,
+            probe_rows: probe.num_rows() as u64,
+            output_rows: probe_idx.len() as u64,
+        };
+        (self.joined(probe, &probe_idx, &build_idx), tally)
     }
 
     /// Probes the table with every chunk of one probe partition — the

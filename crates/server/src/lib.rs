@@ -237,6 +237,22 @@ struct Shared {
     cache: Mutex<Lru<Arc<BoundQuery>>>,
     trace: TraceHandle,
     config: ServerConfig,
+    /// The spill configuration of the environment the server started in,
+    /// resolved once; every query carves its budgets out of a copy.
+    spill: SpillConfig,
+}
+
+/// The spill configuration one query runs under: the server's, with both the
+/// intermediate and the join budget set to half the admission grant (if the
+/// query holds one) so per-query memory stays inside the global budget.
+fn query_spill(base: SpillConfig, grant_bytes: Option<u64>) -> SpillConfig {
+    match grant_bytes {
+        Some(bytes) => {
+            let half = (bytes / 2).max(1);
+            base.with_budget(half).with_join_budget(half)
+        }
+        None => base,
+    }
 }
 
 /// The multi-query SQL server.
@@ -272,6 +288,7 @@ impl SqlServer {
             cache: Mutex::new(Lru::new(config.plan_cache_cap)),
             trace,
             config,
+            spill: SpillConfig::from_env(),
         });
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -501,11 +518,7 @@ fn run_query(
     //    intermediates and spill state private; the spill/join budgets are
     //    carved from the admission grant so per-query memory stays inside the
     //    global budget.
-    let mut spill = SpillConfig::from_env();
-    if let Some(ticket) = &ticket {
-        let half = (ticket.bytes() / 2).max(1);
-        spill = spill.with_budget(half).with_join_budget(half);
-    }
+    let spill = query_spill(shared.spill, ticket.as_ref().map(|t| t.bytes()));
     let mut config = DynamicConfig::dynamic(shared.config.rule)
         .with_parallel(shared.config.parallel)
         .with_spill(spill)
@@ -570,6 +583,32 @@ fn run_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A query runs under the start-time spill configuration — page size,
+    /// compression, read-ahead and page layout untouched — with the two
+    /// budgets replaced by half its admission grant; without a grant the
+    /// configuration is the start-time one as it is.
+    #[test]
+    fn per_query_spill_config_is_the_start_time_one_with_the_grant_halves() {
+        let base = SpillConfig::default()
+            .with_budget(7)
+            .with_page_size(4096)
+            .with_compression(false)
+            .with_prefetch_pages(5)
+            .with_columnar(false);
+        assert_eq!(query_spill(base, None), base);
+        assert_eq!(
+            query_spill(base, Some(1 << 20)),
+            SpillConfig {
+                budget_bytes: Some(1 << 19),
+                join_budget_bytes: Some(1 << 19),
+                ..base
+            }
+        );
+        // A grant too small to halve still gives a positive budget.
+        assert_eq!(query_spill(base, Some(1)).budget_bytes, Some(1));
+        assert_eq!(query_spill(base, Some(0)).join_budget_bytes, Some(1));
+    }
 
     #[test]
     fn config_defaults_and_env_overrides() {

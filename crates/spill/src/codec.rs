@@ -22,7 +22,7 @@
 //!   5 = Date     i64
 //! ```
 
-use rdo_common::{RdoError, Result, Tuple, Value};
+use rdo_common::{Batch, Column, RdoError, Result, Tuple, Value};
 
 const TAG_NULL: u8 = 0;
 const TAG_INT64: u8 = 1;
@@ -84,6 +84,52 @@ pub fn encoded_value_len(value: &Value) -> usize {
 /// storing a different physical layout.
 pub fn encoded_tuple_len(tuple: &Tuple) -> usize {
     4 + tuple.values().iter().map(encoded_value_len).sum::<usize>()
+}
+
+/// Appends the encoding [`encode_tuple`] gives row `r` of `batch`, read off
+/// the column slots (the row-layout page writer's path).
+pub fn encode_batch_row(buf: &mut Vec<u8>, batch: &Batch, r: usize) {
+    buf.extend_from_slice(&(batch.num_columns() as u32).to_le_bytes());
+    for column in batch.columns() {
+        encode_value(buf, &column.value(r));
+    }
+}
+
+/// Per row of `batch`, the exact length [`encode_tuple`] would give it
+/// ([`encoded_tuple_len`]) — what cuts spill pages and feeds every logical
+/// byte counter — computed a column at a time: 4 for the column count, then
+/// per slot 1 for NULL, 9 for a 64-bit value, 2 for a boolean, 5 + length
+/// for a string.
+pub fn encoded_row_lens(batch: &Batch) -> Vec<u32> {
+    fn add(lens: &mut [u32], validity: &rdo_common::NullBitmap, width: impl Fn(usize) -> u32) {
+        let no_nulls = validity.all_valid();
+        for (i, len) in lens.iter_mut().enumerate() {
+            *len += match no_nulls || validity.is_valid(i) {
+                true => width(i),
+                false => 1,
+            };
+        }
+    }
+    let mut lens = vec![4u32; batch.num_rows()];
+    for column in batch.columns() {
+        match column {
+            Column::Int64 { validity, .. }
+            | Column::Date { validity, .. }
+            | Column::Float64 { validity, .. } => add(&mut lens, validity, |_| 9),
+            Column::Bool { validity, .. } => add(&mut lens, validity, |_| 2),
+            Column::Utf8 {
+                offsets, validity, ..
+            } => add(&mut lens, validity, |i| {
+                5 + (offsets[i + 1] - offsets[i]) as u32
+            }),
+            Column::Mixed { values } => {
+                for (len, value) in lens.iter_mut().zip(values) {
+                    *len += encoded_value_len(value) as u32;
+                }
+            }
+        }
+    }
+    lens
 }
 
 fn corrupt(what: &str) -> RdoError {

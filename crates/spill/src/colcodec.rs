@@ -24,13 +24,21 @@
 //! bitmap  := ceil(num_rows / 8) bytes, bit i set when row i is valid
 //! ```
 //!
+//! Both directions work a column slice at a time: a fixed-width column
+//! without NULLs is one pass over its typed array (one bounds check for the
+//! whole payload on the way back), bitmaps move a byte at a time, a string
+//! column is its lengths and then its byte buffer, whole. [`encode_rows`] and
+//! [`decode_rows`] are the row edge for callers holding tuples (the wire
+//! frames of `rdo-net`).
+//!
 //! The roundtrip is **exact** at the representation level, not just the row
 //! level: [`decode_batch`] rebuilds the identical [`Column`] variants
 //! (`Int64` stays `Int64`, NaN payloads and `-0.0` keep their bits, all-NULL
 //! columns stay `Mixed`), so a decoded batch compares equal to the encoded
 //! one and its `to_rows()` is byte-for-byte the rows that went in. Decoding
 //! validates everything — tags, bitmap sizes, string lengths, UTF-8, total
-//! consumption — so a corrupt page errors instead of producing garbage rows.
+//! consumption — so a corrupt page errors instead of producing garbage rows,
+//! and reserves memory only for what the bytes at hand can hold.
 
 use crate::codec::{decode_value, encode_value};
 use rdo_common::{Batch, Column, NullBitmap, RdoError, Result};
@@ -46,48 +54,53 @@ fn corrupt(what: &str) -> RdoError {
     RdoError::Execution(format!("corrupt columnar spill page: {what}"))
 }
 
-/// Appends the packed validity bitmap of `rows` bits.
-fn encode_bitmap(buf: &mut Vec<u8>, validity: &NullBitmap, rows: usize) {
-    debug_assert_eq!(validity.len(), rows);
-    let mut byte = 0u8;
-    for i in 0..rows {
-        if validity.is_valid(i) {
-            byte |= 1 << (i % 8);
+/// Appends one fixed-width column run: the validity bitmap, then the `N`-byte
+/// payload of every valid slot back to back. A column without NULLs — the
+/// common case — is one pass over the typed slice with no per-value test.
+fn encode_fixed<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    validity: &NullBitmap,
+    bytes: impl Fn(T) -> [u8; N],
+) {
+    debug_assert_eq!(validity.len(), values.len());
+    validity.write_le_bytes(buf);
+    if validity.all_valid() {
+        let start = buf.len();
+        buf.resize(start + N * values.len(), 0);
+        for (slot, &v) in buf[start..].chunks_exact_mut(N).zip(values) {
+            slot.copy_from_slice(&bytes(v));
         }
-        if i % 8 == 7 {
-            buf.push(byte);
-            byte = 0;
+    } else {
+        for (i, &v) in values.iter().enumerate() {
+            if validity.is_valid(i) {
+                buf.extend_from_slice(&bytes(v));
+            }
         }
-    }
-    if !rows.is_multiple_of(8) {
-        buf.push(byte);
     }
 }
 
 /// Appends the binary encoding of one batch to `buf`.
 pub fn encode_batch(buf: &mut Vec<u8>, batch: &Batch) {
-    let rows = batch.num_rows();
     buf.extend_from_slice(&(batch.num_columns() as u32).to_le_bytes());
-    buf.extend_from_slice(&(rows as u32).to_le_bytes());
+    buf.extend_from_slice(&(batch.num_rows() as u32).to_le_bytes());
     for column in batch.columns() {
         match column {
             Column::Int64 { values, validity } => {
                 buf.push(TAG_INT64);
-                encode_bitmap(buf, validity, rows);
-                for (i, v) in values.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                encode_fixed(buf, values, validity, i64::to_le_bytes);
+            }
+            Column::Date { values, validity } => {
+                buf.push(TAG_DATE);
+                encode_fixed(buf, values, validity, i64::to_le_bytes);
             }
             Column::Float64 { values, validity } => {
                 buf.push(TAG_FLOAT64);
-                encode_bitmap(buf, validity, rows);
-                for (i, v) in values.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                    }
-                }
+                encode_fixed(buf, values, validity, |v| v.to_bits().to_le_bytes());
+            }
+            Column::Bool { values, validity } => {
+                buf.push(TAG_BOOL);
+                encode_fixed(buf, values, validity, |v| [u8::from(v)]);
             }
             Column::Utf8 {
                 offsets,
@@ -95,36 +108,11 @@ pub fn encode_batch(buf: &mut Vec<u8>, batch: &Batch) {
                 validity,
             } => {
                 buf.push(TAG_UTF8);
-                encode_bitmap(buf, validity, rows);
-                for i in 0..rows {
-                    if validity.is_valid(i) {
-                        let len = offsets[i + 1] - offsets[i];
-                        buf.extend_from_slice(&(len as u32).to_le_bytes());
-                    }
-                }
-                for i in 0..rows {
-                    if validity.is_valid(i) {
-                        buf.extend_from_slice(&bytes[offsets[i]..offsets[i + 1]]);
-                    }
-                }
-            }
-            Column::Bool { values, validity } => {
-                buf.push(TAG_BOOL);
-                encode_bitmap(buf, validity, rows);
-                for (i, v) in values.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        buf.push(u8::from(*v));
-                    }
-                }
-            }
-            Column::Date { values, validity } => {
-                buf.push(TAG_DATE);
-                encode_bitmap(buf, validity, rows);
-                for (i, v) in values.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                let lens: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+                encode_fixed(buf, &lens, validity, u32::to_le_bytes);
+                // NULL slots are zero-length, so the buffer *is* the valid
+                // strings back to back.
+                buf.extend_from_slice(bytes);
             }
             Column::Mixed { values } => {
                 buf.push(TAG_MIXED);
@@ -150,20 +138,32 @@ fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn take_i64(bytes: &[u8], pos: &mut usize) -> Result<i64> {
-    let b = take(bytes, pos, 8)?;
-    Ok(i64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ]))
-}
-
-fn decode_bitmap(bytes: &[u8], pos: &mut usize, rows: usize) -> Result<NullBitmap> {
-    let packed = take(bytes, pos, rows.div_ceil(8))?;
-    let mut validity = NullBitmap::with_capacity(rows);
-    for i in 0..rows {
-        validity.push(packed[i / 8] & (1 << (i % 8)) != 0);
-    }
-    Ok(validity)
+/// Decodes one fixed-width column run of `rows` slots: the bitmap, then one
+/// bounds check for the whole payload (its size follows from the bitmap's
+/// population count) and one pass over it. NULL slots get `T::default()`.
+fn decode_fixed<T: Copy + Default, const N: usize>(
+    bytes: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    value: impl Fn([u8; N]) -> T,
+) -> Result<(Vec<T>, NullBitmap)> {
+    let validity = NullBitmap::from_le_bytes(take(bytes, pos, rows.div_ceil(8))?, rows);
+    let valid = validity.count_valid();
+    let payload = take(bytes, pos, valid * N)?;
+    let mut payloads = payload
+        .chunks_exact(N)
+        .map(|chunk| value(chunk.try_into().expect("chunks_exact yields N bytes")));
+    let values = if valid == rows {
+        payloads.collect()
+    } else {
+        (0..rows)
+            .map(|i| match validity.is_valid(i) {
+                true => payloads.next().expect("one payload per valid slot"),
+                false => T::default(),
+            })
+            .collect()
+    };
+    Ok((values, validity))
 }
 
 /// Decodes one batch, requiring `rows` rows (the page directory's row count)
@@ -185,45 +185,27 @@ pub fn decode_batch(bytes: &[u8], rows: usize) -> Result<Batch> {
         let tag = take(bytes, &mut pos, 1)?[0];
         columns.push(match tag {
             TAG_INT64 | TAG_DATE => {
-                let validity = decode_bitmap(bytes, &mut pos, rows)?;
-                let mut values = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    values.push(if validity.is_valid(i) {
-                        take_i64(bytes, &mut pos)?
-                    } else {
-                        0
-                    });
-                }
-                if tag == TAG_INT64 {
-                    Column::Int64 { values, validity }
-                } else {
-                    Column::Date { values, validity }
+                let (values, validity) = decode_fixed(bytes, &mut pos, rows, i64::from_le_bytes)?;
+                match tag {
+                    TAG_INT64 => Column::Int64 { values, validity },
+                    _ => Column::Date { values, validity },
                 }
             }
             TAG_FLOAT64 => {
-                let validity = decode_bitmap(bytes, &mut pos, rows)?;
-                let mut values = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    values.push(if validity.is_valid(i) {
-                        f64::from_bits(take_i64(bytes, &mut pos)? as u64)
-                    } else {
-                        0.0
-                    });
-                }
+                let (values, validity) = decode_fixed(bytes, &mut pos, rows, |b| {
+                    f64::from_bits(u64::from_le_bytes(b))
+                })?;
                 Column::Float64 { values, validity }
             }
             TAG_UTF8 => {
-                let validity = decode_bitmap(bytes, &mut pos, rows)?;
+                let (lens, validity) = decode_fixed(bytes, &mut pos, rows, u32::from_le_bytes)?;
                 let mut offsets = Vec::with_capacity(rows + 1);
-                offsets.push(0usize);
                 let mut total = 0usize;
-                for i in 0..rows {
-                    if validity.is_valid(i) {
-                        let len = take_u32(bytes, &mut pos)? as usize;
-                        total = total
-                            .checked_add(len)
-                            .ok_or_else(|| corrupt("string lengths overflow"))?;
-                    }
+                offsets.push(total);
+                for len in lens {
+                    total = total
+                        .checked_add(len as usize)
+                        .ok_or_else(|| corrupt("string lengths overflow"))?;
                     offsets.push(total);
                 }
                 // `Batch::from_columns` below rejects invalid UTF-8.
@@ -235,22 +217,21 @@ pub fn decode_batch(bytes: &[u8], rows: usize) -> Result<Batch> {
                 }
             }
             TAG_BOOL => {
-                let validity = decode_bitmap(bytes, &mut pos, rows)?;
-                let mut values = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    values.push(if validity.is_valid(i) {
-                        match take(bytes, &mut pos, 1)?[0] {
-                            0 => false,
-                            1 => true,
-                            _ => return Err(corrupt("boolean payload out of range")),
-                        }
-                    } else {
-                        false
-                    });
+                let (values, validity) = decode_fixed(bytes, &mut pos, rows, |[b]| b)?;
+                if values.iter().any(|&b| b > 1) {
+                    return Err(corrupt("boolean payload out of range"));
                 }
-                Column::Bool { values, validity }
+                Column::Bool {
+                    values: values.into_iter().map(|b| b == 1).collect(),
+                    validity,
+                }
             }
             TAG_MIXED => {
+                // A value costs at least its tag byte: bound the reservation
+                // by what is left of the page.
+                if rows > bytes.len() - pos {
+                    return Err(corrupt("truncated"));
+                }
                 let mut values = Vec::with_capacity(rows);
                 for _ in 0..rows {
                     values.push(decode_value(bytes, &mut pos)?);
@@ -453,6 +434,104 @@ mod tests {
         assert!(decode_batch(&huge, 0).is_err());
     }
 
+    /// A page exercising every bulk path: all-valid and nullable fixed-width
+    /// columns (more than 64 rows, so bitmaps span words), strings, booleans,
+    /// dates, an all-NULL column and a `Mixed` one.
+    fn every_path_page() -> (Batch, Vec<u8>) {
+        let rows: Vec<Tuple> = (0..70i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Int64(i * 1_000_003),
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float64(i as f64 / 7.0)
+                    },
+                    if i % 4 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Utf8(format!("nâme-{}", i % 13))
+                    },
+                    Value::Bool(i % 2 == 0),
+                    Value::Date(20_000 + i),
+                    Value::Null,
+                    if i % 2 == 0 {
+                        Value::Int64(i)
+                    } else {
+                        Value::Utf8(format!("m{i}"))
+                    },
+                ])
+            })
+            .collect();
+        let batch = Batch::from_rows(7, &rows);
+        let mut body = Vec::new();
+        encode_batch(&mut body, &batch);
+        (batch, body)
+    }
+
+    /// Pages carry no checksum, so a damaged one may still decode — but only
+    /// to a well-formed batch of the directory's shape, and never by way of
+    /// a panic.
+    fn assert_err_or_well_formed(bytes: &[u8], rows: usize, what: &str) {
+        if let Ok(batch) = decode_batch(bytes, rows) {
+            assert!(
+                batch.num_columns() == 0 || batch.num_rows() == rows,
+                "{what}: {} rows for a directory count of {rows}",
+                batch.num_rows()
+            );
+            assert_eq!(batch.to_rows().len(), batch.num_rows(), "{what}");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_errors_or_decodes_well_formed() {
+        let (batch, body) = every_path_page();
+        assert_eq!(decode_batch(&body, batch.num_rows()).unwrap(), batch);
+        for cut in 0..body.len() {
+            assert!(
+                decode_batch(&body[..cut], batch.num_rows()).is_err(),
+                "cut={cut}"
+            );
+        }
+        let mut damaged = body.clone();
+        for bit in 0..body.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_err_or_well_formed(&damaged, batch.num_rows(), &format!("bit {bit}"));
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// A header may claim any row and column count: the decoder reserves
+    /// memory only for what the bytes behind the header can hold.
+    #[test]
+    fn implausible_counts_error_before_reserving_memory() {
+        let rows = u32::MAX as usize;
+        for tag in [
+            TAG_MIXED,
+            TAG_INT64,
+            TAG_FLOAT64,
+            TAG_UTF8,
+            TAG_BOOL,
+            TAG_DATE,
+        ] {
+            let mut page = Vec::new();
+            page.extend_from_slice(&1u32.to_le_bytes());
+            page.extend_from_slice(&u32::MAX.to_le_bytes());
+            page.push(tag);
+            page.extend_from_slice(&[0xFF; 64]);
+            assert!(decode_batch(&page, rows).is_err(), "tag {tag}");
+        }
+        // String lengths summing past the page error at the bounds check,
+        // whatever they add up to.
+        let mut page = Vec::new();
+        page.extend_from_slice(&1u32.to_le_bytes());
+        page.extend_from_slice(&2u32.to_le_bytes());
+        page.extend_from_slice(&[TAG_UTF8, 0b11]);
+        page.extend_from_slice(&u32::MAX.to_le_bytes());
+        page.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_batch(&page, 2).is_err());
+    }
+
     fn value_strategy() -> impl Strategy<Value = Value> {
         prop_oneof![
             2 => Just(Value::Null),
@@ -507,6 +586,25 @@ mod tests {
                 crate::codec::encode_tuple(&mut buf, row);
                 prop_assert_eq!(buf.len(), encoded_tuple_len(row));
             }
+        }
+
+        /// Arbitrary bytes never panic, and decode — if at all — to a batch
+        /// of the claimed row count.
+        fn arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..200),
+            columns in 0u32..4,
+            claimed in 0usize..40,
+            tag in 0u8..7,
+        ) {
+            assert_err_or_well_formed(&bytes, claimed, "raw");
+            // The same bytes behind a plausible header and column tag reach
+            // the column decoders instead of dying at the row-count check.
+            let mut page = Vec::new();
+            page.extend_from_slice(&columns.to_le_bytes());
+            page.extend_from_slice(&(claimed as u32).to_le_bytes());
+            page.push(tag);
+            page.extend_from_slice(&bytes);
+            assert_err_or_well_formed(&page, claimed, "framed");
         }
 
         /// Corrupt pages never panic: decode either succeeds or errors for

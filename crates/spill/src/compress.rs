@@ -41,10 +41,35 @@ fn corrupt(what: &str) -> RdoError {
     RdoError::Execution(format!("corrupt compressed spill page: {what}"))
 }
 
+/// The four bytes at `at`, as the little-endian word the hash and the match
+/// test both work on.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+fn word_at(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+#[inline]
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `a` and `b`, compared a word at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Writes the length-extension bytes of a nibble that saturated at 15.
@@ -90,14 +115,15 @@ fn emit_trailing_literals(out: &mut Vec<u8>, literals: &[u8]) {
 /// writer and wiped per page instead of reallocated on every flush.
 #[derive(Debug)]
 pub struct LzScratch {
-    /// Candidate positions, stored +1 so 0 means "empty slot".
-    table: Vec<u32>,
+    /// Candidate positions, stored +1 so 0 means "empty slot". A fixed-size
+    /// array, so a hash (13 bits by construction) indexes it unchecked.
+    table: Box<[u32; 1 << HASH_BITS]>,
 }
 
 impl Default for LzScratch {
     fn default() -> Self {
         Self {
-            table: vec![0u32; 1 << HASH_BITS],
+            table: Box::new([0u32; 1 << HASH_BITS]),
         }
     }
 }
@@ -124,16 +150,15 @@ pub fn compress_block_with(scratch: &mut LzScratch, input: &[u8]) -> Vec<u8> {
     let mut anchor = 0usize;
     let mut i = 0usize;
     while i + MIN_MATCH <= input.len() {
-        let slot = hash4(&input[i..]);
+        let word = word_at(input, i);
+        let slot = hash4(word);
         let candidate = table[slot] as usize;
         table[slot] = (i + 1) as u32;
         if candidate > 0 {
             let c = candidate - 1;
-            if i - c <= MAX_OFFSET && input[c..c + MIN_MATCH] == input[i..i + MIN_MATCH] {
-                let mut len = MIN_MATCH;
-                while i + len < input.len() && input[c + len] == input[i + len] {
-                    len += 1;
-                }
+            if i - c <= MAX_OFFSET && word_at(input, c) == word {
+                let len =
+                    MIN_MATCH + common_prefix(&input[c + MIN_MATCH..], &input[i + MIN_MATCH..]);
                 emit_sequence(&mut out, &input[anchor..i], (i - c) as u16, len);
                 i += len;
                 anchor = i;
@@ -209,11 +234,14 @@ pub fn decompress_block(input: &[u8], logical_len: usize) -> Result<Vec<u8>> {
             return Err(corrupt("match past the end of the page"));
         }
         let start = out.len() - offset;
-        // Overlapping matches (offset < match_len) replicate recent bytes, so
-        // the copy must be sequential.
-        for k in 0..match_len {
-            let byte = out[start + k];
-            out.push(byte);
+        // An overlapping match (offset < match_len) replicates its own
+        // output: the bytes from `start` on repeat with period `offset`, so
+        // copying everything produced so far doubles the run each round.
+        let mut remaining = match_len;
+        while remaining > 0 {
+            let n = remaining.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            remaining -= n;
         }
     }
     if out.len() != logical_len {
@@ -536,8 +564,52 @@ mod tests {
         ]
     }
 
+    /// Streams carry no checksum, so a damaged one may still decompress — but
+    /// only to exactly `logical_len` bytes, and never by way of a panic.
+    fn assert_err_or_exact(stream: &[u8], logical_len: usize, what: &str) {
+        if let Ok(body) = decompress_block(stream, logical_len) {
+            assert_eq!(body.len(), logical_len, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_errors_or_decompresses_to_length() {
+        // Literal runs, short and long matches, and matches that overlap
+        // their own output at offsets 1, 3 and 251.
+        let mut body = noise(300, 7);
+        body.extend(std::iter::repeat_n(0u8, 500));
+        body.extend((0..400).map(|i| (i % 3) as u8));
+        body.extend((0..900).map(|i| (i % 251) as u8));
+        body.extend(noise(40, 9));
+        let stream = compress_block(&body);
+        assert!(stream.len() < body.len() / 2, "the body compresses");
+        assert_eq!(decompress_block(&stream, body.len()).unwrap(), body);
+        for cut in 0..stream.len() {
+            assert_err_or_exact(&stream[..cut], body.len(), &format!("cut {cut}"));
+            assert!(
+                decompress_block(&stream[..cut], body.len()).is_err(),
+                "a shorter stream cannot produce the whole body: cut={cut}"
+            );
+        }
+        let mut damaged = stream.clone();
+        for bit in 0..stream.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_err_or_exact(&damaged, body.len(), &format!("bit {bit}"));
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Arbitrary bytes with an arbitrary claimed length never panic and
+        /// never produce a body of another length.
+        fn arbitrary_streams_never_panic(
+            stream in prop::collection::vec(any::<u8>(), 0..300),
+            logical_len in 0usize..5_000,
+        ) {
+            assert_err_or_exact(&stream, logical_len, "arbitrary stream");
+        }
 
         /// encode_page → decode_page is the identity for arbitrary bodies,
         /// with compression on and off.

@@ -14,7 +14,7 @@
 //!                 │ no            │ yes             RDO_SPILL_BUDGET /
 //!                 ▼               ▼                 DynamicConfig.spill)
 //!        in-memory Table    SpilledPartitions
-//!                                 │ pages (custom row codec, no serde)
+//!                                 │ pages (cut from column slices)
 //!                                 ▼
 //!                           BufferPool              (fixed frames, CLOCK
 //!                                 │ pin/unpin,       second-chance,
@@ -24,24 +24,31 @@
 //!                                                    deleted on drop)
 //! ```
 //!
-//! * [`codec`] — exact binary roundtrip for `Value`/`Tuple` (NULLs, NaN bit
-//!   patterns, strings of any length).
+//! * [`codec`] — the row codec: exact binary roundtrip for `Value`/`Tuple`
+//!   (NULLs, NaN bit patterns, strings of any length). Its per-row length is
+//!   the unit every page boundary and logical byte counter is measured in,
+//!   read straight off the columns of a batch (`codec::encoded_row_lens`).
 //! * [`colcodec`] — the columnar page layout (`RDO_COLUMNAR`, on by
 //!   default): the same rows stored as column runs — one type tag, a null
-//!   bitmap and contiguous payloads per column — so the LZ compressor sees
-//!   same-type byte runs. Page boundaries, row counts and logical byte
-//!   counters stay identical to the row codec's; only stored bytes shrink.
+//!   bitmap and contiguous payloads per column, encoded and decoded a column
+//!   slice at a time — so the LZ compressor sees same-type byte runs. Page
+//!   boundaries, row counts and logical byte counters stay identical to the
+//!   row codec's. A page is encoded once, in one layout, fixed before
+//!   encoding: columnar, except tail pages under 1 KiB.
 //! * [`compress`] — the dependency-free LZ page codec (`RDO_SPILL_COMPRESS`,
 //!   on by default): pages that shrink are stored compressed, the rest raw,
 //!   with both stored and logical byte volumes reported.
 //! * [`buffer`] — the fixed-frame [`BufferPool`]: CLOCK eviction, pin/unpin,
 //!   dirty-page writeback, graceful bypass when every frame is pinned, and
 //!   `prefetch_page` for the scan read-ahead.
-//! * [`store`] — [`SpilledPartitions`], the paged per-partition store with a
-//!   streaming `scan_pages` API the executors feed through the existing
+//! * [`store`] — [`SpilledPartitions`], the paged per-partition store with
+//!   a streaming `scan_batches` API the executors feed through the
 //!   per-partition kernels (read-ahead prefetch under `RDO_SPILL_PREFETCH`),
-//!   and [`SpillPartitionWriter`], the page-at-a-time partition router whose
-//!   transient footprint is bounded by partitions × page size.
+//!   and [`SpillPartitionWriter`], the batch-native partition router — it
+//!   takes whole batches or `(partition, slot)` routes, cuts a page per
+//!   partition as it fills, and keeps its transient footprint bounded by
+//!   partitions × page size. `append(&Tuple)` and `read_partition` are the
+//!   row edge for callers holding tuples.
 //! * [`manager`] — [`SpillManager`] (budget accounting, temp-dir ownership,
 //!   the shared pool) and [`SpillConfig`] (`RDO_SPILL_BUDGET`).
 //!

@@ -67,11 +67,12 @@ pub struct SpillConfig {
     pub prefetch_pages: usize,
     /// Columnar page layout ([`crate::colcodec`]): pages store their rows as
     /// column runs — type tag, null bitmap, contiguous values — so the LZ
-    /// compressor sees same-type byte runs. On by default (`RDO_COLUMNAR`;
-    /// this field and the wire frames of `rdo-net` are all the knob
-    /// selects — resident tables are columnar regardless). Purely physical: decoded rows, page boundaries, per-page row counts
-    /// and all *logical* byte counters are identical to the row codec; only
-    /// the stored bytes shrink.
+    /// compressor sees same-type byte runs (tail pages under 1 KiB stay in
+    /// the row codec; each page is encoded once, in one layout). On by
+    /// default (`RDO_COLUMNAR`; this field and the wire frames of `rdo-net`
+    /// are all the knob selects — resident tables are columnar regardless).
+    /// Purely physical: decoded rows, page boundaries, per-page row counts
+    /// and all *logical* byte counters are identical to the row codec.
     pub columnar: bool,
 }
 

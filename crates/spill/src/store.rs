@@ -9,24 +9,24 @@
 //!
 //! Two pieces make up the I/O fast path:
 //!
-//! * **Streaming writes** — [`SpillPartitionWriter`] routes rows into the
-//!   store one at a time through a single page-sized write buffer per
-//!   partition, so a producer that *routes* rows (the grace partitioner)
-//!   never materializes whole partitions first: its transient footprint is
-//!   O(partitions × page size), tracked by
-//!   [`SpillPartitionWriter::peak_buffered_bytes`]. Pages are compressed at
-//!   flush time when the manager's config says so.
+//! * **Streaming writes** — [`SpillPartitionWriter`] takes batches — whole,
+//!   or routed slot by slot to different partitions — and keeps one pending
+//!   page per partition, so a producer that *routes* rows (the grace
+//!   partitioner) never materializes whole partitions first: its transient
+//!   footprint is O(partitions × page size), tracked by
+//!   [`SpillPartitionWriter::peak_buffered_bytes`]. Pages are cut by the
+//!   rows' row-codec lengths, encoded once from the pending page's column
+//!   slices, and compressed at flush time when the manager's config says so.
 //! * **Read-ahead scans** — [`SpilledPartitions::scan_pages`] overlaps page
 //!   decode with disk reads: a prefetch thread keeps the next
 //!   `SpillConfig::prefetch_pages` pages resident in the buffer pool while
 //!   the scanner decompresses and decodes the current one.
 
-use crate::codec::{decode_rows, encode_tuple, encoded_tuple_len};
+use crate::codec::{decode_rows, encode_batch_row, encoded_row_lens, encoded_tuple_len};
 use crate::colcodec;
 use crate::compress::{decode_page, encode_page_with, LzScratch};
 use crate::manager::{SpillManager, SpillReadTally, SpillWriteTally};
-use rdo_common::{Batch, Result, Tuple};
-use std::borrow::Cow;
+use rdo_common::{batch_size, Batch, BatchBuilder, Result, Tuple};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -56,38 +56,47 @@ struct PartitionPages {
     rows: usize,
 }
 
-/// Streams rows into a fresh spill file, one write buffer per partition.
+/// Below this many row-codec bytes a page that did not fill up (the tail of a
+/// small partition) is stored in the row layout even when the configuration
+/// asks for columnar pages: on a handful of rows the columnar header — 8
+/// bytes plus a tag and a bitmap per column — and the cross-column matches the
+/// compressor loses cost more than the column runs save (measured crossover:
+/// 128–256 bytes on multi-column pages, ~1 KiB on single-column ones).
+const MIN_COLUMNAR_PAGE_BYTES: usize = 1024;
+
+/// The page a partition is filling: its rows as a batch under construction,
+/// and their row-codec byte length — the page-boundary measure.
+#[derive(Debug, Default)]
+struct PendingPage {
+    rows: BatchBuilder,
+    len: usize,
+}
+
+/// Streams rows into a fresh spill file, one pending page per partition.
 ///
-/// `append` encodes the row into its partition's buffer and flushes the
-/// buffer as a page whenever it reaches the target page size, so only
-/// `partitions × page_size` bytes (plus at most one oversized row) are ever
-/// buffered — the writer is what lets the grace partitioner route an
-/// arbitrarily large build side with a bounded transient footprint.
-/// [`SpillPartitionWriter::finish`] flushes the tails and returns the
-/// completed store; dropping an unfinished writer deletes the file.
+/// Rows arrive as batches — whole ([`Self::append_batch`]) or routed slot by
+/// slot to different partitions ([`Self::append_rows`]) — and a partition's
+/// page is cut as soon as its pending rows reach the target page size, so
+/// only `partitions × page_size` bytes (plus at most one oversized row) ever
+/// wait. [`Self::finish`] flushes the tails and returns the completed store;
+/// dropping an unfinished writer deletes the file.
 ///
-/// With `SpillConfig::columnar` on, the writer buffers each partition's
-/// pending rows instead of encoded bytes, and at flush time frames the page
-/// in *both* layouts — column runs ([`crate::colcodec`]) and the row codec —
-/// keeping whichever is smaller after optional compression (each page's
-/// metadata records the winner, and the reader dispatches on it). Page
-/// boundaries, per-page row counts, logical byte counters and the
-/// buffered-bytes accounting are all computed from the *row-codec* lengths
-/// ([`encoded_tuple_len`]), so every logical figure is bit-identical to
-/// row-layout runs — only the stored bytes change, and never upward.
+/// Page boundaries, per-page row counts, logical byte counters and the
+/// buffered-bytes accounting all follow the *row-codec* length of each row
+/// ([`encoded_row_lens`]), so every logical figure is the same in both page
+/// layouts and the same whether rows arrive as batches or one [`Tuple`] at a
+/// time. A page is encoded **once**, in a layout fixed before encoding: with
+/// `SpillConfig::columnar` on, column runs ([`crate::colcodec`]) written from
+/// the pending page's column slices — except tail pages under 1 KiB, which
+/// like every page of a `columnar = false` store are written in the row
+/// codec. Each page's metadata records its layout for the reader.
 #[derive(Debug)]
 pub struct SpillPartitionWriter {
     manager: Arc<SpillManager>,
     file_id: u64,
     path: PathBuf,
     parts: Vec<PartitionPages>,
-    /// Row mode: the encoded page body per partition.
-    bufs: Vec<Vec<u8>>,
-    /// Columnar mode: rows awaiting the columnar flush, and their exact
-    /// row-codec byte length (drives page boundaries and all accounting).
-    pending: Vec<Vec<Tuple>>,
-    pending_len: Vec<usize>,
-    rows_in_buf: Vec<u32>,
+    pending: Vec<PendingPage>,
     offset: u64,
     page_no: u32,
     tally: SpillWriteTally,
@@ -114,10 +123,7 @@ impl SpillPartitionWriter {
             file_id,
             path,
             parts: (0..partitions).map(|_| PartitionPages::default()).collect(),
-            bufs: vec![Vec::new(); partitions],
-            pending: vec![Vec::new(); partitions],
-            pending_len: vec![0; partitions],
-            rows_in_buf: vec![0; partitions],
+            pending: (0..partitions).map(|_| PendingPage::default()).collect(),
             offset: 0,
             page_no: 0,
             tally: SpillWriteTally::default(),
@@ -133,105 +139,100 @@ impl SpillPartitionWriter {
         })
     }
 
-    /// Row-codec bytes partition `p` has pending — the page-boundary measure
-    /// in both layouts.
-    fn body_len(&self, p: usize) -> usize {
-        if self.columnar {
-            self.pending_len[p]
-        } else {
-            self.bufs[p].len()
-        }
-    }
-
-    /// Appends one row to partition `p`, flushing a page when the partition's
-    /// buffer reaches the page size (a page holds at least one row, so an
-    /// oversized row becomes an oversized page rather than an error).
+    /// Appends one row to partition `p` — the row edge, for callers holding
+    /// tuples. Cuts the very pages the batch appends cut.
     pub fn append(&mut self, p: usize, row: &Tuple) -> Result<()> {
-        self.append_cow(p, Cow::Borrowed(row))
-    }
-
-    /// Appends every row of `batch` to partition `p`, one row at a time: the
-    /// pages cut exactly as if the rows had been appended individually, and
-    /// the batch is never materialized as a whole `Vec<Tuple>`.
-    pub fn append_batch(&mut self, p: usize, batch: &Batch) -> Result<()> {
-        for r in 0..batch.num_rows() {
-            self.append_cow(p, Cow::Owned(batch.row(r)))?;
-        }
-        Ok(())
-    }
-
-    fn append_cow(&mut self, p: usize, row: Cow<'_, Tuple>) -> Result<()> {
-        let approx = row.approx_bytes();
-        let encoded = if self.columnar {
-            let len = encoded_tuple_len(&row);
-            self.pending[p].push(row.into_owned());
-            self.pending_len[p] += len;
-            len
-        } else {
-            let before = self.bufs[p].len();
-            encode_tuple(&mut self.bufs[p], &row);
-            self.bufs[p].len() - before
-        };
-        self.buffered_bytes += encoded as u64;
-        self.peak_buffered_bytes = self.peak_buffered_bytes.max(self.buffered_bytes);
-        self.rows_in_buf[p] += 1;
-        self.parts[p].rows += 1;
-        self.total_rows += 1;
-        self.approx_bytes += approx;
-        if self.body_len(p) >= self.page_size {
+        self.pending[p].rows.push_row(row);
+        if self.account(p, encoded_tuple_len(row)) {
             self.flush_partition(p)?;
         }
         Ok(())
     }
 
-    /// High-water mark of bytes sitting in the per-partition write buffers —
-    /// the writer's transient footprint, bounded by
-    /// `partitions × page_size` plus at most one oversized row.
+    /// Appends every row of `batch` to partition `p`.
+    pub fn append_batch(&mut self, p: usize, batch: &Batch) -> Result<()> {
+        self.append_rows(batch, (0..batch.num_rows() as u32).map(|slot| (p, slot)))
+    }
+
+    /// Appends the rows of `batch` named by `rows` — `(partition, slot)`, in
+    /// the order given — flushing a partition's page whenever its pending
+    /// rows reach the page size (a page holds at least one row, so an
+    /// oversized row becomes an oversized page rather than an error). The
+    /// pages, tallies and the buffered-bytes high-water mark are exactly those
+    /// of appending the same rows one at a time in the same order; the rows
+    /// themselves are copied into the pending pages a column at a time.
+    pub fn append_rows(
+        &mut self,
+        batch: &Batch,
+        rows: impl IntoIterator<Item = (usize, u32)>,
+    ) -> Result<()> {
+        let lens = encoded_row_lens(batch);
+        // Slots routed to each partition and not yet copied into its page.
+        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.pending.len()];
+        for (p, slot) in rows {
+            routed[p].push(slot);
+            if self.account(p, lens[slot as usize] as usize) {
+                self.pending[p].rows.extend_slots(batch, &routed[p]);
+                routed[p].clear();
+                self.flush_partition(p)?;
+            }
+        }
+        for (pending, slots) in self.pending.iter_mut().zip(&routed) {
+            if !slots.is_empty() {
+                pending.rows.extend_slots(batch, slots);
+            }
+        }
+        Ok(())
+    }
+
+    /// Books one row of `encoded` row-codec bytes into partition `p`; true
+    /// when that fills the partition's page.
+    fn account(&mut self, p: usize, encoded: usize) -> bool {
+        self.pending[p].len += encoded;
+        self.buffered_bytes += encoded as u64;
+        self.peak_buffered_bytes = self.peak_buffered_bytes.max(self.buffered_bytes);
+        self.parts[p].rows += 1;
+        self.total_rows += 1;
+        self.pending[p].len >= self.page_size
+    }
+
+    /// High-water mark of the row-codec bytes pending across all partitions,
+    /// bounded by `partitions × page_size` plus at most one oversized row per
+    /// partition. A *logical* figure — the bytes the pending rows will occupy
+    /// in row-codec pages, the same in both page layouts — not the heap size
+    /// of the pending batches (8 bytes a fixed-width slot, whatever the row
+    /// codec spends on it).
     pub fn peak_buffered_bytes(&self) -> u64 {
         self.peak_buffered_bytes
     }
 
     fn flush_partition(&mut self, p: usize) -> Result<()> {
-        // `logical_len` is always the row-codec volume; in columnar mode the
-        // physical body differs from it, and that difference is the point.
-        // Columnar mode frames *both* layouts and keeps whichever packs
-        // tighter — small or string-unique pages can favor the per-row
-        // stride — recording the winner per page, so the columnar store
-        // never costs a single stored byte over the row store.
-        let (blob, logical_len, columnar_page) = if self.columnar {
-            let rows = std::mem::take(&mut self.pending[p]);
-            let logical = std::mem::replace(&mut self.pending_len[p], 0);
-            let width = rows.first().map_or(0, Tuple::len);
-            let mut col_body = Vec::new();
-            colcodec::encode_batch(&mut col_body, &Batch::from_rows(width, &rows));
-            let mut row_body = Vec::with_capacity(logical);
-            for row in &rows {
-                crate::codec::encode_tuple(&mut row_body, row);
-            }
-            let _t = rdo_trace::timer("spill.compress_ns");
-            let col_blob = encode_page_with(&mut self.scratch, &col_body, self.compress);
-            let row_blob = encode_page_with(&mut self.scratch, &row_body, self.compress);
-            if col_blob.len() < row_blob.len() {
-                (col_blob, logical, true)
-            } else {
-                (row_blob, logical, false)
-            }
+        let page = self.pending[p].rows.finish();
+        self.approx_bytes += page.approx_bytes();
+        // `logical_len` is always the row-codec volume; a columnar body
+        // differs from it, and that difference is the point.
+        let logical_len = std::mem::take(&mut self.pending[p].len);
+        let mut body = Vec::with_capacity(logical_len);
+        let columnar = self.columnar && logical_len >= self.page_size.min(MIN_COLUMNAR_PAGE_BYTES);
+        if columnar {
+            colcodec::encode_batch(&mut body, &page);
         } else {
-            let body = std::mem::take(&mut self.bufs[p]);
-            let logical = body.len();
+            for r in 0..page.num_rows() {
+                encode_batch_row(&mut body, &page, r);
+            }
+        }
+        let blob = {
             let _t = rdo_trace::timer("spill.compress_ns");
-            let blob = encode_page_with(&mut self.scratch, &body, self.compress);
-            (blob, logical, false)
+            encode_page_with(&mut self.scratch, &body, self.compress)
         };
-        let rows = std::mem::replace(&mut self.rows_in_buf[p], 0);
         self.buffered_bytes -= logical_len as u64;
         let meta = PageMeta {
             page_no: self.page_no,
             offset: self.offset,
             stored_len: blob.len() as u32,
             logical_len: logical_len as u32,
-            rows,
-            columnar: columnar_page,
+            rows: page.num_rows() as u32,
+            columnar,
         };
         self.offset += blob.len() as u64;
         self.page_no += 1;
@@ -249,7 +250,7 @@ impl SpillPartitionWriter {
     /// store and the logical write volume.
     pub fn finish(mut self) -> Result<(SpilledPartitions, SpillWriteTally)> {
         for p in 0..self.parts.len() {
-            if self.body_len(p) > 0 {
+            if self.pending[p].rows.num_rows() > 0 {
                 self.flush_partition(p)?;
             }
         }
@@ -310,8 +311,8 @@ impl SpilledPartitions {
     ) -> Result<(Self, SpillWriteTally)> {
         let mut writer = SpillPartitionWriter::new(manager, partitions.len())?;
         for (p, partition) in partitions.iter().enumerate() {
-            for row in partition {
-                writer.append(p, row)?;
+            for rows in partition.chunks(batch_size()) {
+                writer.append_batch(p, &Batch::from_rows(rows[0].len(), rows))?;
             }
         }
         writer.finish()
@@ -952,39 +953,152 @@ mod tests {
         }
     }
 
-    /// Streaming a batch into the writer cuts the very pages appending its
-    /// rows one by one does, in both page layouts.
+    /// Rows whose column representations change along the way: a typed
+    /// column with NULL slots, an all-NULL stretch (a `Mixed` slice in any
+    /// batch cut from it), a column that mixes variants, and strings long
+    /// enough to overshoot a 512-byte page.
+    fn awkward_rows(n: i64) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Int64(i),
+                    if (200..400).contains(&i) || i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float64(i as f64 / 3.0)
+                    },
+                    match i % 3 {
+                        0 => Value::Date(i),
+                        1 => Value::Utf8(format!("mixed-{i}")),
+                        _ => Value::Bool(i % 2 == 0),
+                    },
+                    Value::Utf8("s".repeat((i % 97) as usize * if i % 89 == 0 { 9 } else { 1 })),
+                ])
+            })
+            .collect()
+    }
+
+    /// However rows reach the writer — one tuple at a time, as whole batches,
+    /// or routed slot by slot across partitions — the same pages are cut:
+    /// same per-page row counts, logical lengths and layouts, same tallies
+    /// (stored bytes included), same buffered-bytes high-water mark, same
+    /// rows back. In both page layouts, at two chunk sizes.
     #[test]
     fn append_batch_cuts_the_same_pages_as_row_appends() {
-        let data = rows(900, "batch");
+        #[derive(Clone, Copy, Debug)]
+        enum Feed {
+            Rows,
+            Batches(usize),
+            Routed(usize),
+        }
+        let data = awkward_rows(900);
         for columnar in [false, true] {
-            let write = |by_batch: bool| {
+            let write = |feed: Feed| {
                 let mgr = manager_with(
                     SpillConfig::default()
                         .with_budget(1)
                         .with_page_size(512)
                         .with_columnar(columnar),
                 );
-                let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 2).unwrap();
-                for (p, part) in data.chunks(450).enumerate() {
-                    if by_batch {
-                        for chunk in part.chunks(64) {
-                            writer.append_batch(p, &Batch::from_rows(3, chunk)).unwrap();
+                let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 3).unwrap();
+                // Row `i` goes to partition `i % 3` unless every 7th, which
+                // is dropped — except under `Batches`, which feeds stretches
+                // of 300 rows to one partition each.
+                let route = |i: usize| (!i.is_multiple_of(7)).then_some(i % 3);
+                match feed {
+                    Feed::Rows => {
+                        for (i, row) in data.iter().enumerate() {
+                            if let Some(p) = route(i) {
+                                writer.append(p, row).unwrap();
+                            }
                         }
-                    } else {
-                        for row in part {
-                            writer.append(p, row).unwrap();
+                    }
+                    Feed::Routed(chunk) => {
+                        for (c, rows) in data.chunks(chunk).enumerate() {
+                            let routes = (0..rows.len())
+                                .filter_map(|s| route(c * chunk + s).map(|p| (p, s as u32)));
+                            writer
+                                .append_rows(&Batch::from_rows(4, rows), routes)
+                                .unwrap();
+                        }
+                    }
+                    Feed::Batches(chunk) => {
+                        for (p, part) in data.chunks(300).enumerate() {
+                            for rows in part.chunks(chunk) {
+                                writer.append_batch(p, &Batch::from_rows(4, rows)).unwrap();
+                            }
                         }
                     }
                 }
                 let peak = writer.peak_buffered_bytes();
                 let (store, tally) = writer.finish().unwrap();
-                let parts: Vec<Vec<Tuple>> =
-                    (0..2).map(|p| store.read_partition(p).unwrap()).collect();
-                (tally, peak, store.approx_bytes(), parts)
+                let pages: Vec<Vec<(u32, u32, bool)>> = store
+                    .parts
+                    .iter()
+                    .map(|part| {
+                        part.pages
+                            .iter()
+                            .map(|m| (m.rows, m.logical_len, m.columnar))
+                            .collect()
+                    })
+                    .collect();
+                let rows: Vec<Vec<Tuple>> =
+                    (0..3).map(|p| store.read_partition(p).unwrap()).collect();
+                (tally, peak, store.approx_bytes(), pages, rows)
             };
-            assert_eq!(write(true), write(false), "columnar={columnar}");
+            let by_rows = write(Feed::Rows);
+            assert!(
+                by_rows.0.pages > 20,
+                "multi-page partitions: {:?}",
+                by_rows.0
+            );
+            for chunk in [3, 64] {
+                assert_eq!(
+                    write(Feed::Routed(chunk)),
+                    by_rows,
+                    "columnar={columnar} chunk={chunk}"
+                );
+            }
+            // Whole-batch appends against the same stretches fed row by row.
+            let by_batches = write(Feed::Batches(64));
+            assert_eq!(write(Feed::Batches(3)), by_batches, "columnar={columnar}");
+            let expected: Vec<Vec<Tuple>> = data.chunks(300).map(<[Tuple]>::to_vec).collect();
+            assert_eq!(by_batches.4, expected);
+            let expected_bytes: usize = data.iter().map(Tuple::approx_bytes).sum();
+            assert_eq!(by_batches.2, expected_bytes);
         }
+    }
+
+    /// The layout is fixed before a page is encoded: row-layout stores write
+    /// row pages only; columnar stores write columnar pages, except tails
+    /// under the 1 KiB floor.
+    #[test]
+    fn page_layout_follows_the_pre_encode_rule() {
+        let layouts = |columnar: bool, page_size: usize, rows: i64| {
+            let mgr = manager_with(
+                SpillConfig::default()
+                    .with_budget(1)
+                    .with_page_size(page_size)
+                    .with_columnar(columnar),
+            );
+            let (store, _) = SpilledPartitions::write(mgr, &[awkward_rows(rows)]).unwrap();
+            let pages = &store.parts[0].pages;
+            pages
+                .iter()
+                .map(|m| (m.logical_len as usize, m.columnar))
+                .collect::<Vec<_>>()
+        };
+        assert!(layouts(false, 4096, 500).iter().all(|&(_, col)| !col));
+        let pages = layouts(true, 4096, 500);
+        assert!(pages.len() > 3);
+        for (len, col) in pages {
+            assert_eq!(col, len >= MIN_COLUMNAR_PAGE_BYTES, "page of {len} bytes");
+        }
+        // Below a 1 KiB page size every full page is still columnar.
+        let pages = layouts(true, 512, 500);
+        let (tail, full) = pages.split_last().unwrap();
+        assert!(full.iter().all(|&(len, col)| len >= 512 && col));
+        assert_eq!(tail.1, tail.0 >= 512);
     }
 
     #[test]

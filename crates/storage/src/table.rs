@@ -132,8 +132,6 @@ impl Table {
         let Backing::Columnar(partitions) = &self.backing else {
             return Ok((self, SpillWriteTally::default()));
         };
-        // The row codec sizes the pages, so the writer takes rows — streamed
-        // out of each batch one at a time.
         let mut writer = SpillPartitionWriter::new(Arc::clone(manager), partitions.len())?;
         for (p, batches) in partitions.iter().enumerate() {
             for batch in batches {
