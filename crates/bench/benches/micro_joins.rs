@@ -2,11 +2,15 @@
 //! nested-loop) on a key/foreign-key join, at two build-side sizes. These back
 //! the join-algorithm selection rule: broadcast/INL should win while the build
 //! side is small, hash should win once it is not.
+//!
+//! `join_index` times one `JoinBuildTable` build and probe alone: a
+//! Q17-shaped join on three integer keys and a join on a string key, each a
+//! 50k-row probe against a build side that one probe row in eight matches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
+use rdo_common::{batch_size, Batch, DataType, FieldRef, Relation, Schema, Tuple, Value};
 use rdo_core::{ParallelConfig, ParallelExecutor};
-use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PhysicalPlan};
+use rdo_exec::{ExecutionMetrics, JoinAlgorithm, JoinBuildTable, PhysicalPlan};
 use rdo_storage::{Catalog, IngestOptions};
 
 fn build_catalog(fact_rows: i64, dim_rows: i64) -> Catalog {
@@ -79,5 +83,50 @@ fn bench_joins(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_joins);
+/// `rows` rows of `key(i)` plus a payload, cut at the batch size.
+fn chunks(rows: impl Iterator<Item = i64>, key: impl Fn(i64) -> Vec<Value>) -> Vec<Batch> {
+    let rows: Vec<Tuple> = rows
+        .map(|i| {
+            let mut values = key(i);
+            values.push(Value::Int64(i));
+            Tuple::new(values)
+        })
+        .collect();
+    let width = rows[0].len();
+    rows.chunks(batch_size())
+        .map(|chunk| Batch::from_rows(width, chunk))
+        .collect()
+}
+
+fn bench_join_index(c: &mut Criterion) {
+    let mut group = c.benchmark_group("join_index");
+    group.sample_size(10);
+    let three_ints = |i: i64| {
+        vec![
+            Value::Int64(i % 1_000),
+            Value::Int64(i % 7),
+            Value::Int64(i),
+        ]
+    };
+    let name = |i: i64| vec![Value::Utf8(format!("item-{:08}", i % 5_000))];
+    type Key = Box<dyn Fn(i64) -> Vec<Value>>;
+    let cases: [(&str, Key, usize); 2] = [
+        ("q17_three_int_keys", Box::new(three_ints), 3),
+        ("utf8_key", Box::new(name), 1),
+    ];
+    for (case, key, arity) in cases {
+        let probe = chunks(0..50_000, &key);
+        let build = chunks((0..50_000).step_by(8), &key);
+        let keys: Vec<usize> = (0..arity).collect();
+        group.bench_function(case, |b| {
+            b.iter(|| {
+                let table = JoinBuildTable::build(&build, &keys);
+                table.probe_partition(&probe, &keys).1.output_rows
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_joins, bench_join_index);
 criterion_main!(benches);

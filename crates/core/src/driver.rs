@@ -1,7 +1,7 @@
 //! The runtime dynamic optimization driver (Algorithm 1 of the paper).
 
-use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
-use rdo_exec::{ExecutionMetrics, PhysicalPlan};
+use rdo_common::{FieldRef, RdoError, Relation, Result};
+use rdo_exec::{ExecutionMetrics, PartitionedData, PhysicalPlan};
 use rdo_parallel::{
     materialize, ParallelConfig, ParallelExecutor, Transport, TransportKind, WorkerPool,
 };
@@ -602,26 +602,6 @@ impl DynamicDriver {
     }
 }
 
-/// Projects the final relation onto the SELECT list (empty list keeps all
-/// columns).
-pub fn project_result(relation: Relation, projection: &[FieldRef]) -> Result<Relation> {
-    if projection.is_empty() {
-        return Ok(relation);
-    }
-    let schema = relation.schema().clone();
-    let indexes = projection
-        .iter()
-        .map(|f| schema.resolve(f))
-        .collect::<Result<Vec<usize>>>()?;
-    let out_schema = schema.project(&indexes);
-    let rows: Vec<Tuple> = relation
-        .rows()
-        .iter()
-        .map(|r| r.project(&indexes))
-        .collect();
-    Relation::new(out_schema, rows).map_err(|e| RdoError::Execution(e.to_string()))
-}
-
 /// The executor every stage of one execution runs on: the execution's worker
 /// pool and exchange transport over the catalog as it stands at that stage.
 fn stage_executor<'a>(
@@ -633,15 +613,28 @@ fn stage_executor<'a>(
 }
 
 /// The final job of every strategy, dynamic or static: execute the plan,
-/// gather its output on the coordinator and project it onto the SELECT list.
+/// project its batches onto the SELECT list (an empty list keeps every
+/// column) and gather only those columns on the coordinator.
 pub(crate) fn final_job(
     executor: &ParallelExecutor<'_>,
     plan: &PhysicalPlan,
     projection: &[FieldRef],
     metrics: &mut ExecutionMetrics,
 ) -> Result<Relation> {
-    let relation = executor.execute_to_relation(plan, metrics)?;
-    project_result(relation, projection)
+    let mut data = executor.execute(plan, metrics)?;
+    if !projection.is_empty() {
+        let indexes = projection
+            .iter()
+            .map(|f| data.schema().resolve(f))
+            .collect::<Result<Vec<usize>>>()?;
+        let partitions = data
+            .partitions()
+            .iter()
+            .map(|run| run.iter().map(|batch| batch.project(&indexes)).collect())
+            .collect();
+        data = PartitionedData::new(data.schema().project(&indexes), partitions, None);
+    }
+    executor.gather(&data, metrics)
 }
 
 fn sanitize(name: &str) -> String {
@@ -653,7 +646,7 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::{DataType, Schema, Value};
+    use rdo_common::{DataType, Schema, Tuple, Value};
     use rdo_exec::{CmpOp, Predicate};
     use rdo_planner::DatasetRef;
     use rdo_storage::IngestOptions;
@@ -1084,11 +1077,61 @@ mod tests {
         assert!(warm.audit.max_q_error() <= cold.audit.max_q_error());
     }
 
+    /// The row-at-a-time oracle of `final_job`'s projection: project every
+    /// gathered row onto the SELECT list (an empty list keeps all columns).
+    fn project_result(relation: Relation, projection: &[FieldRef]) -> Relation {
+        if projection.is_empty() {
+            return relation;
+        }
+        let schema = relation.schema().clone();
+        let indexes: Vec<usize> = projection
+            .iter()
+            .map(|f| schema.resolve(f).unwrap())
+            .collect();
+        let rows = relation
+            .rows()
+            .iter()
+            .map(|r| r.project(&indexes))
+            .collect();
+        Relation::new(schema.project(&indexes), rows).unwrap()
+    }
+
+    /// Projecting the batches before the gather gives the schema and rows,
+    /// in order, that projecting the fully gathered relation gives.
     #[test]
-    fn project_result_empty_projection_keeps_everything() {
-        let schema = Schema::for_dataset("t", &[("a", DataType::Int64)]);
-        let rel = Relation::new(schema, vec![Tuple::new(vec![Value::Int64(1)])]).unwrap();
-        let out = project_result(rel.clone(), &[]).unwrap();
-        assert_eq!(out, rel);
+    fn final_job_projects_before_the_gather_like_the_row_projection() {
+        let cat = catalog();
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("fact"),
+            PhysicalPlan::scan("d1"),
+            FieldRef::new("fact", "f_d1"),
+            FieldRef::new("d1", "id"),
+            rdo_exec::JoinAlgorithm::Hash,
+        );
+        let selects = [
+            vec![FieldRef::new("d1", "attr"), FieldRef::new("fact", "f_id")],
+            vec![
+                FieldRef::new("fact", "f_val"),
+                FieldRef::new("d1", "id"),
+                FieldRef::new("fact", "f_val"),
+            ],
+            vec![],
+        ];
+        for workers in [1, 4] {
+            let executor = ParallelExecutor::with_pool(&cat, WorkerPool::new(workers));
+            for select in &selects {
+                let mut full_metrics = ExecutionMetrics::new();
+                let full = executor
+                    .execute_to_relation(&plan, &mut full_metrics)
+                    .unwrap();
+                let expected = project_result(full, select);
+                let mut metrics = ExecutionMetrics::new();
+                let actual = final_job(&executor, &plan, select, &mut metrics).unwrap();
+                assert_eq!(actual.schema(), expected.schema(), "{select:?}");
+                assert_eq!(actual.rows(), expected.rows(), "{select:?}");
+                assert_eq!(actual.len(), 10_000);
+                assert_eq!(metrics, full_metrics, "{select:?} at {workers} workers");
+            }
+        }
     }
 }

@@ -24,10 +24,6 @@ pub struct PartitionedData {
     /// exchange for this input — the "already partitioned on the join key(s)"
     /// case of the paper's hash-join description.
     partition_key: Option<String>,
-    /// If the data is exactly a base-table scan with *no* residual predicates or
-    /// projection, the table name is recorded here so that an indexed
-    /// nested-loop join can use the table's secondary indexes.
-    base_table: Option<String>,
 }
 
 impl PartitionedData {
@@ -37,7 +33,6 @@ impl PartitionedData {
             schema,
             partitions,
             partition_key,
-            base_table: None,
         }
     }
 
@@ -59,17 +54,6 @@ impl PartitionedData {
             })
             .collect();
         Self::new(schema, partitions, partition_key)
-    }
-
-    /// Creates empty data with the given schema and partition count.
-    pub fn empty(schema: Schema, num_partitions: usize) -> Self {
-        Self::new(schema, vec![Vec::new(); num_partitions.max(1)], None)
-    }
-
-    /// Tags the data as an un-filtered, un-projected scan of `table`.
-    pub fn with_base_table(mut self, table: impl Into<String>) -> Self {
-        self.base_table = Some(table.into());
-        self
     }
 
     /// The schema.
@@ -115,11 +99,6 @@ impl PartitionedData {
     /// Column the data is hash-partitioned on, if any.
     pub fn partition_key(&self) -> Option<&str> {
         self.partition_key.as_deref()
-    }
-
-    /// Base table name, if the data is a bare scan of one.
-    pub fn base_table(&self) -> Option<&str> {
-        self.base_table.as_deref()
     }
 
     /// Total number of rows.
@@ -254,22 +233,5 @@ mod tests {
             assert_eq!(d.partition_len(p), rows.len());
         }
         assert_eq!(d.gather().rows(), parts.concat().as_slice());
-    }
-
-    #[test]
-    fn base_table_tag() {
-        let d = data(10, 2).with_base_table("lineitem");
-        assert_eq!(d.base_table(), Some("lineitem"));
-        assert_eq!(data(10, 2).base_table(), None);
-    }
-
-    #[test]
-    fn empty_data() {
-        let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
-        let d = PartitionedData::empty(schema, 3);
-        assert_eq!(d.row_count(), 0);
-        assert_eq!(d.num_partitions(), 3);
-        assert!(d.partition_key().is_none());
-        assert!(d.gather().is_empty());
     }
 }

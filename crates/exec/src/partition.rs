@@ -19,9 +19,10 @@
 //!   [`crate::data::partition_for`] gives the materialized value), and each
 //!   destination assembles its rows into full batches.
 //! * **Hash / broadcast join** ([`JoinBuildTable`]) — a flat chained `u32`
-//!   index over the concatenated build side, hashed and compared straight
-//!   off column slots; matches come out probe-major in build-insertion
-//!   order, which is the order the row-at-a-time join produces.
+//!   index over the concatenated build side, hashed (with a join-local hash,
+//!   not the placement digest) and compared straight off column slots;
+//!   matches come out probe-major in build-insertion order, which is the
+//!   order the row-at-a-time join produces.
 //! * **Indexed nested-loop join** ([`indexed_join_partition`]) — index
 //!   probes address base rows as `(chunk, slot)` and the output is gathered
 //!   from the stored chunks.
@@ -298,10 +299,75 @@ impl<'a> KeySlots<'a> {
     }
 }
 
-/// The key columns of one join side plus one digest per row.
+impl KeyRef<'_> {
+    /// The word the join-local hash folds for this key: the integer, the
+    /// float's bits, 0/1, or a byte hash — equal keys give equal words.
+    fn payload(&self) -> u64 {
+        match self {
+            KeyRef::Int(v) => *v as u64,
+            KeyRef::Float(bits) => *bits,
+            KeyRef::Bool(v) => *v as u64,
+            KeyRef::Utf8(bytes) => bytes_hash(bytes),
+        }
+    }
+}
+
+/// The golden-ratio multiplier of the join-local hash.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One step of the join-local hash: one multiply per word.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(32) ^ word).wrapping_mul(PHI)
+}
+
+/// A string key's word: its bytes folded eight at a time, length first.
+fn bytes_hash(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(tail))
+}
+
+/// The join-local hash of every row: each key column's payload word folded
+/// in with [`mix`], then one more [`mix`] so that the top bits — the bucket —
+/// spread structured keys (strided or with constant components) too. Build
+/// and probe only need to agree with each other, so this is not the
+/// placement digest ([`column_partition_hashes`]). NULL slots hash to
+/// anything — those rows never enter or probe the index.
+fn join_hashes(keys: &[KeySlots<'_>], rows: usize) -> Vec<u64> {
+    fn fold(hashes: &mut [u64], words: impl Iterator<Item = u64>) {
+        for (h, word) in hashes.iter_mut().zip(words) {
+            *h = mix(*h, word);
+        }
+    }
+    let mut hashes = vec![0; rows];
+    for key in keys {
+        match key {
+            KeySlots::Int { values, .. } => fold(&mut hashes, values.iter().map(|&v| v as u64)),
+            KeySlots::Float { values, .. } => fold(&mut hashes, values.iter().map(|v| v.to_bits())),
+            KeySlots::Bool { values, .. } => fold(&mut hashes, values.iter().map(|&v| v as u64)),
+            KeySlots::Utf8 { offsets, bytes, .. } => fold(
+                &mut hashes,
+                offsets.windows(2).map(|w| bytes_hash(&bytes[w[0]..w[1]])),
+            ),
+            KeySlots::Mixed(_) => fold(
+                &mut hashes,
+                (0..rows).map(|i| key.get(i).map_or(0, |k| k.payload())),
+            ),
+        }
+    }
+    fold(&mut hashes, std::iter::repeat(0));
+    hashes
+}
+
+/// The key columns of one join side plus one join-local hash per row.
 struct KeyedSide<'a> {
     keys: Vec<KeySlots<'a>>,
-    /// Per row: the digests of the key components folded together.
+    /// Per row: the join-local hash of the key.
     hashes: Vec<u64>,
     /// Per row: false when a key component is NULL (the row can never
     /// match). `None` when no key column holds a NULL.
@@ -319,16 +385,8 @@ pub(crate) fn key_slots<'a>(batch: &'a Batch, key_indexes: &[usize]) -> Vec<KeyS
 impl<'a> KeyedSide<'a> {
     fn new(batch: &'a Batch, key_indexes: &[usize]) -> Self {
         let keys = key_slots(batch, key_indexes);
-        let mut columns = key_indexes
-            .iter()
-            .map(|&c| column_partition_hashes(batch.column(c)));
         // A join on no columns is a cross product: one bucket for everyone.
-        let mut hashes = columns.next().unwrap_or_else(|| vec![0; batch.num_rows()]);
-        for column in columns {
-            for (h, c) in hashes.iter_mut().zip(column) {
-                *h = (h.rotate_left(23) ^ c).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-        }
+        let hashes = join_hashes(&keys, batch.num_rows());
         let keyed = (!keys.iter().all(KeySlots::no_nulls)).then(|| {
             (0..batch.num_rows())
                 .map(|i| keys.iter().all(|k| k.get(i).is_some()))
@@ -346,20 +404,34 @@ impl<'a> KeyedSide<'a> {
     }
 }
 
+/// The key columns as `i64` slices, when every one is a typed
+/// `Int64`/`Date` column (NULL slots are the caller's to skip).
+fn int_columns<'a>(keys: &[KeySlots<'a>]) -> Option<Vec<&'a [i64]>> {
+    keys.iter()
+        .map(|key| match key {
+            KeySlots::Int { values, .. } => Some(*values),
+            _ => None,
+        })
+        .collect()
+}
+
 /// End of a bucket chain / empty bucket.
 const NO_ROW: u32 = u32::MAX;
 
 /// A join build table: a flat chained index over a columnar build side.
 ///
 /// The build chunks are concatenated once; `heads[bucket]` is the first build
-/// row of a bucket and `next[row]` the following one, both plain `u32` row
-/// ids. Rows are linked in ascending order, so a probe walks its matches in
-/// build-insertion order and the output keeps the row join's
-/// probe-major/build-insertion-order sequence exactly. Keys are hashed and
-/// compared off the column slots — no per-row key is ever allocated — with
-/// the equality of [`Value`] keys in a hash map: `Int64` and `Date` match
-/// each other, floats match on their bit pattern, integers never match
-/// floats, NULL matches nothing.
+/// row of a bucket and `links[row].next` the following one, both plain `u32`
+/// row ids. Rows are linked in ascending order, so a probe walks its matches
+/// in build-insertion order and the output keeps the row join's
+/// probe-major/build-insertion-order sequence exactly. Keys are hashed with a
+/// join-local hash (one multiply per key component; not the placement digest
+/// [`column_partition_hashes`]) and compared off the column slots — no
+/// per-row key is ever allocated — with the equality of [`Value`] keys in a
+/// hash map: `Int64` and `Date` match each other, floats match on their bit
+/// pattern, integers never match floats, NULL matches nothing. Each link
+/// keeps its row's full hash as a tag, so a chain step rejects a foreign key
+/// without reading a key column.
 ///
 /// One table serves any number of probe partitions (a broadcast join builds
 /// it once and shares it).
@@ -367,11 +439,19 @@ pub struct JoinBuildTable {
     build: Batch,
     key_indexes: Vec<usize>,
     heads: Vec<u32>,
-    next: Vec<u32>,
-    /// `hash >> shift` is the bucket: the top bits, which — unlike the low
-    /// ones — say nothing about the partition a re-partition exchange
-    /// (`hash % n`) put the row in.
+    links: Vec<Link>,
+    /// `hash >> shift` is the bucket: the top bits, the best mixed ones of a
+    /// multiplicative hash.
     shift: u32,
+}
+
+/// A build row's place in its bucket chain.
+#[derive(Clone, Copy)]
+struct Link {
+    /// The row's join-local hash.
+    tag: u64,
+    /// The next row of the chain, or [`NO_ROW`].
+    next: u32,
 }
 
 impl JoinBuildTable {
@@ -381,17 +461,19 @@ impl JoinBuildTable {
         let build = Batch::concat(chunks);
         let rows = build.num_rows();
         assert!(rows < NO_ROW as usize, "build side exceeds u32 row ids");
-        let bits = rows.next_power_of_two().trailing_zeros().max(4);
+        // At most one row per two buckets: a miss walks half a link.
+        let bits = (2 * rows).next_power_of_two().trailing_zeros().max(4);
         let shift = 64 - bits;
         let mut heads = vec![NO_ROW; 1 << bits];
-        let mut next = vec![NO_ROW; rows];
+        let mut links = Vec::with_capacity(rows);
         if rows > 0 {
             let side = KeyedSide::new(&build, key_indexes);
+            links.extend(side.hashes.iter().map(|&tag| Link { tag, next: NO_ROW }));
             // Link back to front: every chain ascends.
             for row in (0..rows).rev() {
                 if side.is_keyed(row) {
-                    let bucket = (side.hashes[row] >> shift) as usize;
-                    next[row] = heads[bucket];
+                    let bucket = (links[row].tag >> shift) as usize;
+                    links[row].next = heads[bucket];
                     heads[bucket] = row as u32;
                 }
             }
@@ -400,7 +482,7 @@ impl JoinBuildTable {
             build,
             key_indexes: key_indexes.to_vec(),
             heads,
-            next,
+            links,
             shift,
         }
     }
@@ -414,54 +496,52 @@ impl JoinBuildTable {
     /// The matches of one probe batch as parallel `(probe slot, build row)`
     /// lists, probe-major with each slot's build rows in insertion order.
     pub(crate) fn matches(&self, probe: &Batch, key_indexes: &[usize]) -> (Vec<u32>, Vec<u32>) {
+        if self.build.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        let build_keys = key_slots(&self.build, &self.key_indexes);
+        let side = KeyedSide::new(probe, key_indexes);
+        match (int_columns(&side.keys), int_columns(&build_keys)) {
+            // Integer keys of any arity on both sides: compare the slices, no
+            // class dispatch.
+            (Some(probe_cols), Some(build_cols)) => self.walk(&side, |i, r| {
+                probe_cols
+                    .iter()
+                    .zip(&build_cols)
+                    .all(|(p, b)| p[i] == b[r])
+            }),
+            _ => self.walk(&side, |i, r| {
+                side.keys
+                    .iter()
+                    .zip(&build_keys)
+                    .all(|(p, b)| p.get(i) == b.get(r))
+            }),
+        }
+    }
+
+    /// Walks the chain of every keyed probe row, testing the tag before
+    /// `equal(probe slot, build row)`; returns the matches as [`Self::matches`]
+    /// does. NULL-keyed rows never reach `equal`: the probe side skips them
+    /// here and the build side never linked them.
+    fn walk(
+        &self,
+        side: &KeyedSide<'_>,
+        equal: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<u32>, Vec<u32>) {
         let mut probe_idx: Vec<u32> = Vec::new();
         let mut build_idx: Vec<u32> = Vec::new();
-        if !self.build.is_empty() {
-            let build_keys = key_slots(&self.build, &self.key_indexes);
-            let side = KeyedSide::new(probe, key_indexes);
-            match (&side.keys[..], &build_keys[..], &side.keyed) {
-                // The common case — one NULL-free integer key against an
-                // integer key — compares payloads without the class dispatch.
-                (
-                    [KeySlots::Int { values, .. }],
-                    [KeySlots::Int {
-                        values: build_values,
-                        ..
-                    }],
-                    None,
-                ) => {
-                    for (i, (&key, &hash)) in values.iter().zip(&side.hashes).enumerate() {
-                        let mut row = self.heads[(hash >> self.shift) as usize];
-                        while row != NO_ROW {
-                            if build_values[row as usize] == key {
-                                probe_idx.push(i as u32);
-                                build_idx.push(row);
-                            }
-                            row = self.next[row as usize];
-                        }
-                    }
+        for (i, &hash) in side.hashes.iter().enumerate() {
+            if !side.is_keyed(i) {
+                continue;
+            }
+            let mut row = self.heads[(hash >> self.shift) as usize];
+            while row != NO_ROW {
+                let link = self.links[row as usize];
+                if link.tag == hash && equal(i, row as usize) {
+                    probe_idx.push(i as u32);
+                    build_idx.push(row);
                 }
-                _ => {
-                    for i in 0..probe.num_rows() {
-                        if !side.is_keyed(i) {
-                            continue;
-                        }
-                        let mut row = self.heads[(side.hashes[i] >> self.shift) as usize];
-                        while row != NO_ROW {
-                            let r = row as usize;
-                            if side
-                                .keys
-                                .iter()
-                                .zip(&build_keys)
-                                .all(|(p, b)| p.get(i) == b.get(r))
-                            {
-                                probe_idx.push(i as u32);
-                                build_idx.push(row);
-                            }
-                            row = self.next[r];
-                        }
-                    }
-                }
+                row = link.next;
             }
         }
         (probe_idx, build_idx)
@@ -988,6 +1068,46 @@ mod tests {
         let col = mixed.column(0);
         for (i, hash) in column_partition_hashes(col).into_iter().enumerate() {
             assert_eq!(hash, hash_value(&col.value(i)));
+        }
+    }
+
+    /// The longest bucket chain of a table built over `keys`.
+    fn longest_chain(keys: Vec<Vec<i64>>) -> usize {
+        let rows: Vec<Tuple> = keys
+            .into_iter()
+            .map(|k| Tuple::new(k.into_iter().map(Value::Int64).collect()))
+            .collect();
+        let width = rows[0].len();
+        let table = JoinBuildTable::build(&chunk_rows(&rows, 1024), &Vec::from_iter(0..width));
+        let mut longest = 0;
+        for &head in &table.heads {
+            let (mut row, mut len) = (head, 0);
+            while row != NO_ROW {
+                len += 1;
+                row = table.links[row as usize].next;
+            }
+            longest = longest.max(len);
+        }
+        longest
+    }
+
+    /// A mixer whose top bits collapse on structured keys would pile them
+    /// into a few buckets; these shapes must spread.
+    #[test]
+    fn structured_build_keys_spread_over_buckets() {
+        let n = 65_536i64;
+        let shapes: [(&str, Vec<Vec<i64>>); 4] = [
+            ("sequential", (0..n).map(|i| vec![i]).collect()),
+            ("strided by 2^16", (0..n).map(|i| vec![i << 16]).collect()),
+            ("negative", (0..n).map(|i| vec![-1 - i]).collect()),
+            (
+                "two constant components",
+                (0..n).map(|i| vec![7, i, 1_000_003]).collect(),
+            ),
+        ];
+        for (shape, keys) in shapes {
+            let longest = longest_chain(keys);
+            assert!(longest <= 8, "{shape}: longest chain {longest}");
         }
     }
 

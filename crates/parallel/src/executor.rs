@@ -84,7 +84,17 @@ impl<'a> ParallelExecutor<'a> {
         metrics: &mut ExecutionMetrics,
     ) -> Result<Relation> {
         let data = self.execute(plan, metrics)?;
-        let relation = self.transport.gather(&data)?;
+        self.gather(&data, metrics)
+    }
+
+    /// Gathers executed data on the coordinator through the transport — the
+    /// row edge of a query's result.
+    pub fn gather(
+        &self,
+        data: &PartitionedData,
+        metrics: &mut ExecutionMetrics,
+    ) -> Result<Relation> {
+        let relation = self.transport.gather(data)?;
         metrics.result_rows += relation.len() as u64;
         Ok(relation)
     }
@@ -161,11 +171,11 @@ impl<'a> ParallelExecutor<'a> {
         span.attr_u64("predicates", predicates.len() as u64);
         rdo_trace::counter("progress.rows_produced", tally.kept);
 
-        let mut data = PartitionedData::new(setup.out_schema, partitions, setup.partition_key);
-        if predicates.is_empty() && projection.is_none() && !table.is_temporary() {
-            data = data.with_base_table(table_name);
-        }
-        Ok(data)
+        Ok(PartitionedData::new(
+            setup.out_schema,
+            partitions,
+            setup.partition_key,
+        ))
     }
 
     fn execute_join(
@@ -707,7 +717,6 @@ mod tests {
                     .unwrap();
                 assert_eq!(data.partitions(), expected.partitions());
                 assert_eq!(data.partition_key(), expected.partition_key());
-                assert_eq!(data.base_table(), expected.base_table());
                 assert_eq!(metrics, expected_metrics, "workers={workers}");
             }
         }

@@ -144,6 +144,129 @@ proptest! {
     }
 }
 
+/// Rows of three integer key columns from a small domain, each value built
+/// by `variant` (so the columns come out typed `Int64` or `Date`), and the
+/// middle column NULL where `null_middle` says so, plus a unique payload.
+fn int_rows(keys: &[(i64, i64, i64, u8)], variant: fn(i64) -> Value, tag: i64) -> Vec<Tuple> {
+    keys.iter()
+        .enumerate()
+        .map(|(i, &(a, b, c, null_middle))| {
+            let b = if null_middle == 0 {
+                Value::Null
+            } else {
+                variant(b)
+            };
+            Tuple::new(vec![
+                variant(a),
+                b,
+                variant(c),
+                Value::Int64(tag + i as i64),
+            ])
+        })
+        .collect()
+}
+
+/// Key triples; the fourth field is 0 for a NULL middle component, which
+/// only `nulls` allows (one in four).
+fn int_keys(nulls: bool) -> impl Strategy<Value = Vec<(i64, i64, i64, u8)>> {
+    let null = if nulls { 0u8 } else { 1 };
+    prop::collection::vec((-2i64..3, 0i64..3, 0i64..2, null..4), 2..40)
+}
+
+/// Strings around the eight-byte word boundary of the key hash, and a
+/// multi-byte one.
+fn string_key() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("a".to_string()),
+        Just("abcdefg".to_string()),
+        Just("abcdefgh".to_string()),
+        Just("abcdefgh\0".to_string()),
+        Just("abcdefghi".to_string()),
+        Just("ééééé".to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// NULL-free typed `Int64` probe keys against typed `Date` build keys,
+    /// one to three of them: the integer loop, across the two variants.
+    #[test]
+    fn typed_integer_keys_of_any_arity_match_the_oracle(
+        probe in int_keys(false),
+        build in int_keys(false),
+    ) {
+        let probe = int_rows(&probe, Value::Int64, 0);
+        let build = int_rows(&build, Value::Date, 1_000);
+        prop_assert_eq!(Batch::from_rows(4, &probe).column(1).data_type(), Some(DataType::Int64));
+        prop_assert_eq!(Batch::from_rows(4, &build).column(1).data_type(), Some(DataType::Date));
+        for keys in [&[0usize][..], &[0, 1][..], &[0, 1, 2][..]] {
+            assert_matches_oracle(&probe, &build, keys);
+            assert_matches_oracle(&build, &probe, keys);
+        }
+    }
+
+    /// A NULL in the middle component of a three-part key: the row neither
+    /// enters the index nor probes it, on either side.
+    #[test]
+    fn a_null_middle_component_never_matches(probe in int_keys(true), build in int_keys(true)) {
+        let probe = int_rows(&probe, Value::Int64, 0);
+        let build = int_rows(&build, Value::Date, 1_000);
+        assert_matches_oracle(&probe, &build, &[0, 1, 2]);
+        assert_matches_oracle(&build, &probe, &[2, 1, 0]);
+    }
+
+    /// A typed integer side against a `Mixed` side whose integers are split
+    /// between `Int64` and `Date` values: the generic path, matching across
+    /// the variants.
+    #[test]
+    fn typed_integer_keys_match_a_mixed_int_and_date_side(
+        probe in int_keys(false),
+        build in int_keys(false),
+    ) {
+        let probe = int_rows(&probe, Value::Int64, 0);
+        // Every other build row holds `Date`s, the rest `Int64`s.
+        let build: Vec<Tuple> = int_rows(&build, Value::Int64, 1_000)
+            .into_iter()
+            .zip(int_rows(&build, Value::Date, 1_000))
+            .enumerate()
+            .map(|(i, (int, date))| if i % 2 == 0 { int } else { date })
+            .collect();
+        let mixed = Batch::from_rows(4, &build);
+        prop_assert_eq!(mixed.column(0).data_type(), None);
+        for keys in [&[0usize][..], &[0, 1, 2][..]] {
+            assert_matches_oracle(&probe, &build, keys);
+            assert_matches_oracle(&build, &probe, keys);
+        }
+    }
+
+    /// `Utf8` keys typed on one side and `Mixed` (strings among integers)
+    /// on the other.
+    #[test]
+    fn typed_and_mixed_string_keys_match_the_oracle(
+        typed in prop::collection::vec(string_key(), 1..30),
+        mixed in prop::collection::vec(prop_oneof![
+            3 => string_key().prop_map(Value::Utf8),
+            1 => (0i64..3).prop_map(Value::Int64),
+        ], 1..30),
+    ) {
+        let typed: Vec<Tuple> = typed
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| row(vec![Value::Utf8(s), Value::Int64(i as i64)]))
+            .collect();
+        let mixed: Vec<Tuple> = mixed
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| row(vec![v, Value::Int64(1_000 + i as i64)]))
+            .collect();
+        prop_assert_eq!(Batch::from_rows(2, &typed).column(0).data_type(), Some(DataType::Utf8));
+        assert_matches_oracle(&typed, &mixed, &[0]);
+        assert_matches_oracle(&mixed, &typed, &[0]);
+    }
+}
+
 fn row(values: Vec<Value>) -> Tuple {
     Tuple::new(values)
 }
