@@ -169,13 +169,7 @@ fn run_benchmarks() -> Vec<BenchRecord> {
     // partitions through the spill store.
     let mut grace_catalog = join_catalog(50_000, 10_000);
     grace_catalog
-        .configure_spill(
-            SpillConfig::default()
-                .with_join_budget(4_096)
-                // Pinned to the row page layout so the gated grace I/O cost
-                // keeps its historical meaning regardless of RDO_COLUMNAR.
-                .with_columnar(false),
-        )
+        .configure_spill(SpillConfig::default().with_join_budget(4_096))
         .expect("configure join budget");
     records.push(run_join(
         "join/grace",
@@ -184,20 +178,10 @@ fn run_benchmarks() -> Vec<BenchRecord> {
         &model,
     ));
 
-    // The spill I/O fast path: one oversized intermediate through the paged
-    // store (1-byte budget forces the spill) and a scan back — page
-    // compression off vs on (row layout pinned, so the historical figures
-    // hold), then the columnar page layout on top of compression. The gated
-    // cost is the measured page I/O: the compressed leg must stay cheaper
-    // than the raw leg, and the columnar leg cheaper than the compressed
-    // row leg, or the fast path has regressed.
-    for (label, compress, columnar) in [
-        ("spill/raw", false, false),
-        ("spill/compressed", true, false),
-        ("spill/columnar", true, true),
-    ] {
-        records.push(run_spill(label, compress, columnar, &model));
-    }
+    // The spill I/O path: one oversized intermediate through the paged store
+    // (1-byte budget forces the spill) and a scan back. The gated cost is
+    // the measured page I/O of the LZ-framed columnar pages.
+    records.push(run_spill("spill/columnar", &model));
 
     // The at-rest storage cycle: an intermediate registered from rows (it
     // rests as batch runs), scanned and joined against a base dimension
@@ -417,15 +401,10 @@ fn run_kernel(label: &str, catalog: &Catalog, columnar: bool, model: &CostModel)
     }
 }
 
-fn run_spill(label: &str, compress: bool, columnar: bool, model: &CostModel) -> BenchRecord {
+fn run_spill(label: &str, model: &CostModel) -> BenchRecord {
     let mut catalog = Catalog::new(8);
     catalog
-        .configure_spill(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_compression(compress)
-                .with_columnar(columnar),
-        )
+        .configure_spill(SpillConfig::default().with_budget(1))
         .expect("configure spill budget");
     let schema = Schema::for_dataset(
         "temp",

@@ -29,7 +29,7 @@
 //! executor (serial, parallel, distributed) building a batch from the same
 //! rows builds the identical representation.
 
-use crate::env::{parse_env_bool, parse_env_positive_usize, read_env};
+use crate::env::{parse_env_positive_usize, read_env};
 use crate::tuple::{Relation, Tuple};
 use crate::value::{DataType, Value};
 use std::sync::{Arc, OnceLock};
@@ -55,27 +55,6 @@ pub fn batch_size() -> usize {
             parse_env_positive_usize,
         )
         .unwrap_or(DEFAULT_BATCH_SIZE)
-    })
-}
-
-/// Environment variable selecting whether serialized pages (spill pages and
-/// wire frames) may use the columnar layout. Resident data is always
-/// columnar; the knob only picks the byte layout of what leaves memory.
-pub const COLUMNAR_ENV: &str = "RDO_COLUMNAR";
-
-/// The process-wide page-layout default: `RDO_COLUMNAR` (0/1 switch,
-/// warn-on-invalid) or `true`. The layout is an optimization, never a
-/// semantic change — results, plans and logical metrics are identical either
-/// way — so the knob exists for A/B measurement and as an escape hatch.
-pub fn columnar_default() -> bool {
-    static COLUMNAR: OnceLock<bool> = OnceLock::new();
-    *COLUMNAR.get_or_init(|| {
-        read_env(
-            COLUMNAR_ENV,
-            "the columnar page layout stays on",
-            parse_env_bool,
-        )
-        .unwrap_or(true)
     })
 }
 

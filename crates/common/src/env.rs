@@ -29,16 +29,6 @@ pub fn parse_env_positive_usize(var: &str, raw: &str, fallback: &str) -> Result<
     }
 }
 
-/// Parses a count where zero is meaningful (lookahead depths: 0 disables).
-pub fn parse_env_usize(var: &str, raw: &str, fallback: &str) -> Result<usize, String> {
-    raw.trim().parse::<usize>().map_err(|_| {
-        format!(
-            "warning: {var}={raw:?} is not a count \
-             (plain integer >= 0 expected); {fallback}"
-        )
-    })
-}
-
 /// Parses an on/off switch: `1`/`true`/`on` and `0`/`false`/`off`
 /// (case-insensitive).
 pub fn parse_env_bool(var: &str, raw: &str, fallback: &str) -> Result<bool, String> {
@@ -111,14 +101,6 @@ mod tests {
             let warning = parse_env_positive_usize("RDO_W", invalid, "default").expect_err(invalid);
             assert!(warning.contains("RDO_W") && warning.contains("warning"));
         }
-    }
-
-    #[test]
-    fn plain_usize_accepts_zero() {
-        assert_eq!(parse_env_usize("RDO_P", "0", "default"), Ok(0));
-        assert_eq!(parse_env_usize("RDO_P", "8", "default"), Ok(8));
-        assert!(parse_env_usize("RDO_P", "-1", "default").is_err());
-        assert!(parse_env_usize("RDO_P", "many", "default").is_err());
     }
 
     #[test]

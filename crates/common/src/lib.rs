@@ -14,8 +14,8 @@ pub mod tuple;
 pub mod value;
 
 pub use batch::{
-    batch_size, columnar_default, Batch, BatchAssembler, BatchBuilder, Column, NullBitmap,
-    BATCH_SIZE_ENV, COLUMNAR_ENV, DEFAULT_BATCH_SIZE,
+    batch_size, Batch, BatchAssembler, BatchBuilder, Column, NullBitmap, BATCH_SIZE_ENV,
+    DEFAULT_BATCH_SIZE,
 };
 pub use error::{RdoError, Result};
 pub use schema::{unqualified, Field, FieldRef, Schema};

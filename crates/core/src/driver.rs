@@ -148,33 +148,11 @@ impl DynamicConfig {
         self
     }
 
-    /// Sets a spill budget in bytes (builder style).
-    pub fn with_spill_budget(mut self, bytes: u64) -> Self {
-        self.spill = self.spill.with_budget(bytes);
-        self
-    }
-
     /// Sets a join build-side budget in bytes (builder style): joins whose
     /// per-partition build side exceeds it run as grace/hybrid hash joins
     /// through the spill store.
     pub fn with_join_budget(mut self, bytes: u64) -> Self {
         self.spill = self.spill.with_join_budget(bytes);
-        self
-    }
-
-    /// Switches spill-page compression on or off (builder style; on by
-    /// default, `RDO_SPILL_COMPRESS` overrides the default). Physical only:
-    /// results and all logical metrics are identical either way, the stored
-    /// `spill_bytes_*` / `grace_bytes_*` counters shrink.
-    pub fn with_spill_compression(mut self, compress: bool) -> Self {
-        self.spill = self.spill.with_compression(compress);
-        self
-    }
-
-    /// Sets the spill-scan read-ahead in pages (builder style; `0` disables
-    /// prefetching, `RDO_SPILL_PREFETCH` overrides the default).
-    pub fn with_spill_prefetch(mut self, pages: usize) -> Self {
-        self.spill = self.spill.with_prefetch_pages(pages);
         self
     }
 

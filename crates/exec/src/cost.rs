@@ -51,16 +51,15 @@ pub struct ExecutionMetrics {
     /// independent of worker count and buffer-pool state.
     pub spill_pages_written: u64,
     /// Stored bytes written to the spill store — the *measured* on-disk size
-    /// of spilled intermediates (compressed when `RDO_SPILL_COMPRESS` is on),
-    /// as opposed to the modeled `bytes_materialized`.
+    /// of spilled intermediates, as opposed to the modeled
+    /// `bytes_materialized`.
     pub spill_bytes_written: u64,
     /// Pages read back from the spill store.
     pub spill_pages_read: u64,
     /// Stored bytes read back from the spill store.
     pub spill_bytes_read: u64,
-    /// Uncompressed serialized bytes behind `spill_bytes_written`; the
-    /// written/logical ratio is the measured page-compression ratio (they are
-    /// equal with compression off).
+    /// Row-codec bytes behind `spill_bytes_written`; the written/logical
+    /// ratio is the measured page-compression ratio.
     pub spill_logical_bytes_written: u64,
     /// Uncompressed serialized bytes behind `spill_bytes_read`.
     pub spill_logical_bytes_read: u64,
@@ -71,8 +70,7 @@ pub struct ExecutionMetrics {
     pub grace_partitions_spilled: u64,
     /// Pages written to grace spill files (build and probe sides).
     pub grace_pages_written: u64,
-    /// Stored bytes written to grace spill files (compressed when page
-    /// compression is on).
+    /// Stored bytes written to grace spill files.
     pub grace_bytes_written: u64,
     /// Pages read back from grace spill files.
     pub grace_pages_read: u64,

@@ -157,8 +157,7 @@ pub struct GraceTally {
     pub partitions_spilled: u64,
     /// Pages written to grace spill files (both sides).
     pub pages_written: u64,
-    /// Stored bytes written to grace spill files (compressed when page
-    /// compression is on).
+    /// Stored bytes written to grace spill files.
     pub bytes_written: u64,
     /// Pages read back from grace spill files.
     pub pages_read: u64,

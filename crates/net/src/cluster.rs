@@ -28,15 +28,6 @@ impl LocalCluster {
     /// waits until every one is reachable. The caller's `main` must route
     /// through [`crate::maybe_worker`] before doing anything else.
     pub fn spawn(workers: usize) -> Result<Self> {
-        Self::spawn_with_env(workers, &[])
-    }
-
-    /// Like [`LocalCluster::spawn`], with extra environment variables set on
-    /// each worker process (on top of the inherited environment). This is how
-    /// a test pins a worker-side knob — e.g. `RDO_COLUMNAR` or
-    /// `RDO_SPILL_COMPRESS` — to a value different from the coordinator's,
-    /// without the in-process `set_var` hazards.
-    pub fn spawn_with_env(workers: usize, env: &[(&str, &str)]) -> Result<Self> {
         let exe = std::env::current_exe().map_err(|e| RdoError::Io(format!("current_exe: {e}")))?;
         // Children are pushed into the cluster as they spawn, so any error
         // below drops the half-built cluster and its `Drop` kills and reaps
@@ -49,7 +40,6 @@ impl LocalCluster {
         for _ in 0..workers {
             let child = Command::new(&exe)
                 .env(WORKER_MODE_ENV, "1")
-                .envs(env.iter().copied())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
                 .stdin(Stdio::null())

@@ -9,22 +9,20 @@
 //! Row data travels as **page batches**: rows are encoded with the
 //! [`rdo_spill::codec`] tuple codec into page-sized bodies, each body passed
 //! through [`rdo_spill::compress::encode_page`] (so the wire reuses the spill
-//! store's optional LZ page compression, flag byte included), and each page
-//! shipped as one [`Tag::Page`] frame whose payload is the row count followed
-//! by the page blob. A [`Tag::End`] frame closes the batch. The codec
-//! roundtrip is exact — NULLs, NaN bit patterns and huge strings survive — so
-//! rows that cross a socket compare bit-identical to rows that never left the
-//! process.
+//! store's LZ page codec, flag byte included), and each page shipped as one
+//! [`Tag::Page`] frame whose payload is the row count followed by the page
+//! blob. A [`Tag::End`] frame closes the batch. The codec roundtrip is exact
+//! — NULLs, NaN bit patterns and huge strings survive — so rows that cross a
+//! socket compare bit-identical to rows that never left the process.
 //!
-//! With `RDO_COLUMNAR` on, a sender frames each page in **both** layouts —
-//! the row codec and the [`rdo_spill::colcodec`] column runs, whose
-//! same-type value runs the LZ compressor squeezes much harder on tabular
-//! data — and ships whichever blob is smaller. Page boundaries are identical
-//! either way (decided by the row codec's size accounting), and the layout
-//! travels purely in the frame-type byte: [`Tag::ColPage`]/[`Tag::ColBucket`]
-//! for columnar bodies, the plain tags for row bodies. Every reader accepts
-//! both families, so a columnar coordinator interoperates with a row-format
-//! worker and vice versa.
+//! The coordinator and the workers frame each page in **both** layouts — the
+//! row codec and the [`rdo_spill::colcodec`] column runs, whose same-type
+//! value runs the LZ compressor squeezes much harder on tabular data — and
+//! ship whichever blob is smaller. Page boundaries are identical either way
+//! (decided by the row codec's size accounting), and the layout travels
+//! purely in the frame-type byte: [`Tag::ColPage`]/[`Tag::ColBucket`] for
+//! columnar bodies, the plain tags for row bodies. Every reader accepts both
+//! families, and one batch may mix them.
 
 use rdo_common::{RdoError, Result, Tuple};
 use rdo_spill::codec::{decode_rows, encode_tuple};
@@ -179,8 +177,8 @@ pub mod payload {
 /// ([`Tag::ColPage`]/[`Tag::ColBucket`] for columnar bodies, the plain tags
 /// for row bodies), so a columnar sender never ships more bytes than a row
 /// sender. Page boundaries are decided by the row codec's size accounting
-/// either way, and the receiver dispatches per frame, so the knob never has
-/// to match between peers.
+/// either way, and the receiver dispatches per frame. The engine's own
+/// peers always pass `compress` and `columnar` set.
 ///
 /// `header` prefixes every page payload (empty for plain [`Tag::Page`]
 /// batches; the repartition response uses it to tag bucket pages with their
@@ -264,9 +262,8 @@ pub fn decode_page_payload(tag: Tag, payload: &[u8], at: usize) -> Result<Vec<Tu
 }
 
 /// Reads a page batch until [`Tag::End`], returning the decoded rows. Both
-/// body layouts are accepted ([`Tag::Page`] and [`Tag::ColPage`] frames may
-/// even be mixed within one batch), so a reader never needs to know the
-/// sender's `RDO_COLUMNAR` setting.
+/// body layouts are accepted, and [`Tag::Page`] and [`Tag::ColPage`] frames
+/// may be mixed within one batch — the sender picks per page.
 pub fn read_page_batch(r: &mut impl Read) -> Result<Vec<Tuple>> {
     let mut rows = Vec::new();
     loop {
@@ -363,7 +360,7 @@ mod tests {
             .collect()
     }
 
-    /// The layout knob moves only the frame-type byte and the body layout:
+    /// The `columnar` flag moves only the frame-type byte and the body layout:
     /// page boundaries (page count) are decided by the row codec's size
     /// accounting either way, a columnar sender never ships a longer stream
     /// (each page keeps the smaller of the two framings), and a reader
@@ -437,7 +434,7 @@ mod tests {
         .unwrap();
         assert!(
             awkward_col.len() <= awkward_row.len(),
-            "the columnar knob never costs wire bytes: {} vs {}",
+            "the columnar framing never costs wire bytes: {} vs {}",
             awkward_col.len(),
             awkward_row.len()
         );
@@ -498,5 +495,53 @@ mod tests {
         write_frame(&mut buf, Tag::Ack, &42u64.to_le_bytes()).unwrap();
         let mut cursor = &buf[..buf.len() - 2];
         assert!(read_frame(&mut cursor).is_err(), "truncated payload");
+    }
+
+    /// A page frame whose row count its blob cannot hold errors instead of
+    /// reserving memory for the claimed rows (which aborts the process).
+    #[test]
+    fn corrupt_row_counts_error_out() {
+        let mut page = u32::MAX.to_le_bytes().to_vec();
+        page.extend_from_slice(&rdo_spill::compress::encode_page(&[0xff; 4], false));
+        for tag in [Tag::Page, Tag::ColPage] {
+            assert!(decode_page_payload(tag, &page, 0).is_err(), "{tag:?}");
+        }
+        let mut bucket = 0u32.to_le_bytes().to_vec();
+        bucket.extend_from_slice(&page);
+        for tag in [Tag::Bucket, Tag::ColBucket] {
+            assert!(decode_page_payload(tag, &bucket, 4).is_err(), "{tag:?}");
+        }
+    }
+
+    /// A page frame whose row count is off by one errors in either body
+    /// layout, instead of dropping or inventing a row; a payload under a
+    /// non-page tag is refused.
+    #[test]
+    fn off_by_one_row_counts_error_out() {
+        for (columnar, want) in [(false, Tag::Page), (true, Tag::ColPage)] {
+            let mut buf = Vec::new();
+            let data = tabular(50);
+            write_page_batch(
+                &mut buf,
+                Tag::Page,
+                &[],
+                &data,
+                true,
+                columnar,
+                &mut LzScratch::new(),
+            )
+            .unwrap();
+            let (tag, mut payload) = expect_frame(&mut &buf[..]).unwrap();
+            assert_eq!(tag, want);
+            assert_eq!(decode_page_payload(tag, &payload, 0).unwrap(), data);
+            assert!(decode_page_payload(Tag::Ack, &payload, 0).is_err());
+            for wrong in [49u32, 51] {
+                payload[..4].copy_from_slice(&wrong.to_le_bytes());
+                assert!(
+                    decode_page_payload(tag, &payload, 0).is_err(),
+                    "{tag:?} claiming {wrong} of 50 rows"
+                );
+            }
+        }
     }
 }

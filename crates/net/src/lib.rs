@@ -17,7 +17,7 @@
 //!   are stateless between exchanges, so a worker crash costs a query, never
 //!   the dataset.
 //! * Tuples travel as **framed page batches** reusing the `rdo-spill` tuple
-//!   page codec and its optional LZ page compression on the wire
+//!   page codecs and LZ page compression on the wire
 //!   ([`frame`]), so a row that crosses a socket round-trips byte-exactly —
 //!   NaN bit patterns and all.
 //!

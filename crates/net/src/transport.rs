@@ -36,7 +36,6 @@ use rdo_parallel::{
     WorkerPool,
 };
 use rdo_spill::compress::LzScratch;
-use rdo_spill::SpillConfig;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,8 +112,6 @@ impl WorkerConn {
 pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<WorkerConn>>,
-    compress: bool,
-    columnar: bool,
     bytes_sent: Arc<AtomicU64>,
     bytes_received: Arc<AtomicU64>,
 }
@@ -123,8 +120,6 @@ impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
             .field("workers", &self.addrs)
-            .field("compress", &self.compress)
-            .field("columnar", &self.columnar)
             .field("stats", &self.stats())
             .finish()
     }
@@ -132,11 +127,7 @@ impl std::fmt::Debug for TcpTransport {
 
 impl TcpTransport {
     /// Connects to the given worker processes and verifies each one answers
-    /// a liveness ping. Page compression on the wire follows the spill
-    /// store's `RDO_SPILL_COMPRESS` default (the codec reads the flag byte,
-    /// so mixed settings between coordinator and workers still interoperate),
-    /// and the page body layout follows `RDO_COLUMNAR` the same way (the
-    /// frame-type byte carries the layout, so readers never need the knob).
+    /// a liveness ping.
     pub fn connect(addrs: &[SocketAddr]) -> Result<Self> {
         if addrs.is_empty() {
             return Err(RdoError::Execution(
@@ -164,20 +155,12 @@ impl TcpTransport {
             conn.ping()?;
             conns.push(Mutex::new(conn));
         }
-        let spill_env = SpillConfig::from_env();
         Ok(Self {
             addrs: addrs.to_vec(),
             conns,
-            compress: spill_env.compress,
-            columnar: spill_env.columnar,
             bytes_sent,
             bytes_received,
         })
-    }
-
-    /// The worker addresses this transport talks to.
-    pub fn worker_addrs(&self) -> &[SocketAddr] {
-        &self.addrs
     }
 
     /// Number of worker processes behind the transport.
@@ -302,8 +285,8 @@ impl Transport for TcpTransport {
                     Tag::Page,
                     &[],
                     &data.partition_rows(from),
-                    self.compress,
-                    self.columnar,
+                    true,
+                    true,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;
@@ -360,8 +343,8 @@ impl Transport for TcpTransport {
                 Tag::Page,
                 &[],
                 &rows,
-                self.compress,
-                self.columnar,
+                true,
+                true,
                 &mut conn.scratch,
             )?;
             conn.writer.flush()?;
@@ -408,8 +391,8 @@ impl Transport for TcpTransport {
                     Tag::Page,
                     &[],
                     &data.partition_rows(p),
-                    self.compress,
-                    self.columnar,
+                    true,
+                    true,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;

@@ -19,7 +19,6 @@ use crate::frame::{payload, read_frame, write_frame, write_page_batch, Tag};
 use rdo_common::{RdoError, Result};
 use rdo_exec::partition::repartition_partition;
 use rdo_spill::compress::LzScratch;
-use rdo_spill::SpillConfig;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -115,8 +114,6 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let spill_env = SpillConfig::from_env();
-    let (compress, columnar) = (spill_env.compress, spill_env.columnar);
     let mut scratch = LzScratch::new();
     // Tracing in worker processes follows the same env knobs as the
     // coordinator (the cluster spawner passes the environment through). Each
@@ -169,8 +166,8 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                         Tag::Bucket,
                         &to_header,
                         bucket,
-                        compress,
-                        columnar,
+                        true,
+                        true,
                         &mut scratch,
                     )?;
                 }
@@ -197,15 +194,7 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                 // partition-agnostic.
                 let _partition = payload::u32_at(&header, 0)?;
                 let rows = read_page_batch(&mut reader)?;
-                write_page_batch(
-                    &mut writer,
-                    Tag::Page,
-                    &[],
-                    &rows,
-                    compress,
-                    columnar,
-                    &mut scratch,
-                )?;
+                write_page_batch(&mut writer, Tag::Page, &[], &rows, true, true, &mut scratch)?;
                 writer.flush()?;
             }
             other => {
@@ -230,8 +219,8 @@ pub(crate) fn read_bucketed_response(
     loop {
         let (tag, body) = crate::frame::expect_frame(reader)?;
         match tag {
-            // Either body layout is fine — the worker picks per its own
-            // RDO_COLUMNAR setting and the tag byte says which arrived.
+            // Either body layout is fine — the worker picks the smaller per
+            // page and the tag byte says which arrived.
             Tag::Bucket | Tag::ColBucket => {
                 let to = payload::u32_at(&body, 0)? as usize;
                 if to >= num_partitions {
@@ -301,9 +290,8 @@ mod tests {
         header.extend_from_slice(&0u32.to_le_bytes());
         header.extend_from_slice(&4u32.to_le_bytes());
         write_frame(&mut writer, Tag::Repartition, &header).unwrap();
-        // Ship this command's rows in the columnar layout: the worker's
-        // reader dispatches on the tag byte, so the coordinator's knob never
-        // has to match the worker's.
+        // The worker's reader dispatches on the tag byte, whichever layout
+        // each page picked.
         write_page_batch(&mut writer, Tag::Page, &[], &data, true, true, &mut scratch).unwrap();
         writer.flush().unwrap();
         let (buckets, moved_rows, moved_bytes) = read_bucketed_response(&mut reader, 4).unwrap();

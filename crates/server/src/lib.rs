@@ -584,18 +584,12 @@ fn run_query(
 mod tests {
     use super::*;
 
-    /// A query runs under the start-time spill configuration — page size,
-    /// compression, read-ahead and page layout untouched — with the two
-    /// budgets replaced by half its admission grant; without a grant the
-    /// configuration is the start-time one as it is.
+    /// A query runs under the start-time spill configuration — page size
+    /// untouched — with the two budgets replaced by half its admission grant;
+    /// without a grant the configuration is the start-time one as it is.
     #[test]
     fn per_query_spill_config_is_the_start_time_one_with_the_grant_halves() {
-        let base = SpillConfig::default()
-            .with_budget(7)
-            .with_page_size(4096)
-            .with_compression(false)
-            .with_prefetch_pages(5)
-            .with_columnar(false);
+        let base = SpillConfig::default().with_budget(7).with_page_size(4096);
         assert_eq!(query_spill(base, None), base);
         assert_eq!(
             query_spill(base, Some(1 << 20)),

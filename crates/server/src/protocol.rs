@@ -237,6 +237,16 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    /// Reads a `u32` count of items of at least `min_bytes` each; a count
+    /// the bytes left cannot hold is corrupt and errors before any reserve.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let (n, left) = (self.u32()? as usize, self.buf.len() - self.at);
+        match n.saturating_mul(min_bytes) <= left {
+            true => Ok(n),
+            false => Err(RdoError::Io(format!("count {n} over {left} bytes left"))),
+        }
+    }
+
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -288,7 +298,7 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
 /// Decodes a [`Tag::ResultSchema`] payload.
 pub fn decode_schema(payload: &[u8]) -> Result<Schema> {
     let mut cur = Cursor::new(payload);
-    let n = cur.u32()? as usize;
+    let n = cur.count(9)?; // two string lengths and a type tag at least
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let dataset = cur.str()?;
@@ -314,7 +324,9 @@ pub fn encode_rows(rows: &[Tuple]) -> Vec<u8> {
 /// Decodes a [`Tag::ResultRows`] payload into tuples of `width` values each.
 pub fn decode_rows(payload: &[u8], width: usize) -> Result<Vec<Tuple>> {
     let mut cur = Cursor::new(payload);
-    let n = cur.u32()? as usize;
+    // A value is at least its tag byte; a zero-width row (no result has
+    // one) is charged a byte so a corrupt count cannot loop unbounded.
+    let n = cur.count(width.max(1))?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let mut values = Vec::with_capacity(width);
@@ -585,5 +597,41 @@ mod tests {
         let rows_bytes = encode_rows(rel.rows());
         assert!(decode_rows(&rows_bytes[..rows_bytes.len() - 1], 3).is_err());
         assert!(decode_rows(&rows_bytes, 2).is_err(), "width mismatch");
+    }
+
+    /// A corrupt count errors before anything is reserved for it, instead
+    /// of asking the allocator for hundreds of gigabytes (which aborts the
+    /// process).
+    #[test]
+    fn decoders_reject_corrupt_counts() {
+        let huge = u32::MAX.to_le_bytes();
+        assert!(decode_schema(&huge).is_err());
+        assert!(decode_rows(&huge, 3).is_err());
+        assert!(decode_rows(&huge, 0).is_err());
+    }
+
+    /// The schema's count bound rejects only what the bytes cannot hold:
+    /// fields with empty names (nine bytes each) decode right up to it.
+    #[test]
+    fn schema_counts_at_the_byte_bound_still_decode() {
+        let field = Field::new(FieldRef::new("", ""), DataType::Int64);
+        let schema = Schema::new(vec![field; 3]);
+        let mut bytes = encode_schema(&schema);
+        assert_eq!(bytes.len(), 4 + 3 * 9);
+        assert_eq!(decode_schema(&bytes).unwrap(), schema);
+        bytes[..4].copy_from_slice(&4u32.to_le_bytes());
+        assert!(decode_schema(&bytes).is_err(), "one field over the bound");
+    }
+
+    /// The rows' count bound rejects only what the bytes cannot hold: rows
+    /// of NULLs (one byte per value) decode right up to it.
+    #[test]
+    fn row_counts_at_the_byte_bound_still_decode() {
+        let rows = vec![Tuple::new(vec![Value::Null; 2]); 5];
+        let mut bytes = encode_rows(&rows);
+        assert_eq!(bytes.len(), 4 + 5 * 2);
+        assert_eq!(decode_rows(&bytes, 2).unwrap(), rows);
+        bytes[..4].copy_from_slice(&6u32.to_le_bytes());
+        assert!(decode_rows(&bytes, 2).is_err(), "one row over the bound");
     }
 }

@@ -179,6 +179,11 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
 /// Decodes one tuple starting at `*pos`, advancing the cursor.
 pub fn decode_tuple(bytes: &[u8], pos: &mut usize) -> Result<Tuple> {
     let columns = take_u32(bytes, pos)? as usize;
+    // Each value costs at least its tag byte; reject absurd counts before
+    // reserving memory for them.
+    if columns > bytes.len() - *pos {
+        return Err(corrupt("implausible column count"));
+    }
     let mut values = Vec::with_capacity(columns);
     for _ in 0..columns {
         values.push(decode_value(bytes, pos)?);
@@ -189,6 +194,10 @@ pub fn decode_tuple(bytes: &[u8], pos: &mut usize) -> Result<Tuple> {
 /// Decodes exactly `rows` tuples from a page body, requiring the page to be
 /// fully consumed (any trailing garbage means corruption).
 pub fn decode_rows(bytes: &[u8], rows: usize) -> Result<Vec<Tuple>> {
+    // Each tuple costs at least its 4-byte column count.
+    if rows > bytes.len() / 4 {
+        return Err(corrupt("implausible row count"));
+    }
     let mut pos = 0usize;
     let mut out = Vec::with_capacity(rows);
     for _ in 0..rows {
@@ -273,6 +282,35 @@ mod tests {
         let mut padded = buf.clone();
         padded.push(0);
         assert!(decode_rows(&padded, 1).is_err(), "trailing bytes");
+    }
+
+    /// A corrupt count errors before anything is reserved for it, instead
+    /// of asking the allocator for hundreds of gigabytes (which aborts the
+    /// process).
+    #[test]
+    fn corrupt_counts_error_without_reserving() {
+        assert!(decode_rows(&[0xff; 4], 1).is_err(), "column count");
+        assert!(decode_rows(&[], u32::MAX as usize).is_err(), "row count");
+        let mut pos = 0;
+        assert!(decode_tuple(&[0xff; 8], &mut pos).is_err());
+    }
+
+    /// The count bounds reject only what the bytes cannot hold: rows and
+    /// columns of the smallest encoding decode right up to the bound.
+    #[test]
+    fn counts_at_the_byte_bound_still_decode() {
+        let empty = Tuple::new(Vec::new());
+        assert_eq!(decode_rows(&[0; 8], 2).unwrap(), vec![empty; 2]);
+        assert!(decode_rows(&[0; 8], 3).is_err(), "one row over the bound");
+        let nulls = [2, 0, 0, 0, TAG_NULL, TAG_NULL];
+        let mut pos = 0;
+        assert_eq!(
+            decode_tuple(&nulls, &mut pos).unwrap(),
+            Tuple::new(vec![Value::Null; 2])
+        );
+        assert_eq!(pos, nulls.len());
+        let mut pos = 0;
+        assert!(decode_tuple(&[3, 0, 0, 0, TAG_NULL, TAG_NULL], &mut pos).is_err());
     }
 
     fn value_strategy() -> impl Strategy<Value = Value> {

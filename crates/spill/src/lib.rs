@@ -28,33 +28,34 @@
 //!   (NULLs, NaN bit patterns, strings of any length). Its per-row length is
 //!   the unit every page boundary and logical byte counter is measured in,
 //!   read straight off the columns of a batch (`codec::encoded_row_lens`).
-//! * [`colcodec`] — the columnar page layout (`RDO_COLUMNAR`, on by
-//!   default): the same rows stored as column runs — one type tag, a null
-//!   bitmap and contiguous payloads per column, encoded and decoded a column
-//!   slice at a time — so the LZ compressor sees same-type byte runs. Page
-//!   boundaries, row counts and logical byte counters stay identical to the
-//!   row codec's. A page is encoded once, in one layout, fixed before
-//!   encoding: columnar, except tail pages under 1 KiB.
-//! * [`compress`] — the dependency-free LZ page codec (`RDO_SPILL_COMPRESS`,
-//!   on by default): pages that shrink are stored compressed, the rest raw,
-//!   with both stored and logical byte volumes reported.
+//! * [`colcodec`] — the columnar page layout: the same rows stored as
+//!   column runs — one type tag, a null bitmap and contiguous payloads per
+//!   column, encoded and decoded a column slice at a time — so the LZ
+//!   compressor sees same-type byte runs. Page boundaries, row counts and
+//!   logical byte counters stay identical to the row codec's. A page is
+//!   encoded once, in one layout, fixed before encoding: columnar, except
+//!   tail pages under 1 KiB.
+//! * [`compress`] — the dependency-free LZ page codec every page goes
+//!   through: pages that shrink are stored compressed, the rest raw, with
+//!   both stored and logical byte volumes reported.
 //! * [`buffer`] — the fixed-frame [`BufferPool`]: CLOCK eviction, pin/unpin,
 //!   dirty-page writeback, graceful bypass when every frame is pinned, and
 //!   `prefetch_page` for the scan read-ahead.
 //! * [`store`] — [`SpilledPartitions`], the paged per-partition store with
 //!   a streaming `scan_batches` API the executors feed through the
-//!   per-partition kernels (read-ahead prefetch under `RDO_SPILL_PREFETCH`),
+//!   per-partition kernels (with a two-page read-ahead),
 //!   and [`SpillPartitionWriter`], the batch-native partition router — it
 //!   takes whole batches or `(partition, slot)` routes, cuts a page per
 //!   partition as it fills, and keeps its transient footprint bounded by
 //!   partitions × page size. `append(&Tuple)` and `read_partition` are the
 //!   row edge for callers holding tuples.
 //! * [`manager`] — [`SpillManager`] (budget accounting, temp-dir ownership,
-//!   the shared pool) and [`SpillConfig`] (`RDO_SPILL_BUDGET`).
+//!   the shared pool) and [`SpillConfig`] (`RDO_SPILL_BUDGET`,
+//!   `RDO_JOIN_BUDGET` and the page size).
 //!
 //! The counters the subsystem reports ([`SpillWriteTally`] /
 //! [`SpillReadTally`]) are *logical* page traffic — a pure function of the
-//! spilled rows and the compression switch — so execution metrics stay
+//! spilled rows and the page size — so execution metrics stay
 //! bit-identical for every worker count even though the buffer pool's
 //! physical hit/miss/prefetch behaviour varies.
 //!
@@ -106,8 +107,7 @@ pub mod store;
 pub use buffer::{BufferPool, PoolDiagnostics, SpillFile};
 pub use colcodec::{decode_batch, encode_batch};
 pub use manager::{
-    SpillConfig, SpillManager, SpillReadTally, SpillWriteTally, DEFAULT_PAGE_SIZE,
-    DEFAULT_PREFETCH_PAGES, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV, SPILL_COMPRESS_ENV,
-    SPILL_PREFETCH_ENV,
+    SpillConfig, SpillManager, SpillReadTally, SpillWriteTally, DEFAULT_PAGE_SIZE, JOIN_BUDGET_ENV,
+    SPILL_BUDGET_ENV,
 };
 pub use store::{SpillPartitionWriter, SpilledPartitions};

@@ -1,5 +1,9 @@
 //! The spill manager: budget policy, temp-directory ownership and the shared
 //! buffer pool.
+//!
+//! [`SpillConfig`] is the two budgets and the page size — nothing else. How
+//! a page is laid out, compressed and read back is the store's fixed policy
+//! ([`crate::store`]), not a setting.
 
 use crate::buffer::{BufferPool, PoolDiagnostics, SpillFile};
 use rdo_common::{env, Result};
@@ -19,21 +23,8 @@ pub const SPILL_BUDGET_ENV: &str = "RDO_SPILL_BUDGET";
 /// resident, and spilled partition pairs are joined recursively.
 pub const JOIN_BUDGET_ENV: &str = "RDO_JOIN_BUDGET";
 
-/// Environment variable switching spill-page compression on or off
-/// (`0`/`1`, `true`/`false`, `on`/`off`). Compression is **on by default**;
-/// exporting `RDO_SPILL_COMPRESS=0` restores raw pages.
-pub const SPILL_COMPRESS_ENV: &str = "RDO_SPILL_COMPRESS";
-
-/// Environment variable setting the read-ahead lookahead, in pages, for scans
-/// of spill files (`0` disables prefetching).
-pub const SPILL_PREFETCH_ENV: &str = "RDO_SPILL_PREFETCH";
-
 /// Default page size of the spill store (64 KiB, AsterixDB's frame default).
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
-
-/// Default read-ahead lookahead in pages: double-buffered — the prefetcher
-/// reads up to two pages ahead while the scanner decodes the current one.
-pub const DEFAULT_PREFETCH_PAGES: usize = 2;
 
 /// Knobs of the disk-backed materialization subsystem. `Copy` so it threads
 /// through `DynamicConfig` like the parallel knobs.
@@ -51,29 +42,6 @@ pub struct SpillConfig {
     /// Target page size in bytes. A page holds at least one row, so oversized
     /// rows produce oversized pages rather than errors.
     pub page_size: usize,
-    /// Buffer-pool frame count. `0` derives it from the budget
-    /// (`budget / page_size`, clamped to `[16, 1024]`).
-    pub frames: usize,
-    /// Page compression (the LZ block codec of [`crate::compress`]). On by
-    /// default: pages that actually shrink are stored compressed, the rest
-    /// stay raw at the cost of one flag byte. Purely physical — decoded rows,
-    /// page boundaries and all logical byte counters are identical either
-    /// way.
-    pub compress: bool,
-    /// Read-ahead lookahead in pages for scans of spill files: a prefetch
-    /// thread keeps up to this many pages ahead of the scanner resident in
-    /// the buffer pool, overlapping disk reads with page decoding. `0`
-    /// disables prefetching (fully synchronous reads).
-    pub prefetch_pages: usize,
-    /// Columnar page layout ([`crate::colcodec`]): pages store their rows as
-    /// column runs — type tag, null bitmap, contiguous values — so the LZ
-    /// compressor sees same-type byte runs (tail pages under 1 KiB stay in
-    /// the row codec; each page is encoded once, in one layout). On by
-    /// default (`RDO_COLUMNAR`; this field and the wire frames of `rdo-net`
-    /// are all the knob selects — resident tables are columnar regardless).
-    /// Purely physical: decoded rows, page boundaries, per-page row counts
-    /// and all *logical* byte counters are identical to the row codec.
-    pub columnar: bool,
 }
 
 impl Default for SpillConfig {
@@ -82,10 +50,6 @@ impl Default for SpillConfig {
             budget_bytes: None,
             join_budget_bytes: None,
             page_size: DEFAULT_PAGE_SIZE,
-            frames: 0,
-            compress: true,
-            prefetch_pages: DEFAULT_PREFETCH_PAGES,
-            columnar: rdo_common::columnar_default(),
         }
     }
 }
@@ -96,13 +60,12 @@ impl SpillConfig {
         Self::default()
     }
 
-    /// The default configuration with the `RDO_SPILL_BUDGET`,
-    /// `RDO_JOIN_BUDGET`, `RDO_SPILL_COMPRESS` and `RDO_SPILL_PREFETCH`
-    /// environment variables applied — `DynamicConfig::default()` uses this,
-    /// so exporting any of them drives the whole driver (and the tier-1 test
-    /// suite) through the corresponding out-of-core path without code
-    /// changes. All four parse through the shared warn-on-invalid helpers of
-    /// [`rdo_common::env`].
+    /// The default configuration with the `RDO_SPILL_BUDGET` and
+    /// `RDO_JOIN_BUDGET` environment variables applied —
+    /// `DynamicConfig::default()` uses this, so exporting either drives the
+    /// whole driver (and the tier-1 test suite) through the corresponding
+    /// out-of-core path without code changes. Both parse through the shared
+    /// warn-on-invalid helpers of [`rdo_common::env`].
     pub fn from_env() -> Self {
         Self::from_env_with(|var| std::env::var(var).ok())
     }
@@ -119,7 +82,6 @@ impl SpillConfig {
         ) -> Option<T> {
             lookup(var).and_then(|raw| env::parse_or_warn(var, &raw, fallback, parser))
         }
-        let defaults = Self::default();
         Self {
             budget_bytes: get(
                 &lookup,
@@ -133,28 +95,7 @@ impl SpillConfig {
                 "the grace hash join stays disabled",
                 env::parse_env_u64,
             ),
-            compress: get(
-                &lookup,
-                SPILL_COMPRESS_ENV,
-                "spill-page compression stays on",
-                env::parse_env_bool,
-            )
-            .unwrap_or(defaults.compress),
-            prefetch_pages: get(
-                &lookup,
-                SPILL_PREFETCH_ENV,
-                "the default read-ahead stays in effect",
-                env::parse_env_usize,
-            )
-            .unwrap_or(defaults.prefetch_pages),
-            columnar: get(
-                &lookup,
-                rdo_common::COLUMNAR_ENV,
-                "the columnar page layout stays on",
-                env::parse_env_bool,
-            )
-            .unwrap_or(defaults.columnar),
-            ..defaults
+            ..Self::default()
         }
     }
 
@@ -176,36 +117,15 @@ impl SpillConfig {
         self
     }
 
-    /// Builder-style compression switch.
-    pub fn with_compression(mut self, compress: bool) -> Self {
-        self.compress = compress;
-        self
-    }
-
-    /// Builder-style read-ahead override (`0` disables prefetching).
-    pub fn with_prefetch_pages(mut self, pages: usize) -> Self {
-        self.prefetch_pages = pages;
-        self
-    }
-
-    /// Builder-style columnar page-layout switch (`false` restores the
-    /// row-at-a-time page codec).
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
-        self
-    }
-
     /// True if any budget is set (a spill directory and buffer pool are
     /// needed, either for materialized intermediates or for grace joins).
     pub fn enabled(&self) -> bool {
         self.budget_bytes.is_some() || self.join_budget_bytes.is_some()
     }
 
-    /// The buffer-pool frame count this configuration implies.
+    /// The buffer-pool frame count this configuration implies: the larger
+    /// budget over the page size, clamped to `[16, 1024]`.
     pub fn effective_frames(&self) -> usize {
-        if self.frames > 0 {
-            return self.frames;
-        }
         let budget = self
             .budget_bytes
             .unwrap_or(0)
@@ -215,17 +135,16 @@ impl SpillConfig {
 }
 
 /// Logical page-write volume of one spill operation. Deterministic (a pure
-/// function of the spilled rows and the compression switch), unlike the
-/// buffer pool's physical hit/miss/writeback activity.
+/// function of the spilled rows and the page size), unlike the buffer pool's
+/// physical hit/miss/writeback activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillWriteTally {
     /// Pages appended to the store.
     pub pages: u64,
-    /// Stored bytes appended — compressed size when page compression is on.
+    /// Stored bytes appended — the LZ-framed page blobs.
     pub bytes: u64,
-    /// Uncompressed serialized bytes the pages decode back to. Equal to
-    /// `bytes` when compression is off; the `bytes / logical_bytes` ratio is
-    /// the measured compression ratio.
+    /// Row-codec bytes the pages stand for; the `bytes / logical_bytes`
+    /// ratio is the measured compression ratio.
     pub logical_bytes: u64,
 }
 
@@ -235,9 +154,9 @@ pub struct SpillWriteTally {
 pub struct SpillReadTally {
     /// Pages fetched (through the buffer pool).
     pub pages: u64,
-    /// Stored bytes fetched — compressed size when page compression is on.
+    /// Stored bytes fetched — the LZ-framed page blobs.
     pub bytes: u64,
-    /// Uncompressed serialized bytes the fetched pages decoded back to.
+    /// Row-codec bytes the fetched pages stand for.
     pub logical_bytes: u64,
 }
 
@@ -420,99 +339,28 @@ mod tests {
             ..SpillConfig::default()
         };
         assert_eq!(mid.effective_frames(), 64);
-        let explicit = SpillConfig {
-            frames: 7,
-            ..SpillConfig::default()
-        };
-        assert_eq!(explicit.effective_frames(), 7);
     }
 
-    #[test]
-    fn compression_and_prefetch_knobs_default_on_and_thread_through_builders() {
-        let config = SpillConfig::default();
-        assert!(config.compress, "page compression is on by default");
-        assert_eq!(config.prefetch_pages, DEFAULT_PREFETCH_PAGES);
-        let off = config.with_compression(false).with_prefetch_pages(0);
-        assert!(!off.compress);
-        assert_eq!(off.prefetch_pages, 0);
-        let tuned = SpillConfig::default().with_prefetch_pages(8);
-        assert_eq!(tuned.prefetch_pages, 8);
-    }
-
-    /// The env overrides parse through the shared warn-on-invalid helpers: a
-    /// garbage value keeps the default instead of silently flipping the
-    /// knob. Exercised through the injectable lookup — never `set_var`, which
-    /// is unsound next to concurrent `getenv` callers like
+    /// The budget overrides parse through the shared warn-on-invalid
+    /// helpers: a garbage value keeps the default instead of silently
+    /// enabling a path. Exercised through the injectable lookup — never
+    /// `set_var`, which is unsound next to concurrent `getenv` callers like
     /// `std::env::temp_dir`.
     #[test]
-    fn fast_path_env_overrides_apply_and_garbage_keeps_defaults() {
+    fn budget_env_overrides_apply_and_garbage_keeps_defaults() {
         let config = SpillConfig::from_env_with(|var| match var {
-            SPILL_COMPRESS_ENV => Some("0".to_string()),
-            SPILL_PREFETCH_ENV => Some("6".to_string()),
             SPILL_BUDGET_ENV => Some("1048576".to_string()),
             _ => None,
         });
-        assert!(
-            !config.compress,
-            "RDO_SPILL_COMPRESS=0 turns compression off"
-        );
-        assert_eq!(config.prefetch_pages, 6);
         assert_eq!(config.budget_bytes, Some(1_048_576));
         assert_eq!(config.join_budget_bytes, None);
+        assert_eq!(config.page_size, DEFAULT_PAGE_SIZE);
 
         let config = SpillConfig::from_env_with(|var| match var {
-            SPILL_COMPRESS_ENV => Some("sideways".to_string()),
-            SPILL_PREFETCH_ENV => Some("-3".to_string()),
+            JOIN_BUDGET_ENV => Some("-3".to_string()),
             _ => None,
         });
-        assert!(config.compress, "invalid switch warns and stays on");
-        assert_eq!(
-            config.prefetch_pages, DEFAULT_PREFETCH_PAGES,
-            "invalid lookahead warns and keeps the default"
-        );
-    }
-
-    /// The `RDO_COLUMNAR` switch flows through the same injectable lookup:
-    /// valid values flip the page layout, garbage warns and keeps the
-    /// process-wide default. The default itself *is* the real environment
-    /// knob (`columnar_default()`), so the assertions here compare against
-    /// it instead of a literal — the suite runs under CI legs that export
-    /// `RDO_COLUMNAR` for the whole process.
-    #[test]
-    fn columnar_knob_parses_or_warns() {
-        let config = SpillConfig::default();
-        assert_eq!(
-            config.columnar,
-            rdo_common::columnar_default(),
-            "the config default is the process-wide page layout"
-        );
-        if std::env::var(rdo_common::COLUMNAR_ENV).is_err() {
-            assert!(config.columnar, "columnar pages are on by default");
-        }
-        assert!(!config.with_columnar(false).columnar);
-        assert!(SpillConfig::default().with_columnar(true).columnar);
-
-        let off = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("off".to_string()),
-            _ => None,
-        });
-        assert!(!off.columnar, "RDO_COLUMNAR=off restores row pages");
-
-        let on = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("1".to_string()),
-            _ => None,
-        });
-        assert!(on.columnar, "RDO_COLUMNAR=1 selects columnar pages");
-
-        let garbage = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("diagonal".to_string()),
-            _ => None,
-        });
-        assert_eq!(
-            garbage.columnar,
-            rdo_common::columnar_default(),
-            "invalid switch warns and keeps the process default"
-        );
+        assert_eq!(config, SpillConfig::default(), "invalid budget warns");
     }
 
     #[test]

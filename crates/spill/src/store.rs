@@ -15,12 +15,14 @@
 //!   partitioner) never materializes whole partitions first: its transient
 //!   footprint is O(partitions × page size), tracked by
 //!   [`SpillPartitionWriter::peak_buffered_bytes`]. Pages are cut by the
-//!   rows' row-codec lengths, encoded once from the pending page's column
-//!   slices, and compressed at flush time when the manager's config says so.
+//!   rows' row-codec lengths and encoded once from the pending page's column
+//!   slices. The page alone picks its layout — column runs, except a tail
+//!   page under 1 KiB, which is a row-codec page — and every page goes
+//!   through the LZ codec, which stores it raw when that is smaller.
 //! * **Read-ahead scans** — [`SpilledPartitions::scan_pages`] overlaps page
-//!   decode with disk reads: a prefetch thread keeps the next
-//!   `SpillConfig::prefetch_pages` pages resident in the buffer pool while
-//!   the scanner decompresses and decodes the current one.
+//!   decode with disk reads: a prefetch thread keeps the next two pages
+//!   resident in the buffer pool while the scanner decompresses and decodes
+//!   the current one.
 
 use crate::codec::{decode_rows, encode_batch_row, encoded_row_lens, encoded_tuple_len};
 use crate::colcodec;
@@ -57,12 +59,17 @@ struct PartitionPages {
 }
 
 /// Below this many row-codec bytes a page that did not fill up (the tail of a
-/// small partition) is stored in the row layout even when the configuration
-/// asks for columnar pages: on a handful of rows the columnar header — 8
-/// bytes plus a tag and a bitmap per column — and the cross-column matches the
-/// compressor loses cost more than the column runs save (measured crossover:
-/// 128–256 bytes on multi-column pages, ~1 KiB on single-column ones).
+/// small partition) is stored in the row layout rather than as column runs:
+/// on a handful of rows the columnar header — 8 bytes plus a tag and a bitmap
+/// per column — and the cross-column matches the compressor loses cost more
+/// than the column runs save (measured crossover: 128–256 bytes on
+/// multi-column pages, ~1 KiB on single-column ones).
 const MIN_COLUMNAR_PAGE_BYTES: usize = 1024;
+
+/// Read-ahead lookahead of spill scans, in pages: double-buffered — the
+/// prefetcher reads up to two pages ahead while the scanner decodes the
+/// current one.
+const READ_AHEAD_PAGES: usize = 2;
 
 /// The page a partition is filling: its rows as a batch under construction,
 /// and their row-codec byte length — the page-boundary measure.
@@ -85,11 +92,10 @@ struct PendingPage {
 /// buffered-bytes accounting all follow the *row-codec* length of each row
 /// ([`encoded_row_lens`]), so every logical figure is the same in both page
 /// layouts and the same whether rows arrive as batches or one [`Tuple`] at a
-/// time. A page is encoded **once**, in a layout fixed before encoding: with
-/// `SpillConfig::columnar` on, column runs ([`crate::colcodec`]) written from
-/// the pending page's column slices — except tail pages under 1 KiB, which
-/// like every page of a `columnar = false` store are written in the row
-/// codec. Each page's metadata records its layout for the reader.
+/// time. A page is encoded **once**, in a layout fixed before encoding: column
+/// runs ([`crate::colcodec`]) written from the pending page's column slices —
+/// except tail pages under 1 KiB, which are written in the row codec. Each
+/// page's metadata records its layout for the reader.
 #[derive(Debug)]
 pub struct SpillPartitionWriter {
     manager: Arc<SpillManager>,
@@ -105,8 +111,6 @@ pub struct SpillPartitionWriter {
     buffered_bytes: u64,
     peak_buffered_bytes: u64,
     page_size: usize,
-    compress: bool,
-    columnar: bool,
     scratch: LzScratch,
     finished: bool,
 }
@@ -115,8 +119,6 @@ impl SpillPartitionWriter {
     /// Opens a writer over a fresh spill file with `partitions` partitions.
     pub fn new(manager: Arc<SpillManager>, partitions: usize) -> Result<Self> {
         let page_size = manager.config().page_size.max(512);
-        let compress = manager.config().compress;
-        let columnar = manager.config().columnar;
         let (file_id, path) = manager.create_file()?;
         Ok(Self {
             manager,
@@ -132,8 +134,6 @@ impl SpillPartitionWriter {
             buffered_bytes: 0,
             peak_buffered_bytes: 0,
             page_size,
-            compress,
-            columnar,
             scratch: LzScratch::new(),
             finished: false,
         })
@@ -213,7 +213,7 @@ impl SpillPartitionWriter {
         // differs from it, and that difference is the point.
         let logical_len = std::mem::take(&mut self.pending[p].len);
         let mut body = Vec::with_capacity(logical_len);
-        let columnar = self.columnar && logical_len >= self.page_size.min(MIN_COLUMNAR_PAGE_BYTES);
+        let columnar = logical_len >= self.page_size.min(MIN_COLUMNAR_PAGE_BYTES);
         if columnar {
             colcodec::encode_batch(&mut body, &page);
         } else {
@@ -223,7 +223,7 @@ impl SpillPartitionWriter {
         }
         let blob = {
             let _t = rdo_trace::timer("spill.compress_ns");
-            encode_page_with(&mut self.scratch, &body, self.compress)
+            encode_page_with(&mut self.scratch, &body, true)
         };
         self.buffered_bytes -= logical_len as u64;
         let meta = PageMeta {
@@ -294,9 +294,9 @@ pub struct SpilledPartitions {
     /// table lives.
     approx_bytes: usize,
     /// Exact stored page bytes — the *measured* on-disk size of the
-    /// intermediate (compressed when page compression is on).
+    /// intermediate.
     serialized_bytes: u64,
-    /// Uncompressed serialized bytes the pages decode back to.
+    /// Row-codec bytes the pages stand for.
     logical_bytes: u64,
     pages: u64,
 }
@@ -338,13 +338,12 @@ impl SpilledPartitions {
         self.approx_bytes
     }
 
-    /// Exact stored bytes on disk (compressed when compression is on).
+    /// Exact stored bytes on disk.
     pub fn serialized_bytes(&self) -> u64 {
         self.serialized_bytes
     }
 
-    /// Uncompressed serialized bytes (equals [`Self::serialized_bytes`] when
-    /// compression is off or never helped).
+    /// Row-codec bytes the pages stand for, whatever their stored layout.
     pub fn logical_bytes(&self) -> u64 {
         self.logical_bytes
     }
@@ -413,11 +412,11 @@ impl SpilledPartitions {
     /// tally counts the pages actually fetched, so an early stop charges only
     /// what was read.
     ///
-    /// With `SpillConfig::prefetch_pages > 0` a read-ahead thread keeps the
-    /// next pages resident in the buffer pool while `f` and the row decoder
-    /// run, overlapping disk I/O with decode work. Prefetching touches only
-    /// the physical pool state — the logical tally and the delivered rows are
-    /// identical with and without it.
+    /// A read-ahead thread keeps the next two pages resident in the buffer
+    /// pool while `f` and the row decoder run, overlapping disk I/O with
+    /// decode work. Prefetching touches only the physical pool state — the
+    /// logical tally and the delivered rows are identical with and without
+    /// it.
     pub fn scan_pages<F>(&self, p: usize, mut f: F) -> Result<SpillReadTally>
     where
         F: FnMut(&[Tuple]) -> Result<bool>,
@@ -442,16 +441,14 @@ impl SpilledPartitions {
         F: FnMut(&T) -> Result<bool>,
     {
         let metas = &self.parts[p].pages;
-        let lookahead = self.manager.config().prefetch_pages;
         let pool = self.manager.pool();
         // No read-ahead thread when there is nothing to read ahead: single
-        // pages, prefetching disabled, or every page already resident in the
-        // pool (the common case for small grace buckets scanned right after
-        // being written) — a thread spawn would cost more than it overlaps.
-        // More pages than frames can never be all-resident, so skip the
-        // under-lock residency probe entirely then.
-        if lookahead == 0
-            || metas.len() <= 1
+        // pages, or every page already resident in the pool (the common case
+        // for small grace buckets scanned right after being written) — a
+        // thread spawn would cost more than it overlaps. More pages than
+        // frames can never be all-resident, so skip the under-lock residency
+        // probe entirely then.
+        if metas.len() <= 1
             || (metas.len() <= pool.capacity()
                 && pool.all_resident(self.file_id, metas.iter().map(|m| m.page_no)))
         {
@@ -464,7 +461,7 @@ impl SpilledPartitions {
             return Ok(tally);
         }
 
-        let gate = PrefetchGate::new(lookahead);
+        let gate = PrefetchGate::new();
         let trace_ctx = rdo_trace::TaskContext::capture();
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -472,7 +469,7 @@ impl SpilledPartitions {
                 // pool installs and slot waits land in the same profile.
                 let _trace = trace_ctx.install();
                 // The scanner fetches page 0 itself; read ahead from page 1,
-                // staying at most `lookahead` pages in front of it and
+                // staying at most `READ_AHEAD_PAGES` in front of it and
                 // skipping pages the scanner has already reached (fetching
                 // those would double-read them from disk). Prefetch errors
                 // are ignored — the scanner's own read will surface anything
@@ -532,11 +529,10 @@ impl Drop for SpilledPartitions {
 }
 
 /// Coordination between one scan and its read-ahead thread: the prefetcher
-/// waits whenever it would run more than `lookahead` pages in front of the
-/// scanner, and `close` releases it unconditionally (end of scan, early stop
+/// waits whenever it would run more than [`READ_AHEAD_PAGES`] pages in front
+/// of the scanner, and `close` releases it unconditionally (end of scan, early stop
 /// or error).
 struct PrefetchGate {
-    lookahead: usize,
     state: Mutex<GateState>,
     cv: Condvar,
 }
@@ -559,9 +555,8 @@ enum Slot {
 }
 
 impl PrefetchGate {
-    fn new(lookahead: usize) -> Self {
+    fn new() -> Self {
         Self {
-            lookahead,
             state: Mutex::new(GateState {
                 consumed: 0,
                 closed: false,
@@ -585,7 +580,7 @@ impl PrefetchGate {
             if i <= state.consumed {
                 return Slot::Skip;
             }
-            if i <= state.consumed + self.lookahead {
+            if i <= state.consumed + READ_AHEAD_PAGES {
                 return Slot::Fetch;
             }
             state = self.cv.wait(state).expect("prefetch gate wait");
@@ -697,13 +692,9 @@ mod tests {
     fn pages_survive_pool_pressure() {
         // A 16-frame pool (minimum) with 512-byte pages and ~60 pages of data:
         // most reads must miss the pool and hit the file (after writeback).
-        // Prefetching off so the miss counter reflects the scanner's reads.
-        let mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_prefetch_pages(0),
-        );
+        // Each scan fetches its first page itself, and that page was evicted
+        // long ago, so the scanner misses even with read-ahead running.
+        let mgr = manager(1, 512);
         let partitions = vec![rows(400, "pressure"), rows(400, "more")];
         let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &partitions).unwrap();
         for (p, expected) in partitions.iter().enumerate() {
@@ -714,34 +705,26 @@ mod tests {
         assert!(d.misses > 0, "reads went to the file: {d:?}");
     }
 
+    /// Scans that run the read-ahead thread (more pages than the pool holds)
+    /// deliver exactly the rows written, and their tallies add up to the
+    /// write tally.
     #[test]
-    fn prefetched_scans_deliver_identical_rows_and_tallies() {
+    fn prefetched_scans_deliver_the_written_rows_and_tallies() {
+        let mgr = manager(1, 512);
         let data = vec![rows(700, "pf"), rows(123, "pf2")];
-        let reference = {
-            let mgr = manager_with(
-                SpillConfig::default()
-                    .with_budget(1)
-                    .with_page_size(512)
-                    .with_prefetch_pages(0),
-            );
-            let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
-            (0..data.len())
-                .map(|p| store.read_partition_tallied(p).unwrap())
-                .collect::<Vec<_>>()
-        };
-        for lookahead in [1, 2, 8] {
-            let mgr = manager_with(
-                SpillConfig::default()
-                    .with_budget(1)
-                    .with_page_size(512)
-                    .with_prefetch_pages(lookahead),
-            );
-            let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
-            for (p, expected) in reference.iter().enumerate() {
-                let got = store.read_partition_tallied(p).unwrap();
-                assert_eq!(got.0, expected.0, "lookahead={lookahead}");
-                assert_eq!(got.1, expected.1, "tallies are prefetch-invariant");
+        let (store, write) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
+        assert!(write.pages as usize > mgr.pool().capacity(), "{write:?}");
+        for _ in 0..3 {
+            let mut read = SpillReadTally::default();
+            for (p, expected) in data.iter().enumerate() {
+                let (got, tally) = store.read_partition_tallied(p).unwrap();
+                assert_eq!(&got, expected, "partition {p}");
+                read.add(&tally);
             }
+            assert_eq!(
+                (read.pages, read.bytes, read.logical_bytes),
+                (write.pages, write.bytes, write.logical_bytes)
+            );
         }
     }
 
@@ -751,12 +734,7 @@ mod tests {
     /// enough.
     #[test]
     fn read_ahead_thread_installs_pages_before_the_scanner() {
-        let mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_prefetch_pages(8),
-        );
+        let mgr = manager(1, 512);
         let data = vec![rows(700, "ahead")];
         let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
         for _ in 0..50 {
@@ -776,62 +754,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compression_off_stores_raw_pages_and_roundtrips() {
-        // Row layout pinned: the flag-byte identity below is a row-codec
-        // property (columnar bodies are physically smaller than the logical
-        // row volume even uncompressed).
-        let data = vec![rows(300, "raw")];
-        let raw_mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_compression(false)
-                .with_columnar(false),
-        );
-        let (raw_store, raw_tally) = SpilledPartitions::write(Arc::clone(&raw_mgr), &data).unwrap();
-        // Raw pages cost one flag byte each on top of the row encoding.
-        assert_eq!(
-            raw_tally.bytes,
-            raw_tally.logical_bytes + raw_tally.pages,
-            "{raw_tally:?}"
-        );
-        assert_eq!(&raw_store.read_partition(0).unwrap(), &data[0]);
-
-        let packed_mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_columnar(false),
-        );
-        let (packed_store, packed_tally) =
-            SpilledPartitions::write(Arc::clone(&packed_mgr), &data).unwrap();
-        assert_eq!(
-            packed_tally.logical_bytes, raw_tally.logical_bytes,
-            "compression never changes the logical volume"
-        );
-        assert_eq!(packed_tally.pages, raw_tally.pages, "same page boundaries");
-        assert!(
-            packed_tally.bytes < raw_tally.bytes,
-            "compressed pages are smaller: {packed_tally:?} vs {raw_tally:?}"
-        );
-        assert_eq!(
-            packed_store.read_partition(0).unwrap(),
-            raw_store.read_partition(0).unwrap()
-        );
-    }
-
-    /// The columnar layout's contract: identical rows, page boundaries,
-    /// per-page row counts, logical bytes and buffered-bytes accounting —
-    /// only the stored bytes shrink.
+    /// Full pages are column runs that the LZ codec packs below their
+    /// logical row-codec volume; row scans and batch scans deliver the rows
+    /// written with the same logical tally.
     #[test]
     fn columnar_pages_shrink_stored_bytes_and_keep_logical_figures() {
-        // Realistic tabular pages: repeated categorical strings and typed
-        // number columns at the default 64 KiB page size, where column runs
-        // beat the row layout's per-row stride redundancy. (At tiny page
-        // sizes too few rows share a page and the row layout can win — the
-        // equivalence contract holds regardless, only this size assertion
-        // needs full pages.)
+        // Realistic tabular pages at the default 64 KiB page size: repeated
+        // categorical strings and typed number columns.
         let tabular = |n: i64, tag: &str| -> Vec<Tuple> {
             (0..n)
                 .map(|i| {
@@ -844,83 +773,58 @@ mod tests {
                 .collect()
         };
         let data = [tabular(20_000, "payload"), tabular(5_000, "other")];
-        let mut results = Vec::new();
-        for columnar in [false, true] {
-            let mgr = manager_with(
-                SpillConfig::default()
-                    .with_budget(1)
-                    .with_columnar(columnar),
-            );
-            let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), data.len()).unwrap();
-            for (p, partition) in data.iter().enumerate() {
-                for row in partition {
-                    writer.append(p, row).unwrap();
-                }
-            }
-            let peak = writer.peak_buffered_bytes();
-            let (store, tally) = writer.finish().unwrap();
-            let reads: Vec<_> = (0..data.len())
-                .map(|p| store.read_partition_tallied(p).unwrap())
-                .collect();
-            results.push((tally, peak, reads, store));
-        }
-        let (row_tally, row_peak, row_reads, _row_store) = &results[0];
-        let (col_tally, col_peak, col_reads, col_store) = &results[1];
-        assert_eq!(col_tally.pages, row_tally.pages, "same page boundaries");
-        assert_eq!(
-            col_tally.logical_bytes, row_tally.logical_bytes,
-            "logical volume is layout-invariant"
-        );
-        assert_eq!(
-            col_peak, row_peak,
-            "buffered accounting is layout-invariant"
-        );
+        let mgr = manager_with(SpillConfig::default().with_budget(1));
+        let (store, tally) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
+        assert!(tally.pages > 2, "{tally:?}");
+        assert!(store
+            .parts
+            .iter()
+            .flat_map(|p| &p.pages)
+            .all(|m| m.columnar));
         assert!(
-            col_tally.bytes < row_tally.bytes,
-            "columnar pages store fewer bytes: {col_tally:?} vs {row_tally:?}"
+            tally.bytes * 2 < tally.logical_bytes,
+            "column runs compress: {tally:?}"
         );
-        for (p, (got, expected)) in col_reads.iter().zip(row_reads).enumerate() {
-            assert_eq!(got.0, expected.0, "partition {p} rows identical");
-            assert_eq!(got.1.pages, expected.1.pages);
-            assert_eq!(got.1.logical_bytes, expected.1.logical_bytes);
-            assert_eq!(&got.0, &data[p]);
-        }
-        // Batch scans deliver the same rows and the same logical tally.
         for (p, partition) in data.iter().enumerate() {
+            let (rows, row_tally) = store.read_partition_tallied(p).unwrap();
+            assert_eq!(&rows, partition, "partition {p} rows identical");
             let mut via_batches = Vec::new();
-            let tally = col_store
+            let batch_tally = store
                 .scan_batches(p, |batch| {
                     via_batches.extend(batch.to_rows());
                     Ok(true)
                 })
                 .unwrap();
             assert_eq!(&via_batches, partition);
-            assert_eq!(tally, col_reads[p].1, "batch scan tally matches row scan");
+            assert_eq!(batch_tally, row_tally, "batch scan tally matches row scan");
         }
     }
 
-    /// `scan_batches` over row-layout pages converts per page — rows and
-    /// tallies still match the row scan exactly.
+    /// `scan_batches` over row-layout pages (tails under 1 KiB) converts per
+    /// page — rows and tallies still match the row scan exactly.
     #[test]
     fn batch_scans_over_row_pages_match_row_scans() {
-        let mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_columnar(false),
-        );
-        let data = vec![rows(300, "rb")];
+        let mgr = manager_with(SpillConfig::default().with_budget(1));
+        let data: Vec<Vec<Tuple>> = (0..4).map(|p| rows(8 + p, "rb")).collect();
         let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
-        let (expected, row_tally) = store.read_partition_tallied(0).unwrap();
-        let mut got = Vec::new();
-        let batch_tally = store
-            .scan_batches(0, |batch| {
-                got.extend(batch.to_rows());
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(batch_tally, row_tally);
+        assert!(store
+            .parts
+            .iter()
+            .flat_map(|p| &p.pages)
+            .all(|m| !m.columnar));
+        for (p, partition) in data.iter().enumerate() {
+            let (expected, row_tally) = store.read_partition_tallied(p).unwrap();
+            assert_eq!(&expected, partition);
+            let mut got = Vec::new();
+            let batch_tally = store
+                .scan_batches(p, |batch| {
+                    got.extend(batch.to_rows());
+                    Ok(true)
+                })
+                .unwrap();
+            assert_eq!(got, expected);
+            assert_eq!(batch_tally, row_tally);
+        }
     }
 
     #[test]
@@ -982,7 +886,7 @@ mod tests {
     /// or routed slot by slot across partitions — the same pages are cut:
     /// same per-page row counts, logical lengths and layouts, same tallies
     /// (stored bytes included), same buffered-bytes high-water mark, same
-    /// rows back. In both page layouts, at two chunk sizes.
+    /// rows back. At two chunk sizes.
     #[test]
     fn append_batch_cuts_the_same_pages_as_row_appends() {
         #[derive(Clone, Copy, Debug)]
@@ -992,113 +896,116 @@ mod tests {
             Routed(usize),
         }
         let data = awkward_rows(900);
-        for columnar in [false, true] {
-            let write = |feed: Feed| {
-                let mgr = manager_with(
-                    SpillConfig::default()
-                        .with_budget(1)
-                        .with_page_size(512)
-                        .with_columnar(columnar),
-                );
-                let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 3).unwrap();
-                // Row `i` goes to partition `i % 3` unless every 7th, which
-                // is dropped — except under `Batches`, which feeds stretches
-                // of 300 rows to one partition each.
-                let route = |i: usize| (!i.is_multiple_of(7)).then_some(i % 3);
-                match feed {
-                    Feed::Rows => {
-                        for (i, row) in data.iter().enumerate() {
-                            if let Some(p) = route(i) {
-                                writer.append(p, row).unwrap();
-                            }
-                        }
-                    }
-                    Feed::Routed(chunk) => {
-                        for (c, rows) in data.chunks(chunk).enumerate() {
-                            let routes = (0..rows.len())
-                                .filter_map(|s| route(c * chunk + s).map(|p| (p, s as u32)));
-                            writer
-                                .append_rows(&Batch::from_rows(4, rows), routes)
-                                .unwrap();
-                        }
-                    }
-                    Feed::Batches(chunk) => {
-                        for (p, part) in data.chunks(300).enumerate() {
-                            for rows in part.chunks(chunk) {
-                                writer.append_batch(p, &Batch::from_rows(4, rows)).unwrap();
-                            }
+        let write = |feed: Feed| {
+            let mgr = manager(1, 512);
+            let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 3).unwrap();
+            // Row `i` goes to partition `i % 3` unless every 7th, which is
+            // dropped — except under `Batches`, which feeds stretches of 300
+            // rows to one partition each.
+            let route = |i: usize| (!i.is_multiple_of(7)).then_some(i % 3);
+            match feed {
+                Feed::Rows => {
+                    for (i, row) in data.iter().enumerate() {
+                        if let Some(p) = route(i) {
+                            writer.append(p, row).unwrap();
                         }
                     }
                 }
-                let peak = writer.peak_buffered_bytes();
-                let (store, tally) = writer.finish().unwrap();
-                let pages: Vec<Vec<(u32, u32, bool)>> = store
-                    .parts
-                    .iter()
-                    .map(|part| {
-                        part.pages
-                            .iter()
-                            .map(|m| (m.rows, m.logical_len, m.columnar))
-                            .collect()
-                    })
-                    .collect();
-                let rows: Vec<Vec<Tuple>> =
-                    (0..3).map(|p| store.read_partition(p).unwrap()).collect();
-                (tally, peak, store.approx_bytes(), pages, rows)
-            };
-            let by_rows = write(Feed::Rows);
-            assert!(
-                by_rows.0.pages > 20,
-                "multi-page partitions: {:?}",
-                by_rows.0
-            );
-            for chunk in [3, 64] {
-                assert_eq!(
-                    write(Feed::Routed(chunk)),
-                    by_rows,
-                    "columnar={columnar} chunk={chunk}"
-                );
+                Feed::Routed(chunk) => {
+                    for (c, rows) in data.chunks(chunk).enumerate() {
+                        let routes = (0..rows.len())
+                            .filter_map(|s| route(c * chunk + s).map(|p| (p, s as u32)));
+                        writer
+                            .append_rows(&Batch::from_rows(4, rows), routes)
+                            .unwrap();
+                    }
+                }
+                Feed::Batches(chunk) => {
+                    for (p, part) in data.chunks(300).enumerate() {
+                        for rows in part.chunks(chunk) {
+                            writer.append_batch(p, &Batch::from_rows(4, rows)).unwrap();
+                        }
+                    }
+                }
             }
-            // Whole-batch appends against the same stretches fed row by row.
-            let by_batches = write(Feed::Batches(64));
-            assert_eq!(write(Feed::Batches(3)), by_batches, "columnar={columnar}");
-            let expected: Vec<Vec<Tuple>> = data.chunks(300).map(<[Tuple]>::to_vec).collect();
-            assert_eq!(by_batches.4, expected);
-            let expected_bytes: usize = data.iter().map(Tuple::approx_bytes).sum();
-            assert_eq!(by_batches.2, expected_bytes);
+            let peak = writer.peak_buffered_bytes();
+            let (store, tally) = writer.finish().unwrap();
+            let pages: Vec<Vec<(u32, u32, bool)>> = store
+                .parts
+                .iter()
+                .map(|part| {
+                    part.pages
+                        .iter()
+                        .map(|m| (m.rows, m.logical_len, m.columnar))
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<Vec<Tuple>> = (0..3).map(|p| store.read_partition(p).unwrap()).collect();
+            (tally, peak, store.approx_bytes(), pages, rows)
+        };
+        let by_rows = write(Feed::Rows);
+        assert!(
+            by_rows.0.pages > 20,
+            "multi-page partitions: {:?}",
+            by_rows.0
+        );
+        for chunk in [3, 64] {
+            assert_eq!(write(Feed::Routed(chunk)), by_rows, "chunk={chunk}");
         }
+        // Whole-batch appends against the same stretches fed row by row.
+        let by_batches = write(Feed::Batches(64));
+        assert_eq!(write(Feed::Batches(3)), by_batches);
+        let expected: Vec<Vec<Tuple>> = data.chunks(300).map(<[Tuple]>::to_vec).collect();
+        assert_eq!(by_batches.4, expected);
+        let expected_bytes: usize = data.iter().map(Tuple::approx_bytes).sum();
+        assert_eq!(by_batches.2, expected_bytes);
     }
 
-    /// The layout is fixed before a page is encoded: row-layout stores write
-    /// row pages only; columnar stores write columnar pages, except tails
-    /// under the 1 KiB floor.
+    /// The layout is fixed before a page is encoded: columnar pages, except
+    /// tails under the 1 KiB floor.
     #[test]
     fn page_layout_follows_the_pre_encode_rule() {
-        let layouts = |columnar: bool, page_size: usize, rows: i64| {
-            let mgr = manager_with(
-                SpillConfig::default()
-                    .with_budget(1)
-                    .with_page_size(page_size)
-                    .with_columnar(columnar),
-            );
-            let (store, _) = SpilledPartitions::write(mgr, &[awkward_rows(rows)]).unwrap();
+        let layouts = |page_size: usize, rows: i64| {
+            let (store, _) =
+                SpilledPartitions::write(manager(1, page_size), &[awkward_rows(rows)]).unwrap();
             let pages = &store.parts[0].pages;
             pages
                 .iter()
                 .map(|m| (m.logical_len as usize, m.columnar))
                 .collect::<Vec<_>>()
         };
-        assert!(layouts(false, 4096, 500).iter().all(|&(_, col)| !col));
-        let pages = layouts(true, 4096, 500);
+        let pages = layouts(4096, 500);
         assert!(pages.len() > 3);
         for (len, col) in pages {
             assert_eq!(col, len >= MIN_COLUMNAR_PAGE_BYTES, "page of {len} bytes");
         }
         // Below a 1 KiB page size every full page is still columnar.
-        let pages = layouts(true, 512, 500);
+        let pages = layouts(512, 500);
         let (tail, full) = pages.split_last().unwrap();
         assert!(full.iter().all(|&(len, col)| len >= 512 && col));
         assert_eq!(tail.1, tail.0 >= 512);
+    }
+
+    /// A page the LZ codec cannot shrink is stored raw, one flag byte over
+    /// its body, and reads back unchanged.
+    #[test]
+    fn incompressible_pages_are_stored_raw_and_roundtrip() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: String = (0..900)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                char::from(b'!' + (state % 94) as u8)
+            })
+            .collect();
+        let data = vec![vec![Tuple::new(vec![Value::Utf8(noise)])]];
+        let (store, tally) = SpilledPartitions::write(manager(1, 4096), &data).unwrap();
+        let page = store.parts[0].pages[0];
+        assert_eq!(tally.pages, 1);
+        assert!(!page.columnar, "a sub-1 KiB tail is a row-codec page");
+        assert_eq!(tally.bytes, tally.logical_bytes + 1, "{tally:?}");
+        assert_eq!(store.read_partition(0).unwrap(), data[0]);
     }
 
     #[test]

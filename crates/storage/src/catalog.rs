@@ -65,8 +65,7 @@ pub struct StoredIntermediate {
     pub spilled: bool,
     /// Pages written to the spill store (zero when resident).
     pub pages_written: u64,
-    /// Stored bytes written to the spill store (zero when resident;
-    /// compressed size when page compression is on).
+    /// Stored bytes written to the spill store (zero when resident).
     pub bytes_written: u64,
     /// Uncompressed serialized bytes behind `bytes_written`.
     pub logical_bytes_written: u64,
@@ -641,18 +640,13 @@ mod tests {
             }
         }
 
-        // The page-layout knob no longer decides how a resident table rests.
-        for columnar_pages in [true, false] {
-            cat.configure_spill(SpillConfig::disabled().with_columnar(columnar_pages))
-                .unwrap();
-            let name = format!("I_{columnar_pages}");
-            cat.register_intermediate(&name, relation(60), Some("o_custkey"), &[], false)
-                .unwrap();
-            let table = cat.table(&name).unwrap();
-            assert!(table.is_temporary() && !table.is_spilled());
-            assert!(!table.batches(0).is_empty() || table.partition_len(0) == 0);
-            assert_eq!(table.gather().sorted(), relation(60).sorted());
-        }
+        // A resident intermediate rests the same way.
+        cat.register_intermediate("I", relation(60), Some("o_custkey"), &[], false)
+            .unwrap();
+        let table = cat.table("I").unwrap();
+        assert!(table.is_temporary() && !table.is_spilled());
+        assert!(!table.batches(0).is_empty() || table.partition_len(0) == 0);
+        assert_eq!(table.gather().sorted(), relation(60).sorted());
     }
 
     #[test]

@@ -24,6 +24,5 @@ pub use table::Table;
 // need no direct `rdo-spill` dependency.
 pub use rdo_spill::{
     PoolDiagnostics, SpillConfig, SpillManager, SpillPartitionWriter, SpillReadTally,
-    SpillWriteTally, SpilledPartitions, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV, SPILL_COMPRESS_ENV,
-    SPILL_PREFETCH_ENV,
+    SpillWriteTally, SpilledPartitions, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV,
 };

@@ -87,8 +87,8 @@ pub use rdo_workloads as workloads;
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
     pub use rdo_common::{
-        batch_size, columnar_default, Batch, Column, DataType, Field, FieldRef, NullBitmap,
-        Relation, Schema, Tuple, Value, BATCH_SIZE_ENV, COLUMNAR_ENV, DEFAULT_BATCH_SIZE,
+        batch_size, Batch, Column, DataType, Field, FieldRef, NullBitmap, Relation, Schema, Tuple,
+        Value, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE,
     };
     pub use rdo_core::{
         CheckpointLog, CheckpointedDriver, CostBreakdown, DynamicConfig, DynamicDriver,

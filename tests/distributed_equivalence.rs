@@ -126,58 +126,6 @@ fn distributed_runs_compose_with_spill_and_grace() {
     cluster.shutdown().expect("clean worker shutdown");
 }
 
-/// The page-layout knob is transport-invariant and negotiated per frame:
-/// worker fleets pinned to either `RDO_COLUMNAR` setting — including one
-/// *disagreeing* with the coordinator, so row and columnar frames mix on the
-/// same sockets — produce results, metrics and plans bit-identical to the
-/// in-process transport on every evaluation query.
-fn columnar_wire_axis_is_transport_invariant() {
-    let env = env();
-    let driver = DynamicDriver::new(config());
-    let references: Vec<DynamicOutcome> = all_queries()
-        .iter()
-        .map(|query| {
-            let mut catalog = env.catalog.clone();
-            driver
-                .execute_with_transport(query, &mut catalog, Arc::new(InProcessTransport))
-                .expect("in-process execution")
-        })
-        .collect();
-
-    // The coordinator follows its own environment (columnar by default);
-    // pinning the workers to each setting covers both the all-columnar wire
-    // and the mixed-format wire.
-    for worker_columnar in ["0", "1"] {
-        let cluster = LocalCluster::spawn_with_env(2, &[(COLUMNAR_ENV, worker_columnar)])
-            .expect("spawn local workers");
-        let transport = Arc::new(TcpTransport::connect(cluster.addrs()).expect("connect workers"));
-        for (query, reference) in all_queries().iter().zip(&references) {
-            let mut catalog = env.catalog.clone();
-            let outcome = driver
-                .execute_with_transport(query, &mut catalog, transport.clone())
-                .expect("distributed execution");
-            assert_eq!(
-                outcome.result, reference.result,
-                "{}: result diverged with worker RDO_COLUMNAR={worker_columnar}",
-                query.name
-            );
-            assert_eq!(
-                outcome.total, reference.total,
-                "{}: metrics diverged with worker RDO_COLUMNAR={worker_columnar}",
-                query.name
-            );
-            assert_eq!(
-                outcome.stage_plans, reference.stage_plans,
-                "{}: plan choice diverged with worker RDO_COLUMNAR={worker_columnar}",
-                query.name
-            );
-        }
-        drop(transport);
-        let statuses = cluster.shutdown().expect("clean worker shutdown");
-        assert!(statuses.iter().all(|s| s.success()), "{statuses:?}");
-    }
-}
-
 /// The *environment-selected* path: a child process with `RDO_TRANSPORT=tcp`
 /// and `RDO_NET_WORKERS` exported must end up with TCP exchanges through the
 /// plain `DynamicDriver::execute` / `QueryRunner` entry points (no explicit
@@ -328,10 +276,6 @@ fn main() {
         (
             "distributed_runs_compose_with_spill_and_grace",
             distributed_runs_compose_with_spill_and_grace,
-        ),
-        (
-            "columnar_wire_axis_is_transport_invariant",
-            columnar_wire_axis_is_transport_invariant,
         ),
         (
             "env_selected_tcp_transport_reaches_driver_and_runner",

@@ -183,115 +183,42 @@ fn hybrid_budget_keeps_resident_buckets_and_matches() {
     );
 }
 
-/// The I/O fast-path knobs are physical-only: with page compression and
-/// read-ahead prefetch in any combination, every grace run computes the same
-/// answer, the same plans and the same logical metrics; only the *stored*
-/// byte counters shrink when compression is on.
+/// Grace partition pages store fewer bytes than the rows they hold: on
+/// every evaluation query the LZ-framed bucket pages, written and read, come
+/// in below their logical row-codec volume, while results, plans and every
+/// non-grace counter equal the in-memory run.
 #[test]
-fn compression_and_prefetch_axes_are_bit_identical() {
+fn stored_pages_are_smaller_than_logical_bytes_and_match_in_memory() {
     let env = env();
-    let query = q9();
-    let run = |compress: bool, prefetch: usize| {
+    let run = |query: &QuerySpec, spill: SpillConfig| {
         let mut catalog = env.catalog.clone();
         let config = DynamicConfig::default()
             .with_parallel(ParallelConfig::serial().with_workers(2))
-            .with_spill(
-                SpillConfig::disabled()
-                    .with_join_budget(TINY_JOIN_BUDGET)
-                    .with_compression(compress)
-                    .with_prefetch_pages(prefetch)
-                    // Row layout pinned: the flag-byte identity asserted at
-                    // the end is a row-codec property. The columnar axis has
-                    // its own test below.
-                    .with_columnar(false),
-            );
-        DynamicDriver::new(config)
-            .execute(&query, &mut catalog)
-            .expect("grace execution")
-    };
-    let raw = run(false, 0);
-    for (compress, prefetch) in [(false, 4), (true, 0), (true, 4)] {
-        let outcome = run(compress, prefetch);
-        assert_eq!(
-            outcome.result, raw.result,
-            "result diverged at compress={compress} prefetch={prefetch}"
-        );
-        assert_eq!(outcome.stage_plans, raw.stage_plans);
-        let mut scrubbed = outcome.total;
-        scrubbed.grace_bytes_written = raw.total.grace_bytes_written;
-        scrubbed.grace_bytes_read = raw.total.grace_bytes_read;
-        assert_eq!(
-            scrubbed, raw.total,
-            "only stored bytes may differ at compress={compress} prefetch={prefetch}"
-        );
-        if compress {
-            assert!(
-                outcome.total.grace_bytes_written < raw.total.grace_bytes_written,
-                "compression shrinks grace spill files: {} vs {}",
-                outcome.total.grace_bytes_written,
-                raw.total.grace_bytes_written
-            );
-        } else {
-            assert_eq!(
-                outcome.total.grace_bytes_written,
-                raw.total.grace_bytes_written
-            );
-        }
-    }
-    // Raw pages cost exactly one frame-flag byte each over the row encoding.
-    assert_eq!(
-        raw.total.grace_bytes_written,
-        raw.total.grace_logical_bytes_written + raw.total.grace_pages_written
-    );
-}
-
-/// The page-layout knob is physical-only for grace partition files too:
-/// columnar bucket pages change neither results nor plans nor any logical
-/// grace counter (page counts, logical volumes, recursions, fallbacks and
-/// the peak transient footprint all follow the row codec's size accounting),
-/// while the compressed columnar pages never store more than the compressed
-/// row pages on any evaluation query.
-#[test]
-fn columnar_pages_are_bit_identical_and_never_larger() {
-    let env = env();
-    let run = |query: &QuerySpec, columnar: bool| {
-        let mut catalog = env.catalog.clone();
-        let config = DynamicConfig::default()
-            .with_parallel(ParallelConfig::serial().with_workers(2))
-            .with_spill(
-                SpillConfig::disabled()
-                    .with_join_budget(TINY_JOIN_BUDGET)
-                    .with_compression(true)
-                    .with_columnar(columnar),
-            );
+            .with_spill(spill);
         DynamicDriver::new(config)
             .execute(query, &mut catalog)
-            .expect("grace execution")
+            .expect("execution")
     };
     for query in all_queries() {
-        let row = run(&query, false);
-        let col = run(&query, true);
-        assert_eq!(col.result, row.result, "{}", query.name);
-        assert_eq!(col.stage_plans, row.stage_plans, "{}", query.name);
-        let mut scrubbed = col.total;
-        scrubbed.grace_bytes_written = row.total.grace_bytes_written;
-        scrubbed.grace_bytes_read = row.total.grace_bytes_read;
+        let memory = run(&query, SpillConfig::disabled());
+        let grace = run(
+            &query,
+            SpillConfig::disabled().with_join_budget(TINY_JOIN_BUDGET),
+        );
+        assert_eq!(grace.result, memory.result, "{}", query.name);
+        assert_eq!(grace.stage_plans, memory.stage_plans, "{}", query.name);
         assert_eq!(
-            scrubbed, row.total,
-            "{}: only stored bytes may differ between layouts",
+            scrub_grace(grace.total),
+            scrub_grace(memory.total),
+            "{}",
             query.name
         );
+        let m = &grace.total;
         assert!(
-            col.total.grace_bytes_written <= row.total.grace_bytes_written
-                && col.total.grace_bytes_read <= row.total.grace_bytes_read,
-            "{}: columnar bucket pages must not compress worse: {} vs {}",
-            query.name,
-            col.total.grace_bytes_written,
-            row.total.grace_bytes_written
-        );
-        assert!(
-            col.total.grace_bytes_written > 0,
-            "{}: the columnar run still partitioned out-of-core",
+            m.grace_bytes_written > 0
+                && m.grace_bytes_written < m.grace_logical_bytes_written
+                && m.grace_bytes_read < m.grace_logical_bytes_read,
+            "{}: stored pages must be smaller than their rows: {m:?}",
             query.name
         );
     }

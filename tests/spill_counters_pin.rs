@@ -3,10 +3,10 @@
 //! page writer went batch-native): for Q8/Q9/Q17/Q50 under a tiny spill
 //! budget, a tiny join budget and both, every page count, logical byte volume,
 //! spilled-partition, recursion and fallback counter equals the recorded
-//! constant — at workers 1 and 4, in both page layouts, and (the
-//! `RDO_BATCH_SIZE=3` CI leg runs this file too) at any chunk size. With the
-//! row layout the *stored* bytes are pinned as well: a row page body and its
-//! LZ blob must not change by a byte, compressed or not.
+//! constant — at workers 1 and 4 and (the `RDO_BATCH_SIZE=3` CI leg runs this
+//! file too) at any chunk size. The *stored* bytes are pinned as well: the
+//! pages the engine writes — column runs, row-codec tails, LZ-framed — must
+//! not change by a byte.
 //!
 //! A failing assertion prints the rendering it computed, so a deliberate
 //! change of the page-cut rule re-records the constants in one copy-paste.
@@ -43,21 +43,21 @@ const LOGICAL: [&str; 12] = [
     "q9/both spill[pw=248 pr=248 lw=490595 lr=490595] grace[part=18780 pw=30357 pr=30357 lw=6098778 lr=6098778 rec=3428 fb=15372]",
 ];
 
-/// Stored bytes of the row layout, LZ on and LZ off. Recorded on the parent
-/// commit.
-const ROW_STORED: [&str; 12] = [
-    "q17/spill lz[spill=29286 grace=0] raw[spill=66041 grace=0]",
-    "q17/join lz[spill=0 grace=2319946] raw[spill=0 grace=4514572]",
-    "q17/both lz[spill=29286 grace=2319946] raw[spill=66041 grace=4514572]",
-    "q50/spill lz[spill=3449 grace=0] raw[spill=7540 grace=0]",
-    "q50/join lz[spill=0 grace=1065848] raw[spill=0 grace=2103732]",
-    "q50/both lz[spill=3449 grace=1065848] raw[spill=7540 grace=2103732]",
-    "q8/spill lz[spill=208741 grace=0] raw[spill=470325 grace=0]",
-    "q8/join lz[spill=0 grace=3641622] raw[spill=0 grace=6373066]",
-    "q8/both lz[spill=208741 grace=3641622] raw[spill=470325 grace=6373066]",
-    "q9/spill lz[spill=218884 grace=0] raw[spill=490843 grace=0]",
-    "q9/join lz[spill=0 grace=3130028] raw[spill=0 grace=6129135]",
-    "q9/both lz[spill=218884 grace=3130028] raw[spill=490843 grace=6129135]",
+/// Stored bytes (`spill_bytes_written`, `grace_bytes_written`), worker-
+/// invariant. Recorded on the parent commit (`5778699`).
+const STORED: [&str; 12] = [
+    "q17/spill stored[spill=22354 grace=0]",
+    "q17/join stored[spill=0 grace=2081167]",
+    "q17/both stored[spill=22354 grace=2081167]",
+    "q50/spill stored[spill=2977 grace=0]",
+    "q50/join stored[spill=0 grace=939171]",
+    "q50/both stored[spill=2977 grace=939171]",
+    "q8/spill stored[spill=193535 grace=0]",
+    "q8/join stored[spill=0 grace=3438340]",
+    "q8/both stored[spill=193535 grace=3438340]",
+    "q9/spill stored[spill=167062 grace=0]",
+    "q9/join stored[spill=0 grace=2941818]",
+    "q9/both stored[spill=167062 grace=2941818]",
 ];
 
 fn env() -> BenchmarkEnv {
@@ -69,13 +69,8 @@ fn run(
     query: &QuerySpec,
     (spill, join): (bool, bool),
     workers: usize,
-    columnar: bool,
-    compress: bool,
 ) -> ExecutionMetrics {
-    let mut config = SpillConfig::disabled()
-        .with_page_size(PAGE_SIZE)
-        .with_columnar(columnar)
-        .with_compression(compress);
+    let mut config = SpillConfig::disabled().with_page_size(PAGE_SIZE);
     if spill {
         config = config.with_budget(TINY);
     }
@@ -110,13 +105,10 @@ fn logical(label: &str, m: &ExecutionMetrics) -> String {
     )
 }
 
-fn stored(label: &str, lz: &ExecutionMetrics, raw: &ExecutionMetrics) -> String {
+fn stored(label: &str, m: &ExecutionMetrics) -> String {
     format!(
-        "{label} lz[spill={} grace={}] raw[spill={} grace={}]",
-        lz.spill_bytes_written,
-        lz.grace_bytes_written,
-        raw.spill_bytes_written,
-        raw.grace_bytes_written,
+        "{label} stored[spill={} grace={}]",
+        m.spill_bytes_written, m.grace_bytes_written,
     )
 }
 
@@ -150,43 +142,25 @@ fn assert_pinned(what: &str, actual: &[String], expected: &[&str]) {
 }
 
 #[test]
-fn logical_counters_equal_the_row_path_constants_in_every_configuration() {
+fn logical_and_stored_counters_equal_the_recorded_constants() {
     let env = env();
+    let labels = labels();
     for workers in [1, 4] {
-        for columnar in [true, false] {
-            let actual: Vec<String> = labels()
-                .iter()
-                .map(|(label, query, mode)| {
-                    logical(label, &run(&env, query, *mode, workers, columnar, true))
-                })
-                .collect();
-            assert_pinned(
-                &format!("logical counters (workers={workers} columnar={columnar})"),
-                &actual,
-                &LOGICAL,
-            );
-        }
-    }
-}
-
-#[test]
-fn row_layout_stored_bytes_equal_the_recorded_blobs() {
-    let env = env();
-    for workers in [1, 4] {
-        let actual: Vec<String> = labels()
+        let runs: Vec<(&String, ExecutionMetrics)> = labels
             .iter()
-            .map(|(label, query, mode)| {
-                stored(
-                    label,
-                    &run(&env, query, *mode, workers, false, true),
-                    &run(&env, query, *mode, workers, false, false),
-                )
-            })
+            .map(|(label, query, mode)| (label, run(&env, query, *mode, workers)))
             .collect();
+        let actual: Vec<String> = runs.iter().map(|(l, m)| logical(l, m)).collect();
         assert_pinned(
-            &format!("row-layout stored bytes (workers={workers})"),
+            &format!("logical counters (workers={workers})"),
             &actual,
-            &ROW_STORED,
+            &LOGICAL,
+        );
+        let actual: Vec<String> = runs.iter().map(|(l, m)| stored(l, m)).collect();
+        assert_pinned(
+            &format!("stored bytes (workers={workers})"),
+            &actual,
+            &STORED,
         );
     }
 }
