@@ -97,7 +97,8 @@ mod tests {
     #[test]
     fn positive_usize_rejects_zero() {
         assert_eq!(parse_env_positive_usize("RDO_W", "4", "default"), Ok(4));
-        for invalid in ["0", "-2", "two", ""] {
+        assert_eq!(parse_env_positive_usize("RDO_W", " 8 ", "default"), Ok(8));
+        for invalid in ["0", "-2", "two", "", "1.5", "4 workers"] {
             let warning = parse_env_positive_usize("RDO_W", invalid, "default").expect_err(invalid);
             assert!(warning.contains("RDO_W") && warning.contains("warning"));
         }

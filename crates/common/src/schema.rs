@@ -51,10 +51,12 @@ impl fmt::Display for FieldRef {
 /// Strips the dataset qualifier from a (possibly qualified) column name:
 /// `"lineitem.l_orderkey"` → `"l_orderkey"`, `"l_orderkey"` → itself.
 ///
-/// This is *the* name-resolution rule partition-key matching relies on
-/// (`Table::is_partitioned_on`, `PartitionedData::is_partitioned_on`, the
-/// exchange operators); every layer must unqualify the same way, so they all
-/// call this one helper.
+/// Used wherever a column is looked up by its bare name: secondary-index
+/// keys, the fallback of partition-key resolution
+/// (`rdo_storage::table::resolve_key`) and the Sink's tracked columns.
+/// Partition placement is never matched by name — it is tracked as a
+/// resolved column index, because two datasets' `id` columns share a bare
+/// name but not a placement.
 pub fn unqualified(column: &str) -> &str {
     column.rsplit('.').next().unwrap_or(column)
 }

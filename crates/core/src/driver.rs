@@ -1,9 +1,9 @@
 //! The runtime dynamic optimization driver (Algorithm 1 of the paper).
 
 use rdo_common::{FieldRef, RdoError, Relation, Result};
-use rdo_exec::{ExecutionMetrics, PartitionedData, PhysicalPlan};
-use rdo_parallel::{
-    materialize, ParallelConfig, ParallelExecutor, Transport, TransportKind, WorkerPool,
+use rdo_exec::{
+    materialize, ExecutionMetrics, ParallelConfig, ParallelExecutor, PartitionedData, PhysicalPlan,
+    Transport, TransportKind, WorkerPool,
 };
 use rdo_planner::greedy::join_edges;
 use rdo_planner::{

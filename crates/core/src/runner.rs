@@ -5,8 +5,7 @@
 use crate::driver::{final_job, DynamicConfig, DynamicDriver};
 use crate::report::CostBreakdown;
 use rdo_common::{Relation, Result};
-use rdo_exec::{CostModel, ExecutionMetrics};
-use rdo_parallel::{ParallelConfig, ParallelExecutor, WorkerPool};
+use rdo_exec::{CostModel, ExecutionMetrics, ParallelConfig, ParallelExecutor, WorkerPool};
 use rdo_planner::{
     BestOrderOptimizer, CostBasedOptimizer, JoinAlgorithmRule, Optimizer, PilotRunOptimizer,
     QuerySpec, WorstOrderOptimizer,
@@ -172,8 +171,7 @@ impl Default for QueryRunner {
             pilot_sample_limit: 2_000,
             // RDO_TRANSPORT applies to every strategy the runner executes;
             // worker counts stay explicit or machine-default.
-            parallel: ParallelConfig::default()
-                .with_transport(rdo_parallel::TransportKind::from_env()),
+            parallel: ParallelConfig::default().with_transport(rdo_exec::TransportKind::from_env()),
             trace: rdo_trace::TraceHandle::from_env(),
         }
     }

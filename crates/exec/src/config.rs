@@ -1,6 +1,6 @@
 //! Configuration of the partition-parallel executor.
 
-/// Which transport backs the exchange operators (see [`crate::transport`]).
+/// Which transport backs the exchange operators (see [`crate::exchange`]).
 ///
 /// The kind is a plain, copyable *selection*; resolving it into a concrete
 /// [`crate::Transport`] object happens where the executors are built (the
@@ -115,13 +115,6 @@ pub const WORKERS_ENV: &str = "RDO_WORKERS";
 /// `RDO_NET_WORKERS` (see `rdo_net`).
 pub const TRANSPORT_ENV: &str = "RDO_TRANSPORT";
 
-/// Parses an `RDO_WORKERS` value through the shared warn-on-invalid helper of
-/// [`rdo_common::env`]. Returns the warning to print when the value is not a
-/// positive integer (`from_env` keeps the default in that case).
-pub fn parse_workers(raw: &str) -> std::result::Result<usize, String> {
-    rdo_common::env::parse_env_positive_usize(WORKERS_ENV, raw, "using the machine default")
-}
-
 /// Parses an `RDO_TRANSPORT` value: `inprocess`/`in-process`/`local` select
 /// the default in-process transport, `tcp` selects the `rdo-net` TCP backend.
 /// Anything else returns the warning to print (the caller keeps the default).
@@ -162,10 +155,13 @@ mod tests {
 
     #[test]
     fn worker_env_values_parse_or_warn() {
-        assert_eq!(parse_workers("4"), Ok(4));
-        assert_eq!(parse_workers(" 8 "), Ok(8), "whitespace is tolerated");
+        let parse = |raw| {
+            rdo_common::env::parse_env_positive_usize(WORKERS_ENV, raw, "using the machine default")
+        };
+        assert_eq!(parse("4"), Ok(4));
+        assert_eq!(parse(" 8 "), Ok(8), "whitespace is tolerated");
         for invalid in ["", "0", "-2", "two", "1.5", "4 workers"] {
-            let warning = parse_workers(invalid).expect_err(invalid);
+            let warning = parse(invalid).expect_err(invalid);
             assert!(
                 warning.contains("RDO_WORKERS") && warning.contains("warning"),
                 "warning names the variable: {warning}"

@@ -19,16 +19,18 @@ use rdo_sketch::hll::hash_value;
 pub struct PartitionedData {
     schema: Schema,
     partitions: Vec<Vec<Batch>>,
-    /// Column (unqualified name) the data is currently hash-partitioned on, if
-    /// any. A subsequent hash join on the same column skips the re-partition
-    /// exchange for this input — the "already partitioned on the join key(s)"
-    /// case of the paper's hash-join description.
-    partition_key: Option<String>,
+    /// Index (in `schema`) of the column the data is currently
+    /// hash-partitioned on, if any. A subsequent hash join on the same column
+    /// skips the re-partition exchange for this input — the "already
+    /// partitioned on the join key(s)" case of the paper's hash-join
+    /// description. An index, not a name: after a join, `a.id` and `b.id`
+    /// are different columns even though both are called `id`.
+    partition_key: Option<usize>,
 }
 
 impl PartitionedData {
     /// Creates partitioned data from per-partition batch runs.
-    pub fn new(schema: Schema, partitions: Vec<Vec<Batch>>, partition_key: Option<String>) -> Self {
+    pub fn new(schema: Schema, partitions: Vec<Vec<Batch>>, partition_key: Option<usize>) -> Self {
         Self {
             schema,
             partitions,
@@ -42,7 +44,7 @@ impl PartitionedData {
     pub fn from_rows(
         schema: Schema,
         partitions: Vec<Vec<Tuple>>,
-        partition_key: Option<String>,
+        partition_key: Option<usize>,
     ) -> Self {
         let width = schema.len();
         let partitions = partitions
@@ -96,9 +98,9 @@ impl PartitionedData {
         self.partitions.len()
     }
 
-    /// Column the data is hash-partitioned on, if any.
-    pub fn partition_key(&self) -> Option<&str> {
-        self.partition_key.as_deref()
+    /// Index of the column the data is hash-partitioned on, if any.
+    pub fn partition_key(&self) -> Option<usize> {
+        self.partition_key
     }
 
     /// Total number of rows.
@@ -115,10 +117,9 @@ impl PartitionedData {
             .sum()
     }
 
-    /// True if the data is hash-partitioned on `column` (unqualified comparison).
-    pub fn is_partitioned_on(&self, column: &str) -> bool {
-        let unqualified = rdo_common::unqualified(column);
-        self.partition_key.as_deref() == Some(unqualified)
+    /// True if the data is hash-partitioned on the column at index `column`.
+    pub fn is_partitioned_on(&self, column: usize) -> bool {
+        self.partition_key == Some(column)
     }
 
     /// Assembles the output of a re-partition exchange from the bucketed
@@ -130,7 +131,7 @@ impl PartitionedData {
         schema: Schema,
         bucketed: impl IntoIterator<Item = (Vec<Vec<Batch>>, u64, u64)>,
         num_partitions: usize,
-        key_name: &str,
+        key_index: usize,
     ) -> (PartitionedData, u64, u64) {
         let mut partitions: Vec<Vec<Batch>> = vec![Vec::new(); num_partitions];
         let mut moved_rows = 0u64;
@@ -142,9 +143,8 @@ impl PartitionedData {
                 partitions[to].append(&mut bucket);
             }
         }
-        let key_name = rdo_common::unqualified(key_name).to_string();
         (
-            PartitionedData::new(schema, partitions, Some(key_name)),
+            PartitionedData::new(schema, partitions, Some(key_index)),
             moved_rows,
             moved_bytes,
         )
@@ -227,7 +227,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let d = PartitionedData::from_rows(schema, parts.clone(), Some("k".into()));
+        let d = PartitionedData::from_rows(schema, parts.clone(), Some(0));
         for (p, rows) in parts.iter().enumerate() {
             assert_eq!(&d.partition_rows(p), rows);
             assert_eq!(d.partition_len(p), rows.len());

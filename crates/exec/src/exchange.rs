@@ -1,37 +1,46 @@
-//! Exchange operators: the explicit data movements between partitions.
+//! Exchange operators and the transport that carries them: the explicit data
+//! movements between partitions.
 //!
 //! In the paper's Hyracks runtime these are the connectors between operator
 //! instances. Each movement is an explicit operator that runs its
 //! per-partition half on the worker pool and reports the rows/bytes it moved,
 //! so the cost model's network charges correspond to real, metered exchanges.
-//! All three move batches: a re-shuffle re-buckets them, a broadcast shares
-//! them, and [`Gather`] — result delivery — is where a query's rows are
+//! [`HashRepartition`] re-buckets batches and [`Broadcast`] shares them;
+//! result delivery ([`Transport::gather`]) is where a query's rows are
 //! finally materialized.
+//!
+//! The operators describe *what* moves; a [`Transport`] decides *how* the
+//! tuples travel. [`InProcessTransport`] — the default — performs the
+//! movements as memory moves inside the coordinator process. The `rdo-net`
+//! crate provides a TCP implementation that routes the same exchanges
+//! through worker processes as framed page batches, so the executor and the
+//! driver never care which side of a socket a tuple crossed.
+//!
+//! The contract every transport must honor: results, partition order and the
+//! reported movement tallies are **bit-identical** to [`InProcessTransport`].
+//! A transport is a physical routing decision, never a semantic one — the
+//! equivalence suites pin this for the TCP backend at every worker-process
+//! count.
 
+use crate::data::PartitionedData;
+use crate::partition::repartition_batches;
 use crate::pool::WorkerPool;
-use rdo_common::{Batch, Relation};
-use rdo_exec::partition::repartition_batches;
-use rdo_exec::PartitionedData;
+use rdo_common::{Batch, Relation, Result};
 
 /// Re-shuffles tuples so every row lives in the partition its key hashes to
 /// (the exchange in front of each hash-join input that is not already
 /// partitioned on its join key).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct HashRepartition {
-    /// Index of the key column in the input schema.
+    /// Index of the key column in the input schema; the output is tagged as
+    /// partitioned on it.
     pub key_index: usize,
-    /// (Possibly qualified) name of the key column; the output is tagged as
-    /// partitioned on its unqualified form.
-    pub key_name: String,
 }
 
 impl HashRepartition {
     /// Creates the exchange.
-    pub fn new(key_index: usize, key_name: impl Into<String>) -> Self {
-        Self {
-            key_index,
-            key_name: key_name.into(),
-        }
+    pub fn new(key_index: usize) -> Self {
+        Self { key_index }
     }
 
     /// Runs the exchange: each source partition is bucketed on the pool, then
@@ -43,7 +52,7 @@ impl HashRepartition {
         let bucketed = pool.map_indexed(n, |from| {
             repartition_batches(&data.partitions()[from], self.key_index, from, n)
         });
-        PartitionedData::from_buckets(data.schema().clone(), bucketed, n, &self.key_name)
+        PartitionedData::from_buckets(data.schema().clone(), bucketed, n, self.key_index)
     }
 }
 
@@ -77,23 +86,74 @@ impl Broadcast {
     }
 }
 
-/// Collects every partition on the coordinator, in partition order — result
-/// delivery to the user (and the input to the Sink's table build).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gather;
+/// How exchange operators move tuples between partitions.
+///
+/// Implementations must be deterministic and bit-identical to
+/// [`InProcessTransport`]: same output partitions in the same order, same
+/// moved-row/moved-byte tallies, same gathered relations.
+pub trait Transport: std::fmt::Debug + Send + Sync {
+    /// Short label for reports and logs (`"in-process"`, `"tcp"`).
+    fn name(&self) -> &'static str;
 
-impl Gather {
-    /// Runs the exchange.
-    pub fn apply(&self, data: &PartitionedData) -> Relation {
-        data.gather()
+    /// Runs a [`HashRepartition`] exchange over `data`, returning the
+    /// re-partitioned data plus the rows and bytes that crossed partitions.
+    fn repartition(
+        &self,
+        exchange: &HashRepartition,
+        data: &PartitionedData,
+        pool: &WorkerPool,
+    ) -> Result<(PartitionedData, u64, u64)>;
+
+    /// Runs a [`Broadcast`] exchange over `data`, returning the shared
+    /// replica plus the replicated rows and bytes charged to the metrics.
+    fn broadcast(
+        &self,
+        exchange: &Broadcast,
+        data: &PartitionedData,
+    ) -> Result<(Vec<Batch>, u64, u64)>;
+
+    /// Collects every partition on the coordinator, in partition order —
+    /// result delivery to the user.
+    fn gather(&self, data: &PartitionedData) -> Result<Relation>;
+}
+
+/// The default transport: exchanges are in-process memory moves on the
+/// coordinator.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InProcessTransport;
+
+impl Transport for InProcessTransport {
+    fn name(&self) -> &'static str {
+        "in-process"
+    }
+
+    fn repartition(
+        &self,
+        exchange: &HashRepartition,
+        data: &PartitionedData,
+        pool: &WorkerPool,
+    ) -> Result<(PartitionedData, u64, u64)> {
+        Ok(exchange.apply(data, pool))
+    }
+
+    fn broadcast(
+        &self,
+        exchange: &Broadcast,
+        data: &PartitionedData,
+    ) -> Result<(Vec<Batch>, u64, u64)> {
+        Ok(exchange.apply(data))
+    }
+
+    fn gather(&self, data: &PartitionedData) -> Result<Relation> {
+        Ok(data.gather())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::partition_for;
     use rdo_common::{DataType, Schema, Tuple, Value};
-    use rdo_exec::data::partition_for;
 
     fn data(n: i64, partitions: usize) -> PartitionedData {
         let schema = Schema::for_dataset("t", &[("k", DataType::Int64), ("g", DataType::Int64)]);
@@ -109,14 +169,14 @@ mod tests {
     fn hash_repartition_matches_serial_repartition_for_any_worker_count() {
         let input = data(500, 8);
         let (expected, expected_rows, expected_bytes) =
-            HashRepartition::new(1, "t.g").apply(&input, &WorkerPool::new(1));
+            HashRepartition::new(1).apply(&input, &WorkerPool::new(1));
         for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
-            let (out, rows, bytes) = HashRepartition::new(1, "t.g").apply(&input, &pool);
+            let (out, rows, bytes) = HashRepartition::new(1).apply(&input, &pool);
             assert_eq!(out.partitions(), expected.partitions(), "workers={workers}");
             assert_eq!(rows, expected_rows);
             assert_eq!(bytes, expected_bytes);
-            assert!(out.is_partitioned_on("g"));
+            assert!(out.is_partitioned_on(1));
             for p in 0..8 {
                 for row in out.partition_rows(p) {
                     assert_eq!(partition_for(row.value(1), 8), p);
@@ -128,11 +188,10 @@ mod tests {
     #[test]
     fn repartition_moves_rows_to_hash_partition() {
         let d = data(1000, 8);
-        let (r, moved_rows, moved_bytes) =
-            HashRepartition::new(1, "t.g").apply(&d, &WorkerPool::new(1));
+        let (r, moved_rows, moved_bytes) = HashRepartition::new(1).apply(&d, &WorkerPool::new(1));
         assert_eq!(r.row_count(), 1000);
-        assert!(r.is_partitioned_on("g"));
-        assert!(r.is_partitioned_on("t.g"));
+        assert!(r.is_partitioned_on(1));
+        assert!(!r.is_partitioned_on(0));
         assert!(moved_rows > 0 && moved_rows <= 1000);
         assert!(moved_bytes > 0);
         // Every row must be in the partition its key hashes to.
@@ -146,7 +205,7 @@ mod tests {
     #[test]
     fn repartition_on_same_key_moves_nothing_second_time() {
         let pool = WorkerPool::new(1);
-        let exchange = HashRepartition::new(0, "k");
+        let exchange = HashRepartition::new(0);
         let (once, _, _) = exchange.apply(&data(500, 4), &pool);
         let (_twice, moved, _) = exchange.apply(&once, &pool);
         assert_eq!(moved, 0, "already partitioned data should not move");
@@ -166,11 +225,29 @@ mod tests {
         ));
     }
 
+    /// The in-process transport is a transparent wrapper over the exchange
+    /// operators' own `apply` methods.
     #[test]
-    fn gather_flattens_in_partition_order() {
-        let input = data(10, 2);
-        let relation = Gather.apply(&input);
-        assert_eq!(relation.len(), 10);
-        assert_eq!(relation, input.gather());
+    fn in_process_transport_matches_direct_exchange_application() {
+        let input = data(200, 4);
+        let pool = WorkerPool::new(2);
+        let transport = InProcessTransport;
+        assert_eq!(transport.name(), "in-process");
+
+        let exchange = HashRepartition::new(1);
+        let (expected, er, eb) = exchange.apply(&input, &pool);
+        let (actual, ar, ab) = transport.repartition(&exchange, &input, &pool).unwrap();
+        assert_eq!(actual.partitions(), expected.partitions());
+        assert_eq!((ar, ab), (er, eb));
+
+        let bcast = Broadcast::new(4);
+        let (expected_rows, er, eb) = bcast.apply(&input);
+        let (actual_rows, ar, ab) = transport.broadcast(&bcast, &input).unwrap();
+        assert_eq!(actual_rows, expected_rows);
+        assert_eq!((ar, ab), (er, eb));
+
+        let gathered = transport.gather(&input).unwrap();
+        assert_eq!(gathered.len(), 200);
+        assert_eq!(gathered, input.gather());
     }
 }

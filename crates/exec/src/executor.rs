@@ -1,22 +1,22 @@
 //! The plan executor.
 //!
 //! Executes a [`PhysicalPlan`] by mapping the per-partition operators of
-//! [`rdo_exec::partition`] across a [`WorkerPool`] and moving batches between
+//! [`crate::partition`] across a [`WorkerPool`] and moving batches between
 //! partitions through the explicit exchange operators of [`crate::exchange`].
 //! Results and metrics are identical for every worker count; see the crate
 //! docs for why.
 
 use crate::config::ParallelConfig;
-use crate::exchange::{Broadcast, HashRepartition};
+use crate::cost::ExecutionMetrics;
+use crate::data::PartitionedData;
+use crate::exchange::{Broadcast, HashRepartition, InProcessTransport, Transport};
+use crate::expr::Predicate;
+use crate::grace::{joined_partition, GraceContext, GraceTally, PreparedBuild};
+use crate::partition::{indexed_join_partition, scan_table_partition, IndexJoinTally, ScanTally};
+use crate::plan::{JoinAlgorithm, PhysicalPlan};
 use crate::pool::WorkerPool;
-use crate::transport::{default_transport, Transport};
+use crate::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
 use rdo_common::{Batch, FieldRef, RdoError, Relation, Result};
-use rdo_exec::grace::{joined_partition, GraceContext, GraceTally, PreparedBuild};
-use rdo_exec::partition::{
-    indexed_join_partition, scan_table_partition, IndexJoinTally, ScanTally,
-};
-use rdo_exec::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
-use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PartitionedData, PhysicalPlan, Predicate};
 use rdo_storage::{Catalog, SpillReadTally};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ impl<'a> ParallelExecutor<'a> {
         Self {
             catalog,
             pool,
-            transport: default_transport(),
+            transport: Arc::new(InProcessTransport),
         }
     }
 
@@ -208,8 +208,9 @@ impl<'a> ParallelExecutor<'a> {
     }
 
     /// Partitioned hash join: a [`HashRepartition`] exchange in front of every
-    /// input not already partitioned on its join key, then one build/probe
-    /// kernel per partition.
+    /// input not already partitioned on its (first) join key column, then one
+    /// build/probe kernel per partition. The output is partitioned on the
+    /// left key column, which keeps its index in the joined schema.
     fn hash_join(
         &self,
         left: PartitionedData,
@@ -218,31 +219,12 @@ impl<'a> ParallelExecutor<'a> {
         metrics: &mut ExecutionMetrics,
     ) -> Result<PartitionedData> {
         let (left_key_indexes, right_key_indexes) = resolve_keys(&left, &right, keys)?;
-        let (first_left_key, first_right_key) = &keys[0];
         let mut span = rdo_trace::span("exec.join");
         span.attr_str("algo", "hash");
         span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
 
-        let left = if left.is_partitioned_on(&first_left_key.field) {
-            left
-        } else {
-            let exchange = HashRepartition::new(left_key_indexes[0], &first_left_key.field);
-            let (data, moved_rows, moved_bytes) =
-                self.transport.repartition(&exchange, &left, &self.pool)?;
-            metrics.rows_shuffled += moved_rows;
-            metrics.bytes_shuffled += moved_bytes;
-            data
-        };
-        let right = if right.is_partitioned_on(&first_right_key.field) {
-            right
-        } else {
-            let exchange = HashRepartition::new(right_key_indexes[0], &first_right_key.field);
-            let (data, moved_rows, moved_bytes) =
-                self.transport.repartition(&exchange, &right, &self.pool)?;
-            metrics.rows_shuffled += moved_rows;
-            metrics.bytes_shuffled += moved_bytes;
-            data
-        };
+        let left = self.placed_on(left, left_key_indexes[0], metrics)?;
+        let right = self.placed_on(right, right_key_indexes[0], metrics)?;
 
         let out_schema = left.schema().join(right.schema());
         let num_partitions = left.num_partitions().max(right.num_partitions());
@@ -266,12 +248,31 @@ impl<'a> ParallelExecutor<'a> {
         span.attr_u64("rows_out", tally.join.output_rows);
         rdo_trace::counter("progress.rows_produced", tally.join.output_rows);
 
-        let key_name = rdo_common::unqualified(&first_left_key.field).to_string();
         Ok(PartitionedData::new(
             out_schema,
             out_partitions,
-            Some(key_name),
+            Some(left_key_indexes[0]),
         ))
+    }
+
+    /// `data` hash-partitioned on column `key_index`: as it is when it
+    /// already is, through a [`HashRepartition`] exchange (charged to the
+    /// shuffle metrics) otherwise.
+    fn placed_on(
+        &self,
+        data: PartitionedData,
+        key_index: usize,
+        metrics: &mut ExecutionMetrics,
+    ) -> Result<PartitionedData> {
+        if data.is_partitioned_on(key_index) {
+            return Ok(data);
+        }
+        let (data, moved_rows, moved_bytes) =
+            self.transport
+                .repartition(&HashRepartition::new(key_index), &data, &self.pool)?;
+        metrics.rows_shuffled += moved_rows;
+        metrics.bytes_shuffled += moved_bytes;
+        Ok(data)
     }
 
     /// Broadcast join: a [`Broadcast`] exchange replicates the build side,
@@ -313,11 +314,11 @@ impl<'a> ParallelExecutor<'a> {
         span.attr_u64("rows_out", tally.join.output_rows);
         rdo_trace::counter("progress.rows_produced", tally.join.output_rows);
 
-        let partition_key = left.partition_key().map(|s| s.to_string());
+        // The probe side's columns lead the output, so its placement holds.
         Ok(PartitionedData::new(
             out_schema,
             out_partitions,
-            partition_key,
+            left.partition_key(),
         ))
     }
 
@@ -403,8 +404,8 @@ impl<'a> ParallelExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::CmpOp;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::CmpOp;
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -774,6 +775,67 @@ mod tests {
             0,
             "grace partition files are gone after the joins"
         );
+    }
+
+    /// `a(id, x)` and `b(id, y)` are both partitioned on a column named `id`.
+    /// The broadcast join's output keeps `a`'s placement (on `a.id`), so the
+    /// hash join on `b.id` above it must still re-partition its left input.
+    #[test]
+    fn hash_join_above_a_broadcast_repartitions_on_the_other_datasets_key() {
+        let mut cat = Catalog::new(4);
+        for (name, cols, rows) in [
+            (
+                "a",
+                ["id", "x"],
+                (0..40).map(|i| [i, i % 5]).collect::<Vec<_>>(),
+            ),
+            ("b", ["id", "y"], (0..5).map(|j| [10 + j, j]).collect()),
+            ("c", ["k", "z"], (0..40).map(|i| [i, i]).collect()),
+        ] {
+            let schema = Schema::for_dataset(
+                name,
+                &[(cols[0], DataType::Int64), (cols[1], DataType::Int64)],
+            );
+            let rows = rows
+                .into_iter()
+                .map(|r| Tuple::new(r.into_iter().map(Value::Int64).collect()))
+                .collect();
+            let options = IngestOptions::partitioned_on(cols[0]);
+            cat.ingest(name, Relation::new(schema, rows).unwrap(), options)
+                .unwrap();
+        }
+        let plan = |first: JoinAlgorithm| {
+            PhysicalPlan::join(
+                PhysicalPlan::join(
+                    PhysicalPlan::scan("a"),
+                    PhysicalPlan::scan("b"),
+                    FieldRef::new("a", "x"),
+                    FieldRef::new("b", "y"),
+                    first,
+                ),
+                PhysicalPlan::scan("c"),
+                FieldRef::new("b", "id"),
+                FieldRef::new("c", "k"),
+                JoinAlgorithm::Hash,
+            )
+        };
+        // b.id = 10 + a.x lands in 10..15, so every `a` row meets one `c` row.
+        for workers in [1, 4] {
+            let mut m = ExecutionMetrics::new();
+            let mut rows = executor(&cat, workers)
+                .execute_to_relation(&plan(JoinAlgorithm::Broadcast), &mut m)
+                .unwrap()
+                .into_rows();
+            assert_eq!(rows.len(), 40, "workers={workers}");
+            let mut m = ExecutionMetrics::new();
+            let mut reference = executor(&cat, workers)
+                .execute_to_relation(&plan(JoinAlgorithm::Hash), &mut m)
+                .unwrap()
+                .into_rows();
+            rows.sort();
+            reference.sort();
+            assert_eq!(rows, reference, "workers={workers}");
+        }
     }
 
     #[test]

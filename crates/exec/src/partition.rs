@@ -5,7 +5,7 @@
 //! bucket them for a re-partition exchange, build and probe one partition's
 //! join index, probe one partition of a secondary index. Each of those is one
 //! function here taking and returning [`Batch`] runs; the plan executor
-//! (`rdo_parallel::ParallelExecutor`) maps them across a worker pool — or,
+//! ([`crate::ParallelExecutor`]) maps them across a worker pool — or,
 //! at one worker, loops them on the calling thread. Parallelism only changes
 //! *who* runs a partition, never what the partition computes.
 //!

@@ -1,4 +1,5 @@
-//! Coordinator-side operator setup of the plan executor (`rdo-parallel`).
+//! Coordinator-side operator setup of the plan executor
+//! ([`crate::executor`]).
 //!
 //! Schema aliasing, projection resolution, join-key resolution and
 //! partition-key survival are computed once per operator, before any
@@ -18,9 +19,10 @@ pub struct ScanSetup {
     pub projection_indexes: Option<Vec<usize>>,
     /// Schema of the scan output (after projection).
     pub out_schema: Schema,
-    /// The table's partition key, if it survives the projection — a later
-    /// hash join on it skips the re-partition exchange.
-    pub partition_key: Option<String>,
+    /// Index in `out_schema` of the table's partition key, if it survives
+    /// the projection — a later hash join on it skips the re-partition
+    /// exchange.
+    pub partition_key: Option<usize>,
 }
 
 /// Prepares a scan of `table` under the plan's `dataset` alias.
@@ -47,7 +49,7 @@ pub fn prepare_scan(
         None => schema.clone(),
     };
 
-    let partition_key = partition_key_surviving(table, &out_schema);
+    let partition_key = partition_key_surviving(table, projection_indexes.as_deref());
     Ok(ScanSetup {
         schema,
         projection_indexes,
@@ -74,8 +76,9 @@ pub struct IndexedJoinSetup {
     pub right_key_indexes: Vec<usize>,
     /// Index of the first (indexed) key in the broadcast input.
     pub first_right_key_index: usize,
-    /// The indexed table's partition key, if it survives the projection.
-    pub partition_key: Option<String>,
+    /// Index of the indexed table's partition key in the output, if it
+    /// survives the projection (the indexed side's columns come first).
+    pub partition_key: Option<usize>,
 }
 
 /// Prepares an indexed nested-loop join of base `table` (aliased `dataset`,
@@ -117,7 +120,7 @@ pub fn prepare_indexed_join(
         .collect::<Result<Vec<usize>>>()?;
     let first_right_key_index = right_schema.resolve(&keys[0].1)?;
 
-    let partition_key = partition_key_surviving(table, &left_out_schema);
+    let partition_key = partition_key_surviving(table, projection_indexes.as_deref());
     Ok(IndexedJoinSetup {
         left_schema,
         projection_indexes,
@@ -146,15 +149,14 @@ pub fn resolve_keys(
     Ok((left_indexes, right_indexes))
 }
 
-/// The table's partition key if the output schema still contains that column.
-fn partition_key_surviving(table: &Table, out_schema: &Schema) -> Option<String> {
-    table.partition_key().and_then(|key| {
-        if out_schema.fields().iter().any(|f| f.name.field == key) {
-            Some(key.to_string())
-        } else {
-            None
-        }
-    })
+/// Where the table's partition key lands in the output of `projection`
+/// (`None` keeps every column), if it survives.
+fn partition_key_surviving(table: &Table, projection: Option<&[usize]>) -> Option<usize> {
+    let key = table.partition_key()?;
+    match projection {
+        Some(indexes) => indexes.iter().position(|&i| i == key),
+        None => Some(key),
+    }
 }
 
 #[cfg(test)]
@@ -193,8 +195,15 @@ mod tests {
     fn scan_setup_keeps_surviving_partition_key() {
         let t = table();
         let setup = prepare_scan(&t, "orders", None).unwrap();
-        assert_eq!(setup.partition_key.as_deref(), Some("o_k"));
+        assert_eq!(setup.partition_key, Some(0));
         assert!(setup.projection_indexes.is_none());
+        // A projection that moves the key reports its new position.
+        let cols = [
+            FieldRef::new("orders", "o_c"),
+            FieldRef::new("orders", "o_k"),
+        ];
+        let setup = prepare_scan(&t, "orders", Some(&cols)).unwrap();
+        assert_eq!(setup.partition_key, Some(1));
     }
 
     #[test]

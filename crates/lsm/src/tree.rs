@@ -470,10 +470,11 @@ mod tests {
         let stats = catalog.stats().get("orders").expect("stats registered");
         assert_eq!(stats.row_count, 1_000);
         assert!(stats.column("o_custkey").is_some());
-        assert!(catalog
-            .table("orders")
-            .unwrap()
-            .is_partitioned_on("o_orderkey"));
+        assert_eq!(
+            catalog.table("orders").unwrap().partition_key(),
+            Some(0),
+            "on o_orderkey"
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Four PRs of subsystems made the cluster's *data* model real (partitioned
 //! storage, spillable intermediates, grace joins); this crate makes the
 //! cluster's *network* real. It backs the exchange operators of
-//! [`rdo_parallel::exchange`] — `HashRepartition`, `Broadcast`, `Gather` —
+//! [`rdo_exec::exchange`] — `HashRepartition`, `Broadcast` and the gather —
 //! with a length-prefixed TCP protocol across OS processes, behind the
-//! [`rdo_parallel::Transport`] seam:
+//! [`rdo_exec::Transport`] seam:
 //!
 //! * The **coordinator** process plans, re-optimizes and runs the join
 //!   kernels exactly as before; only the exchange data movements change
@@ -35,9 +35,8 @@
 //!
 //! ```
 //! use rdo_common::{DataType, Schema, Tuple, Value};
-//! use rdo_exec::PartitionedData;
+//! use rdo_exec::{HashRepartition, InProcessTransport, PartitionedData, Transport, WorkerPool};
 //! use rdo_net::{shutdown_workers, TcpTransport};
-//! use rdo_parallel::{HashRepartition, InProcessTransport, Transport, WorkerPool};
 //! use std::net::TcpListener;
 //!
 //! // A tiny 4-partition dataset, partitioned on nothing in particular.
@@ -53,7 +52,7 @@
 //! let worker = std::thread::spawn(move || rdo_net::serve(listener));
 //!
 //! // The same exchange through both transports is bit-identical.
-//! let exchange = HashRepartition::new(0, "t.k");
+//! let exchange = HashRepartition::new(0);
 //! let pool = WorkerPool::new(1);
 //! let (expected, expected_rows, _) =
 //!     InProcessTransport.repartition(&exchange, &data, &pool).unwrap();

@@ -1,6 +1,6 @@
 //! The coordinator-side TCP transport.
 //!
-//! [`TcpTransport`] implements the [`rdo_parallel::Transport`] seam over a
+//! [`TcpTransport`] implements the [`rdo_exec::Transport`] seam over a
 //! set of worker processes, one persistent connection per worker. Partitions
 //! are assigned to workers as contiguous ranges (`owner(p) = p·W / n` for `n`
 //! partitions over `W` workers), and every exchange moves its tuples as
@@ -23,17 +23,16 @@
 //!
 //! Because the wire codec round-trip is exact and the kernels are shared,
 //! results, plans and logical metrics are bit-identical to
-//! [`rdo_parallel::InProcessTransport`] at every worker count — the
+//! [`rdo_exec::InProcessTransport`] at every worker count — the
 //! `distributed_equivalence` suite pins this.
 
 use crate::frame::read_page_batch;
 use crate::frame::{expect_frame, payload, write_frame, write_page_batch, Tag};
 use crate::worker::read_bucketed_response;
 use rdo_common::{Batch, RdoError, Relation, Result, Tuple};
-use rdo_exec::PartitionedData;
-use rdo_parallel::{
-    default_transport, Broadcast, HashRepartition, ParallelConfig, Transport, TransportKind,
-    WorkerPool,
+use rdo_exec::{
+    Broadcast, HashRepartition, InProcessTransport, ParallelConfig, PartitionedData, Transport,
+    TransportKind, WorkerPool,
 };
 use rdo_spill::compress::LzScratch;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -316,9 +315,12 @@ impl Transport for TcpTransport {
                 new_partitions[to].append(&mut bucket);
             }
         }
-        let key_name = rdo_common::unqualified(&exchange.key_name).to_string();
         Ok((
-            PartitionedData::from_rows(data.schema().clone(), new_partitions, Some(key_name)),
+            PartitionedData::from_rows(
+                data.schema().clone(),
+                new_partitions,
+                Some(exchange.key_index),
+            ),
             moved_rows,
             moved_bytes,
         ))
@@ -451,21 +453,21 @@ pub fn parse_worker_addrs(raw: &str) -> std::result::Result<Vec<SocketAddr>, Str
 ///   concrete cluster.
 pub fn transport_from_config(config: &ParallelConfig) -> Result<Arc<dyn Transport>> {
     match config.transport {
-        TransportKind::InProcess => Ok(default_transport()),
+        TransportKind::InProcess => Ok(Arc::new(InProcessTransport)),
         TransportKind::Tcp => {
             let Ok(raw) = std::env::var(WORKER_ADDRS_ENV) else {
                 rdo_common::warn!(
                     "RDO_TRANSPORT=tcp but {WORKER_ADDRS_ENV} is unset; \
                      exchanges stay in-process"
                 );
-                return Ok(default_transport());
+                return Ok(Arc::new(InProcessTransport));
             };
             let addrs = match parse_worker_addrs(&raw) {
                 Ok(addrs) => addrs,
                 Err(warning) => {
                     let text = warning.strip_prefix("warning: ").unwrap_or(&warning);
                     rdo_common::warn!("{text}");
-                    return Ok(default_transport());
+                    return Ok(Arc::new(InProcessTransport));
                 }
             };
             if addrs.is_empty() {
@@ -473,7 +475,7 @@ pub fn transport_from_config(config: &ParallelConfig) -> Result<Arc<dyn Transpor
                     "RDO_TRANSPORT=tcp but {WORKER_ADDRS_ENV} lists no workers; \
                      exchanges stay in-process"
                 );
-                return Ok(default_transport());
+                return Ok(Arc::new(InProcessTransport));
             }
             Ok(Arc::new(TcpTransport::connect(&addrs)?))
         }
@@ -484,7 +486,6 @@ pub fn transport_from_config(config: &ParallelConfig) -> Result<Arc<dyn Transpor
 mod tests {
     use super::*;
     use rdo_common::{DataType, Schema, Value};
-    use rdo_parallel::InProcessTransport;
     use std::net::TcpListener;
 
     fn data(n: i64, partitions: usize) -> PartitionedData {
@@ -525,7 +526,7 @@ mod tests {
         let input = data(400, 4);
         let pool = WorkerPool::new(2);
         let in_process = InProcessTransport;
-        let exchange = HashRepartition::new(1, "t.g");
+        let exchange = HashRepartition::new(1);
         let (expected_data, expected_rows, expected_bytes) =
             in_process.repartition(&exchange, &input, &pool).unwrap();
         let bcast = Broadcast::new(4);

@@ -491,8 +491,7 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, Predicate};
-    use rdo_parallel::{ParallelConfig, ParallelExecutor};
+    use rdo_exec::{CmpOp, ParallelConfig, ParallelExecutor, Predicate};
     use rdo_storage::IngestOptions;
 
     /// fact(f_id, f_dim, f_big) 10_000 rows; dim(d_id, d_cat) 100 rows;

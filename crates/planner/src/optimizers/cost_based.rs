@@ -54,8 +54,7 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{ExecutionMetrics, Predicate};
-    use rdo_parallel::{ParallelConfig, ParallelExecutor};
+    use rdo_exec::{ExecutionMetrics, ParallelConfig, ParallelExecutor, Predicate};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {

@@ -332,8 +332,7 @@ mod tests {
     use crate::estimate::{EstimationMode, SizeEstimator};
     use crate::query::DatasetRef;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, JoinAlgorithm, Predicate};
-    use rdo_parallel::{ParallelConfig, ParallelExecutor};
+    use rdo_exec::{CmpOp, JoinAlgorithm, ParallelConfig, ParallelExecutor, Predicate};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {

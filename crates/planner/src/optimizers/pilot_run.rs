@@ -15,8 +15,7 @@ use crate::algorithm::JoinAlgorithmRule;
 use crate::query::QuerySpec;
 use rdo_common::Result;
 use rdo_exec::expr::evaluate_all_batch;
-use rdo_exec::{ExecutionMetrics, PhysicalPlan};
-use rdo_parallel::WorkerPool;
+use rdo_exec::{ExecutionMetrics, PhysicalPlan, WorkerPool};
 use rdo_sketch::{ColumnStatsBuilder, StatsCatalog};
 use rdo_storage::Catalog;
 use std::collections::HashMap;
@@ -237,8 +236,7 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, Predicate};
-    use rdo_parallel::{ParallelConfig, ParallelExecutor};
+    use rdo_exec::{CmpOp, ParallelConfig, ParallelExecutor, Predicate};
     use rdo_storage::IngestOptions;
 
     /// fact has 20_000 rows with 10_000 distinct foreign keys — a bounded sample

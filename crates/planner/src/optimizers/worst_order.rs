@@ -43,8 +43,7 @@ mod tests {
     use crate::optimizers::best_order::BestOrderOptimizer;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CostModel, ExecutionMetrics};
-    use rdo_parallel::{ParallelConfig, ParallelExecutor};
+    use rdo_exec::{CostModel, ExecutionMetrics, ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {

@@ -41,7 +41,7 @@ use crate::protocol::{
 use rdo_common::env::{parse_env_positive_usize, parse_env_u64, parse_or_warn};
 use rdo_common::{Relation, Result};
 use rdo_core::{DynamicConfig, DynamicDriver};
-use rdo_parallel::{ParallelConfig, WorkerPool};
+use rdo_exec::{ParallelConfig, WorkerPool};
 use rdo_planner::{JoinAlgorithmRule, LearnedStatsCatalog};
 use rdo_spill::SpillConfig;
 use rdo_sql::{BoundQuery, ParamBindings, UdfRegistry};

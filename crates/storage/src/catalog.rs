@@ -430,7 +430,7 @@ mod tests {
         .unwrap();
         let table = cat.table("I_1").unwrap();
         assert!(table.is_temporary());
-        assert!(table.is_partitioned_on("o_custkey"));
+        assert_eq!(table.partition_key(), Some(1), "on o_custkey");
         let stats = cat.stats().get("I_1").unwrap();
         assert_eq!(stats.row_count, 50);
         assert!(stats.column("o_custkey").is_some());
@@ -602,7 +602,7 @@ mod tests {
         for (p, part) in expected.iter().enumerate() {
             assert_eq!(&direct.partition_to_vec(p).unwrap(), part);
         }
-        assert!(direct.is_temporary() && direct.is_partitioned_on("o_custkey"));
+        assert!(direct.is_temporary() && direct.partition_key() == Some(1));
         assert_eq!(cat.stats().row_count("via_parts"), Some(120));
 
         // Wrong partition count is rejected.

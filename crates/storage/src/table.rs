@@ -45,8 +45,9 @@ pub struct Table {
     /// Tuple-model bytes of a resident table, summed on first use (only the
     /// spill policy asks).
     approx_bytes: OnceLock<usize>,
-    /// Column (unqualified name) on which the table is hash-partitioned, if any.
-    partition_key: Option<String>,
+    /// Index (in `schema`) of the column on which the table is
+    /// hash-partitioned, if any.
+    partition_key: Option<usize>,
     /// True for materialized intermediate results (the paper's temporary files).
     temporary: bool,
 }
@@ -104,17 +105,18 @@ impl Table {
                 "a table needs at least one partition".to_string(),
             ));
         }
-        if let Some(key) = partition_key {
-            // The key must exist in the schema, same as from_relation.
-            resolve_key(&schema, key)?;
-        }
+        // The key must exist in the schema, same as from_relation.
+        let partition_key = match partition_key {
+            Some(key) => Some(resolve_key(&schema, key)?),
+            None => None,
+        };
         Ok(Self {
             name: name.into(),
             schema,
             num_partitions: partitions.len(),
             backing: Backing::Columnar(partitions),
             approx_bytes: OnceLock::new(),
-            partition_key: partition_key.map(|k| unqualified(k).to_string()),
+            partition_key,
             temporary: false,
         })
     }
@@ -257,9 +259,9 @@ impl Table {
         }
     }
 
-    /// The column on which the table is hash-partitioned, if any.
-    pub fn partition_key(&self) -> Option<&str> {
-        self.partition_key.as_deref()
+    /// Index of the column on which the table is hash-partitioned, if any.
+    pub fn partition_key(&self) -> Option<usize> {
+        self.partition_key
     }
 
     /// True if this is a materialized intermediate result.
@@ -319,16 +321,6 @@ impl Table {
     pub fn gather(&self) -> Relation {
         self.try_gather()
             .expect("gather of a spilled table failed; use try_gather to handle the error")
-    }
-
-    /// True if the table is hash-partitioned on the given (possibly qualified)
-    /// column, meaning a join on that column needs no re-partitioning of this
-    /// side.
-    pub fn is_partitioned_on(&self, column: &str) -> bool {
-        match &self.partition_key {
-            Some(key) => key == unqualified(column),
-            None => false,
-        }
     }
 }
 
@@ -422,9 +414,26 @@ mod tests {
     #[test]
     fn qualified_partition_key_accepted() {
         let t = Table::from_relation("t", relation(10), 2, Some("t.k")).unwrap();
-        assert!(t.is_partitioned_on("k"));
-        assert!(t.is_partitioned_on("t.k"));
-        assert!(!t.is_partitioned_on("v"));
+        assert_eq!(t.partition_key(), Some(0));
+    }
+
+    #[test]
+    fn partition_key_is_the_resolved_column_not_its_name() {
+        // A joined intermediate carries `a.id` and `b.id`; a table placed by
+        // `b.id` is not partitioned on `a.id`, and the bare name is ambiguous.
+        let schema = Schema::for_dataset("a", &[("id", DataType::Int64)])
+            .join(&Schema::for_dataset("b", &[("id", DataType::Int64)]));
+        let rows = (0..8)
+            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int64(i % 3)]))
+            .collect();
+        let t = Table::from_relation("ab", Relation::new(schema, rows).unwrap(), 2, Some("b.id"))
+            .unwrap();
+        assert_eq!(t.partition_key(), Some(1));
+        assert_ne!(t.partition_key(), resolve_key(t.schema(), "a.id").ok());
+        assert!(
+            resolve_key(t.schema(), "id").is_err(),
+            "the bare name is ambiguous"
+        );
     }
 
     #[test]
@@ -470,7 +479,7 @@ mod tests {
             ));
         }
         assert_eq!(direct.approx_bytes(), source.approx_bytes());
-        assert!(direct.is_partitioned_on("k"));
+        assert_eq!(direct.partition_key(), Some(0));
         assert!(Table::from_partitions(
             "bad",
             source.schema().clone(),
@@ -502,7 +511,7 @@ mod tests {
         assert_eq!(spilled.spilled_bytes(), tally.bytes);
         assert_eq!(spilled.row_count(), 777);
         assert_eq!(spilled.approx_bytes(), approx);
-        assert!(spilled.is_temporary() && spilled.is_partitioned_on("k"));
+        assert!(spilled.is_temporary() && spilled.partition_key() == Some(0));
         assert_eq!(spilled.gather(), expected_gather);
         for (p, expected) in expected_parts.iter().enumerate() {
             assert_eq!(&spilled.partition_to_vec(p).unwrap(), expected);
@@ -539,7 +548,7 @@ mod tests {
             "accounting is the tuple model's"
         );
         assert_eq!(columnar.spilled_bytes(), 0);
-        assert!(columnar.is_temporary() && columnar.is_partitioned_on("k"));
+        assert!(columnar.is_temporary() && columnar.partition_key() == Some(0));
         assert_eq!(columnar.gather().sorted(), rel.sorted());
         for (p, expected) in expected_parts.iter().enumerate() {
             assert_eq!(&columnar.partition_to_vec(p).unwrap(), expected);

@@ -13,13 +13,12 @@
 //!   the fixed-frame buffer pool (CLOCK eviction, pin/unpin, dirty writeback)
 //!   and the budget-driven spill policy (`RDO_SPILL_BUDGET`) that let
 //!   intermediate results exceed RAM;
-//! * [`exec`] — physical operators (hash / broadcast / indexed nested-loop
-//!   joins, Sink materialization), the memory-budgeted grace/hybrid hash join
-//!   (`RDO_JOIN_BUDGET`), the executor and the cluster cost model;
-//! * [`parallel`] — the partition-parallel executor: a persistent worker
-//!   pool running one task per partition, with explicit exchange operators
-//!   (hash re-partition, broadcast, gather) between them behind a pluggable
-//!   `Transport` seam;
+//! * [`exec`] — the execution runtime: physical operators (hash / broadcast /
+//!   indexed nested-loop joins), the memory-budgeted grace/hybrid hash join
+//!   (`RDO_JOIN_BUDGET`), the partition-parallel executor (a persistent
+//!   worker pool running one task per partition, with explicit exchange
+//!   operators between them behind a pluggable `Transport` seam), the Sink
+//!   and the cluster cost model;
 //! * [`net`] — the distributed multi-process exchange backend: a
 //!   length-prefixed TCP transport (`RDO_TRANSPORT=tcp`) that routes the
 //!   exchange operators across worker processes as framed page batches,
@@ -74,7 +73,6 @@ pub use rdo_core as core;
 pub use rdo_exec as exec;
 pub use rdo_lsm as lsm;
 pub use rdo_net as net;
-pub use rdo_parallel as parallel;
 pub use rdo_planner as planner;
 pub use rdo_server as server;
 pub use rdo_sketch as sketch;
@@ -95,14 +93,12 @@ pub mod prelude {
         DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
     };
     pub use rdo_exec::{
-        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm,
-        PhysicalPlan, PostProcess, Predicate, SortKey,
+        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, InProcessTransport,
+        JoinAlgorithm, ParallelConfig, ParallelExecutor, PhysicalPlan, PostProcess, Predicate,
+        SortKey, Transport, TransportKind, WorkerPool,
     };
     pub use rdo_lsm::{LsmDataset, LsmOptions, PrefixMergePolicy, TieredMergePolicy};
     pub use rdo_net::{LocalCluster, TcpTransport};
-    pub use rdo_parallel::{
-        InProcessTransport, ParallelConfig, ParallelExecutor, Transport, TransportKind, WorkerPool,
-    };
     pub use rdo_planner::{
         BestOrderOptimizer, CostBasedOptimizer, DatasetRef, GreedyPlanner, JoinAlgorithmRule,
         LearnedStatsCatalog, NextJoinPolicy, Optimizer, PilotRunOptimizer, QuerySpec,

@@ -118,11 +118,8 @@ fn partitioned_data_roundtrips_between_batches_and_rows() {
             .execute(&PhysicalPlan::scan(table), &mut metrics)
             .expect("scan");
         let rows = data.to_rows();
-        let back = PartitionedData::from_rows(
-            data.schema().clone(),
-            rows.clone(),
-            data.partition_key().map(str::to_string),
-        );
+        let back =
+            PartitionedData::from_rows(data.schema().clone(), rows.clone(), data.partition_key());
         assert_eq!(back.to_rows(), rows, "{table}");
         assert_eq!(back.row_count(), data.row_count());
         assert_eq!(back.approx_bytes(), data.approx_bytes());

@@ -135,7 +135,7 @@ fn env_selected_tcp_transport_reaches_driver_and_runner() {
     let cluster = LocalCluster::spawn(1).expect("spawn worker");
     let status = std::process::Command::new(std::env::current_exe().expect("current_exe"))
         .env("RDO_TEST_ENV_TRANSPORT", "1")
-        .env(rdo_parallel::TRANSPORT_ENV, "tcp")
+        .env(rdo_exec::TRANSPORT_ENV, "tcp")
         .env(rdo_net::WORKER_ADDRS_ENV, cluster.addr_list())
         .status()
         .expect("spawn env-transport child");

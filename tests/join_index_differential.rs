@@ -16,10 +16,9 @@ use runtime_dynamic_optimization::exec::partition::{
     hash_join_partition_chunked, hash_join_partition_rows, JoinTally,
 };
 use runtime_dynamic_optimization::exec::{
-    grace::joined_partition, ExecutionMetrics, GraceTally, JoinAlgorithm, PartitionedData,
-    PhysicalPlan, PreparedBuild,
+    grace::joined_partition, ExecutionMetrics, GraceTally, JoinAlgorithm, ParallelConfig,
+    ParallelExecutor, PartitionedData, PhysicalPlan, PreparedBuild,
 };
-use runtime_dynamic_optimization::parallel::{ParallelConfig, ParallelExecutor};
 use runtime_dynamic_optimization::storage::{Catalog, IngestOptions};
 
 const CHUNK_SIZES: [usize; 3] = [1, 3, 1024];

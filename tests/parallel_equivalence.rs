@@ -16,6 +16,7 @@ use proptest::Strategy;
 use runtime_dynamic_optimization::exec::partition::hash_join_partition_rows;
 use runtime_dynamic_optimization::prelude::*;
 use runtime_dynamic_optimization::sketch::DatasetStatsBuilder;
+use runtime_dynamic_optimization::storage::table::resolve_key;
 
 fn env() -> BenchmarkEnv {
     BenchmarkEnv::load(ScaleFactor::gb(2), 4, true, 42).expect("workload generation")
@@ -133,7 +134,7 @@ fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
         }
         let expected = expected.build();
 
-        let outcome = runtime_dynamic_optimization::parallel::materialize(
+        let outcome = runtime_dynamic_optimization::exec::materialize(
             &WorkerPool::new(workers),
             &mut catalog,
             "I_stats",
@@ -162,7 +163,8 @@ fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
         // The table holds the same rows the data did, re-bucketed on the
         // requested key.
         let table = catalog.table("I_stats").expect("registered");
-        assert!(table.is_partitioned_on("l_partkey"));
+        let on_partkey = resolve_key(table.schema(), "l_partkey").unwrap();
+        assert_eq!(table.partition_key(), Some(on_partkey));
         assert_eq!(table.gather().sorted(), data.gather().sorted());
     }
 }

@@ -185,7 +185,7 @@ fn batches_and_rows_spill_to_the_same_pages() {
     by_batches.configure_spill(spill).expect("spill config");
     let (data, _) = scan(&by_batches, "lineitem");
     let mut sink = ExecutionMetrics::new();
-    let outcome = runtime_dynamic_optimization::parallel::materialize(
+    let outcome = runtime_dynamic_optimization::exec::materialize(
         &WorkerPool::new(2),
         &mut by_batches,
         "I_spill",

@@ -137,3 +137,151 @@ fn dynamic_reports_contain_overhead_breakdown() {
         );
     }
 }
+
+/// A two-column `Int64` relation of dataset `name`.
+fn int_relation(name: &str, cols: [&str; 2], rows: Vec<[i64; 2]>) -> Relation {
+    let schema = Schema::for_dataset(
+        name,
+        &[(cols[0], DataType::Int64), (cols[1], DataType::Int64)],
+    );
+    let rows = rows
+        .into_iter()
+        .map(|r| Tuple::new(r.into_iter().map(Value::Int64).collect()))
+        .collect();
+    Relation::new(schema, rows).unwrap()
+}
+
+/// Ingests `(name, relation, partition key)` triples into a 4-partition
+/// catalog and compiles `sql` against it.
+fn compile_over(sql: &str, tables: Vec<(&str, Relation, &str)>) -> (Catalog, BoundQuery) {
+    let mut catalog = Catalog::new(4);
+    for (name, relation, key) in tables {
+        catalog
+            .ingest(name, relation, IngestOptions::partitioned_on(key))
+            .unwrap();
+    }
+    let query = compile(
+        sql,
+        "collide",
+        &catalog,
+        &UdfRegistry::new(),
+        &ParamBindings::new(),
+    )
+    .unwrap();
+    (catalog, query)
+}
+
+/// The result rows of a run, sorted.
+fn sorted_rows(report: &RunReport) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = report
+        .result
+        .rows()
+        .iter()
+        .map(|t| t.values().to_vec())
+        .collect();
+    rows.sort();
+    rows
+}
+
+const EVERY_STRATEGY: [Strategy; 8] = [
+    Strategy::Dynamic,
+    Strategy::IngresLike,
+    Strategy::CostBased,
+    Strategy::BestOrder,
+    Strategy::WorstOrder,
+    Strategy::PilotRun,
+    Strategy::ReoptWithoutOnlineStats,
+    Strategy::DynamicWithoutPushdown,
+];
+
+/// `a` and `b` are both partitioned on a column named `id`. A broadcast join
+/// of `a` and `b` keeps `a`'s placement, on `a.id`; a later hash join on
+/// `b.id` must still re-partition it. Every strategy must return the rows a
+/// nested-loop evaluation of the query gives.
+#[test]
+fn same_named_partition_keys_of_two_datasets_never_skip_an_exchange() {
+    let a = int_relation("a", ["id", "x"], (0..3000).map(|i| [i, i % 10]).collect());
+    let b = int_relation(
+        "b",
+        ["id", "y"],
+        (0..10).map(|j| [100 + 7 * j, j]).collect(),
+    );
+    let c = int_relation("c", ["k", "z"], (0..3000).map(|i| [i, i % 3]).collect());
+
+    // SELECT a.id FROM a, b, c WHERE a.x = b.y AND b.id = c.k, by nested loops.
+    let mut expected = Vec::new();
+    for ra in a.rows() {
+        for rb in b.rows().iter().filter(|rb| rb.value(1) == ra.value(1)) {
+            let matches = c.rows().iter().filter(|rc| rc.value(0) == rb.value(0));
+            expected.extend(matches.map(|_| vec![ra.value(0).clone()]));
+        }
+    }
+    expected.sort();
+    assert_eq!(expected.len(), 3000);
+
+    let (mut catalog, query) = compile_over(
+        "SELECT a.id FROM a, b, c WHERE a.x = b.y AND b.id = c.k",
+        vec![("a", a, "id"), ("b", b, "id"), ("c", c, "k")],
+    );
+    let runner = QueryRunner::new(
+        CostModel::with_partitions(4),
+        JoinAlgorithmRule::with_threshold(100.0),
+    );
+    for strategy in EVERY_STRATEGY {
+        let report = runner.run(strategy, &query.spec, &mut catalog).unwrap();
+        assert_eq!(sorted_rows(&report), expected, "{strategy}");
+    }
+}
+
+/// Pins an open bug (ROADMAP, "Same-named join keys across a re-optimization
+/// point"). When the driver materializes `a ⋈ b` on `a.id = b.id`, it hands
+/// the Sink the bare key name `id`, which is ambiguous in an intermediate
+/// holding both `a.id` and `b.id`, so the re-optimizing strategies fail with
+/// `unknown field: id`. The other strategies never materialize that join and
+/// return the nested-loop rows. Once the Sink key is qualified and query
+/// reconstruction keeps the original qualifiers, every strategy must return
+/// the oracle's rows and `FAILING` must become empty.
+#[test]
+fn same_named_join_keys_fail_at_a_reoptimization_sink() {
+    const FAILING: [Strategy; 3] = [
+        Strategy::Dynamic,
+        Strategy::ReoptWithoutOnlineStats,
+        Strategy::DynamicWithoutPushdown,
+    ];
+    let a = int_relation("a", ["id", "x"], (0..500).map(|i| [i, i % 10]).collect());
+    let b = int_relation("b", ["id", "y"], (0..500).map(|i| [i, i % 5]).collect());
+    let c = int_relation("c", ["k", "z"], (0..10).map(|k| [k, 0]).collect());
+    let d = int_relation("d", ["w", "v"], (0..5).map(|w| [w, 0]).collect());
+
+    // SELECT a.id FROM a, b, c, d WHERE a.id = b.id AND a.x = c.k
+    // AND b.y = d.w, by nested loops.
+    let mut expected = Vec::new();
+    for ra in a.rows() {
+        for rb in b.rows().iter().filter(|rb| rb.value(0) == ra.value(0)) {
+            for _rc in c.rows().iter().filter(|rc| rc.value(0) == ra.value(1)) {
+                let ds = d.rows().iter().filter(|rd| rd.value(0) == rb.value(1));
+                expected.extend(ds.map(|_| vec![ra.value(0).clone()]));
+            }
+        }
+    }
+    expected.sort();
+    assert_eq!(expected.len(), 500);
+
+    let (mut catalog, query) = compile_over(
+        "SELECT a.id FROM a, b, c, d WHERE a.id = b.id AND a.x = c.k AND b.y = d.w",
+        vec![("a", a, "id"), ("b", b, "id"), ("c", c, "k"), ("d", d, "w")],
+    );
+    let runner = QueryRunner::new(
+        CostModel::with_partitions(4),
+        JoinAlgorithmRule::with_threshold(100.0),
+    );
+    for strategy in EVERY_STRATEGY {
+        let outcome = runner.run(strategy, &query.spec, &mut catalog);
+        if FAILING.contains(&strategy) {
+            let error = outcome.err().map(|e| e.to_string());
+            assert_eq!(error.as_deref(), Some("unknown field: id"), "{strategy}");
+        } else {
+            assert_eq!(sorted_rows(&outcome.unwrap()), expected, "{strategy}");
+        }
+    }
+}
