@@ -425,13 +425,8 @@ pub fn correlations(config: &ExperimentConfig) -> Vec<CorrelationRow> {
     for &scale in &config.scales {
         let env = config.load_env(scale, false);
         for query in all_queries() {
-            let reports = rdo_planner::analyze_query(&query, |alias| {
-                let table = query.table_of(alias)?;
-                let relation = env.catalog.table(table)?.try_gather()?;
-                let stats = env.catalog.stats().get(table).cloned();
-                Ok((relation, stats))
-            })
-            .expect("correlation analysis");
+            let reports =
+                rdo_planner::analyze_query(&query, &env.catalog).expect("correlation analysis");
             for report in reports {
                 rows.push(CorrelationRow {
                     query: query.name.clone(),

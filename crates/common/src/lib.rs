@@ -18,6 +18,6 @@ pub use batch::{
     DEFAULT_BATCH_SIZE,
 };
 pub use error::{RdoError, Result};
-pub use schema::{unqualified, Field, FieldRef, Schema};
+pub use schema::{Field, FieldRef, Schema};
 pub use tuple::{Relation, Tuple};
 pub use value::{DataType, Value};

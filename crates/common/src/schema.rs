@@ -1,10 +1,14 @@
 //! Schemas and field references.
 //!
-//! Fields are addressed by a qualified name `dataset.field`. When a join is
-//! materialized into an intermediate dataset (the paper's `I_AB`), the
-//! intermediate relation keeps the *original* qualified names of the surviving
-//! columns so that query reconstruction (Section 5.4 of the paper) can simply
-//! re-point join predicates at the new dataset.
+//! A column's identity is the [`FieldRef`] the SQL binder gives it: the FROM
+//! alias it was read under plus its field name (`d1.d_date_sk`). Past the
+//! binder every lookup is exact ([`Schema::index_of`]); only the edges where a
+//! user types a bare column name (the binder, the ingestion options) resolve
+//! one with [`Schema::index_of_unqualified`]. A base table is seen under its
+//! alias, and an intermediate (the paper's `I_AB`) keeps the identities of
+//! the columns it was built from, so `a.id` and `b.id` stay two columns and
+//! query reconstruction (Section 5.4 of the paper) re-points datasets, never
+//! columns.
 
 use crate::error::{RdoError, Result};
 use crate::value::DataType;
@@ -46,19 +50,6 @@ impl fmt::Display for FieldRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{}", self.dataset, self.field)
     }
-}
-
-/// Strips the dataset qualifier from a (possibly qualified) column name:
-/// `"lineitem.l_orderkey"` → `"l_orderkey"`, `"l_orderkey"` → itself.
-///
-/// Used wherever a column is looked up by its bare name: secondary-index
-/// keys, the fallback of partition-key resolution
-/// (`rdo_storage::table::resolve_key`) and the Sink's tracked columns.
-/// Partition placement is never matched by name — it is tracked as a
-/// resolved column index, because two datasets' `id` columns share a bare
-/// name but not a placement.
-pub fn unqualified(column: &str) -> &str {
-    column.rsplit('.').next().unwrap_or(column)
 }
 
 /// A single column of a schema.
@@ -122,8 +113,8 @@ impl Schema {
             .ok_or_else(|| RdoError::UnknownField(field.qualified()))
     }
 
-    /// Index of a field by unqualified column name. Errors if ambiguous or
-    /// missing.
+    /// Index of a field by the bare column name a user typed (the binder and
+    /// the ingestion options). Errors if ambiguous or missing.
     pub fn index_of_unqualified(&self, column: &str) -> Result<usize> {
         let mut matches = self
             .fields
@@ -139,24 +130,9 @@ impl Schema {
         }
     }
 
-    /// Looks a field up by qualified reference, falling back to the unqualified
-    /// column name. The fallback is what lets reconstructed queries address a
-    /// column of `I_AB` via its original `B.c` reference.
-    pub fn resolve(&self, field: &FieldRef) -> Result<usize> {
-        if let Ok(i) = self.index_of(field) {
-            return Ok(i);
-        }
-        self.index_of_unqualified(&field.field)
-    }
-
     /// Returns the field at `index`.
     pub fn field(&self, index: usize) -> &Field {
         &self.fields[index]
-    }
-
-    /// True if the schema contains the field (qualified or by column name).
-    pub fn contains(&self, field: &FieldRef) -> bool {
-        self.resolve(field).is_ok()
     }
 
     /// Concatenates two schemas (used when joining two inputs).
@@ -169,18 +145,6 @@ impl Schema {
     /// Builds a projected schema out of the given column indexes.
     pub fn project(&self, indexes: &[usize]) -> Schema {
         Schema::new(indexes.iter().map(|&i| self.fields[i].clone()).collect())
-    }
-
-    /// Renames every field to belong to `dataset`, keeping column names. Used
-    /// when a materialized intermediate result is registered as a new dataset
-    /// but consumers may still use original qualified names via [`Self::resolve`].
-    pub fn with_dataset(&self, dataset: &str) -> Schema {
-        Schema::new(
-            self.fields
-                .iter()
-                .map(|f| Field::new(FieldRef::new(dataset, f.name.field.clone()), f.data_type))
-                .collect(),
-        )
     }
 
     /// Qualified names of all columns.
@@ -233,15 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_falls_back_to_unqualified() {
-        let s = sample().with_dataset("I_ab");
-        // The original qualified name no longer matches exactly but resolves by
-        // column name.
-        assert_eq!(s.resolve(&FieldRef::new("lineitem", "l_price")).unwrap(), 2);
-        assert_eq!(s.resolve(&FieldRef::new("I_ab", "l_orderkey")).unwrap(), 0);
-    }
-
-    #[test]
     fn ambiguous_unqualified_lookup_errors() {
         let a = Schema::for_dataset("a", &[("k", DataType::Int64)]);
         let b = Schema::for_dataset("b", &[("k", DataType::Int64)]);
@@ -270,13 +225,6 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.field(0).name.field, "l_price");
         assert_eq!(p.field(1).name.field, "l_orderkey");
-    }
-
-    #[test]
-    fn with_dataset_renames() {
-        let s = sample().with_dataset("I_1");
-        assert!(s.fields().iter().all(|f| f.name.dataset == "I_1"));
-        assert_eq!(s.field(0).name.field, "l_orderkey");
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl Relation {
 
     /// Extracts the column `field` as a vector of values.
     pub fn column(&self, field: &FieldRef) -> Result<Vec<Value>> {
-        let idx = self.schema.resolve(field)?;
+        let idx = self.schema.index_of(field)?;
         Ok(self.rows.iter().map(|r| r.value(idx).clone()).collect())
     }
 

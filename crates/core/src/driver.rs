@@ -359,15 +359,14 @@ impl DynamicDriver {
                     let partition_key = spec
                         .joins_involving(&alias)
                         .first()
-                        .and_then(|j| j.key_of(&alias))
-                        .map(|k| k.field.clone());
+                        .and_then(|j| spec.key_of(j, &alias));
                     let tracked = Self::tracked_columns(&spec, &alias);
                     let materialized = materialize(
                         &pool,
                         catalog,
                         &table_name,
                         &data,
-                        partition_key.as_deref(),
+                        partition_key,
                         &tracked,
                         self.config.collect_online_stats,
                         &mut stage_metrics,
@@ -451,13 +450,13 @@ impl DynamicDriver {
                 let remaining_edges = join_edges(&new_spec).len();
                 let collect = self.config.collect_online_stats && remaining_edges > 2;
                 let tracked = Self::tracked_columns(&new_spec, &name);
-                let partition_key = planned.keys.first().map(|(probe, _)| probe.field.clone());
+                let partition_key = planned.keys.first().map(|(probe, _)| probe);
                 let materialized = materialize(
                     &pool,
                     catalog,
                     &name,
                     &data,
-                    partition_key.as_deref(),
+                    partition_key,
                     &tracked,
                     collect,
                     &mut stage_metrics,
@@ -575,7 +574,7 @@ impl DynamicDriver {
 
     /// The columns of `alias` worth collecting statistics on: its join keys in
     /// the (remaining) query.
-    fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<String> {
+    fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<FieldRef> {
         spec.join_key_columns().remove(alias).unwrap_or_default()
     }
 }
@@ -603,7 +602,7 @@ pub(crate) fn final_job(
     if !projection.is_empty() {
         let indexes = projection
             .iter()
-            .map(|f| data.schema().resolve(f))
+            .map(|f| data.schema().index_of(f))
             .collect::<Result<Vec<usize>>>()?;
         let partitions = data
             .partitions()
@@ -1064,7 +1063,7 @@ mod tests {
         let schema = relation.schema().clone();
         let indexes: Vec<usize> = projection
             .iter()
-            .map(|f| schema.resolve(f).unwrap())
+            .map(|f| schema.index_of(f).unwrap())
             .collect();
         let rows = relation
             .rows()

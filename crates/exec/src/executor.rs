@@ -218,7 +218,8 @@ impl<'a> ParallelExecutor<'a> {
         keys: &[(FieldRef, FieldRef)],
         metrics: &mut ExecutionMetrics,
     ) -> Result<PartitionedData> {
-        let (left_key_indexes, right_key_indexes) = resolve_keys(&left, &right, keys)?;
+        let (left_key_indexes, right_key_indexes) =
+            resolve_keys(left.schema(), right.schema(), keys)?;
         let mut span = rdo_trace::span("exec.join");
         span.attr_str("algo", "hash");
         span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
@@ -286,7 +287,8 @@ impl<'a> ParallelExecutor<'a> {
         keys: &[(FieldRef, FieldRef)],
         metrics: &mut ExecutionMetrics,
     ) -> Result<PartitionedData> {
-        let (left_key_indexes, right_key_indexes) = resolve_keys(&left, &right, keys)?;
+        let (left_key_indexes, right_key_indexes) =
+            resolve_keys(left.schema(), right.schema(), keys)?;
         let mut span = rdo_trace::span("exec.join");
         span.attr_str("algo", "broadcast");
         span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);

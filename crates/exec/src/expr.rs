@@ -17,7 +17,7 @@
 
 use rdo_common::batch::utf8_slot;
 use rdo_common::{Batch, Column, FieldRef, NullBitmap, RdoError, Result, Schema, Tuple, Value};
-use rdo_sketch::DatasetStats;
+use rdo_sketch::ColumnStats;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -225,7 +225,7 @@ impl Predicate {
 
     /// Evaluates the predicate against one tuple.
     pub fn evaluate(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        let idx = schema.resolve(self.field())?;
+        let idx = schema.index_of(self.field())?;
         let value = tuple.value(idx);
         if value.is_null() {
             return Ok(false);
@@ -258,7 +258,7 @@ impl Predicate {
     /// row-path decision, so both paths agree bit-for-bit by construction.
     pub fn evaluate_batch(&self, schema: &Schema, batch: &Batch, mask: &mut [bool]) -> Result<()> {
         debug_assert_eq!(mask.len(), batch.num_rows());
-        let idx = schema.resolve(self.field())?;
+        let idx = schema.index_of(self.field())?;
         let col = batch.column(idx);
         if self.eval_batch_fast(col, mask) {
             return Ok(());
@@ -470,13 +470,14 @@ impl Predicate {
         }
     }
 
-    /// Selectivity as seen by a *static* optimizer: histogram-based for simple
-    /// fixed-value predicates, System-R default factors for complex ones.
-    pub fn estimate_selectivity(&self, stats: Option<&DatasetStats>) -> f64 {
+    /// Selectivity as seen by a *static* optimizer, given the statistics of
+    /// the predicate's column: histogram-based for simple fixed-value
+    /// predicates, System-R default factors for complex ones (and for a
+    /// column without statistics).
+    pub fn estimate_selectivity(&self, column: Option<&ColumnStats>) -> f64 {
         if self.is_complex() {
             return self.default_selectivity();
         }
-        let column = stats.and_then(|s| s.column(&self.field().field));
         match (&self.expr, column) {
             (PredicateExpr::Compare { op, value, .. }, Some(col)) => {
                 let v = value.numeric_rank();
@@ -583,16 +584,6 @@ pub fn evaluate_all_batch(
     Ok(mask)
 }
 
-/// Static selectivity of a conjunction assuming independence (what traditional
-/// optimizers do; the paper highlights this as a source of error for correlated
-/// predicates).
-pub fn combined_selectivity(predicates: &[Predicate], stats: Option<&DatasetStats>) -> f64 {
-    predicates
-        .iter()
-        .map(|p| p.estimate_selectivity(stats))
-        .product()
-}
-
 /// Convenience error constructor used by operators when a predicate references
 /// a column missing from the input schema.
 pub fn unknown_field(field: &FieldRef) -> RdoError {
@@ -603,7 +594,7 @@ pub fn unknown_field(field: &FieldRef) -> RdoError {
 mod tests {
     use super::*;
     use rdo_common::DataType;
-    use rdo_sketch::DatasetStatsBuilder;
+    use rdo_sketch::{DatasetStats, DatasetStatsBuilder};
 
     fn schema() -> Schema {
         Schema::for_dataset(
@@ -688,10 +679,10 @@ mod tests {
         let p =
             Predicate::compare(FieldRef::new("part", "p_size"), CmpOp::Eq, 3i64).parameterized();
         assert!(p.is_complex());
-        assert_eq!(p.estimate_selectivity(Some(&st)), 0.1);
+        assert_eq!(p.estimate_selectivity(st.column(p.field())), 0.1);
         // The same predicate un-parameterized uses the histogram (1/50 ≈ 0.02).
         let q = Predicate::compare(FieldRef::new("part", "p_size"), CmpOp::Eq, 3i64);
-        let est = q.estimate_selectivity(Some(&st));
+        let est = q.estimate_selectivity(st.column(q.field()));
         assert!(est < 0.05, "histogram estimate {est} should be ~1/50");
     }
 
@@ -699,14 +690,14 @@ mod tests {
     fn udf_estimate_is_default_factor() {
         let st = stats(1000);
         let p = Predicate::udf("f", FieldRef::new("part", "p_brand"), |_| true);
-        assert_eq!(p.estimate_selectivity(Some(&st)), 0.1);
+        assert_eq!(p.estimate_selectivity(st.column(p.field())), 0.1);
     }
 
     #[test]
     fn range_estimate_uses_histogram() {
         let st = stats(10_000);
         let p = Predicate::compare(FieldRef::new("part", "p_size"), CmpOp::Lt, 25i64);
-        let est = p.estimate_selectivity(Some(&st));
+        let est = p.estimate_selectivity(st.column(p.field()));
         assert!((est - 0.5).abs() < 0.1, "estimate {est} should be ~0.5");
     }
 
@@ -717,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_evaluation_and_independence_assumption() {
+    fn conjunction_evaluation() {
         let s = schema();
         let preds = vec![
             Predicate::compare(FieldRef::new("part", "p_size"), CmpOp::Lt, 10i64),
@@ -725,13 +716,6 @@ mod tests {
         ];
         assert!(evaluate_all(&preds, &s, &tuple(1, 5, "A")).unwrap());
         assert!(!evaluate_all(&preds, &s, &tuple(1, 5, "B")).unwrap());
-        let st = stats(1000);
-        let combined = combined_selectivity(&preds, Some(&st));
-        let individual: f64 = preds
-            .iter()
-            .map(|p| p.estimate_selectivity(Some(&st)))
-            .product();
-        assert!((combined - individual).abs() < 1e-12);
     }
 
     #[test]

@@ -391,12 +391,12 @@ fn aggregate(
     let schema = input.schema();
     let key_indexes = group_by
         .iter()
-        .map(|f| schema.resolve(f))
+        .map(|f| schema.index_of(f))
         .collect::<Result<Vec<usize>>>()?;
     let agg_indexes = aggregates
         .iter()
         .map(|a| match &a.input {
-            Some(field) => schema.resolve(field).map(Some),
+            Some(field) => schema.index_of(field).map(Some),
             None => Ok(None),
         })
         .collect::<Result<Vec<Option<usize>>>>()?;
@@ -461,7 +461,7 @@ fn sort(input: Relation, keys: &[SortKey]) -> Result<Relation> {
         .iter()
         .map(|k| {
             schema
-                .resolve(&k.field)
+                .index_of(&k.field)
                 .map(|i| (i, k.ascending))
                 .map_err(|_| unknown_field(&k.field))
         })

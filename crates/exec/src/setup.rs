@@ -5,15 +5,14 @@
 //! partition-key survival are computed once per operator, before any
 //! per-partition work starts.
 
-use crate::data::PartitionedData;
 use rdo_common::{FieldRef, Result, Schema};
 use rdo_storage::Table;
 
 /// Everything a scan derives from the plan node before touching rows.
 #[derive(Debug, Clone)]
 pub struct ScanSetup {
-    /// The table's schema re-aliased to the plan's dataset name; predicates
-    /// are evaluated against it.
+    /// The table's schema as seen under the plan's dataset alias
+    /// ([`Table::schema_as`]); predicates are evaluated against it.
     pub schema: Schema,
     /// Resolved projection column indexes (`None` keeps every column).
     pub projection_indexes: Option<Vec<usize>>,
@@ -31,19 +30,8 @@ pub fn prepare_scan(
     dataset: &str,
     projection: Option<&[FieldRef]>,
 ) -> Result<ScanSetup> {
-    let mut schema = table.schema().clone();
-    if dataset != table.name() {
-        schema = schema.with_dataset(dataset);
-    }
-
-    let projection_indexes = match projection {
-        Some(cols) => Some(
-            cols.iter()
-                .map(|c| schema.resolve(c))
-                .collect::<Result<Vec<usize>>>()?,
-        ),
-        None => None,
-    };
+    let schema = table.schema_as(dataset);
+    let projection_indexes = resolve_projection(&schema, projection)?;
     let out_schema = match &projection_indexes {
         Some(idx) => schema.project(idx),
         None => schema.clone(),
@@ -63,8 +51,8 @@ pub fn prepare_scan(
 /// indexes against the broadcast (right) side.
 #[derive(Debug, Clone)]
 pub struct IndexedJoinSetup {
-    /// Aliased schema of the indexed base table; the scan's local predicates
-    /// are evaluated against it.
+    /// Schema of the indexed base table as seen under its alias; the scan's
+    /// local predicates are evaluated against it.
     pub left_schema: Schema,
     /// Resolved projection indexes of the indexed side.
     pub projection_indexes: Option<Vec<usize>>,
@@ -90,18 +78,8 @@ pub fn prepare_indexed_join(
     right_schema: &Schema,
     keys: &[(FieldRef, FieldRef)],
 ) -> Result<IndexedJoinSetup> {
-    let mut left_schema = table.schema().clone();
-    if dataset != table.name() {
-        left_schema = left_schema.with_dataset(dataset);
-    }
-    let projection_indexes = match projection {
-        Some(cols) => Some(
-            cols.iter()
-                .map(|c| left_schema.resolve(c))
-                .collect::<Result<Vec<usize>>>()?,
-        ),
-        None => None,
-    };
+    let left_schema = table.schema_as(dataset);
+    let projection_indexes = resolve_projection(&left_schema, projection)?;
     let left_out_schema = match &projection_indexes {
         Some(idx) => left_schema.project(idx),
         None => left_schema.clone(),
@@ -110,15 +88,8 @@ pub fn prepare_indexed_join(
 
     // Residual key pairs beyond the indexed one are checked after the index
     // probe (composite-key joins).
-    let left_key_indexes: Vec<usize> = keys
-        .iter()
-        .map(|(l, _)| left_schema.resolve(l))
-        .collect::<Result<Vec<usize>>>()?;
-    let right_key_indexes: Vec<usize> = keys
-        .iter()
-        .map(|(_, r)| right_schema.resolve(r))
-        .collect::<Result<Vec<usize>>>()?;
-    let first_right_key_index = right_schema.resolve(&keys[0].1)?;
+    let (left_key_indexes, right_key_indexes) = resolve_keys(&left_schema, right_schema, keys)?;
+    let first_right_key_index = right_key_indexes[0];
 
     let partition_key = partition_key_surviving(table, projection_indexes.as_deref());
     Ok(IndexedJoinSetup {
@@ -132,21 +103,31 @@ pub fn prepare_indexed_join(
     })
 }
 
-/// Resolves every join-key pair against the two join inputs.
+/// Resolves every join-key pair against the schemas of the two join inputs.
 pub fn resolve_keys(
-    left: &PartitionedData,
-    right: &PartitionedData,
+    left: &Schema,
+    right: &Schema,
     keys: &[(FieldRef, FieldRef)],
 ) -> Result<(Vec<usize>, Vec<usize>)> {
     let left_indexes = keys
         .iter()
-        .map(|(l, _)| left.schema().resolve(l))
-        .collect::<Result<Vec<usize>>>()?;
+        .map(|(l, _)| left.index_of(l))
+        .collect::<Result<_>>()?;
     let right_indexes = keys
         .iter()
-        .map(|(_, r)| right.schema().resolve(r))
-        .collect::<Result<Vec<usize>>>()?;
+        .map(|(_, r)| right.index_of(r))
+        .collect::<Result<_>>()?;
     Ok((left_indexes, right_indexes))
+}
+
+/// Resolves a projection list (`None` keeps every column) against `schema`.
+fn resolve_projection(
+    schema: &Schema,
+    projection: Option<&[FieldRef]>,
+) -> Result<Option<Vec<usize>>> {
+    projection
+        .map(|cols| cols.iter().map(|c| schema.index_of(c)).collect())
+        .transpose()
 }
 
 /// Where the table's partition key lands in the output of `projection`

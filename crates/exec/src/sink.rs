@@ -36,9 +36,8 @@ use crate::cost::ExecutionMetrics;
 use crate::data::PartitionedData;
 use crate::partition::{repartition_batches, scatter_batches};
 use crate::pool::WorkerPool;
-use rdo_common::{Batch, Result, Schema};
+use rdo_common::{Batch, FieldRef, Result};
 use rdo_sketch::{DatasetStats, DatasetStatsBuilder};
-use rdo_storage::table::resolve_key;
 use rdo_storage::Catalog;
 
 /// What a materialization produced.
@@ -59,8 +58,11 @@ pub struct MaterializeOutcome {
 }
 
 /// Materializes `data` into the catalog as temporary table `name`,
-/// hash-partitioned on `partition_key`, collecting online statistics on
-/// `tracked_columns` from per-partition partials merged at the barrier.
+/// hash-partitioned on column `partition_key`, collecting online statistics
+/// on `tracked_columns` from per-partition partials merged at the barrier.
+/// Both are column identities, found in `data`'s schema exactly: the table
+/// keeps the identities it was built with, so `a.id` and `b.id` stay two
+/// columns with a sketch each.
 ///
 /// The paper disables online statistics for the final iteration ("the online
 /// statistics framework is enabled in all the iterations except for the last
@@ -70,7 +72,7 @@ pub struct MaterializeOutcome {
 /// and read the batches column slot by column slot.
 ///
 /// The batches then move into the catalog: as they are when `data` is
-/// already hash-partitioned on the column `partition_key` resolves to, with
+/// already hash-partitioned on `partition_key`, with
 /// the cluster's partition count, re-bucketed batch to batch otherwise. The
 /// catalog's spill policy decides whether the table stays resident or goes
 /// to the paged disk store; logical page writes land in the `spill_*`
@@ -81,8 +83,8 @@ pub fn materialize(
     catalog: &mut Catalog,
     name: &str,
     data: &PartitionedData,
-    partition_key: Option<&str>,
-    tracked_columns: &[String],
+    partition_key: Option<&FieldRef>,
+    tracked_columns: &[FieldRef],
     collect_stats: bool,
     metrics: &mut ExecutionMetrics,
 ) -> Result<MaterializeOutcome> {
@@ -90,16 +92,20 @@ pub fn materialize(
     let bytes = data.approx_bytes() as u64;
     let mut span = rdo_trace::span("sink.materialize");
     span.attr_str("table", name);
+    let key_index = partition_key
+        .map(|key| data.schema().index_of(key))
+        .transpose()?;
 
-    // Statistics cost accounting: one observation per tracked column
-    // actually present in the schema, per row.
-    let tracked: &[String] = if collect_stats { tracked_columns } else { &[] };
-    let stats_values = tracked_columns_present(data.schema(), tracked) * rows;
+    // Statistics cost accounting: one observation per tracked column the
+    // schema holds, per row.
+    let tracked: &[FieldRef] = if collect_stats { tracked_columns } else { &[] };
+    let columns = DatasetStatsBuilder::new(data.schema(), tracked).tracked_columns();
+    let stats_values = columns.len() as u64 * rows;
 
     let partials = pool.map_indexed(data.num_partitions(), |p| {
         let mut span = rdo_trace::span("sink.sketch");
         span.attr_u64("partition", p as u64);
-        let mut builder = DatasetStatsBuilder::new(data.schema(), tracked);
+        let mut builder = DatasetStatsBuilder::new(data.schema(), &columns);
         for batch in &data.partitions()[p] {
             builder.observe_batch(batch);
         }
@@ -108,13 +114,12 @@ pub fn materialize(
     });
     let stats = {
         let _span = rdo_trace::span("sink.merge");
-        let names = DatasetStatsBuilder::new(data.schema(), tracked).tracked_columns();
-        let columns = pool.map_indexed(names.len(), |column| {
+        let merged = pool.map_indexed(columns.len(), |column| {
             DatasetStatsBuilder::merged_column(&partials, column)
         });
         DatasetStats {
             row_count: rows,
-            columns: names.into_iter().zip(columns).collect(),
+            columns: columns.into_iter().zip(merged).collect(),
         }
     };
 
@@ -123,8 +128,8 @@ pub fn materialize(
         catalog.register_intermediate_partitioned(
             name,
             data.schema().clone(),
-            stored_layout(data, partition_key, catalog.num_partitions())?,
-            partition_key,
+            stored_layout(data, key_index, catalog.num_partitions()),
+            key_index,
             stats,
         )?
     };
@@ -145,49 +150,27 @@ pub fn materialize(
     })
 }
 
-/// Counts how many of `tracked_columns` actually exist in `schema` (matched
-/// unqualified or fully qualified) — the per-row statistics work the Sink
-/// charges to the cost model.
-fn tracked_columns_present(schema: &Schema, tracked_columns: &[String]) -> u64 {
-    tracked_columns
-        .iter()
-        .filter(|c| {
-            let unqualified = rdo_common::unqualified(c);
-            schema
-                .fields()
-                .iter()
-                .any(|f| f.name.field == unqualified || f.name.qualified() == **c)
-        })
-        .count() as u64
-}
-
 /// The batches of `data` laid out as a table of `num_partitions` partitions
-/// hash-partitioned on `partition_key` stores them: exactly the assignment
+/// hash-partitioned on column `key_index` stores them: exactly the assignment
 /// and row order that gathering the data and re-hashing it row by row gives
-/// (round-robin over the gathered order when there is no key). The key is
-/// resolved to a column the way the table resolves it, and data already
+/// (round-robin over the gathered order when there is no key). Data already
 /// partitioned on that column is returned as it is, batches shared.
 fn stored_layout(
     data: &PartitionedData,
-    partition_key: Option<&str>,
+    key_index: Option<usize>,
     num_partitions: usize,
-) -> Result<Vec<Vec<Batch>>> {
-    let Some(key) = partition_key else {
+) -> Vec<Vec<Batch>> {
+    let Some(key_index) = key_index else {
         let mut gathered = 0usize;
-        return Ok(scatter_batches(
-            &data.all_batches(),
-            num_partitions,
-            |chunk, slots| {
-                for s in 0..chunk.num_rows() {
-                    slots[(gathered + s) % num_partitions].push(s as u32);
-                }
-                gathered += chunk.num_rows();
-            },
-        ));
+        return scatter_batches(&data.all_batches(), num_partitions, |chunk, slots| {
+            for s in 0..chunk.num_rows() {
+                slots[(gathered + s) % num_partitions].push(s as u32);
+            }
+            gathered += chunk.num_rows();
+        });
     };
-    let key_index = resolve_key(data.schema(), key)?;
     if data.is_partitioned_on(key_index) && data.num_partitions() == num_partitions {
-        return Ok(data.partitions().to_vec());
+        return data.partitions().to_vec();
     }
     let bucketed = data
         .partitions()
@@ -196,7 +179,7 @@ fn stored_layout(
         .map(|(from, chunks)| repartition_batches(chunks, key_index, from, num_partitions));
     let (laid_out, _, _) =
         PartitionedData::from_buckets(data.schema().clone(), bucketed, num_partitions, key_index);
-    Ok(laid_out.into_partitions())
+    laid_out.into_partitions()
 }
 
 #[cfg(test)]
@@ -205,7 +188,7 @@ mod tests {
     use crate::config::ParallelConfig;
     use crate::executor::ParallelExecutor;
     use crate::plan::PhysicalPlan;
-    use rdo_common::{DataType, Relation, Tuple, Value};
+    use rdo_common::{DataType, Relation, Schema, Tuple, Value};
     use rdo_storage::IngestOptions;
 
     fn catalog() -> Catalog {
@@ -229,6 +212,10 @@ mod tests {
         cat
     }
 
+    fn orders(field: &str) -> FieldRef {
+        FieldRef::new("orders", field)
+    }
+
     fn scan(cat: &Catalog, workers: usize) -> (PartitionedData, ExecutionMetrics) {
         let mut metrics = ExecutionMetrics::new();
         let exec = ParallelExecutor::new(cat, ParallelConfig::serial().with_workers(workers));
@@ -247,8 +234,8 @@ mod tests {
             &mut cat,
             "I_1",
             &data,
-            Some("o_custkey"),
-            &["o_custkey".to_string()],
+            Some(&orders("o_custkey")),
+            &[orders("o_custkey")],
             true,
             &mut metrics,
         )
@@ -261,9 +248,9 @@ mod tests {
         // Online statistics exist for the tracked column, and only for it.
         let stats = cat.stats().get("I_1").unwrap();
         assert_eq!(stats.row_count, 100);
-        let column = stats.column("o_custkey").unwrap();
+        let column = stats.column(&orders("o_custkey")).unwrap();
         assert!((column.distinct_nonzero() - 10.0).abs() < 2.0);
-        assert!(stats.column("o_orderkey").is_none());
+        assert!(stats.column(&orders("o_orderkey")).is_none());
         assert_eq!(
             cat.table("I_1").unwrap().partition_key(),
             Some(1),
@@ -291,7 +278,7 @@ mod tests {
             "I_2",
             &data,
             None,
-            &["not_a_column".to_string(), "o_custkey".to_string()],
+            &[orders("not_a_column"), orders("o_custkey")],
             true,
             &mut metrics,
         )
@@ -321,7 +308,7 @@ mod tests {
             &mut cat,
             "I_key",
             &data,
-            Some("o_orderkey"),
+            Some(&orders("o_orderkey")),
             &[],
             false,
             &mut m,
@@ -368,7 +355,7 @@ mod tests {
             &mut cat,
             "I_ab",
             &by_a,
-            Some("b.id"),
+            Some(&FieldRef::new("b", "id")),
             &[],
             false,
             &mut m,
@@ -401,8 +388,8 @@ mod tests {
             &mut cat,
             "I_spill",
             &data,
-            Some("o_orderkey"),
-            &["o_custkey".to_string()],
+            Some(&orders("o_orderkey")),
+            &[orders("o_custkey")],
             true,
             &mut m,
         )
@@ -417,7 +404,7 @@ mod tests {
         assert_eq!(m.stats_values_observed, 100);
         let stats = cat.stats().get("I_spill").unwrap();
         assert_eq!(stats.row_count, 100);
-        assert!(stats.column("o_custkey").is_some());
+        assert!(stats.column(&orders("o_custkey")).is_some());
 
         // Reading the spilled intermediate charges the same logical
         // intermediate-read metrics as the memory path, plus page reads.
@@ -442,7 +429,7 @@ mod tests {
                 "I_1",
                 &data,
                 None,
-                &["o_custkey".to_string()],
+                &[orders("o_custkey")],
                 true,
                 &mut m,
             )
@@ -458,7 +445,7 @@ mod tests {
                 "I_1",
                 &data,
                 None,
-                &["o_custkey".to_string()],
+                &[orders("o_custkey")],
                 true,
                 &mut m,
             )
@@ -466,8 +453,8 @@ mod tests {
             let stats = cat.stats().get("I_1").unwrap();
             assert_eq!(stats.row_count, reference.row_count);
             let (a, b) = (
-                stats.column("o_custkey").unwrap(),
-                reference.column("o_custkey").unwrap(),
+                stats.column(&orders("o_custkey")).unwrap(),
+                reference.column(&orders("o_custkey")).unwrap(),
             );
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "workers={workers}");
         }
@@ -483,7 +470,7 @@ mod tests {
             "I_last",
             &data,
             None,
-            &["o_custkey".to_string()],
+            &[orders("o_custkey")],
             false,
             &mut metrics,
         )

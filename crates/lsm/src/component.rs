@@ -178,7 +178,7 @@ impl Component {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::DataType;
+    use rdo_common::{DataType, FieldRef};
 
     fn schema() -> Schema {
         Schema::for_dataset("t", &[("id", DataType::Int64), ("v", DataType::Int64)])
@@ -197,7 +197,7 @@ mod tests {
         assert_eq!(c.len(), 100);
         assert_eq!(c.key_range(), (&Value::Int64(0), &Value::Int64(99)));
         assert_eq!(c.stats().row_count, 100);
-        assert!(c.stats().column("id").is_some());
+        assert!(c.stats().column(&FieldRef::new("t", "id")).is_some());
         assert!(c.approx_bytes() > 0);
         assert_eq!(c.generation(), 0);
         assert_eq!(c.id().to_string(), "c1");
@@ -268,7 +268,11 @@ mod tests {
             .unwrap();
         let merged = Component::merge_of(ComponentId(3), &schema(), 0, &[&a, &b]).unwrap();
         assert_eq!(merged.stats().row_count, 1000);
-        let distinct = merged.stats().column("id").unwrap().distinct as f64;
+        let distinct = merged
+            .stats()
+            .column(&FieldRef::new("t", "id"))
+            .unwrap()
+            .distinct as f64;
         assert!(
             (distinct - 1000.0).abs() / 1000.0 < 0.05,
             "distinct {distinct}"

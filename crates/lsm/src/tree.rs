@@ -328,7 +328,7 @@ impl LsmDataset {
 mod tests {
     use super::*;
     use crate::policy::{NoMergePolicy, TieredMergePolicy};
-    use rdo_common::DataType;
+    use rdo_common::{DataType, FieldRef};
 
     fn schema() -> Schema {
         Schema::for_dataset(
@@ -437,6 +437,7 @@ mod tests {
 
         assert_eq!(lsm_stats.row_count, reference.row_count);
         for column in ["o_orderkey", "o_custkey"] {
+            let column = &FieldRef::new("orders", column);
             let lsm_distinct = lsm_stats.column(column).unwrap().distinct as f64;
             let reference_distinct = reference.column(column).unwrap().distinct as f64;
             let relative = (lsm_distinct - reference_distinct).abs() / reference_distinct.max(1.0);
@@ -469,7 +470,9 @@ mod tests {
         assert_eq!(catalog.table("orders").unwrap().row_count(), 1_000);
         let stats = catalog.stats().get("orders").expect("stats registered");
         assert_eq!(stats.row_count, 1_000);
-        assert!(stats.column("o_custkey").is_some());
+        assert!(stats
+            .column(&FieldRef::new("orders", "o_custkey"))
+            .is_some());
         assert_eq!(
             catalog.table("orders").unwrap().partition_key(),
             Some(0),

@@ -17,6 +17,7 @@ use crate::query::QuerySpec;
 use rdo_common::{Relation, Result};
 use rdo_exec::Predicate;
 use rdo_sketch::DatasetStats;
+use rdo_storage::Catalog;
 use std::fmt;
 
 /// The measured selectivities of one dataset's local predicates.
@@ -100,8 +101,9 @@ impl fmt::Display for CorrelationReport {
 
 /// Measures the marginal and combined selectivities of `predicates` over
 /// `relation` (the base data of one dataset, or a sample of it). `stats` is
-/// what a static optimizer would consult for its per-predicate estimates; pass
-/// `None` to force the System-R default factors.
+/// what a static optimizer would consult for its per-predicate estimates,
+/// keyed by the relation's columns; pass `None` to force the System-R default
+/// factors.
 pub fn analyze_predicates(
     alias: &str,
     relation: &Relation,
@@ -131,7 +133,7 @@ pub fn analyze_predicates(
         .collect();
     let independence_estimate = predicates
         .iter()
-        .map(|p| p.estimate_selectivity(stats))
+        .map(|p| p.estimate_selectivity(stats.and_then(|s| s.column(p.field()))))
         .product();
     Ok(CorrelationReport {
         alias: alias.to_string(),
@@ -146,21 +148,29 @@ pub fn analyze_predicates(
     })
 }
 
-/// Analyzes every dataset of `spec` that carries at least two local predicates,
-/// using `load` to obtain the dataset's rows (typically a closure over the
-/// catalog). Returns one report per multi-predicate dataset, in FROM-clause
-/// order — the same datasets Algorithm 1 pushes down.
-pub fn analyze_query<F>(spec: &QuerySpec, mut load: F) -> Result<Vec<CorrelationReport>>
-where
-    F: FnMut(&str) -> Result<(Relation, Option<DatasetStats>)>,
-{
+/// Analyzes every dataset of `spec` that carries at least two local
+/// predicates, over the rows and the ingestion statistics of its table in
+/// `catalog`, both seen under the dataset's alias. Returns one report per
+/// multi-predicate dataset, in FROM-clause order — the same datasets
+/// Algorithm 1 pushes down.
+pub fn analyze_query(spec: &QuerySpec, catalog: &Catalog) -> Result<Vec<CorrelationReport>> {
     let mut reports = Vec::new();
     for alias in spec.aliases() {
         let predicates = spec.predicates_for(alias);
         if predicates.len() < 2 {
             continue;
         }
-        let (relation, stats) = load(alias)?;
+        let table = catalog.table(spec.table_of(alias)?)?;
+        let relation = Relation::new(table.schema_as(alias), table.try_gather()?.into_rows())?;
+        let stats = catalog.stats().get(table.name()).map(|stats| DatasetStats {
+            row_count: stats.row_count,
+            columns: (relation.schema().fields().iter())
+                .zip(table.schema().fields())
+                .filter_map(|(seen, stored)| {
+                    Some((seen.name.clone(), stats.column(&stored.name)?.clone()))
+                })
+                .collect(),
+        });
         reports.push(analyze_predicates(
             alias,
             &relation,
@@ -296,11 +306,11 @@ mod tests {
                 CmpOp::Gt,
                 0i64,
             ));
-        let reports = analyze_query(&spec, |alias| {
-            assert_eq!(alias, "orders", "only the two-predicate dataset is loaded");
-            Ok((orders(2_000), None))
-        })
-        .unwrap();
+        let mut catalog = Catalog::new(2);
+        catalog
+            .ingest("orders", orders(2_000), Default::default())
+            .unwrap();
+        let reports = analyze_query(&spec, &catalog).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].alias, "orders");
         assert!(reports[0].correlation_factor() > 1.5);

@@ -24,9 +24,9 @@
 
 use crate::learned::LearnedStatsCatalog;
 use crate::query::{JoinCondition, QuerySpec};
-use rdo_common::{RdoError, Result};
+use rdo_common::{FieldRef, RdoError, Result};
 use rdo_exec::expr::evaluate_all_batch;
-use rdo_sketch::StatsCatalog;
+use rdo_sketch::{ColumnStats, DatasetStats, StatsCatalog};
 use rdo_storage::Catalog;
 
 /// How the estimator obtains post-predicate dataset sizes.
@@ -109,10 +109,9 @@ impl<'a> SizeEstimator<'a> {
                         return Ok(rows as f64);
                     }
                 }
-                let stats = self.stats.get(table).or_else(|| self.stats.get(alias));
                 let selectivity: f64 = predicates
                     .iter()
-                    .map(|p| p.estimate_selectivity(stats))
+                    .map(|p| p.estimate_selectivity(self.column_stats(spec, p.field())))
                     .product();
                 Ok((base * selectivity).max(1.0))
             }
@@ -123,12 +122,8 @@ impl<'a> SizeEstimator<'a> {
     /// Exact number of rows of `alias` passing its local predicates, computed by
     /// evaluating them against the stored table.
     pub fn oracle_filtered_rows(&self, spec: &QuerySpec, alias: &str) -> Result<f64> {
-        let table_name = spec.table_of(alias)?;
-        let table = self.catalog.table(table_name)?;
-        let mut schema = table.schema().clone();
-        if alias != table_name {
-            schema = schema.with_dataset(alias);
-        }
+        let table = self.catalog.table(spec.table_of(alias)?)?;
+        let schema = table.schema_as(alias);
         let predicates: Vec<_> = spec.predicates_for(alias).into_iter().cloned().collect();
         let mut count = 0u64;
         // Streamed so the oracle also works on spilled intermediates.
@@ -142,22 +137,37 @@ impl<'a> SizeEstimator<'a> {
         Ok(count as f64)
     }
 
-    /// Estimated number of distinct values of `alias.column`, capped at
-    /// `size_hint` (a dataset filtered down to `n` rows cannot have more than
-    /// `n` distinct key values).
-    pub fn column_distinct(
+    /// The statistics of the table holding `column`, and the identity the
+    /// table stores the column under (what its statistics are keyed by).
+    fn stats_of(
         &self,
         spec: &QuerySpec,
-        alias: &str,
-        column: &str,
-        size_hint: f64,
-    ) -> f64 {
-        let table = spec.table_of(alias).unwrap_or(alias);
+        column: &FieldRef,
+    ) -> Option<(&'a DatasetStats, &'a FieldRef)> {
+        let alias = spec.home_of(column);
+        let table = spec.table_of(alias).ok()?;
+        let stored = self
+            .catalog
+            .table(table)
+            .ok()?
+            .stored_column(alias, column)
+            .ok()?;
+        Some((self.stats.get(table)?, stored))
+    }
+
+    /// The statistics of one column, if its table tracks it.
+    fn column_stats(&self, spec: &QuerySpec, column: &FieldRef) -> Option<&'a ColumnStats> {
+        self.stats_of(spec, column)
+            .and_then(|(stats, stored)| stats.column(stored))
+    }
+
+    /// Estimated number of distinct values of `column`, capped at `size_hint`
+    /// (a dataset filtered down to `n` rows cannot have more than `n`
+    /// distinct key values).
+    pub fn column_distinct(&self, spec: &QuerySpec, column: &FieldRef, size_hint: f64) -> f64 {
         let distinct = self
-            .stats
-            .get(table)
-            .or_else(|| self.stats.get(alias))
-            .map(|s| s.distinct_or_rowcount(column))
+            .stats_of(spec, column)
+            .map(|(stats, stored)| stats.distinct_or_rowcount(stored))
             .unwrap_or(size_hint);
         distinct.min(size_hint.max(1.0)).max(1.0)
     }
@@ -178,18 +188,8 @@ impl<'a> SizeEstimator<'a> {
         left_size: f64,
         right_size: f64,
     ) -> f64 {
-        let u_left = self.column_distinct(
-            spec,
-            &condition.left.dataset,
-            &condition.left.field,
-            left_size,
-        );
-        let u_right = self.column_distinct(
-            spec,
-            &condition.right.dataset,
-            &condition.right.field,
-            right_size,
-        );
+        let u_left = self.column_distinct(spec, &condition.left, left_size);
+        let u_right = self.column_distinct(spec, &condition.right, right_size);
         Self::join_size(left_size, right_size, u_left, u_right)
     }
 
@@ -200,7 +200,7 @@ impl<'a> SizeEstimator<'a> {
         spec: &QuerySpec,
         condition: &JoinCondition,
     ) -> Result<f64> {
-        let (l, r) = condition.datasets();
+        let (l, r) = spec.join_homes(condition);
         let left_size = self.dataset_size(spec, l)?;
         let right_size = self.dataset_size(spec, r)?;
         Ok(self.join_cardinality(spec, condition, left_size, right_size))
@@ -376,7 +376,7 @@ mod tests {
         let cat = catalog();
         let q = spec();
         let est = SizeEstimator::new(&cat, cat.stats(), EstimationMode::Static);
-        let d = est.column_distinct(&q, "orders", "o_custkey", 50.0);
+        let d = est.column_distinct(&q, &FieldRef::new("orders", "o_custkey"), 50.0);
         assert_eq!(
             d, 50.0,
             "a 50-row filtered dataset has at most 50 distinct keys"

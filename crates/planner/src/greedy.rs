@@ -77,7 +77,7 @@ impl JoinEdge {
 pub fn join_edges(spec: &QuerySpec) -> Vec<JoinEdge> {
     let mut grouped: BTreeMap<(String, String), Vec<(FieldRef, FieldRef)>> = BTreeMap::new();
     for join in &spec.joins {
-        let (l, r) = join.datasets();
+        let (l, r) = spec.join_homes(join);
         let (a, b, lk, rk) = if l <= r {
             (
                 l.to_string(),
@@ -158,8 +158,8 @@ impl GreedyPlanner {
         // determined by the part key).
         let mut denominator = 1.0f64;
         for (lk, rk) in &edge.keys {
-            let u_l = estimator.column_distinct(spec, &edge.left_alias, &lk.field, left_size);
-            let u_r = estimator.column_distinct(spec, &edge.right_alias, &rk.field, right_size);
+            let u_l = estimator.column_distinct(spec, lk, left_size);
+            let u_r = estimator.column_distinct(spec, rk, right_size);
             denominator = denominator.max(u_l.max(u_r).max(1.0));
         }
         (left_size * right_size / denominator).max(0.0)
@@ -461,14 +461,8 @@ impl GreedyPlanner {
                 // raise a column's distinct count).
                 let mut denominator = 1.0f64;
                 for (outer_key, inner_key) in other_edge.keys_from(&outer_alias) {
-                    let u_outer =
-                        estimator.column_distinct(spec, &outer_alias, &outer_key.field, outer_size);
-                    let u_inner = estimator.column_distinct(
-                        spec,
-                        &inner_key.dataset,
-                        &inner_key.field,
-                        inner_size,
-                    );
+                    let u_outer = estimator.column_distinct(spec, &outer_key, outer_size);
+                    let u_inner = estimator.column_distinct(spec, &inner_key, inner_size);
                     denominator = denominator.max(u_outer.max(u_inner).max(1.0));
                 }
                 Ok(Some((inner_size * outer_size / denominator).max(0.0)))

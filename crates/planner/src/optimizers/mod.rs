@@ -60,8 +60,8 @@ pub trait Optimizer {
 pub trait LeafStats {
     /// Estimated qualified rows of the dataset after its local predicates.
     fn leaf_size(&self, spec: &QuerySpec, alias: &str) -> Result<f64>;
-    /// Estimated distinct values of `alias.column`, capped at `cap`.
-    fn leaf_distinct(&self, spec: &QuerySpec, alias: &str, column: &str, cap: f64) -> f64;
+    /// Estimated distinct values of `column`, capped at `cap`.
+    fn leaf_distinct(&self, spec: &QuerySpec, column: &FieldRef, cap: f64) -> f64;
 }
 
 impl LeafStats for crate::estimate::SizeEstimator<'_> {
@@ -69,8 +69,8 @@ impl LeafStats for crate::estimate::SizeEstimator<'_> {
         self.dataset_size(spec, alias)
     }
 
-    fn leaf_distinct(&self, spec: &QuerySpec, alias: &str, column: &str, cap: f64) -> f64 {
-        self.column_distinct(spec, alias, column, cap)
+    fn leaf_distinct(&self, spec: &QuerySpec, column: &FieldRef, cap: f64) -> f64 {
+        self.column_distinct(spec, column, cap)
     }
 }
 
@@ -123,7 +123,7 @@ pub fn connecting_keys(
 ) -> Vec<(FieldRef, FieldRef)> {
     let mut keys = Vec::new();
     for join in &spec.joins {
-        let (l, r) = join.datasets();
+        let (l, r) = spec.join_homes(join);
         if a.contains(l) && b.contains(r) {
             keys.push((join.left.clone(), join.right.clone()));
         } else if a.contains(r) && b.contains(l) {
@@ -177,8 +177,8 @@ pub fn join_subplans(
     // columns of a composite foreign key badly underestimates the result.
     let mut denominator = 1.0f64;
     for (ka, kb) in &keys {
-        let u_a = stats.leaf_distinct(spec, &ka.dataset, &ka.field, a.est_rows);
-        let u_b = stats.leaf_distinct(spec, &kb.dataset, &kb.field, b.est_rows);
+        let u_a = stats.leaf_distinct(spec, ka, a.est_rows);
+        let u_b = stats.leaf_distinct(spec, kb, b.est_rows);
         denominator = denominator.max(u_a.max(u_b).max(1.0));
     }
     let est_rows = (a.est_rows * b.est_rows / denominator).max(0.0);

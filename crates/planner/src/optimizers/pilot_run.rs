@@ -13,7 +13,7 @@
 use super::{dp_full_plan, LeafStats, Optimizer};
 use crate::algorithm::JoinAlgorithmRule;
 use crate::query::QuerySpec;
-use rdo_common::Result;
+use rdo_common::{FieldRef, Result};
 use rdo_exec::expr::evaluate_all_batch;
 use rdo_exec::{ExecutionMetrics, PhysicalPlan, WorkerPool};
 use rdo_sketch::{ColumnStatsBuilder, StatsCatalog};
@@ -65,9 +65,9 @@ impl Default for PilotRunOptimizer {
 struct PilotEstimates {
     /// alias → estimated post-predicate rows (sample fraction × base rows).
     sizes: HashMap<String, f64>,
-    /// (alias, column) → distinct estimate from the sample (not extrapolated —
-    /// the source of the inaccuracy the paper describes).
-    distincts: HashMap<(String, String), f64>,
+    /// column → distinct estimate from the sample (not extrapolated — the
+    /// source of the inaccuracy the paper describes).
+    distincts: HashMap<FieldRef, f64>,
 }
 
 impl LeafStats for PilotEstimates {
@@ -75,9 +75,9 @@ impl LeafStats for PilotEstimates {
         Ok(*self.sizes.get(alias).unwrap_or(&1.0))
     }
 
-    fn leaf_distinct(&self, _spec: &QuerySpec, alias: &str, column: &str, cap: f64) -> f64 {
+    fn leaf_distinct(&self, _spec: &QuerySpec, column: &FieldRef, cap: f64) -> f64 {
         self.distincts
-            .get(&(alias.to_string(), column.to_string()))
+            .get(column)
             .copied()
             .unwrap_or(cap)
             .min(cap.max(1.0))
@@ -111,24 +111,18 @@ impl PilotRunOptimizer {
 
         for dataset in &spec.datasets {
             let table = catalog.table_handle(&dataset.table)?;
-            let mut schema = table.schema().clone();
-            if dataset.alias != dataset.table {
-                schema = schema.with_dataset(&dataset.alias);
-            }
+            let schema = table.schema_as(&dataset.alias);
             let predicates: Vec<_> = spec
                 .predicates_for(&dataset.alias)
                 .into_iter()
                 .cloned()
                 .collect();
-            let tracked: Vec<String> = key_columns.get(&dataset.alias).cloned().unwrap_or_default();
-            let tracked_indexes: Vec<(String, usize)> = tracked
+            let tracked = key_columns
+                .get(&dataset.alias)
+                .map_or(&[][..], Vec::as_slice);
+            let tracked_indexes: Vec<(&FieldRef, usize)> = tracked
                 .iter()
-                .filter_map(|col| {
-                    schema
-                        .index_of_unqualified(col)
-                        .ok()
-                        .map(|idx| (col.clone(), idx))
-                })
+                .filter_map(|col| schema.index_of(col).ok().map(|idx| (col, idx)))
                 .collect();
 
             let per_partition = (self.sample_limit / table.num_partitions().max(1)).max(1);
@@ -171,9 +165,9 @@ impl PilotRunOptimizer {
             let partials = self.pool.map_indexed(table.num_partitions(), probe);
             let mut sampled = 0u64;
             let mut qualified = 0u64;
-            let mut builders: Vec<(String, ColumnStatsBuilder)> = tracked_indexes
+            let mut builders: Vec<(&FieldRef, ColumnStatsBuilder)> = tracked_indexes
                 .iter()
-                .map(|(col, _)| (col.clone(), ColumnStatsBuilder::new()))
+                .map(|&(col, _)| (col, ColumnStatsBuilder::new()))
                 .collect();
             for partial in partials {
                 let partial = partial?;
@@ -197,7 +191,7 @@ impl PilotRunOptimizer {
             sizes.insert(dataset.alias.clone(), (total_rows * fraction).max(1.0));
             for (col, builder) in builders {
                 let stats = builder.build();
-                distincts.insert((dataset.alias.clone(), col), stats.distinct.max(1) as f64);
+                distincts.insert(col.clone(), stats.distinct.max(1) as f64);
             }
         }
         Ok((PilotEstimates { sizes, distincts }, metrics))
@@ -299,7 +293,7 @@ mod tests {
         let cat = catalog();
         let opt = PilotRunOptimizer::new(JoinAlgorithmRule::default(), 400);
         let (estimates, _) = opt.pilot_runs(&spec(), &cat).unwrap();
-        let d = estimates.distincts[&("fact".to_string(), "fk".to_string())];
+        let d = estimates.distincts[&FieldRef::new("fact", "fk")];
         assert!(
             d < 1_000.0,
             "a 400-row sample cannot see the 10_000 distinct foreign keys (got {d})"

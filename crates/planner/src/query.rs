@@ -11,28 +11,42 @@ pub struct DatasetRef {
     pub alias: String,
     /// Physical table name in the catalog.
     pub table: String,
+    /// The bound aliases whose columns this dataset holds: its own alias for
+    /// a FROM-clause dataset, every alias a materialized join consumed for an
+    /// intermediate. Columns keep the identity the binder gave them (`b.id`),
+    /// so this is how the remaining query finds where they now live.
+    pub holds: Vec<String>,
 }
 
 impl DatasetRef {
     /// A dataset used under its own name.
     pub fn named(name: impl Into<String>) -> Self {
         let name = name.into();
-        Self {
-            alias: name.clone(),
-            table: name,
-        }
+        Self::aliased(name.clone(), name)
     }
 
     /// A dataset used under an alias.
     pub fn aliased(alias: impl Into<String>, table: impl Into<String>) -> Self {
+        let alias = alias.into();
         Self {
-            alias: alias.into(),
+            holds: vec![alias.clone()],
+            alias,
             table: table.into(),
+        }
+    }
+
+    /// A materialized intermediate holding the columns of `holds`.
+    pub(crate) fn intermediate(name: impl Into<String>, holds: Vec<String>) -> Self {
+        let name = name.into();
+        Self {
+            alias: name.clone(),
+            table: name,
+            holds,
         }
     }
 }
 
-/// An equi-join condition `left = right` between two dataset aliases.
+/// An equi-join condition `left = right` between two bound columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinCondition {
     /// Key on one side.
@@ -45,38 +59,6 @@ impl JoinCondition {
     /// Creates a join condition.
     pub fn new(left: FieldRef, right: FieldRef) -> Self {
         Self { left, right }
-    }
-
-    /// The two dataset aliases joined by this condition.
-    pub fn datasets(&self) -> (&str, &str) {
-        (&self.left.dataset, &self.right.dataset)
-    }
-
-    /// True if the condition touches the given alias.
-    pub fn involves(&self, alias: &str) -> bool {
-        self.left.dataset == alias || self.right.dataset == alias
-    }
-
-    /// Returns the key belonging to `alias`, if any.
-    pub fn key_of(&self, alias: &str) -> Option<&FieldRef> {
-        if self.left.dataset == alias {
-            Some(&self.left)
-        } else if self.right.dataset == alias {
-            Some(&self.right)
-        } else {
-            None
-        }
-    }
-
-    /// Returns the key of the *other* side relative to `alias`.
-    pub fn other_key(&self, alias: &str) -> Option<&FieldRef> {
-        if self.left.dataset == alias {
-            Some(&self.right)
-        } else if self.right.dataset == alias {
-            Some(&self.left)
-        } else {
-            None
-        }
     }
 
     /// Human-readable form, e.g. `lineitem.l_partkey = part.p_partkey`.
@@ -161,9 +143,36 @@ impl QuerySpec {
             .collect()
     }
 
+    /// The FROM-clause alias of the dataset holding `column` (see
+    /// [`DatasetRef::holds`]); a column no dataset holds answers its own
+    /// qualifier, which [`QuerySpec::validate`] rejects.
+    pub fn home_of<'a>(&'a self, column: &'a FieldRef) -> &'a str {
+        self.datasets
+            .iter()
+            .find(|d| d.holds.contains(&column.dataset))
+            .map_or(&column.dataset, |d| &d.alias)
+    }
+
+    /// The FROM-clause aliases of the two datasets a condition joins.
+    pub fn join_homes<'a>(&'a self, join: &'a JoinCondition) -> (&'a str, &'a str) {
+        (self.home_of(&join.left), self.home_of(&join.right))
+    }
+
+    /// The key of `join` held by `alias`, if any.
+    pub fn key_of<'a>(&'a self, join: &'a JoinCondition, alias: &str) -> Option<&'a FieldRef> {
+        match self.join_homes(join) {
+            (l, _) if l == alias => Some(&join.left),
+            (_, r) if r == alias => Some(&join.right),
+            _ => None,
+        }
+    }
+
     /// Join conditions touching an alias.
     pub fn joins_involving(&self, alias: &str) -> Vec<&JoinCondition> {
-        self.joins.iter().filter(|j| j.involves(alias)).collect()
+        self.joins
+            .iter()
+            .filter(|j| self.key_of(j, alias).is_some())
+            .collect()
     }
 
     /// Aliases that carry more than one local predicate or at least one complex
@@ -188,12 +197,12 @@ impl QuerySpec {
     pub fn required_columns(&self, alias: &str, include_predicates: bool) -> Vec<FieldRef> {
         let mut out: BTreeSet<FieldRef> = BTreeSet::new();
         for p in &self.projection {
-            if p.dataset == alias {
+            if self.home_of(p) == alias {
                 out.insert(p.clone());
             }
         }
         for j in &self.joins {
-            if let Some(k) = j.key_of(alias) {
+            if let Some(k) = self.key_of(j, alias) {
                 out.insert(k.clone());
             }
         }
@@ -205,16 +214,16 @@ impl QuerySpec {
         out.into_iter().collect()
     }
 
-    /// Join-key columns per alias (used to decide which columns need statistics).
-    pub fn join_key_columns(&self) -> HashMap<String, Vec<String>> {
-        let mut out: HashMap<String, BTreeSet<String>> = HashMap::new();
+    /// Join-key columns per alias holding them (used to decide which columns
+    /// need statistics).
+    pub fn join_key_columns(&self) -> HashMap<String, Vec<FieldRef>> {
+        let mut out: HashMap<String, BTreeSet<FieldRef>> = HashMap::new();
         for j in &self.joins {
-            out.entry(j.left.dataset.clone())
-                .or_default()
-                .insert(j.left.field.clone());
-            out.entry(j.right.dataset.clone())
-                .or_default()
-                .insert(j.right.field.clone());
+            for key in [&j.left, &j.right] {
+                out.entry(self.home_of(key).to_string())
+                    .or_default()
+                    .insert(key.clone());
+            }
         }
         out.into_iter()
             .map(|(k, v)| (k, v.into_iter().collect()))
@@ -238,7 +247,7 @@ impl QuerySpec {
             }
         }
         for j in &self.joins {
-            let (l, r) = j.datasets();
+            let (l, r) = self.join_homes(j);
             if !aliases.contains(l) || !aliases.contains(r) {
                 return Err(RdoError::InvalidQuery(format!(
                     "join references unknown dataset: {}",
@@ -271,7 +280,7 @@ impl QuerySpec {
         while changed {
             changed = false;
             for j in &self.joins {
-                let (l, r) = j.datasets();
+                let (l, r) = self.join_homes(j);
                 let has_l = reached.contains(l);
                 let has_r = reached.contains(r);
                 if has_l && !has_r {
@@ -408,18 +417,43 @@ mod tests {
     fn join_key_columns_per_alias() {
         let q = three_way();
         let keys = q.join_key_columns();
-        assert_eq!(keys["a"], vec!["x".to_string()]);
-        assert_eq!(keys["b"], vec!["x".to_string(), "y".to_string()]);
+        assert_eq!(keys["a"], vec![FieldRef::new("a", "x")]);
+        assert_eq!(
+            keys["b"],
+            vec![FieldRef::new("b", "x"), FieldRef::new("b", "y")]
+        );
     }
 
     #[test]
     fn join_condition_helpers() {
-        let j = JoinCondition::new(FieldRef::new("a", "x"), FieldRef::new("b", "y"));
-        assert_eq!(j.datasets(), ("a", "b"));
-        assert!(j.involves("a") && j.involves("b") && !j.involves("c"));
-        assert_eq!(j.key_of("a").unwrap().field, "x");
-        assert_eq!(j.other_key("a").unwrap().field, "y");
-        assert!(j.key_of("c").is_none());
-        assert_eq!(j.describe(), "a.x = b.y");
+        let q = three_way();
+        let j = &q.joins[0];
+        assert_eq!(q.join_homes(j), ("a", "b"));
+        assert_eq!(q.key_of(j, "a"), Some(&FieldRef::new("a", "x")));
+        assert_eq!(q.key_of(j, "b"), Some(&FieldRef::new("b", "x")));
+        assert!(q.key_of(j, "c").is_none());
+        assert_eq!(j.describe(), "a.x = b.x");
+    }
+
+    /// An intermediate holding `a` and `b` is where their columns now live;
+    /// the columns themselves keep their bound identity.
+    #[test]
+    fn columns_are_found_through_the_dataset_holding_them() {
+        let mut q = three_way();
+        q.datasets.drain(..2);
+        q.datasets.insert(
+            0,
+            DatasetRef::intermediate("I1", vec!["a".into(), "b".into()]),
+        );
+        q.joins.remove(0);
+        let j = &q.joins[0];
+        assert_eq!(q.join_homes(j), ("I1", "c"));
+        assert_eq!(q.key_of(j, "I1"), Some(&FieldRef::new("b", "y")));
+        assert_eq!(
+            q.required_columns("I1", false),
+            vec![FieldRef::new("a", "v"), FieldRef::new("b", "y")]
+        );
+        assert_eq!(q.join_key_columns()["I1"], vec![FieldRef::new("b", "y")]);
+        assert_eq!(q.joins_involving("I1").len(), 1);
     }
 }

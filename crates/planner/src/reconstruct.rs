@@ -7,12 +7,14 @@
 //!   by its materialized post-predicate version `A'` and its local predicates are
 //!   dropped from the WHERE clause;
 //! * after a **join job** the two joined datasets are removed from the FROM
-//!   clause and replaced by the intermediate result `I_AB`; the executed join
-//!   condition disappears and every remaining clause that referenced either
-//!   joined dataset is re-pointed at `I_AB`.
+//!   clause and replaced by the intermediate result `I_AB`, which holds their
+//!   columns; the executed join condition disappears. The remaining clauses
+//!   are left as they are: their columns keep the identity the binder gave
+//!   them (`B.c`), `I_AB` stores them under it, and
+//!   [`QuerySpec::home_of`] finds `I_AB` as the dataset holding them.
+//!   Reconstruction re-points datasets, never columns.
 
-use crate::query::{DatasetRef, JoinCondition, QuerySpec};
-use rdo_common::FieldRef;
+use crate::query::{DatasetRef, QuerySpec};
 
 /// Rewrites the query after the local predicates of `alias` have been pushed
 /// down, executed and materialized as table `filtered_table`: the alias now
@@ -41,31 +43,22 @@ pub fn reconstruct_after_join(
     intermediate: &str,
 ) -> QuerySpec {
     let consumed = [left_alias, right_alias];
-    let repoint = |field: &FieldRef| -> FieldRef {
-        if consumed.contains(&field.dataset.as_str()) {
-            FieldRef::new(intermediate, field.field.clone())
-        } else {
-            field.clone()
-        }
-    };
 
-    let mut datasets: Vec<DatasetRef> = Vec::with_capacity(spec.datasets.len().saturating_sub(1));
-    let mut inserted = false;
+    // The intermediate takes the position of the first consumed dataset in
+    // the FROM clause and holds the columns of both.
+    let mut datasets: Vec<DatasetRef> = Vec::with_capacity(spec.datasets.len());
+    let mut position = None;
+    let mut holds = Vec::new();
     for dataset in &spec.datasets {
         if consumed.contains(&dataset.alias.as_str()) {
-            // The intermediate takes the position of the first consumed dataset
-            // in the FROM clause.
-            if !inserted {
-                datasets.push(DatasetRef::named(intermediate));
-                inserted = true;
-            }
+            position.get_or_insert(datasets.len());
+            holds.extend(dataset.holds.iter().cloned());
         } else {
             datasets.push(dataset.clone());
         }
     }
-    if !inserted {
-        datasets.push(DatasetRef::named(intermediate));
-    }
+    let position = position.unwrap_or(datasets.len());
+    datasets.insert(position, DatasetRef::intermediate(intermediate, holds));
 
     // Local predicates of the consumed datasets were evaluated inside the job
     // (they were pushed into its scans), so they are dropped here.
@@ -76,25 +69,22 @@ pub fn reconstruct_after_join(
         .cloned()
         .collect();
 
-    // The executed join condition(s) disappear; remaining conditions that
-    // touched a consumed dataset now reference the intermediate.
+    // The executed join condition(s) disappear; the others stay as written.
     let joins = spec
         .joins
         .iter()
         .filter(|j| {
-            let (l, r) = j.datasets();
+            let (l, r) = spec.join_homes(j);
             !(consumed.contains(&l) && consumed.contains(&r))
         })
-        .map(|j| JoinCondition::new(repoint(&j.left), repoint(&j.right)))
+        .cloned()
         .collect();
-
-    let projection = spec.projection.iter().map(repoint).collect();
 
     QuerySpec {
         datasets,
         predicates,
         joins,
-        projection,
+        projection: spec.projection.clone(),
         name: spec.name.clone(),
     }
 }
@@ -102,6 +92,7 @@ pub fn reconstruct_after_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdo_common::FieldRef;
     use rdo_exec::{CmpOp, Predicate};
 
     /// The paper's running example: `SELECT A.a FROM A, B, C, D WHERE udf(A)
@@ -145,20 +136,16 @@ mod tests {
             vec!["I_AB", "C", "D"],
             "consumed datasets replaced by the intermediate"
         );
-        // The executed join A.b = B.b is gone; two joins remain.
+        // The executed join A.b = B.b is gone; two joins remain, written as
+        // before, and I_AB now holds their B side.
         assert_eq!(rewritten.join_count(), 2);
-        // B.c = C.c became I_AB.c = C.c.
-        assert!(rewritten
-            .joins
-            .iter()
-            .any(|j| j.describe() == "I_AB.c = C.c"));
-        // B.d = D.d became I_AB.d = D.d.
-        assert!(rewritten
-            .joins
-            .iter()
-            .any(|j| j.describe() == "I_AB.d = D.d"));
-        // The projection now derives from the intermediate.
-        assert_eq!(rewritten.projection, vec![FieldRef::new("I_AB", "a")]);
+        let described: Vec<String> = rewritten.joins.iter().map(|j| j.describe()).collect();
+        assert_eq!(described, vec!["B.c = C.c", "B.d = D.d"]);
+        assert_eq!(rewritten.join_homes(&rewritten.joins[0]), ("I_AB", "C"));
+        assert_eq!(rewritten.join_homes(&rewritten.joins[1]), ("I_AB", "D"));
+        // The projection keeps its column, which I_AB holds.
+        assert_eq!(rewritten.projection, vec![FieldRef::new("A", "a")]);
+        assert_eq!(rewritten.home_of(&rewritten.projection[0]), "I_AB");
         // The query still validates (connected join graph, known aliases).
         assert!(rewritten.validate().is_ok());
     }
@@ -181,8 +168,11 @@ mod tests {
         let step2 = reconstruct_after_join(&step1, "I_1", "C", "I_2");
         assert_eq!(step2.aliases(), vec!["I_2", "D"]);
         assert_eq!(step2.join_count(), 1);
-        assert_eq!(step2.joins[0].describe(), "I_2.d = D.d");
-        assert_eq!(step2.projection, vec![FieldRef::new("I_2", "a")]);
+        assert_eq!(step2.joins[0].describe(), "B.d = D.d");
+        assert_eq!(step2.join_homes(&step2.joins[0]), ("I_2", "D"));
+        assert_eq!(step2.projection, vec![FieldRef::new("A", "a")]);
+        assert_eq!(step2.home_of(&step2.projection[0]), "I_2");
+        assert_eq!(step2.datasets[0].holds, vec!["A", "B", "C"]);
     }
 
     #[test]
@@ -196,7 +186,8 @@ mod tests {
             .with_join(FieldRef::new("ss", "store"), FieldRef::new("s", "store"));
         let rewritten = reconstruct_after_join(&q, "ss", "sr", "I_1");
         assert_eq!(rewritten.join_count(), 1);
-        assert_eq!(rewritten.joins[0].describe(), "I_1.store = s.store");
+        assert_eq!(rewritten.joins[0].describe(), "ss.store = s.store");
+        assert_eq!(rewritten.join_homes(&rewritten.joins[0]), ("I_1", "s"));
         assert_eq!(rewritten.aliases(), vec!["I_1", "s"]);
     }
 

@@ -15,22 +15,24 @@ use std::collections::HashMap;
 pub struct DatasetStats {
     /// Number of rows in the dataset.
     pub row_count: u64,
-    /// Per-column statistics keyed by (unqualified) column name.
-    pub columns: HashMap<String, ColumnStats>,
+    /// Per-column statistics keyed by the column's identity as the dataset
+    /// stores it: `lineitem.l_partkey` for a base table, the bound `a.id` and
+    /// `b.id` for an intermediate holding both.
+    pub columns: HashMap<FieldRef, ColumnStats>,
 }
 
 impl DatasetStats {
     /// Returns the statistics for a column if tracked.
-    pub fn column(&self, name: &str) -> Option<&ColumnStats> {
-        self.columns.get(name)
+    pub fn column(&self, column: &FieldRef) -> Option<&ColumnStats> {
+        self.columns.get(column)
     }
 
     /// Estimated number of distinct values of a column; falls back to the row
     /// count (every row distinct) when the column is untracked, which is the
     /// conservative assumption for key columns.
-    pub fn distinct_or_rowcount(&self, name: &str) -> f64 {
+    pub fn distinct_or_rowcount(&self, column: &FieldRef) -> f64 {
         self.columns
-            .get(name)
+            .get(column)
             .map(|c| c.distinct_nonzero())
             .unwrap_or_else(|| self.row_count.max(1) as f64)
     }
@@ -40,30 +42,20 @@ impl DatasetStats {
 #[derive(Debug, Clone)]
 pub struct DatasetStatsBuilder {
     row_count: u64,
-    tracked: Vec<(String, usize)>,
+    tracked: Vec<(FieldRef, usize)>,
     builders: Vec<ColumnStatsBuilder>,
 }
 
 impl DatasetStatsBuilder {
-    /// Creates a builder tracking the given columns of `schema`. Column names
-    /// may be qualified or unqualified; unknown columns are ignored (they may
-    /// belong to other datasets of the same query).
-    pub fn new(schema: &Schema, tracked_columns: &[String]) -> Self {
-        let mut tracked = Vec::new();
-        for name in tracked_columns {
-            let field = match FieldRef::parse(name) {
-                Ok(f) => f,
-                Err(_) => FieldRef::new("", name.clone()),
-            };
-            let idx = if field.dataset.is_empty() {
-                schema.index_of_unqualified(&field.field).ok()
-            } else {
-                schema.resolve(&field).ok()
-            };
-            if let Some(idx) = idx {
-                let column_name = schema.field(idx).name.field.clone();
-                if !tracked.iter().any(|(n, _)| n == &column_name) {
-                    tracked.push((column_name, idx));
+    /// Creates a builder tracking the given columns of `schema`, each found by
+    /// its exact identity; columns the schema does not hold are ignored (they
+    /// may belong to other datasets of the same query).
+    pub fn new(schema: &Schema, tracked_columns: &[FieldRef]) -> Self {
+        let mut tracked: Vec<(FieldRef, usize)> = Vec::new();
+        for column in tracked_columns {
+            if let Ok(idx) = schema.index_of(column) {
+                if !tracked.iter().any(|(c, _)| c == column) {
+                    tracked.push((column.clone(), idx));
                 }
             }
         }
@@ -77,12 +69,8 @@ impl DatasetStatsBuilder {
 
     /// Creates a builder tracking *all* columns of the schema (ingestion mode).
     pub fn all_columns(schema: &Schema) -> Self {
-        let names: Vec<String> = schema
-            .fields()
-            .iter()
-            .map(|f| f.name.field.clone())
-            .collect();
-        Self::new(schema, &names)
+        let columns: Vec<FieldRef> = schema.fields().iter().map(|f| f.name.clone()).collect();
+        Self::new(schema, &columns)
     }
 
     /// Observes one tuple.
@@ -117,7 +105,7 @@ impl DatasetStatsBuilder {
 
     /// Merges another builder collected over a disjoint set of rows of the same
     /// dataset — another cluster partition, or another LSM component of the
-    /// ingestion pipeline. Columns are matched by name; columns tracked only by
+    /// ingestion pipeline. Columns are matched by identity; columns tracked only by
     /// one side keep that side's state.
     pub fn merge(&mut self, other: &DatasetStatsBuilder) {
         self.row_count += other.row_count;
@@ -149,8 +137,8 @@ impl DatasetStatsBuilder {
         merged.build()
     }
 
-    /// Names of the columns being tracked.
-    pub fn tracked_columns(&self) -> Vec<String> {
+    /// The columns being tracked.
+    pub fn tracked_columns(&self) -> Vec<FieldRef> {
         self.tracked.iter().map(|(n, _)| n.clone()).collect()
     }
 
@@ -210,12 +198,6 @@ impl StatsCatalog {
         self.get(dataset).map(|s| s.row_count)
     }
 
-    /// Distinct-count estimate for `dataset.column`, falling back to the row
-    /// count.
-    pub fn distinct(&self, dataset: &str, column: &str) -> Option<f64> {
-        self.get(dataset).map(|s| s.distinct_or_rowcount(column))
-    }
-
     /// Names of all datasets with statistics.
     pub fn dataset_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.datasets.keys().cloned().collect();
@@ -268,25 +250,43 @@ mod tests {
         Relation::new(schema(), rows).unwrap()
     }
 
-    #[test]
-    fn tracks_requested_columns_only() {
-        let b = DatasetStatsBuilder::new(&schema(), &["o_custkey".into(), "unknown".into()]);
-        assert_eq!(b.tracked_columns(), vec!["o_custkey".to_string()]);
+    fn orders(field: &str) -> FieldRef {
+        FieldRef::new("orders", field)
     }
 
     #[test]
-    fn qualified_column_names_accepted() {
-        let b = DatasetStatsBuilder::new(&schema(), &["orders.o_orderkey".into()]);
-        assert_eq!(b.tracked_columns(), vec!["o_orderkey".to_string()]);
+    fn tracks_requested_columns_only() {
+        let b = DatasetStatsBuilder::new(&schema(), &[orders("o_custkey"), orders("unknown")]);
+        assert_eq!(b.tracked_columns(), vec![orders("o_custkey")]);
+    }
+
+    #[test]
+    fn columns_are_found_by_identity_not_by_name() {
+        let b = DatasetStatsBuilder::new(&schema(), &[FieldRef::new("o2", "o_orderkey")]);
+        assert!(b.tracked_columns().is_empty());
     }
 
     #[test]
     fn duplicate_tracked_columns_deduplicated() {
-        let b = DatasetStatsBuilder::new(
-            &schema(),
-            &["o_orderkey".into(), "orders.o_orderkey".into()],
-        );
+        let b = DatasetStatsBuilder::new(&schema(), &[orders("o_orderkey"), orders("o_orderkey")]);
         assert_eq!(b.tracked_columns().len(), 1);
+    }
+
+    /// An intermediate holding `a.id` and `b.id` tracks both, each with the
+    /// sketch of its own values.
+    #[test]
+    fn same_named_columns_of_two_datasets_get_their_own_sketches() {
+        let a = Schema::for_dataset("a", &[("id", DataType::Int64)]);
+        let joined = a.join(&Schema::for_dataset("b", &[("id", DataType::Int64)]));
+        let (a_id, b_id) = (FieldRef::new("a", "id"), FieldRef::new("b", "id"));
+        let mut builder = DatasetStatsBuilder::new(&joined, &[a_id.clone(), b_id.clone()]);
+        for i in 0..1_000i64 {
+            builder.observe(&Tuple::new(vec![Value::Int64(i), Value::Int64(i % 10)]));
+        }
+        let stats = builder.build();
+        assert_eq!(stats.columns.len(), 2);
+        assert!((stats.column(&a_id).unwrap().distinct as i64 - 1_000).abs() <= 50);
+        assert_eq!(stats.column(&b_id).unwrap().distinct, 10);
     }
 
     #[test]
@@ -295,11 +295,11 @@ mod tests {
         b.observe_relation(&relation(1000));
         let stats = b.build();
         assert_eq!(stats.row_count, 1000);
-        let custkey = stats.column("o_custkey").unwrap();
+        let custkey = stats.column(&orders("o_custkey")).unwrap();
         assert!((custkey.distinct as i64 - 100).abs() <= 5);
-        let status = stats.column("o_status").unwrap();
+        let status = stats.column(&orders("o_status")).unwrap();
         assert!(status.distinct <= 3);
-        assert_eq!(stats.distinct_or_rowcount("o_missing"), 1000.0);
+        assert_eq!(stats.distinct_or_rowcount(&orders("o_missing")), 1000.0);
     }
 
     #[test]
@@ -322,23 +322,24 @@ mod tests {
         let reference = direct.build();
 
         assert_eq!(merged.row_count, reference.row_count);
-        let merged_distinct = merged.column("o_orderkey").unwrap().distinct as f64;
-        let reference_distinct = reference.column("o_orderkey").unwrap().distinct as f64;
+        let merged_distinct = merged.column(&orders("o_orderkey")).unwrap().distinct as f64;
+        let reference_distinct = reference.column(&orders("o_orderkey")).unwrap().distinct as f64;
         let relative = (merged_distinct - reference_distinct).abs() / reference_distinct;
         assert!(relative < 0.05, "merged distinct deviates by {relative}");
     }
 
     #[test]
     fn merge_ignores_columns_missing_from_other() {
-        let mut a = DatasetStatsBuilder::new(&schema(), &["o_orderkey".into(), "o_custkey".into()]);
-        let mut b = DatasetStatsBuilder::new(&schema(), &["o_orderkey".into()]);
+        let mut a =
+            DatasetStatsBuilder::new(&schema(), &[orders("o_orderkey"), orders("o_custkey")]);
+        let mut b = DatasetStatsBuilder::new(&schema(), &[orders("o_orderkey")]);
         a.observe_relation(&relation(10));
         b.observe_relation(&relation(10));
         a.merge(&b);
         let stats = a.build();
         assert_eq!(stats.row_count, 20);
-        assert_eq!(stats.column("o_orderkey").unwrap().count, 20);
-        assert_eq!(stats.column("o_custkey").unwrap().count, 10);
+        assert_eq!(stats.column(&orders("o_orderkey")).unwrap().count, 20);
+        assert_eq!(stats.column(&orders("o_custkey")).unwrap().count, 10);
     }
 
     #[test]
@@ -439,7 +440,8 @@ mod tests {
         assert_eq!(catalog.len(), 1);
         assert!(catalog.require("orders").is_ok());
         assert!(catalog.require("lineitem").is_err());
-        assert!(catalog.distinct("orders", "o_custkey").unwrap() >= 40.0);
+        let stats = catalog.get("orders").unwrap();
+        assert!(stats.distinct_or_rowcount(&orders("o_custkey")) >= 40.0);
         catalog.remove("orders");
         assert!(catalog.is_empty());
     }

@@ -1,8 +1,8 @@
 //! The cluster catalog: tables, secondary indexes and ingestion-time statistics.
 
 use crate::index::SecondaryIndex;
-use crate::table::Table;
-use rdo_common::{Batch, RdoError, Relation, Result, Schema};
+use crate::table::{resolve_key, Table};
+use rdo_common::{Batch, FieldRef, RdoError, Relation, Result, Schema};
 use rdo_sketch::{DatasetStats, DatasetStatsBuilder, StatsCatalog};
 use rdo_spill::{SpillConfig, SpillManager};
 use std::collections::HashMap;
@@ -201,10 +201,13 @@ impl Catalog {
         Ok(())
     }
 
-    /// Registers a materialized intermediate result as a temporary table
-    /// partitioned on `partition_key`, collecting statistics only on
-    /// `tracked_columns` (the attributes that participate in later join stages,
-    /// per Section 5.3 "Online Statistics").
+    /// Registers a relation of tuples as a temporary table partitioned on
+    /// `partition_key`, collecting statistics only on `tracked_columns` (the
+    /// attributes that participate in later join stages, per Section 5.3
+    /// "Online Statistics"). This is a row edge: the key and the tracked
+    /// columns are names a caller types, `dataset.field` or a bare column
+    /// name that one column of the relation has (unknown names are skipped).
+    /// Even without sketches the row count is registered.
     pub fn register_intermediate(
         &mut self,
         name: impl Into<String>,
@@ -214,16 +217,18 @@ impl Catalog {
         collect_stats: bool,
     ) -> Result<StoredIntermediate> {
         let name = name.into();
-        if collect_stats {
-            let mut builder = DatasetStatsBuilder::new(relation.schema(), tracked_columns);
-            builder.observe_relation(&relation);
-            self.stats.register(name.clone(), builder.build());
-        } else {
-            // Even without sketches the row count is known after materialization.
-            let mut builder = DatasetStatsBuilder::new(relation.schema(), &[]);
-            builder.observe_relation(&relation);
-            self.stats.register(name.clone(), builder.build());
-        }
+        let schema = relation.schema();
+        let tracked: Vec<FieldRef> = match collect_stats {
+            true => tracked_columns
+                .iter()
+                .filter_map(|c| resolve_key(schema, c).ok())
+                .map(|i| schema.field(i).name.clone())
+                .collect(),
+            false => Vec::new(),
+        };
+        let mut builder = DatasetStatsBuilder::new(schema, &tracked);
+        builder.observe_relation(&relation);
+        self.stats.register(name.clone(), builder.build());
         let table =
             Table::from_relation(name.clone(), relation, self.num_partitions, partition_key)?
                 .into_temporary();
@@ -241,7 +246,7 @@ impl Catalog {
         name: impl Into<String>,
         schema: Schema,
         partitions: Vec<Vec<Batch>>,
-        partition_key: Option<&str>,
+        partition_key: Option<usize>,
         stats: DatasetStats,
     ) -> Result<StoredIntermediate> {
         let name = name.into();
@@ -318,11 +323,9 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Returns a secondary index on `table.column` if one exists.
+    /// Returns a secondary index on column `column` of `table` if one exists.
     pub fn secondary_index(&self, table: &str, column: &str) -> Option<&SecondaryIndex> {
-        let unqualified = rdo_common::unqualified(column);
-        self.indexes
-            .get(&(table.to_string(), unqualified.to_string()))
+        self.indexes.get(&(table.to_string(), column.to_string()))
     }
 
     /// True if `table.column` has a secondary index.
@@ -411,7 +414,6 @@ mod tests {
         )
         .unwrap();
         assert!(cat.has_secondary_index("orders", "o_custkey"));
-        assert!(cat.has_secondary_index("orders", "orders.o_custkey"));
         assert!(!cat.has_secondary_index("orders", "o_orderkey"));
         let idx = cat.secondary_index("orders", "o_custkey").unwrap();
         assert_eq!(idx.total_entries(), 100);
@@ -433,8 +435,12 @@ mod tests {
         assert_eq!(table.partition_key(), Some(1), "on o_custkey");
         let stats = cat.stats().get("I_1").unwrap();
         assert_eq!(stats.row_count, 50);
-        assert!(stats.column("o_custkey").is_some());
-        assert!(stats.column("o_orderkey").is_none());
+        assert!(stats
+            .column(&FieldRef::new("orders", "o_custkey"))
+            .is_some());
+        assert!(stats
+            .column(&FieldRef::new("orders", "o_orderkey"))
+            .is_none());
     }
 
     #[test]
@@ -593,7 +599,7 @@ mod tests {
                 "via_parts",
                 rel.schema().clone(),
                 batches,
-                Some("o_custkey"),
+                Some(1),
                 builder.build(),
             )
             .unwrap();
@@ -670,24 +676,20 @@ mod tests {
         use rdo_sketch::DatasetStatsBuilder;
         let mut cat = Catalog::new(2);
         let rel = relation(40);
-        let mut builder = DatasetStatsBuilder::new(rel.schema(), &["o_custkey".into()]);
+        let custkey = FieldRef::new("orders", "o_custkey");
+        let mut builder = DatasetStatsBuilder::new(rel.schema(), std::slice::from_ref(&custkey));
         builder.observe_relation(&rel);
         let table = Table::from_relation("scratch", rel.clone(), 2, Some("o_custkey")).unwrap();
         cat.register_intermediate_partitioned(
             "I_1",
             rel.schema().clone(),
             batches_of(&table),
-            Some("o_custkey"),
+            Some(1),
             builder.build(),
         )
         .unwrap();
         assert!(cat.table("I_1").unwrap().is_temporary());
         assert_eq!(cat.stats().row_count("I_1"), Some(40));
-        assert!(cat
-            .stats()
-            .get("I_1")
-            .unwrap()
-            .column("o_custkey")
-            .is_some());
+        assert!(cat.stats().get("I_1").unwrap().column(&custkey).is_some());
     }
 }

@@ -7,8 +7,8 @@
 //! secondary indexes, which is exactly why the cost-based and pilot-run
 //! baselines lose INL opportunities in Figure 8 of the paper.
 
-use crate::table::Table;
-use rdo_common::{FieldRef, RdoError, Result, Value};
+use crate::table::{resolve_key, Table};
+use rdo_common::{Result, Value};
 use std::collections::HashMap;
 
 /// Where an indexed row lives inside its partition: `(chunk, slot)` is row
@@ -29,12 +29,7 @@ pub struct SecondaryIndex {
 impl SecondaryIndex {
     /// Builds the index by scanning every partition of `table`.
     pub fn build(table: &Table, column: &str) -> Result<Self> {
-        let unqualified = rdo_common::unqualified(column);
-        let idx = table
-            .schema()
-            .index_of_unqualified(unqualified)
-            .or_else(|_| FieldRef::parse(column).and_then(|f| table.schema().resolve(&f)))
-            .map_err(|_| RdoError::UnknownField(column.to_string()))?;
+        let idx = resolve_key(table.schema(), column)?;
         let mut partitions = Vec::with_capacity(table.num_partitions());
         for p in 0..table.num_partitions() {
             let mut index: HashMap<Value, Vec<RowAddr>> =
@@ -52,7 +47,7 @@ impl SecondaryIndex {
         }
         Ok(Self {
             table: table.name().to_string(),
-            column: unqualified.to_string(),
+            column: table.schema().field(idx).name.field.clone(),
             partitions,
         })
     }

@@ -12,7 +12,7 @@
 //! [`Table::scan_pages`] and [`Table::gather`] materialize them on request.
 
 use rdo_common::{
-    batch_size, unqualified, Batch, FieldRef, RdoError, Relation, Result, Schema, Tuple, Value,
+    batch_size, Batch, Field, FieldRef, RdoError, Relation, Result, Schema, Tuple, Value,
 };
 use rdo_sketch::hll::hash_value;
 use rdo_spill::{
@@ -88,28 +88,29 @@ impl Table {
                     .collect()
             })
             .collect();
-        Self::from_partitions(name, schema, partitions, partition_key)
+        Self::from_partitions(name, schema, partitions, key_index)
     }
 
     /// Builds a table directly from already-partitioned batches. The caller
-    /// guarantees the rows are hash-partitioned on `partition_key` (the Sink
-    /// hands over the batches its operators produced).
+    /// guarantees the rows are hash-partitioned on column `partition_key` of
+    /// `schema` (the Sink hands over the batches its operators produced).
     pub fn from_partitions(
         name: impl Into<String>,
         schema: Schema,
         partitions: Vec<Vec<Batch>>,
-        partition_key: Option<&str>,
+        partition_key: Option<usize>,
     ) -> Result<Self> {
         if partitions.is_empty() {
             return Err(RdoError::Execution(
                 "a table needs at least one partition".to_string(),
             ));
         }
-        // The key must exist in the schema, same as from_relation.
-        let partition_key = match partition_key {
-            Some(key) => Some(resolve_key(&schema, key)?),
-            None => None,
-        };
+        if let Some(key) = partition_key.filter(|&key| key >= schema.len()) {
+            return Err(RdoError::Execution(format!(
+                "partition key column {key} is outside a {}-column schema",
+                schema.len()
+            )));
+        }
         Ok(Self {
             name: name.into(),
             schema,
@@ -158,6 +159,43 @@ impl Table {
     /// Table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The dataset a query under the FROM alias `alias` sees the stored
+    /// column `stored` in; this is the one place that rule lives. A base
+    /// table is seen under its alias (`date_dim d1` reads `d1.d_date_sk`).
+    /// An intermediate is seen as stored: its columns keep the identities
+    /// they were bound with (`a.id` and `b.id`), whatever name the
+    /// intermediate was registered under.
+    fn seen_dataset<'a>(&'a self, alias: &'a str, stored: &'a FieldRef) -> &'a str {
+        if self.temporary {
+            &stored.dataset
+        } else {
+            alias
+        }
+    }
+
+    /// The table's schema as a query sees it under the FROM alias `alias`.
+    pub fn schema_as(&self, alias: &str) -> Schema {
+        let seen = |f: &Field| FieldRef::new(self.seen_dataset(alias, &f.name), &f.name.field);
+        Schema::new(
+            self.schema
+                .fields()
+                .iter()
+                .map(|f| Field::new(seen(f), f.data_type))
+                .collect(),
+        )
+    }
+
+    /// The stored identity of `column`, a column of the table as seen under
+    /// `alias` ([`Table::schema_as`]): what the table's statistics key it by.
+    pub fn stored_column(&self, alias: &str, column: &FieldRef) -> Result<&FieldRef> {
+        self.schema
+            .fields()
+            .iter()
+            .map(|f| &f.name)
+            .find(|f| f.field == column.field && self.seen_dataset(alias, f) == column.dataset)
+            .ok_or_else(|| RdoError::UnknownField(column.qualified()))
     }
 
     /// Number of partitions.
@@ -329,15 +367,13 @@ pub fn partition_of(value: &Value, num_partitions: usize) -> usize {
     (hash_value(value) % num_partitions as u64) as usize
 }
 
-/// Resolves a (possibly qualified) partition-key name to its column index.
-pub fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
-    if let Ok(field) = FieldRef::parse(key) {
-        if let Ok(idx) = schema.resolve(&field) {
-            return Ok(idx);
-        }
-    }
-    schema
-        .index_of_unqualified(unqualified(key))
+/// Resolves a column name a user typed (a partition key, a secondary index or
+/// a tracked column given at ingestion) to its index: `dataset.field` exactly,
+/// or a bare column name that only one column of the schema has.
+pub(crate) fn resolve_key(schema: &Schema, key: &str) -> Result<usize> {
+    FieldRef::parse(key)
+        .and_then(|field| schema.index_of(&field))
+        .or_else(|_| schema.index_of_unqualified(key))
         .map_err(|_| RdoError::UnknownField(key.to_string()))
 }
 
@@ -456,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn base_tables_are_seen_under_the_alias_and_intermediates_as_stored() {
+        let base = Table::from_relation("t", relation(1), 1, None).unwrap();
+        let seen = base.schema_as("t2");
+        assert_eq!(seen.index_of(&FieldRef::new("t2", "v")).unwrap(), 1);
+        let stored = base.stored_column("t2", &FieldRef::new("t2", "v")).unwrap();
+        assert_eq!(stored, &FieldRef::new("t", "v"));
+        let intermediate = Table::from_relation("I_1", relation(1), 1, None)
+            .unwrap()
+            .into_temporary();
+        assert_eq!(intermediate.schema_as("I_1"), *intermediate.schema());
+        assert!(intermediate
+            .stored_column("I_1", &FieldRef::new("I_1", "v"))
+            .is_err());
+    }
+
+    #[test]
     fn approx_bytes_positive() {
         let rel = relation(10);
         let expected = rel.approx_bytes();
@@ -468,7 +520,7 @@ mod tests {
         let source = Table::from_relation("t", relation(200), 4, Some("k")).unwrap();
         let cloned: Vec<Vec<Batch>> = (0..4).map(|p| source.batches(p).to_vec()).collect();
         let direct =
-            Table::from_partitions("t2", source.schema().clone(), cloned, Some("k")).unwrap();
+            Table::from_partitions("t2", source.schema().clone(), cloned, Some(0)).unwrap();
         assert_eq!(direct.num_partitions(), 4);
         for p in 0..4 {
             assert_eq!(direct.batches(p), source.batches(p));
@@ -480,13 +532,10 @@ mod tests {
         }
         assert_eq!(direct.approx_bytes(), source.approx_bytes());
         assert_eq!(direct.partition_key(), Some(0));
-        assert!(Table::from_partitions(
-            "bad",
-            source.schema().clone(),
-            vec![Vec::new()],
-            Some("missing")
-        )
-        .is_err());
+        assert!(
+            Table::from_partitions("bad", source.schema().clone(), vec![Vec::new()], Some(2))
+                .is_err()
+        );
         assert!(
             Table::from_partitions("empty", source.schema().clone(), Vec::new(), None).is_err()
         );

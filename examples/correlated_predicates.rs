@@ -19,12 +19,7 @@ fn main() -> rdo_common::Result<()> {
         "query", "dataset", "preds", "true-sel", "static-est", "corr", "err"
     );
     for query in [q17(), q50(9, 2000), q8(), q9()] {
-        let reports = analyze_query(&query, |alias| {
-            let table = query.table_of(alias)?;
-            let relation = env.catalog.table(table)?.gather();
-            let stats = env.catalog.stats().get(table).cloned();
-            Ok((relation, stats))
-        })?;
+        let reports = analyze_query(&query, &env.catalog)?;
         for report in reports {
             println!(
                 "{:<6} {:<10} {:>6} {:>12.5} {:>12.5} {:>8.2} {:>8.2}",

@@ -77,7 +77,7 @@ fn main() -> rdo_common::Result<()> {
         "\norders statistics straight from the LSM components: {} rows, ~{} distinct o_custkey",
         orders_stats.row_count,
         orders_stats
-            .column("o_custkey")
+            .column(&FieldRef::new("orders", "o_custkey"))
             .map(|c| c.distinct)
             .unwrap_or(0)
     );

@@ -176,18 +176,16 @@ fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f
                 .collect::<rdo_common::Result<_>>()?;
             let filtered = scan_partition_rows(&setup.schema, &predicates, None, &partitions[0])?.0;
             if let Some(columns) = query.join_key_columns().get(alias) {
-                let key = setup
-                    .schema
-                    .resolve(&FieldRef::new(alias, columns[0].clone()))?;
+                let key = setup.schema.index_of(&columns[0])?;
                 shuffles.push((filtered.clone(), key));
             }
             for join in query.joins_involving(alias) {
                 // Each condition once, from its left side.
-                let left_key = join.key_of(alias).expect("alias key");
+                let left_key = query.key_of(join, alias).expect("alias key");
                 if left_key != &join.left {
                     continue;
                 }
-                let right_alias = join.right.dataset.as_str();
+                let right_alias = query.home_of(&join.right);
                 let right_table = env.catalog.table(query.table_of(right_alias)?)?;
                 let right_setup = prepare_scan(right_table, right_alias, None)?;
                 let right_predicates: Vec<Predicate> = query
@@ -202,8 +200,8 @@ fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f
                     &right_table.partition_to_vec(0)?,
                 )?
                 .0;
-                let probe_key = setup.schema.resolve(&join.left)?;
-                let build_key = right_setup.schema.resolve(&join.right)?;
+                let probe_key = setup.schema.index_of(&join.left)?;
+                let build_key = right_setup.schema.index_of(&join.right)?;
                 joins.push((filtered.clone(), right_rows, probe_key, build_key));
             }
             scans.push((setup.schema, predicates, partitions));

@@ -144,13 +144,13 @@ fn batch_join_matches_row_join_on_evaluation_queries() {
     for query in all_queries() {
         for alias in query.aliases() {
             for join in query.joins_involving(alias) {
-                let probe_key = join.key_of(alias).expect("alias key");
-                let build_alias = if join.left.dataset == alias {
-                    &join.right.dataset
+                let probe_key = query.key_of(join, alias).expect("alias key");
+                let build_key = if probe_key == &join.left {
+                    &join.right
                 } else {
-                    &join.left.dataset
+                    &join.left
                 };
-                let build_key = join.key_of(build_alias).expect("other key");
+                let build_alias = query.home_of(build_key);
 
                 let (probe_rows, probe_idx) = filtered_side(&env, &query, alias, probe_key);
                 let (build_rows, build_idx) = filtered_side(&env, &query, build_alias, build_key);
@@ -196,8 +196,7 @@ fn batch_repartition_matches_row_repartition_on_evaluation_queries() {
             let Some(columns) = key_columns.get(alias) else {
                 continue;
             };
-            let key = FieldRef::new(alias, columns[0].clone());
-            let (rows, key_idx) = filtered_side(&env, &query, alias, &key);
+            let (rows, key_idx) = filtered_side(&env, &query, alias, &columns[0]);
             for from in [0, num_partitions - 1] {
                 let reference = repartition_partition_rows(&rows, key_idx, from, num_partitions);
                 for chunk_size in CHUNK_SIZES {
@@ -236,6 +235,6 @@ fn filtered_side(
     let predicates: Vec<Predicate> = query.predicates_for(alias).into_iter().cloned().collect();
     let base = table.partition_to_vec(0).expect("resident base table");
     let (rows, _) = scan_partition_rows(&setup.schema, &predicates, None, &base).expect("scan");
-    let key_idx = setup.schema.resolve(key).expect("key resolves");
+    let key_idx = setup.schema.index_of(key).expect("key resolves");
     (rows, key_idx)
 }

@@ -88,13 +88,7 @@ fn sql_bound_queries_agree_with_and_without_indexed_nested_loop() {
 fn correlation_analysis_flags_the_q8_orders_predicates_from_the_catalog() {
     let env = env(false);
     let query = q8();
-    let reports = analyze_query(&query, |alias| {
-        let table = query.table_of(alias)?;
-        let relation = env.catalog.table(table)?.gather();
-        let stats = env.catalog.stats().get(table).cloned();
-        Ok((relation, stats))
-    })
-    .unwrap();
+    let reports = analyze_query(&query, &env.catalog).unwrap();
     let orders = reports
         .iter()
         .find(|r| r.alias == "orders")

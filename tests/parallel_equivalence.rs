@@ -16,7 +16,6 @@ use proptest::Strategy;
 use runtime_dynamic_optimization::exec::partition::hash_join_partition_rows;
 use runtime_dynamic_optimization::prelude::*;
 use runtime_dynamic_optimization::sketch::DatasetStatsBuilder;
-use runtime_dynamic_optimization::storage::table::resolve_key;
 
 fn env() -> BenchmarkEnv {
     BenchmarkEnv::load(ScaleFactor::gb(2), 4, true, 42).expect("workload generation")
@@ -110,12 +109,10 @@ fn dynamic_driver_is_worker_count_invariant() {
 #[test]
 fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
     let env = env();
-    let tracked = vec![
-        "l_orderkey".to_string(),
-        "l_partkey".to_string(),
-        "l_shipmode".to_string(),
-        "l_extendedprice".to_string(),
-    ];
+    let tracked: Vec<FieldRef> = ["l_orderkey", "l_partkey", "l_shipmode", "l_extendedprice"]
+        .into_iter()
+        .map(|field| FieldRef::new("lineitem", field))
+        .collect();
     for workers in WORKER_COUNTS {
         let mut catalog = env.catalog.clone();
         let config = ParallelConfig::serial().with_workers(workers);
@@ -139,7 +136,7 @@ fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
             &mut catalog,
             "I_stats",
             &data,
-            Some("l_partkey"),
+            Some(&tracked[1]),
             &tracked,
             true,
             &mut metrics,
@@ -163,7 +160,7 @@ fn sink_statistics_from_column_slots_match_statistics_from_tuples() {
         // The table holds the same rows the data did, re-bucketed on the
         // requested key.
         let table = catalog.table("I_stats").expect("registered");
-        let on_partkey = resolve_key(table.schema(), "l_partkey").unwrap();
+        let on_partkey = table.schema().index_of(&tracked[1]).unwrap();
         assert_eq!(table.partition_key(), Some(on_partkey));
         assert_eq!(table.gather().sorted(), data.gather().sorted());
     }

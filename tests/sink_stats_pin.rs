@@ -54,8 +54,11 @@ fn stats_rendered(env: &BenchmarkEnv, workers: usize) -> String {
             .expect_err("stopped after the last materialized stage");
         for table in log.tables() {
             let stats = catalog.stats().get(&table).expect("registered statistics");
+            // Each column renders under its bare name, as when statistics
+            // were keyed by it; the qualifier only breaks ties.
             let mut columns: Vec<_> = stats.columns.iter().collect();
-            columns.sort_by_key(|(name, _)| name.as_str());
+            columns.sort_by_key(|(column, _)| (column.field.as_str(), column.dataset.as_str()));
+            let columns: Vec<_> = columns.iter().map(|(c, s)| (&c.field, s)).collect();
             rendered.push_str(&format!("{table} rows={} {columns:?}\n", stats.row_count));
         }
     }

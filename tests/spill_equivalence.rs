@@ -171,6 +171,7 @@ fn stored_pages_are_smaller_than_logical_bytes_and_match_in_memory() {
 #[test]
 fn batches_and_rows_spill_to_the_same_pages() {
     let env = env();
+    let partkey = FieldRef::new("lineitem", "l_partkey");
     let tracked = vec!["l_partkey".to_string()];
     let spill = SpillConfig::disabled().with_budget(TINY_BUDGET);
     let scan = |catalog: &Catalog, table: &str| {
@@ -190,8 +191,8 @@ fn batches_and_rows_spill_to_the_same_pages() {
         &mut by_batches,
         "I_spill",
         &data,
-        Some("l_partkey"),
-        &tracked,
+        Some(&partkey),
+        std::slice::from_ref(&partkey),
         true,
         &mut sink,
     )

@@ -55,12 +55,14 @@ fn q17_group_by_matches_a_naive_oracle() {
 
     // Oracle: group by (i_item_id, s_store_name), sum ss_quantity.
     let schema = joined.schema();
-    let item_idx = schema.resolve(&FieldRef::new("item", "i_item_id")).unwrap();
+    let item_idx = schema
+        .index_of(&FieldRef::new("item", "i_item_id"))
+        .unwrap();
     let store_idx = schema
-        .resolve(&FieldRef::new("store", "s_store_name"))
+        .index_of(&FieldRef::new("store", "s_store_name"))
         .unwrap();
     let qty_idx = schema
-        .resolve(&FieldRef::new("store_sales", "ss_quantity"))
+        .index_of(&FieldRef::new("store_sales", "ss_quantity"))
         .unwrap();
     let mut oracle: BTreeMap<(Value, Value), i64> = BTreeMap::new();
     for row in joined.rows() {

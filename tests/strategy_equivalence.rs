@@ -3,6 +3,8 @@
 //! the paper's ordering (dynamic never loses to worst-order; best-order never
 //! loses to dynamic by more than the re-optimization overhead).
 
+mod common;
+
 use runtime_dynamic_optimization::prelude::*;
 
 fn runner(partitions: usize) -> QueryRunner {
@@ -151,13 +153,14 @@ fn int_relation(name: &str, cols: [&str; 2], rows: Vec<[i64; 2]>) -> Relation {
     Relation::new(schema, rows).unwrap()
 }
 
-/// Ingests `(name, relation, partition key)` triples into a 4-partition
-/// catalog and compiles `sql` against it.
-fn compile_over(sql: &str, tables: Vec<(&str, Relation, &str)>) -> (Catalog, BoundQuery) {
+/// Ingests each `(name, relation)` into a 4-partition catalog, partitioned
+/// on its first column, and compiles `sql` against it.
+fn compile_over(sql: &str, tables: &[(&str, &Relation)]) -> (Catalog, BoundQuery) {
     let mut catalog = Catalog::new(4);
-    for (name, relation, key) in tables {
+    for &(name, relation) in tables {
+        let key = relation.schema().field(0).name.field.clone();
         catalog
-            .ingest(name, relation, IngestOptions::partitioned_on(key))
+            .ingest(name, relation.clone(), IngestOptions::partitioned_on(key))
             .unwrap();
     }
     let query = compile(
@@ -207,22 +210,13 @@ fn same_named_partition_keys_of_two_datasets_never_skip_an_exchange() {
         (0..10).map(|j| [100 + 7 * j, j]).collect(),
     );
     let c = int_relation("c", ["k", "z"], (0..3000).map(|i| [i, i % 3]).collect());
-
-    // SELECT a.id FROM a, b, c WHERE a.x = b.y AND b.id = c.k, by nested loops.
-    let mut expected = Vec::new();
-    for ra in a.rows() {
-        for rb in b.rows().iter().filter(|rb| rb.value(1) == ra.value(1)) {
-            let matches = c.rows().iter().filter(|rc| rc.value(0) == rb.value(0));
-            expected.extend(matches.map(|_| vec![ra.value(0).clone()]));
-        }
-    }
-    expected.sort();
-    assert_eq!(expected.len(), 3000);
-
+    let tables = [("a", &a), ("b", &b), ("c", &c)];
     let (mut catalog, query) = compile_over(
         "SELECT a.id FROM a, b, c WHERE a.x = b.y AND b.id = c.k",
-        vec![("a", a, "id"), ("b", b, "id"), ("c", c, "k")],
+        &tables,
     );
+    let expected = common::nested_loop(&query.spec, &tables);
+    assert_eq!(expected.len(), 3000);
     let runner = QueryRunner::new(
         CostModel::with_partitions(4),
         JoinAlgorithmRule::with_threshold(100.0),
@@ -233,55 +227,80 @@ fn same_named_partition_keys_of_two_datasets_never_skip_an_exchange() {
     }
 }
 
-/// Pins an open bug (ROADMAP, "Same-named join keys across a re-optimization
-/// point"). When the driver materializes `a ⋈ b` on `a.id = b.id`, it hands
-/// the Sink the bare key name `id`, which is ambiguous in an intermediate
-/// holding both `a.id` and `b.id`, so the re-optimizing strategies fail with
-/// `unknown field: id`. The other strategies never materialize that join and
-/// return the nested-loop rows. Once the Sink key is qualified and query
-/// reconstruction keeps the original qualifiers, every strategy must return
-/// the oracle's rows and `FAILING` must become empty.
+/// Queries whose datasets share column names, so an intermediate holds two
+/// or more columns named alike (`a.id` and `b.id`, or the two sides of a
+/// self-join). Each one once failed under the re-optimizing strategies (at
+/// a Sink key, a tracked column or a reconstructed join key found by its
+/// bare name) and returned the right rows under the static ones. Every
+/// strategy must return the rows of a nested-loop evaluation, at one worker
+/// and at four.
 #[test]
-fn same_named_join_keys_fail_at_a_reoptimization_sink() {
-    const FAILING: [Strategy; 3] = [
-        Strategy::Dynamic,
-        Strategy::ReoptWithoutOnlineStats,
-        Strategy::DynamicWithoutPushdown,
+fn same_named_columns_match_the_nested_loop_oracle() {
+    let id_x = |name: &str, n: i64, modulus: i64| {
+        int_relation(
+            name,
+            ["id", "x"],
+            (0..n).map(|i| [i, i % modulus]).collect(),
+        )
+    };
+    // Each relation is ingested under the name of its dataset.
+    let cases: [(&str, Vec<Relation>, usize); 3] = [
+        (
+            "SELECT a.id FROM a, b, c, d WHERE a.id = b.id AND a.x = c.k AND b.y = d.w",
+            vec![
+                id_x("a", 500, 10),
+                int_relation("b", ["id", "y"], (0..500).map(|i| [i, i % 5]).collect()),
+                int_relation("c", ["k", "z"], (0..10).map(|k| [k, 0]).collect()),
+                int_relation("d", ["w", "v"], (0..5).map(|w| [w, 0]).collect()),
+            ],
+            500,
+        ),
+        (
+            "SELECT a.id FROM a, b, c, d, e \
+             WHERE a.x = b.id AND b.x = c.id AND c.x = d.id AND d.x = e.id",
+            vec![
+                id_x("a", 400, 20),
+                id_x("b", 20, 10),
+                id_x("c", 10, 5),
+                id_x("d", 5, 5),
+                id_x("e", 5, 5),
+            ],
+            400,
+        ),
+        (
+            "SELECT x.id FROM a x, a y, c, d WHERE x.x = y.x AND x.id = c.k AND y.id = d.w",
+            vec![
+                id_x("a", 50, 50),
+                int_relation("c", ["k", "z"], (0..200).map(|i| [i % 50, i]).collect()),
+                int_relation("d", ["w", "v"], (0..200).map(|i| [i % 50, i]).collect()),
+            ],
+            800,
+        ),
     ];
-    let a = int_relation("a", ["id", "x"], (0..500).map(|i| [i, i % 10]).collect());
-    let b = int_relation("b", ["id", "y"], (0..500).map(|i| [i, i % 5]).collect());
-    let c = int_relation("c", ["k", "z"], (0..10).map(|k| [k, 0]).collect());
-    let d = int_relation("d", ["w", "v"], (0..5).map(|w| [w, 0]).collect());
-
-    // SELECT a.id FROM a, b, c, d WHERE a.id = b.id AND a.x = c.k
-    // AND b.y = d.w, by nested loops.
-    let mut expected = Vec::new();
-    for ra in a.rows() {
-        for rb in b.rows().iter().filter(|rb| rb.value(0) == ra.value(0)) {
-            for _rc in c.rows().iter().filter(|rc| rc.value(0) == ra.value(1)) {
-                let ds = d.rows().iter().filter(|rd| rd.value(0) == rb.value(1));
-                expected.extend(ds.map(|_| vec![ra.value(0).clone()]));
+    for (sql, relations, rows) in cases {
+        let tables: Vec<(&str, &Relation)> = relations
+            .iter()
+            .map(|r| (r.schema().field(0).name.dataset.as_str(), r))
+            .collect();
+        let (mut catalog, query) = compile_over(sql, &tables);
+        let expected = common::nested_loop(&query.spec, &tables);
+        assert_eq!(expected.len(), rows, "{sql}");
+        for workers in [1, 4] {
+            let runner = QueryRunner::new(
+                CostModel::with_partitions(4),
+                JoinAlgorithmRule::with_threshold(100.0),
+            )
+            .with_parallel(ParallelConfig::serial().with_workers(workers));
+            for strategy in EVERY_STRATEGY {
+                let report = runner
+                    .run(strategy, &query.spec, &mut catalog)
+                    .unwrap_or_else(|e| panic!("{sql} under {strategy} at {workers}: {e}"));
+                assert_eq!(
+                    sorted_rows(&report),
+                    expected,
+                    "{sql} under {strategy} at {workers} workers"
+                );
             }
-        }
-    }
-    expected.sort();
-    assert_eq!(expected.len(), 500);
-
-    let (mut catalog, query) = compile_over(
-        "SELECT a.id FROM a, b, c, d WHERE a.id = b.id AND a.x = c.k AND b.y = d.w",
-        vec![("a", a, "id"), ("b", b, "id"), ("c", c, "k"), ("d", d, "w")],
-    );
-    let runner = QueryRunner::new(
-        CostModel::with_partitions(4),
-        JoinAlgorithmRule::with_threshold(100.0),
-    );
-    for strategy in EVERY_STRATEGY {
-        let outcome = runner.run(strategy, &query.spec, &mut catalog);
-        if FAILING.contains(&strategy) {
-            let error = outcome.err().map(|e| e.to_string());
-            assert_eq!(error.as_deref(), Some("unknown field: id"), "{strategy}");
-        } else {
-            assert_eq!(sorted_rows(&outcome.unwrap()), expected, "{strategy}");
         }
     }
 }
