@@ -72,11 +72,10 @@ pub struct MaterializeOutcome {
 /// and read the batches column slot by column slot.
 ///
 /// The batches then move into the catalog: as they are when `data` is
-/// already hash-partitioned on `partition_key`, with
-/// the cluster's partition count, re-bucketed batch to batch otherwise. The
-/// catalog's spill policy decides whether the table stays resident or goes
-/// to the paged disk store; logical page writes land in the `spill_*`
-/// metrics.
+/// already hash-partitioned on `partition_key` with the cluster's partition
+/// count, re-bucketed batch to batch otherwise. The catalog's spill policy
+/// decides whether the table stays resident or goes to the paged disk store;
+/// logical page writes land in the `spill_*` metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn materialize(
     pool: &WorkerPool,
