@@ -75,11 +75,8 @@ impl ExperimentConfig {
 
     /// The parallel-execution knobs for this configuration.
     pub fn parallel(&self) -> rdo_core::ParallelConfig {
-        // RDO_WORKERS pins the worker count (via `Self::default`);
-        // RDO_TRANSPORT routes the harness's exchanges like everywhere else.
-        rdo_core::ParallelConfig::serial()
-            .with_workers(self.workers)
-            .with_transport(rdo_core::TransportKind::from_env())
+        // RDO_WORKERS pins the worker count (via `Self::default`).
+        rdo_core::ParallelConfig::serial().with_workers(self.workers)
     }
 
     /// Loads the benchmark environment for one scale factor.

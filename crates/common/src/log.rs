@@ -1,7 +1,7 @@
 //! Minimal leveled logging shared by every crate.
 //!
 //! The engine used to scatter bare `eprintln!` calls for its warnings (invalid
-//! env knobs, transport fallbacks, worker-side errors). They all route through
+//! env knobs, export failures, worker-side errors). They all route through
 //! here now: one [`emit`] entry point behind the [`crate::warn!`] /
 //! [`crate::info!`] / [`crate::debug!`] macros, filtered by the `RDO_LOG`
 //! environment variable (`error`, `warn`, `info` — the default — or `debug`)

@@ -165,13 +165,10 @@ impl CheckpointedDriver {
         // because the catalog keeps the same spill manager for an unchanged
         // configuration. ----
         let mut executed = 0u32;
-        let driver = DynamicDriver::new(self.config.clone());
-        let transport = driver.configured_transport()?;
-        let outcome = driver.run_stages(
+        let outcome = DynamicDriver::new(self.config.clone()).run_stages(
             remaining,
             materialized_joins,
             catalog,
-            transport,
             &mut |stage| {
                 log.entries.push(CheckpointEntry {
                     kind: stage.kind,

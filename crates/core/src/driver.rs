@@ -3,7 +3,7 @@
 use rdo_common::{FieldRef, RdoError, Relation, Result};
 use rdo_exec::{
     materialize, ExecutionMetrics, ParallelConfig, ParallelExecutor, PartitionedData, PhysicalPlan,
-    Transport, TransportKind, WorkerPool,
+    WorkerPool,
 };
 use rdo_planner::greedy::join_edges;
 use rdo_planner::{
@@ -81,11 +81,9 @@ impl Default for DynamicConfig {
             collect_online_stats: true,
             push_down_predicates: true,
             reopt_budget: None,
-            // Reads RDO_TRANSPORT (but not RDO_WORKERS — worker counts stay
-            // explicit or machine-default here) so an exported transport
-            // selection routes every driver-based code path through the
-            // distributed exchanges without code changes.
-            parallel: ParallelConfig::default().with_transport(TransportKind::from_env()),
+            // Not RDO_WORKERS: worker counts stay explicit or
+            // machine-default here.
+            parallel: ParallelConfig::default(),
             // Reads RDO_SPILL_BUDGET and RDO_JOIN_BUDGET so an exported
             // budget drives every driver-based code path (including the
             // whole test suite) out-of-core without code changes.
@@ -197,7 +195,7 @@ pub struct DynamicOutcome {
     /// The optimizer audit trail: per-stage estimate-vs-actual records plus
     /// one decision explanation per re-optimization point. Derived entirely
     /// from deterministic coordinator-side quantities, so it is bit-identical
-    /// across worker counts and transports.
+    /// across worker counts.
     pub audit: AuditLog,
 }
 
@@ -247,34 +245,10 @@ impl DynamicDriver {
     /// Executes the query with runtime dynamic optimization. The catalog is
     /// mutated while the query runs (temporary tables for intermediate results)
     /// but restored before returning.
-    ///
-    /// The exchange transport is resolved from
-    /// [`ParallelConfig::transport`] (`RDO_TRANSPORT`, plus `RDO_NET_WORKERS`
-    /// for the TCP backend); use [`DynamicDriver::execute_with_transport`] to
-    /// pass an explicit transport object instead.
     pub fn execute(&self, spec: &QuerySpec, catalog: &mut Catalog) -> Result<DynamicOutcome> {
-        let transport = self.configured_transport()?;
-        self.execute_with_transport(spec, catalog, transport)
-    }
-
-    /// The exchange transport the configuration selects.
-    pub(crate) fn configured_transport(&self) -> Result<Arc<dyn Transport>> {
-        rdo_net::transport_from_config(&self.config.parallel)
-    }
-
-    /// [`DynamicDriver::execute`] with an explicit exchange transport —
-    /// results, plans and logical metrics are transport-invariant, so the
-    /// distributed harnesses run the same query through an in-process and a
-    /// TCP transport and compare outcomes bit for bit.
-    pub fn execute_with_transport(
-        &self,
-        spec: &QuerySpec,
-        catalog: &mut Catalog,
-        transport: Arc<dyn Transport>,
-    ) -> Result<DynamicOutcome> {
         spec.validate()?;
         let mut temporaries: Vec<String> = Vec::new();
-        let outcome = self.run_stages(spec.clone(), 0, catalog, transport, &mut |stage| {
+        let outcome = self.run_stages(spec.clone(), 0, catalog, &mut |stage| {
             temporaries.push(stage.table.to_string());
             Ok(())
         });
@@ -297,7 +271,6 @@ impl DynamicDriver {
         mut spec: QuerySpec,
         materialized_joins: u32,
         catalog: &mut Catalog,
-        transport: Arc<dyn Transport>,
         on_stage: &mut dyn FnMut(MaterializedStage<'_>) -> Result<()>,
     ) -> Result<DynamicOutcome> {
         let trace = self.config.trace.clone();
@@ -353,7 +326,7 @@ impl DynamicDriver {
                         None => estimator,
                     };
                     let estimated_rows = estimator.dataset_size(&spec, &alias).ok();
-                    let data = stage_executor(catalog, &pool, &transport)
+                    let data = ParallelExecutor::with_pool(catalog, pool.clone())
                         .execute(&plan, &mut stage_metrics)?;
                     let table_name = format!("{}__{}_filtered", sanitize(&spec.name), alias);
                     let partition_key = spec
@@ -434,7 +407,7 @@ impl DynamicDriver {
                 });
 
                 let mut stage_metrics = ExecutionMetrics::new();
-                let data = stage_executor(catalog, &pool, &transport)
+                let data = ParallelExecutor::with_pool(catalog, pool.clone())
                     .execute(&plan, &mut stage_metrics)?;
 
                 let name = format!("{}__I{}", sanitize(&spec.name), reoptimization_points);
@@ -518,7 +491,7 @@ impl DynamicDriver {
             stage_span.attr_str("plan", &final_plan.signature());
             let mut stage_metrics = ExecutionMetrics::new();
             let result = final_job(
-                &stage_executor(catalog, &pool, &transport),
+                &ParallelExecutor::with_pool(catalog, pool.clone()),
                 &final_plan,
                 &spec.projection,
                 &mut stage_metrics,
@@ -579,16 +552,6 @@ impl DynamicDriver {
     }
 }
 
-/// The executor every stage of one execution runs on: the execution's worker
-/// pool and exchange transport over the catalog as it stands at that stage.
-fn stage_executor<'a>(
-    catalog: &'a Catalog,
-    pool: &WorkerPool,
-    transport: &Arc<dyn Transport>,
-) -> ParallelExecutor<'a> {
-    ParallelExecutor::with_pool(catalog, pool.clone()).with_transport(Arc::clone(transport))
-}
-
 /// The final job of every strategy, dynamic or static: execute the plan,
 /// project its batches onto the SELECT list (an empty list keeps every
 /// column) and gather only those columns on the coordinator.
@@ -611,7 +574,7 @@ pub(crate) fn final_job(
             .collect();
         data = PartitionedData::new(data.schema().project(&indexes), partitions, None);
     }
-    executor.gather(&data, metrics)
+    Ok(executor.gather(&data, metrics))
 }
 
 fn sanitize(name: &str) -> String {

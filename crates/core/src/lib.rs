@@ -21,6 +21,6 @@ pub use checkpoint::{
     StageKind,
 };
 pub use driver::{DynamicConfig, DynamicDriver, DynamicOutcome};
-pub use rdo_exec::{ParallelConfig, ParallelExecutor, TransportKind};
+pub use rdo_exec::{ParallelConfig, ParallelExecutor};
 pub use report::{CostBreakdown, OverheadReport};
 pub use runner::{QueryRunner, RunReport, Strategy};

@@ -169,9 +169,8 @@ impl Default for QueryRunner {
             cost_model: CostModel::default(),
             rule: JoinAlgorithmRule::default(),
             pilot_sample_limit: 2_000,
-            // RDO_TRANSPORT applies to every strategy the runner executes;
-            // worker counts stay explicit or machine-default.
-            parallel: ParallelConfig::default().with_transport(rdo_exec::TransportKind::from_env()),
+            // Worker counts stay explicit or machine-default.
+            parallel: ParallelConfig::default(),
             trace: rdo_trace::TraceHandle::from_env(),
         }
     }
@@ -333,10 +332,6 @@ impl QueryRunner {
         optimizer: &dyn Optimizer,
         pool: WorkerPool,
     ) -> Result<RunReport> {
-        // Static strategies route their exchanges through the configured
-        // transport too, so RDO_TRANSPORT=tcp distributes all six Figure 7
-        // strategies, not just the dynamic ones.
-        let transport = rdo_net::transport_from_config(&self.parallel)?;
         let trace = self.run_trace();
         let start = Instant::now();
         let (result, plan, metrics) = {
@@ -349,7 +344,7 @@ impl QueryRunner {
             };
             let mut stage_span = rdo_trace::span("stage.final");
             stage_span.attr_str("plan", &plan.signature());
-            let executor = ParallelExecutor::with_pool(catalog, pool).with_transport(transport);
+            let executor = ParallelExecutor::with_pool(catalog, pool);
             let result = final_job(&executor, &plan, &spec.projection, &mut metrics)?;
             (result, plan, metrics)
         };

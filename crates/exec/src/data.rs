@@ -8,7 +8,7 @@
 //! [`PartitionedData::gather`], when a query's result leaves the operator
 //! pipeline as a [`Relation`]; [`PartitionedData::from_rows`] and
 //! [`PartitionedData::partition_rows`] are the explicit row edges for
-//! transports and tests that hold tuples.
+//! tests that hold tuples.
 
 use rdo_common::{batch_size, Batch, Relation, Schema, Tuple, Value};
 use rdo_sketch::hll::hash_value;
@@ -39,8 +39,7 @@ impl PartitionedData {
     }
 
     /// Creates partitioned data from per-partition rows, chunked at
-    /// [`batch_size`] — the row edge in (transports that received tuples,
-    /// tests).
+    /// [`batch_size`] — the row edge in (tests).
     pub fn from_rows(
         schema: Schema,
         partitions: Vec<Vec<Tuple>>,
@@ -73,8 +72,7 @@ impl PartitionedData {
         self.partitions
     }
 
-    /// The rows of one partition, materialized — the row edge out
-    /// (transports that ship tuples, tests).
+    /// The rows of one partition, materialized — the row edge out (tests).
     pub fn partition_rows(&self, index: usize) -> Vec<Tuple> {
         crate::partition::rows_of(&self.partitions[index])
     }
@@ -233,5 +231,36 @@ mod tests {
             assert_eq!(d.partition_len(p), rows.len());
         }
         assert_eq!(d.gather().rows(), parts.concat().as_slice());
+    }
+
+    /// The gather delivers partition 0's rows first, then partition 1's, and
+    /// so on, each partition's batches in run order — whatever the row
+    /// values would hash to.
+    #[test]
+    fn gather_concatenates_partitions_then_batches_in_order() {
+        let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
+        let batch = |values: &[i64]| {
+            let rows: Vec<Tuple> = values
+                .iter()
+                .map(|&v| Tuple::new(vec![Value::Int64(v)]))
+                .collect();
+            Batch::from_rows(1, &rows)
+        };
+        let partitions = vec![
+            vec![batch(&[30, 10]), batch(&[20])],
+            Vec::new(),
+            vec![batch(&[5]), batch(&[]), batch(&[7, 6])],
+            vec![batch(&[1])],
+        ];
+        let gathered = PartitionedData::new(schema, partitions, Some(0)).gather();
+        let values: Vec<i64> = gathered
+            .rows()
+            .iter()
+            .map(|row| match row.value(0) {
+                Value::Int64(v) => *v,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(values, [30, 10, 20, 5, 7, 6, 1]);
     }
 }

@@ -1,31 +1,18 @@
-//! Exchange operators and the transport that carries them: the explicit data
-//! movements between partitions.
+//! Exchange operators: the explicit data movements between partitions.
 //!
 //! In the paper's Hyracks runtime these are the connectors between operator
 //! instances. Each movement is an explicit operator that runs its
 //! per-partition half on the worker pool and reports the rows/bytes it moved,
 //! so the cost model's network charges correspond to real, metered exchanges.
 //! [`HashRepartition`] re-buckets batches and [`Broadcast`] shares them;
-//! result delivery ([`Transport::gather`]) is where a query's rows are
-//! finally materialized.
-//!
-//! The operators describe *what* moves; a [`Transport`] decides *how* the
-//! tuples travel. [`InProcessTransport`] — the default — performs the
-//! movements as memory moves inside the coordinator process. The `rdo-net`
-//! crate provides a TCP implementation that routes the same exchanges
-//! through worker processes as framed page batches, so the executor and the
-//! driver never care which side of a socket a tuple crossed.
-//!
-//! The contract every transport must honor: results, partition order and the
-//! reported movement tallies are **bit-identical** to [`InProcessTransport`].
-//! A transport is a physical routing decision, never a semantic one — the
-//! equivalence suites pin this for the TCP backend at every worker-process
-//! count.
+//! result delivery ([`PartitionedData::gather`]) is where a query's rows are
+//! finally materialized. All three are memory moves inside one process; the
+//! executor calls them directly.
 
 use crate::data::PartitionedData;
 use crate::partition::repartition_batches;
 use crate::pool::WorkerPool;
-use rdo_common::{Batch, Relation, Result};
+use rdo_common::Batch;
 
 /// Re-shuffles tuples so every row lives in the partition its key hashes to
 /// (the exchange in front of each hash-join input that is not already
@@ -83,69 +70,6 @@ impl Broadcast {
             data.row_count() as u64 * copies,
             data.approx_bytes() as u64 * copies,
         )
-    }
-}
-
-/// How exchange operators move tuples between partitions.
-///
-/// Implementations must be deterministic and bit-identical to
-/// [`InProcessTransport`]: same output partitions in the same order, same
-/// moved-row/moved-byte tallies, same gathered relations.
-pub trait Transport: std::fmt::Debug + Send + Sync {
-    /// Short label for reports and logs (`"in-process"`, `"tcp"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs a [`HashRepartition`] exchange over `data`, returning the
-    /// re-partitioned data plus the rows and bytes that crossed partitions.
-    fn repartition(
-        &self,
-        exchange: &HashRepartition,
-        data: &PartitionedData,
-        pool: &WorkerPool,
-    ) -> Result<(PartitionedData, u64, u64)>;
-
-    /// Runs a [`Broadcast`] exchange over `data`, returning the shared
-    /// replica plus the replicated rows and bytes charged to the metrics.
-    fn broadcast(
-        &self,
-        exchange: &Broadcast,
-        data: &PartitionedData,
-    ) -> Result<(Vec<Batch>, u64, u64)>;
-
-    /// Collects every partition on the coordinator, in partition order —
-    /// result delivery to the user.
-    fn gather(&self, data: &PartitionedData) -> Result<Relation>;
-}
-
-/// The default transport: exchanges are in-process memory moves on the
-/// coordinator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcessTransport;
-
-impl Transport for InProcessTransport {
-    fn name(&self) -> &'static str {
-        "in-process"
-    }
-
-    fn repartition(
-        &self,
-        exchange: &HashRepartition,
-        data: &PartitionedData,
-        pool: &WorkerPool,
-    ) -> Result<(PartitionedData, u64, u64)> {
-        Ok(exchange.apply(data, pool))
-    }
-
-    fn broadcast(
-        &self,
-        exchange: &Broadcast,
-        data: &PartitionedData,
-    ) -> Result<(Vec<Batch>, u64, u64)> {
-        Ok(exchange.apply(data))
-    }
-
-    fn gather(&self, data: &PartitionedData) -> Result<Relation> {
-        Ok(data.gather())
     }
 }
 
@@ -223,31 +147,5 @@ mod tests {
             replica[0].column(0),
             input.partitions()[0][0].column(0)
         ));
-    }
-
-    /// The in-process transport is a transparent wrapper over the exchange
-    /// operators' own `apply` methods.
-    #[test]
-    fn in_process_transport_matches_direct_exchange_application() {
-        let input = data(200, 4);
-        let pool = WorkerPool::new(2);
-        let transport = InProcessTransport;
-        assert_eq!(transport.name(), "in-process");
-
-        let exchange = HashRepartition::new(1);
-        let (expected, er, eb) = exchange.apply(&input, &pool);
-        let (actual, ar, ab) = transport.repartition(&exchange, &input, &pool).unwrap();
-        assert_eq!(actual.partitions(), expected.partitions());
-        assert_eq!((ar, ab), (er, eb));
-
-        let bcast = Broadcast::new(4);
-        let (expected_rows, er, eb) = bcast.apply(&input);
-        let (actual_rows, ar, ab) = transport.broadcast(&bcast, &input).unwrap();
-        assert_eq!(actual_rows, expected_rows);
-        assert_eq!((ar, ab), (er, eb));
-
-        let gathered = transport.gather(&input).unwrap();
-        assert_eq!(gathered.len(), 200);
-        assert_eq!(gathered, input.gather());
     }
 }

@@ -9,7 +9,7 @@
 use crate::config::ParallelConfig;
 use crate::cost::ExecutionMetrics;
 use crate::data::PartitionedData;
-use crate::exchange::{Broadcast, HashRepartition, InProcessTransport, Transport};
+use crate::exchange::{Broadcast, HashRepartition};
 use crate::expr::Predicate;
 use crate::grace::{joined_partition, GraceContext, GraceTally, PreparedBuild};
 use crate::partition::{indexed_join_partition, scan_table_partition, IndexJoinTally, ScanTally};
@@ -18,13 +18,11 @@ use crate::pool::WorkerPool;
 use crate::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
 use rdo_common::{Batch, FieldRef, RdoError, Relation, Result};
 use rdo_storage::{Catalog, SpillReadTally};
-use std::sync::Arc;
 
 /// Executes physical plans against a catalog with one task per partition.
 pub struct ParallelExecutor<'a> {
     catalog: &'a Catalog,
     pool: WorkerPool,
-    transport: Arc<dyn Transport>,
 }
 
 impl<'a> ParallelExecutor<'a> {
@@ -38,21 +36,7 @@ impl<'a> ParallelExecutor<'a> {
 
     /// Creates an executor sharing an existing worker pool (an `Arc` clone).
     pub fn with_pool(catalog: &'a Catalog, pool: WorkerPool) -> Self {
-        Self {
-            catalog,
-            pool,
-            transport: Arc::new(InProcessTransport),
-        }
-    }
-
-    /// Routes the exchange operators through `transport` (builder style).
-    /// The default is the in-process transport; note that
-    /// [`ParallelConfig::transport`] is only a *selection* — resolving it
-    /// into a concrete object is the caller's job (the `rdo-core` driver
-    /// resolves it through `rdo-net`).
-    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = transport;
-        self
+        Self { catalog, pool }
     }
 
     /// Executes a plan, returning the partitioned output.
@@ -84,19 +68,15 @@ impl<'a> ParallelExecutor<'a> {
         metrics: &mut ExecutionMetrics,
     ) -> Result<Relation> {
         let data = self.execute(plan, metrics)?;
-        self.gather(&data, metrics)
+        Ok(self.gather(&data, metrics))
     }
 
-    /// Gathers executed data on the coordinator through the transport — the
-    /// row edge of a query's result.
-    pub fn gather(
-        &self,
-        data: &PartitionedData,
-        metrics: &mut ExecutionMetrics,
-    ) -> Result<Relation> {
-        let relation = self.transport.gather(data)?;
+    /// Gathers executed data on the coordinator — the row edge of a query's
+    /// result.
+    pub fn gather(&self, data: &PartitionedData, metrics: &mut ExecutionMetrics) -> Relation {
+        let relation = data.gather();
         metrics.result_rows += relation.len() as u64;
-        Ok(relation)
+        relation
     }
 
     /// Maps a fallible per-partition task over `partitions` partitions, one
@@ -224,8 +204,8 @@ impl<'a> ParallelExecutor<'a> {
         span.attr_str("algo", "hash");
         span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
 
-        let left = self.placed_on(left, left_key_indexes[0], metrics)?;
-        let right = self.placed_on(right, right_key_indexes[0], metrics)?;
+        let left = self.placed_on(left, left_key_indexes[0], metrics);
+        let right = self.placed_on(right, right_key_indexes[0], metrics);
 
         let out_schema = left.schema().join(right.schema());
         let num_partitions = left.num_partitions().max(right.num_partitions());
@@ -264,16 +244,15 @@ impl<'a> ParallelExecutor<'a> {
         data: PartitionedData,
         key_index: usize,
         metrics: &mut ExecutionMetrics,
-    ) -> Result<PartitionedData> {
+    ) -> PartitionedData {
         if data.is_partitioned_on(key_index) {
-            return Ok(data);
+            return data;
         }
         let (data, moved_rows, moved_bytes) =
-            self.transport
-                .repartition(&HashRepartition::new(key_index), &data, &self.pool)?;
+            HashRepartition::new(key_index).apply(&data, &self.pool);
         metrics.rows_shuffled += moved_rows;
         metrics.bytes_shuffled += moved_bytes;
-        Ok(data)
+        data
     }
 
     /// Broadcast join: a [`Broadcast`] exchange replicates the build side,
@@ -294,9 +273,8 @@ impl<'a> ParallelExecutor<'a> {
         span.attr_u64("rows_in", (left.row_count() + right.row_count()) as u64);
 
         let partitions_count = left.num_partitions();
-        let (replica, replicated_rows, replicated_bytes) = self
-            .transport
-            .broadcast(&Broadcast::new(partitions_count), &right)?;
+        let (replica, replicated_rows, replicated_bytes) =
+            Broadcast::new(partitions_count).apply(&right);
         metrics.rows_broadcast += replicated_rows;
         metrics.bytes_broadcast += replicated_bytes;
 
@@ -363,9 +341,8 @@ impl<'a> ParallelExecutor<'a> {
             prepare_indexed_join(&table, dataset, projection.as_deref(), right.schema(), keys)?;
 
         let partitions_count = table.num_partitions();
-        let (replica, replicated_rows, replicated_bytes) = self
-            .transport
-            .broadcast(&Broadcast::new(partitions_count), &right)?;
+        let (replica, replicated_rows, replicated_bytes) =
+            Broadcast::new(partitions_count).apply(&right);
         metrics.rows_broadcast += replicated_rows;
         metrics.bytes_broadcast += replicated_bytes;
 

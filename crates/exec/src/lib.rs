@@ -20,8 +20,8 @@
 //!                  │                    exchanges, metric folding)
 //!        ┌─────────┴─────────┐
 //!        ▼                   ▼
-//!  HashRepartition       Broadcast     (exchange operators, through a
-//!        │                   │          Transport)
+//!  HashRepartition       Broadcast     (exchange operators, metered
+//!        │                   │          memory moves)
 //!        ▼                   ▼
 //!  ┌────────────────────────────────┐
 //!  │           WorkerPool           │  (persistent threads, work-stealing by
@@ -56,11 +56,8 @@
 //!   spawned and the tasks run in a plain loop on the calling thread.
 //! * **Exchanges** — [`HashRepartition`] re-shuffles rows to the partition
 //!   their key hashes to and [`Broadcast`] replicates a (small) build side
-//!   to every partition. Each routes through a [`Transport`]:
-//!   [`InProcessTransport`] (the default) moves memory, while the `rdo-net`
-//!   crate's TCP backend ships the same tuples across worker processes as
-//!   framed page batches. Both are bit-identical by contract;
-//!   `RDO_TRANSPORT` selects the kind (see [`TransportKind`]).
+//!   to every partition. The executor calls them directly; each is a memory
+//!   move inside the process that reports the rows and bytes it moved.
 //! * **Deterministic merging** — every task returns per-partition
 //!   [`ExecutionMetrics`] partials folded in partition order with
 //!   [`ExecutionMetrics::merge`], and exchange outputs concatenate buckets in
@@ -136,10 +133,10 @@ pub mod reference;
 pub mod setup;
 pub mod sink;
 
-pub use config::{parse_transport_env, ParallelConfig, TransportKind, TRANSPORT_ENV, WORKERS_ENV};
+pub use config::{ParallelConfig, WORKERS_ENV};
 pub use cost::{CostModel, ExecutionMetrics};
 pub use data::PartitionedData;
-pub use exchange::{Broadcast, HashRepartition, InProcessTransport, Transport};
+pub use exchange::{Broadcast, HashRepartition};
 pub use executor::ParallelExecutor;
 pub use expr::{evaluate_all_batch, CmpOp, Predicate, PredicateExpr, UdfFn};
 pub use grace::{GraceContext, GraceTally, PreparedBuild};

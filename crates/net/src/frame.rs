@@ -1,28 +1,27 @@
 //! Length-prefixed wire framing and the page-batch row encoding.
 //!
-//! Every message on a coordinator↔worker connection is one *frame*:
+//! A page batch is a run of *frames*:
 //!
 //! ```text
 //! frame := tag u8, len u32 (little-endian), payload len×u8
 //! ```
 //!
-//! Row data travels as **page batches**: rows are encoded with the
-//! [`rdo_spill::codec`] tuple codec into page-sized bodies, each body passed
-//! through [`rdo_spill::compress::encode_page`] (so the wire reuses the spill
-//! store's LZ page codec, flag byte included), and each page shipped as one
-//! [`Tag::Page`] frame whose payload is the row count followed by the page
-//! blob. A [`Tag::End`] frame closes the batch. The codec roundtrip is exact
-//! — NULLs, NaN bit patterns and huge strings survive — so rows that cross a
-//! socket compare bit-identical to rows that never left the process.
+//! Rows are encoded with the [`rdo_spill::codec`] tuple codec into
+//! page-sized bodies, each body passed through
+//! [`rdo_spill::compress::encode_page`] (the spill store's LZ page codec,
+//! flag byte included), and each page written as one [`Tag::Page`] frame
+//! whose payload is the row count followed by the page blob. A [`Tag::End`]
+//! frame closes the batch. The codec roundtrip is exact — NULLs, NaN bit
+//! patterns and huge strings survive.
 //!
-//! The coordinator and the workers frame each page in **both** layouts — the
-//! row codec and the [`rdo_spill::colcodec`] column runs, whose same-type
-//! value runs the LZ compressor squeezes much harder on tabular data — and
-//! ship whichever blob is smaller. Page boundaries are identical either way
-//! (decided by the row codec's size accounting), and the layout travels
-//! purely in the frame-type byte: [`Tag::ColPage`]/[`Tag::ColBucket`] for
-//! columnar bodies, the plain tags for row bodies. Every reader accepts both
-//! families, and one batch may mix them.
+//! With `columnar` set, the writer frames each page in **both** layouts —
+//! the row codec and the [`rdo_spill::colcodec`] column runs, whose
+//! same-type value runs the LZ compressor squeezes much harder on tabular
+//! data — and writes whichever blob is smaller. Page boundaries are
+//! identical either way (decided by the row codec's size accounting), and
+//! the layout travels purely in the frame-type byte: [`Tag::ColPage`] for
+//! columnar bodies, [`Tag::Page`] for row bodies. The reader accepts both,
+//! and one batch may mix them.
 
 use rdo_common::{RdoError, Result, Tuple};
 use rdo_spill::codec::{decode_rows, encode_tuple};
@@ -32,69 +31,33 @@ use std::io::{Read, Write};
 /// Target page-body size for wire page batches. Smaller than a disk page
 /// would amortize framing poorly; bigger delays streaming. 32 KiB mirrors a
 /// typical exchange buffer.
-pub const WIRE_PAGE_SIZE: usize = 32 * 1024;
+const WIRE_PAGE_SIZE: usize = 32 * 1024;
 
 /// Upper bound on a single frame's payload (corruption guard: a garbled
 /// length prefix fails fast instead of attempting a multi-gigabyte read).
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
+const MAX_FRAME_LEN: u32 = 1 << 30;
 
-/// Frame tags of the exchange protocol.
+/// Frame tags of a page batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Tag {
-    /// Coordinator → worker: run a repartition kernel over the page batch
-    /// that follows. Payload: `key_index u32, from u32, num_partitions u32`.
-    Repartition = 1,
-    /// Coordinator → worker: receive a broadcast replica (page batch
-    /// follows). Empty payload.
-    Broadcast = 2,
-    /// Coordinator → worker: round-trip one partition for result delivery
-    /// (page batch follows, worker streams it back). Payload: `partition u32`.
-    Gather = 3,
-    /// Coordinator → worker: acknowledge and exit the serve loop. Empty
-    /// payload.
-    Shutdown = 4,
     /// One page of a row batch. Payload: `rows u32, page blob` (the blob is
     /// a [`rdo_spill::compress::encode_page`] output, flag byte included).
     Page = 5,
     /// Closes a page batch. Empty payload.
     End = 6,
-    /// Worker → coordinator: repartition tally. Payload:
-    /// `moved_rows u64, moved_bytes u64`.
-    Tally = 7,
-    /// Worker → coordinator: generic acknowledgement. Payload: `value u64`.
-    Ack = 8,
-    /// One page of one repartition output bucket. Payload:
-    /// `to u32, rows u32, page blob`.
-    Bucket = 9,
-    /// Coordinator → worker: liveness probe during connect. Empty payload.
-    Ping = 10,
     /// One page of a row batch in the columnar layout. Payload:
     /// `rows u32, page blob` where the decompressed body is a
-    /// [`rdo_spill::colcodec`] batch. Batch framing (End termination)
-    /// matches [`Tag::Page`].
+    /// [`rdo_spill::colcodec`] batch.
     ColPage = 11,
-    /// One page of one repartition output bucket in the columnar layout.
-    /// Payload: `to u32, rows u32, page blob`. Batch framing matches
-    /// [`Tag::Bucket`].
-    ColBucket = 12,
 }
 
 impl Tag {
     fn from_u8(raw: u8) -> Result<Tag> {
         Ok(match raw {
-            1 => Tag::Repartition,
-            2 => Tag::Broadcast,
-            3 => Tag::Gather,
-            4 => Tag::Shutdown,
             5 => Tag::Page,
             6 => Tag::End,
-            7 => Tag::Tally,
-            8 => Tag::Ack,
-            9 => Tag::Bucket,
-            10 => Tag::Ping,
             11 => Tag::ColPage,
-            12 => Tag::ColBucket,
             other => return Err(corrupt(&format!("unknown frame tag {other}"))),
         })
     }
@@ -105,7 +68,7 @@ fn corrupt(what: &str) -> RdoError {
 }
 
 /// Writes one frame.
-pub fn write_frame(w: &mut impl Write, tag: Tag, payload: &[u8]) -> Result<()> {
+fn write_frame(w: &mut impl Write, tag: Tag, payload: &[u8]) -> Result<()> {
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(corrupt("payload exceeds MAX_FRAME_LEN"));
     }
@@ -115,9 +78,9 @@ pub fn write_frame(w: &mut impl Write, tag: Tag, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads one frame. Returns `None` on a clean end-of-stream (the peer closed
-/// the connection between frames).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(Tag, Vec<u8>)>> {
+/// Reads one frame. Returns `None` on a clean end-of-stream (the stream
+/// ended between frames).
+fn read_frame(r: &mut impl Read) -> Result<Option<(Tag, Vec<u8>)>> {
     let mut tag_byte = [0u8; 1];
     match r.read_exact(&mut tag_byte) {
         Ok(()) => {}
@@ -136,53 +99,26 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(Tag, Vec<u8>)>> {
     Ok(Some((tag, payload)))
 }
 
-/// Reads one frame, erroring on end-of-stream (for protocol positions where
-/// the peer closing the connection is a failure, not a clean finish).
-pub fn expect_frame(r: &mut impl Read) -> Result<(Tag, Vec<u8>)> {
-    read_frame(r)?.ok_or_else(|| corrupt("peer closed the connection mid-exchange"))
+/// Reads one frame, erroring on end-of-stream (inside a batch, the stream
+/// ending is a failure, not a clean finish).
+fn expect_frame(r: &mut impl Read) -> Result<(Tag, Vec<u8>)> {
+    read_frame(r)?.ok_or_else(|| corrupt("stream ended mid-batch"))
 }
 
-/// Little-endian scalar readers for frame payloads.
-pub mod payload {
-    use super::corrupt;
-    use rdo_common::Result;
-
-    /// Reads a `u32` at byte offset `at`.
-    pub fn u32_at(bytes: &[u8], at: usize) -> Result<u32> {
-        let b = bytes
-            .get(at..at + 4)
-            .ok_or_else(|| corrupt("truncated u32"))?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u64` at byte offset `at`.
-    pub fn u64_at(bytes: &[u8], at: usize) -> Result<u64> {
-        let b = bytes
-            .get(at..at + 8)
-            .ok_or_else(|| corrupt("truncated u64"))?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-}
-
-/// Encodes `rows` into page frames on `w`, closing the batch with a
-/// [`Tag::End`] frame when `tag` is [`Tag::Page`]. [`Tag::Bucket`] batches
-/// are *not* End-terminated — several buckets share one response, and the
-/// closing [`Tag::Tally`] frame is their terminator.
+/// Encodes `rows` into page frames on `w` and closes the batch with a
+/// [`Tag::End`] frame. `tag` is the frame type of row-layout pages; callers
+/// pass [`Tag::Page`].
 ///
 /// With `columnar` set, each page is framed in *both* layouts — the
 /// [`rdo_spill::colcodec`] column runs and the row codec — and the smaller
-/// blob goes on the wire under the matching frame-type byte
-/// ([`Tag::ColPage`]/[`Tag::ColBucket`] for columnar bodies, the plain tags
-/// for row bodies), so a columnar sender never ships more bytes than a row
-/// sender. Page boundaries are decided by the row codec's size accounting
-/// either way, and the receiver dispatches per frame. The engine's own
-/// peers always pass `compress` and `columnar` set.
+/// blob is written under the matching frame-type byte ([`Tag::ColPage`] for
+/// columnar bodies, `tag` for row bodies), so a columnar writer never
+/// writes more bytes than a row writer. Page boundaries are decided by the
+/// row codec's size accounting either way, and the reader dispatches per
+/// frame.
 ///
-/// `header` prefixes every page payload (empty for plain [`Tag::Page`]
-/// batches; the repartition response uses it to tag bucket pages with their
-/// destination partition). Returns the number of pages written.
+/// `header` prefixes every page payload (empty for plain batches). Returns
+/// the number of pages written.
 pub fn write_page_batch(
     w: &mut impl Write,
     tag: Tag,
@@ -192,11 +128,6 @@ pub fn write_page_batch(
     columnar: bool,
     scratch: &mut LzScratch,
 ) -> Result<u64> {
-    let col_tag = match tag {
-        Tag::Page => Tag::ColPage,
-        Tag::Bucket => Tag::ColBucket,
-        other => other,
-    };
     let mut body: Vec<u8> = Vec::new();
     let mut pages = 0u64;
     let mut flush =
@@ -208,7 +139,7 @@ pub fn write_page_batch(
                 rdo_spill::colcodec::encode_rows(&mut col_body, width, page_rows);
                 let col_blob = encode_page_with(scratch, &col_body, compress);
                 if col_blob.len() < row_blob.len() {
-                    (col_tag, col_blob)
+                    (Tag::ColPage, col_blob)
                 } else {
                     (tag, row_blob)
                 }
@@ -238,40 +169,37 @@ pub fn write_page_batch(
         flush(&mut body, &rows[page_start..], scratch)?;
         pages += 1;
     }
-    if tag == Tag::Page {
-        write_frame(w, Tag::End, &[])?;
-    }
+    write_frame(w, Tag::End, &[])?;
     Ok(pages)
 }
 
-/// Decodes one page payload (`rows u32, page blob` at byte offset `at`) back
-/// into tuples, dispatching the body layout on the frame tag it arrived
-/// under: [`Tag::Page`]/[`Tag::Bucket`] bodies hold the row codec,
-/// [`Tag::ColPage`]/[`Tag::ColBucket`] bodies hold the columnar codec.
-pub fn decode_page_payload(tag: Tag, payload: &[u8], at: usize) -> Result<Vec<Tuple>> {
-    let rows = payload::u32_at(payload, at)? as usize;
-    let blob = payload
-        .get(at + 4..)
-        .ok_or_else(|| corrupt("truncated page blob"))?;
-    let body = decode_page(blob)?;
+/// Decodes one page payload (`rows u32, page blob`) back into tuples,
+/// dispatching the body layout on the frame tag it arrived under:
+/// [`Tag::Page`] bodies hold the row codec, [`Tag::ColPage`] bodies the
+/// columnar codec.
+fn decode_page_payload(tag: Tag, payload: &[u8]) -> Result<Vec<Tuple>> {
+    let count = payload
+        .get(..4)
+        .ok_or_else(|| corrupt("truncated row count"))?;
+    let rows = u32::from_le_bytes([count[0], count[1], count[2], count[3]]) as usize;
+    let body = decode_page(&payload[4..])?;
     match tag {
-        Tag::Page | Tag::Bucket => decode_rows(&body, rows),
-        Tag::ColPage | Tag::ColBucket => rdo_spill::colcodec::decode_rows(&body, rows),
+        Tag::Page => decode_rows(&body, rows),
+        Tag::ColPage => rdo_spill::colcodec::decode_rows(&body, rows),
         other => Err(corrupt(&format!("{other:?} is not a page frame"))),
     }
 }
 
 /// Reads a page batch until [`Tag::End`], returning the decoded rows. Both
 /// body layouts are accepted, and [`Tag::Page`] and [`Tag::ColPage`] frames
-/// may be mixed within one batch — the sender picks per page.
+/// may be mixed within one batch — the writer picks per page.
 pub fn read_page_batch(r: &mut impl Read) -> Result<Vec<Tuple>> {
     let mut rows = Vec::new();
     loop {
         let (tag, payload) = expect_frame(r)?;
         match tag {
-            Tag::Page | Tag::ColPage => rows.extend(decode_page_payload(tag, &payload, 0)?),
+            Tag::Page | Tag::ColPage => rows.extend(decode_page_payload(tag, &payload)?),
             Tag::End => return Ok(rows),
-            other => return Err(corrupt(&format!("expected Page/End, got {other:?}"))),
         }
     }
 }
@@ -300,12 +228,12 @@ mod tests {
     #[test]
     fn frames_roundtrip_over_a_buffer() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, Tag::Gather, &7u32.to_le_bytes()).unwrap();
+        write_frame(&mut buf, Tag::Page, &7u32.to_le_bytes()).unwrap();
         write_frame(&mut buf, Tag::End, &[]).unwrap();
         let mut cursor = &buf[..];
         let (tag, payload) = expect_frame(&mut cursor).unwrap();
-        assert_eq!(tag, Tag::Gather);
-        assert_eq!(payload::u32_at(&payload, 0).unwrap(), 7);
+        assert_eq!(tag, Tag::Page);
+        assert_eq!(payload, 7u32.to_le_bytes());
         let (tag, payload) = expect_frame(&mut cursor).unwrap();
         assert_eq!(tag, Tag::End);
         assert!(payload.is_empty());
@@ -492,7 +420,7 @@ mod tests {
         assert!(read_frame(&mut cursor).is_err(), "oversized length");
         // Truncated mid-payload: an error, not a clean EOF.
         let mut buf = Vec::new();
-        write_frame(&mut buf, Tag::Ack, &42u64.to_le_bytes()).unwrap();
+        write_frame(&mut buf, Tag::Page, &42u64.to_le_bytes()).unwrap();
         let mut cursor = &buf[..buf.len() - 2];
         assert!(read_frame(&mut cursor).is_err(), "truncated payload");
     }
@@ -504,13 +432,12 @@ mod tests {
         let mut page = u32::MAX.to_le_bytes().to_vec();
         page.extend_from_slice(&rdo_spill::compress::encode_page(&[0xff; 4], false));
         for tag in [Tag::Page, Tag::ColPage] {
-            assert!(decode_page_payload(tag, &page, 0).is_err(), "{tag:?}");
+            assert!(decode_page_payload(tag, &page).is_err(), "{tag:?}");
         }
-        let mut bucket = 0u32.to_le_bytes().to_vec();
-        bucket.extend_from_slice(&page);
-        for tag in [Tag::Bucket, Tag::ColBucket] {
-            assert!(decode_page_payload(tag, &bucket, 4).is_err(), "{tag:?}");
-        }
+        assert!(
+            decode_page_payload(Tag::Page, &page[..2]).is_err(),
+            "truncated row count"
+        );
     }
 
     /// A page frame whose row count is off by one errors in either body
@@ -533,12 +460,12 @@ mod tests {
             .unwrap();
             let (tag, mut payload) = expect_frame(&mut &buf[..]).unwrap();
             assert_eq!(tag, want);
-            assert_eq!(decode_page_payload(tag, &payload, 0).unwrap(), data);
-            assert!(decode_page_payload(Tag::Ack, &payload, 0).is_err());
+            assert_eq!(decode_page_payload(tag, &payload).unwrap(), data);
+            assert!(decode_page_payload(Tag::End, &payload).is_err());
             for wrong in [49u32, 51] {
                 payload[..4].copy_from_slice(&wrong.to_le_bytes());
                 assert!(
-                    decode_page_payload(tag, &payload, 0).is_err(),
+                    decode_page_payload(tag, &payload).is_err(),
                     "{tag:?} claiming {wrong} of 50 rows"
                 );
             }

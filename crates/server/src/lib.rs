@@ -22,8 +22,8 @@
 //!   re-optimization points) instead of re-running pilot stages, with a max
 //!   q-error no worse than the cold run's.
 //!
-//! The wire protocol is a dependency-free length-prefixed frame scheme in the
-//! style of `rdo_net::frame` — see [`protocol`]. Server-side counters
+//! The wire protocol is a dependency-free length-prefixed frame scheme — see
+//! [`protocol`]. Server-side counters
 //! (`server.sessions_opened`, `server.plan_cache_hits`, `server.admissions`,
 //! ...) surface on the `RDO_METRICS_ADDR` exposition endpoint alongside the
 //! per-query series.
@@ -363,8 +363,7 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Poke the accept loop awake so it observes the stop flag (the same
-        // self-connect pattern `rdo_net`'s worker listener uses).
+        // Poke the accept loop awake so it observes the stop flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();

@@ -1,5 +1,4 @@
-//! The server wire protocol: length-prefixed frames over TCP, in the style of
-//! `rdo_net::frame`.
+//! The server wire protocol: length-prefixed frames over TCP.
 //!
 //! Every frame is `tag: u8` + `len: u32 LE` + `len` payload bytes. A query is
 //! one [`Tag::Query`] frame carrying SQL text; the response is one

@@ -28,8 +28,8 @@
 //! without NULLs is one pass over its typed array (one bounds check for the
 //! whole payload on the way back), bitmaps move a byte at a time, a string
 //! column is its lengths and then its byte buffer, whole. [`encode_rows`] and
-//! [`decode_rows`] are the row edge for callers holding tuples (the wire
-//! frames of `rdo-net`).
+//! [`decode_rows`] are the row edge for callers holding tuples (the spill
+//! store's row reads and the page-batch frames of `rdo-net`).
 //!
 //! The roundtrip is **exact** at the representation level, not just the row
 //! level: [`decode_batch`] rebuilds the identical [`Column`] variants

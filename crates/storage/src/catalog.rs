@@ -168,7 +168,8 @@ impl Catalog {
 
     /// Ingests a base dataset: collects statistics, partitions it into
     /// columnar chunks (the only time its rows are converted) and builds the
-    /// requested secondary indexes.
+    /// requested secondary indexes. The catalog changes only when every step
+    /// succeeds: a failed ingest leaves no statistics or index behind.
     pub fn ingest(
         &mut self,
         name: impl Into<String>,
@@ -176,11 +177,11 @@ impl Catalog {
         options: IngestOptions,
     ) -> Result<()> {
         let name = name.into();
-        if options.collect_stats {
+        let stats = options.collect_stats.then(|| {
             let mut builder = DatasetStatsBuilder::all_columns(relation.schema());
             builder.observe_relation(&relation);
-            self.stats.register(name.clone(), builder.build());
-        }
+            builder.build()
+        });
         let table = Table::from_relation(
             name.clone(),
             relation,
@@ -192,10 +193,17 @@ impl Catalog {
             self.num_partitions,
             "ingested table must match the cluster partition count"
         );
-        for column in &options.secondary_indexes {
-            let index = SecondaryIndex::build(&table, column)?;
+        let indexes = options
+            .secondary_indexes
+            .iter()
+            .map(|column| SecondaryIndex::build(&table, column))
+            .collect::<Result<Vec<_>>>()?;
+        for index in indexes {
             self.indexes
                 .insert((name.clone(), index.column().to_string()), index);
+        }
+        if let Some(stats) = stats {
+            self.stats.register(name.clone(), stats);
         }
         self.tables.insert(name, Arc::new(table));
         Ok(())
@@ -207,7 +215,8 @@ impl Catalog {
     /// "Online Statistics"). This is a row edge: the key and the tracked
     /// columns are names a caller types, `dataset.field` or a bare column
     /// name that one column of the relation has (unknown names are skipped).
-    /// Even without sketches the row count is registered.
+    /// Even without sketches the row count is registered — once the table is
+    /// stored, so a failed registration leaves no statistics behind.
     pub fn register_intermediate(
         &mut self,
         name: impl Into<String>,
@@ -228,11 +237,10 @@ impl Catalog {
         };
         let mut builder = DatasetStatsBuilder::new(schema, &tracked);
         builder.observe_relation(&relation);
-        self.stats.register(name.clone(), builder.build());
         let table =
             Table::from_relation(name.clone(), relation, self.num_partitions, partition_key)?
                 .into_temporary();
-        self.store_intermediate(name, table)
+        self.store_intermediate(name, table, builder.build())
     }
 
     /// Registers an intermediate from the batches the operators produced,
@@ -240,7 +248,8 @@ impl Catalog {
     /// partition count, with statistics built elsewhere (the Sink builds one
     /// [`DatasetStatsBuilder`] per partition and merges the partials at the
     /// re-optimization barrier). The layout is taken verbatim and the batches
-    /// are shared, not copied.
+    /// are shared, not copied. `stats` is registered once the table is
+    /// stored, so a failed registration leaves no statistics behind.
     pub fn register_intermediate_partitioned(
         &mut self,
         name: impl Into<String>,
@@ -257,34 +266,41 @@ impl Catalog {
                 self.num_partitions
             )));
         }
-        self.stats.register(name.clone(), stats);
         let table = Table::from_partitions(name.clone(), schema, partitions, partition_key)?
             .into_temporary();
-        self.store_intermediate(name, table)
+        self.store_intermediate(name, table, stats)
     }
 
-    /// Applies the spill policy and stores a freshly built temporary table.
-    fn store_intermediate(&mut self, name: String, table: Table) -> Result<StoredIntermediate> {
+    /// Applies the spill policy, stores a freshly built temporary table and
+    /// then registers its statistics — the last step, so a spill failure
+    /// leaves neither a table nor statistics behind.
+    fn store_intermediate(
+        &mut self,
+        name: String,
+        table: Table,
+        stats: DatasetStats,
+    ) -> Result<StoredIntermediate> {
         debug_assert!(table.is_temporary(), "only intermediates go through here");
-        let outcome = match &self.spill {
+        let (table, outcome) = match &self.spill {
             Some(manager) if manager.wants_spill(table.approx_bytes() as u64) => {
                 let (spilled, tally) = table.into_spilled(manager)?;
-                self.tables.insert(name, Arc::new(spilled));
-                StoredIntermediate {
+                let outcome = StoredIntermediate {
                     spilled: true,
                     pages_written: tally.pages,
                     bytes_written: tally.bytes,
                     logical_bytes_written: tally.logical_bytes,
-                }
+                };
+                (spilled, outcome)
             }
             manager => {
                 if let Some(manager) = manager {
                     manager.retain(table.approx_bytes() as u64);
                 }
-                self.tables.insert(name, Arc::new(table));
-                StoredIntermediate::default()
+                (table, StoredIntermediate::default())
             }
         };
+        self.stats.register(name.clone(), stats);
+        self.tables.insert(name, Arc::new(table));
         Ok(outcome)
     }
 
@@ -669,6 +685,62 @@ mod tests {
         cat.configure_spill(SpillConfig::disabled()).unwrap();
         assert!(cat.spill_dir().is_none());
         assert!(cat.spill_manager().is_none());
+    }
+
+    /// An ingest that fails leaves the catalog as it was: no statistics, no
+    /// index built before the failing step, no table.
+    #[test]
+    fn failed_ingest_leaves_nothing_behind() {
+        let mut cat = Catalog::new(2);
+        let bad_key = IngestOptions::partitioned_on("no_such_column");
+        assert!(cat.ingest("orders", relation(10), bad_key).is_err());
+        let bad_index = IngestOptions::partitioned_on("o_orderkey")
+            .with_index("o_custkey")
+            .with_index("no_such_column");
+        assert!(cat.ingest("orders", relation(10), bad_index).is_err());
+        assert!(cat.stats().get("orders").is_none());
+        assert!(!cat.has_secondary_index("orders", "o_custkey"));
+        assert!(!cat.has_table("orders"));
+    }
+
+    /// A row intermediate that fails to register — an unknown partition key,
+    /// or spill I/O that fails mid-write — leaves no statistics behind.
+    #[test]
+    fn failed_intermediate_registration_leaves_no_statistics() {
+        let mut cat = Catalog::new(2);
+        let unknown_key = cat.register_intermediate("I_1", relation(7), Some("nope"), &[], false);
+        assert!(unknown_key.is_err());
+        assert_eq!(cat.stats().row_count("I_1"), None);
+
+        cat.configure_spill(SpillConfig::default().with_budget(1))
+            .unwrap();
+        let dir = cat.spill_dir().expect("spill enabled");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let spill_fails = cat.register_intermediate("I_2", relation(7), None, &[], false);
+        assert!(spill_fails.is_err(), "the spill file cannot be created");
+        assert_eq!(cat.stats().row_count("I_2"), None);
+        assert!(!cat.has_table("I_2"));
+    }
+
+    /// A partitioned intermediate with an out-of-range key column is refused
+    /// without registering its prebuilt statistics.
+    #[test]
+    fn failed_partitioned_registration_leaves_no_statistics() {
+        let mut cat = Catalog::new(2);
+        let rel = relation(7);
+        let table = Table::from_relation("scratch", rel.clone(), 2, None).unwrap();
+        let mut builder = rdo_sketch::DatasetStatsBuilder::new(rel.schema(), &[]);
+        builder.observe_relation(&rel);
+        let out_of_range = cat.register_intermediate_partitioned(
+            "t",
+            rel.schema().clone(),
+            batches_of(&table),
+            Some(99),
+            builder.build(),
+        );
+        assert!(out_of_range.is_err());
+        assert_eq!(cat.stats().row_count("t"), None);
+        assert!(!cat.has_table("t"));
     }
 
     #[test]

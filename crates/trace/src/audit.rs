@@ -13,7 +13,7 @@
 //!
 //! Everything in an [`AuditLog`] derives from deterministic, coordinator-side
 //! quantities — sketch-based estimates and materialized row counts — so the
-//! log is bit-identical across worker counts and transports, the same
+//! log is bit-identical across worker counts, the same
 //! invariance law the results and metrics already obey.
 
 /// Q-error of one estimate: `max(est/act, act/est)`, the standard symmetric

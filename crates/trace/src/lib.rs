@@ -19,8 +19,8 @@
 //! * [`serve`] is the live scrape endpoint (`RDO_METRICS_ADDR`): `/metrics`
 //!   and `/progress` over a dependency-free HTTP listener;
 //! * [`TaskContext`] carries the active trace across thread boundaries (the
-//!   worker pool, net transport threads, the spill prefetcher), so spans
-//!   started on other threads stitch under the submitting span;
+//!   worker pool, the spill prefetcher), so spans started on other threads
+//!   stitch under the submitting span;
 //! * [`Profile`] renders the collected data three ways: an
 //!   `EXPLAIN ANALYZE`-style tree, a Chrome `trace_event` JSON file, and a
 //!   Prometheus text exposition.
@@ -30,17 +30,10 @@
 //! relaxed atomic load of a global install count and returns immediately when
 //! it is zero — no lock, no allocation, no thread-local access — so the
 //! equivalence suites and the bench gate run the exact seed code path.
-//!
-//! **Distributed runs.** Remote workers trace into their own collectors and
-//! ship the encoded spans back inside the existing tally frames
-//! ([`wire::encode_update`]); the coordinator [`TraceHandle::adopt`]s them
-//! under its per-worker exchange spans, so one merged tree covers the whole
-//! cluster.
 
 pub mod audit;
 pub mod profile;
 pub mod serve;
-pub mod wire;
 
 pub use profile::Profile;
 
@@ -66,7 +59,7 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 pub enum AttrValue {
     /// An unsigned integer (row counts, byte volumes, fanouts, levels).
     U64(u64),
-    /// A free-form string (table names, worker addresses).
+    /// A free-form string (table names, plan signatures).
     Str(String),
 }
 
@@ -108,7 +101,7 @@ pub const HISTOGRAM_BOUNDS: usize = 32;
 /// Every histogram shares the same boundaries, so merging two of them is a
 /// bucket-wise sum (plus summing `sum` and `count`) — an associative and
 /// commutative law like the counter (sum) and gauge (max) laws, which is what
-/// keeps the merged exposition worker-count and transport invariant. The
+/// keeps the merged exposition worker-count invariant. The
 /// collector records one histogram per span name automatically when a span
 /// guard drops, giving per-operator and per-stage wall-latency distributions
 /// for free.
@@ -187,8 +180,10 @@ impl Histogram {
         &self.counts
     }
 
-    /// Reassembles a histogram from its parts (the wire decoder). `None` when
-    /// the bucket count does not match this build's boundaries.
+    /// Reassembles a histogram from its parts (the inverse of
+    /// [`Histogram::bucket_counts`], [`Histogram::sum_ns`] and
+    /// [`Histogram::count`]). `None` when the bucket count does not match
+    /// this build's boundaries.
     pub fn from_parts(bucket_counts: &[u64], sum: u64, count: u64) -> Option<Self> {
         let counts: [u64; HISTOGRAM_BOUNDS + 1] = bucket_counts.try_into().ok()?;
         Some(Self { counts, sum, count })
@@ -292,16 +287,6 @@ impl Collector {
                 let mut histogram = Histogram::new();
                 histogram.observe(value_ns);
                 map.insert(name.to_string(), histogram);
-            }
-        }
-    }
-
-    fn merge_histogram(&self, name: &str, other: &Histogram) {
-        let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        match map.get_mut(name) {
-            Some(histogram) => histogram.merge(other),
-            None => {
-                map.insert(name.to_string(), other.clone());
             }
         }
     }
@@ -469,7 +454,7 @@ impl TraceHandle {
     }
 
     /// Snapshot of the note map. Notes are local diagnostics for the live
-    /// `/progress` endpoint; they do not ship across the wire.
+    /// `/progress` endpoint.
     pub fn notes(&self) -> BTreeMap<String, String> {
         self.inner
             .as_ref()
@@ -483,95 +468,6 @@ impl TraceHandle {
         Profile::new(self.spans(), self.counters(), self.gauges())
             .with_histograms(self.histograms())
     }
-
-    /// Merges spans and metrics collected elsewhere (typically decoded from a
-    /// remote worker's tally frame) into this trace, under the span
-    /// `parent_id`. Imported span/thread ids are offset past this collector's,
-    /// root parents are re-pointed at `parent_id`, and the imported timeline
-    /// is shifted so it *ends* at the adoption instant — right after the
-    /// coordinator finished waiting on the worker, which is when adoption
-    /// runs. Counters sum-merge and gauges max-merge, preserving the same
-    /// laws local accumulation uses.
-    pub fn adopt(&self, update: wire::Update, parent_id: u64) {
-        let Some(collector) = &self.inner else { return };
-        let wire::Update {
-            spans,
-            counters,
-            gauges,
-            histograms,
-        } = update;
-        if !spans.is_empty() {
-            let max_id = spans.iter().map(|s| s.id).max().unwrap_or(0);
-            // Reserve max_id + 1 fresh ids: adopted ids land in
-            // (offset, offset + max_id] and the next local span takes
-            // offset + max_id + 1, so the two ranges can never collide.
-            let id_offset = collector.next_id.fetch_add(max_id + 1, Ordering::Relaxed);
-            let thread_offset = spans.iter().map(|s| s.thread).max().unwrap_or(0);
-            let min_start = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-            let max_end = spans
-                .iter()
-                .map(|s| s.start_ns.saturating_add(s.duration_ns))
-                .max()
-                .unwrap_or(0);
-            let window = max_end.saturating_sub(min_start);
-            let base = collector.now_ns().saturating_sub(window);
-            for mut span in spans {
-                span.id += id_offset;
-                span.parent = if span.parent == 0 {
-                    parent_id
-                } else {
-                    span.parent + id_offset
-                };
-                // Imported thread lanes get their own range so they never
-                // collide with local lanes in the Chrome export.
-                span.thread += id_offset.max(thread_offset);
-                span.start_ns = base + (span.start_ns - min_start);
-                collector.push(span);
-            }
-        }
-        for (name, delta) in counters {
-            collector.add_counter(&name, delta);
-        }
-        for (name, value) in gauges {
-            collector.gauge_max(&name, value);
-        }
-        // Adopted spans are pushed directly (not via a guard drop), so the
-        // remote histograms — which already contain those spans' latencies,
-        // observed where the guards actually dropped — are merged explicitly.
-        for (name, histogram) in histograms {
-            collector.merge_histogram(&name, &histogram);
-        }
-    }
-
-    /// Encodes everything collected so far for shipment to another process
-    /// (the worker side of [`TraceHandle::adopt`]).
-    pub fn encode_update(&self) -> Vec<u8> {
-        wire::encode_update(
-            &self.spans(),
-            &self.counters(),
-            &self.gauges(),
-            &self.histograms(),
-        )
-    }
-}
-
-/// Merges a remote [`wire::Update`] into the thread's installed trace, under
-/// the thread's current span — the coordinator-side counterpart of a worker's
-/// [`TraceHandle::encode_update`], callable from deep inside a transport
-/// without threading a handle through. A no-op when tracing is disabled.
-pub fn adopt_update(update: wire::Update) {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    CTX.with(|ctx| {
-        if let Some(t) = ctx.borrow().as_ref() {
-            let parent = t.stack.last().copied().unwrap_or(0);
-            let handle = TraceHandle {
-                inner: Some(Arc::clone(&t.collector)),
-            };
-            handle.adopt(update, parent);
-        }
-    });
 }
 
 /// Export path from the `RDO_TRACE` knob: when set (to a non-empty string),
@@ -684,8 +580,7 @@ impl SpanGuard {
         _not_send: PhantomData,
     };
 
-    /// This span's id (0 when tracing is disabled). Remote adoption points
-    /// worker roots at this id.
+    /// This span's id (0 when tracing is disabled).
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map(|s| s.id).unwrap_or(0)
     }
@@ -942,48 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn adoption_merges_remote_updates_under_a_parent() {
-        // "Worker" side: its own collector, two nested spans + metrics.
-        let worker = TraceHandle::enabled();
-        {
-            let _guard = worker.install();
-            let _outer = span("serve.repartition");
-            let _inner = span("serve.route");
-            counter("net.frames", 4);
-            worker.gauge_max("net.peak", 100);
-        }
-        let blob = worker.encode_update();
-
-        // Coordinator side: adopt under a live exchange span.
-        let coord = TraceHandle::enabled();
-        let parent_id;
-        {
-            let _guard = coord.install();
-            let exchange = span("net.exchange");
-            parent_id = exchange.id();
-            coord.counter("net.frames", 1);
-            coord.gauge_max("net.peak", 40);
-            coord.adopt(wire::decode_update(&blob).unwrap(), parent_id);
-        }
-        let spans = coord.spans();
-        let outer = spans
-            .iter()
-            .find(|s| s.name == "serve.repartition")
-            .unwrap();
-        let inner = spans.iter().find(|s| s.name == "serve.route").unwrap();
-        assert_eq!(
-            outer.parent, parent_id,
-            "remote root hangs off the exchange"
-        );
-        assert_eq!(inner.parent, outer.id, "remote nesting preserved");
-        let local_ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
-        assert_eq!(local_ids.len(), spans.len(), "re-iding avoided collisions");
-        // Merge laws: counters sum, gauges max.
-        assert_eq!(coord.counters().get("net.frames"), Some(&5));
-        assert_eq!(coord.gauges().get("net.peak"), Some(&100));
-    }
-
-    #[test]
     fn timers_accumulate_elapsed_nanoseconds() {
         let handle = TraceHandle::enabled();
         let _guard = handle.install();
@@ -1043,29 +896,6 @@ mod tests {
         let histograms = handle.histograms();
         assert_eq!(histograms.get("exec.join").map(|h| h.count()), Some(3));
         assert_eq!(histograms.get("stage.final").map(|h| h.count()), Some(1));
-    }
-
-    #[test]
-    fn adoption_merges_histograms_without_double_counting() {
-        let worker = TraceHandle::enabled();
-        {
-            let _guard = worker.install();
-            let _s = span("serve.repartition");
-        }
-        let blob = worker.encode_update();
-        let coord = TraceHandle::enabled();
-        {
-            let _guard = coord.install();
-            let exchange = span("net.exchange");
-            coord.adopt(wire::decode_update(&blob).unwrap(), exchange.id());
-        }
-        let histograms = coord.histograms();
-        assert_eq!(
-            histograms.get("serve.repartition").map(|h| h.count()),
-            Some(1),
-            "adopted spans do not re-observe; the shipped histogram carries them"
-        );
-        assert_eq!(histograms.get("net.exchange").map(|h| h.count()), Some(1));
     }
 
     #[test]

@@ -5,10 +5,10 @@ use crate::{AttrValue, Histogram, SpanRecord};
 use std::collections::BTreeMap;
 
 /// Span names with these prefixes describe *physical* execution mechanics
-/// (thread pools, wire transport, remote serving) rather than the logical
-/// query: they are excluded from [`Profile::logical_shape`], which must be
-/// identical across worker counts and transports.
-const PHYSICAL_PREFIXES: &[&str] = &["pool.", "net.", "serve.", "worker."];
+/// (the worker pool's morsels) rather than the logical query: they are
+/// excluded from [`Profile::logical_shape`], which must be identical across
+/// worker counts.
+const PHYSICAL_PREFIXES: &[&str] = &["pool."];
 
 /// An immutable snapshot of one query's trace: finished spans plus the
 /// counter and gauge maps. Produced by `TraceHandle::profile`.
@@ -222,11 +222,11 @@ impl Profile {
     }
 
     /// A canonical, duration-free rendering of the *logical* span tree:
-    /// physical spans (pool/net/serve/worker) are elided — their children are
-    /// re-attached to the nearest logical ancestor — and siblings are sorted
-    /// by name and attributes. Two runs of the same query must produce the
-    /// same shape regardless of worker count or transport; the equivalence
-    /// tests assert exactly that.
+    /// physical (`pool.`) spans are elided — their children are re-attached
+    /// to the nearest logical ancestor — and siblings are sorted by name and
+    /// attributes. Two runs of the same query must produce the same shape
+    /// regardless of worker count; the equivalence tests assert exactly
+    /// that.
     pub fn logical_shape(&self) -> String {
         let by_id: BTreeMap<u64, &SpanRecord> = self.spans.iter().map(|s| (s.id, s)).collect();
         // Resolve each logical span's nearest logical ancestor.
@@ -274,7 +274,7 @@ fn is_physical(name: &str) -> bool {
 
 /// The attributes that participate in the logical shape: everything except
 /// obviously physical measurements would over-constrain, so the shape keeps
-/// only attributes whose values are worker- and transport-invariant by
+/// only attributes whose values are worker-count invariant by
 /// construction (names, levels, counts of logical objects).
 fn shape_attrs(span: &SpanRecord) -> String {
     let mut out = String::new();

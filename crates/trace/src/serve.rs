@@ -1,8 +1,7 @@
 //! The live scrape endpoint: a tiny dependency-free HTTP listener serving
 //! `/metrics` (Prometheus text exposition merged across every in-flight
 //! collector) and `/progress` (per-query rows-produced / pages-scanned /
-//! current-stage JSON), so long distributed runs can be watched while they
-//! execute.
+//! current-stage JSON), so long runs can be watched while they execute.
 //!
 //! The listener is plain `std::net::TcpListener` — one short-lived thread, a
 //! minimal request-line parser, `Connection: close` responses — because the
@@ -10,10 +9,8 @@
 //! protocol this small. Queries register their [`TraceHandle`]s in a global
 //! registry of weak references; a scrape upgrades whatever is still alive and
 //! merges counters (sum), gauges (max) and histograms (bucket-wise sum) under
-//! the same laws in-process and cross-process accumulation already use, so
-//! the exposition is consistent mid-run. Worker-side counters arrive through
-//! the tally frames ([`crate::wire`]) and are merged into the coordinator
-//! collectors before a scrape ever sees them.
+//! the same laws local accumulation already uses, so the exposition is
+//! consistent mid-run.
 //!
 //! `RDO_METRICS_ADDR=host:port` starts the process-global listener on first
 //! driver use (see [`ensure_started_from_env`]); embedders can run their own

@@ -1,11 +1,10 @@
-//! End-to-end trace capture of a distributed query execution.
+//! End-to-end trace capture of a dynamic query execution.
 //!
-//! Spawns localhost worker processes, runs dynamic Q9 through the `rdo-net`
-//! TCP transport with tracing enabled, prints the EXPLAIN-ANALYZE span tree
-//! (including the `serve.repartition` spans the workers shipped back inside
-//! their tally frames), and writes the whole timeline as a Chrome
-//! `trace_event` JSON you can open in `chrome://tracing` or
-//! <https://ui.perfetto.dev>.
+//! Runs dynamic Q9 on two pool workers with tracing enabled, prints the
+//! EXPLAIN-ANALYZE span tree (stages, planner calls, the hash joins behind
+//! their repartition exchanges, and the `pool.morsel` spans of the worker
+//! pool), and writes the whole timeline as a Chrome `trace_event` JSON you
+//! can open in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! ```text
 //! cargo run --release --example trace_profile
@@ -13,43 +12,26 @@
 //! ```
 
 use runtime_dynamic_optimization::prelude::*;
-use std::sync::Arc;
 
 fn main() {
-    // Worker mode: this process was spawned by LocalCluster below.
-    if runtime_dynamic_optimization::net::maybe_worker().expect("worker loop") {
-        return;
-    }
-    // Still single-threaded here, so mutating the environment is safe. The
-    // worker processes spawned below inherit the knob, flip their serve
-    // loops into tracing mode, and ship their spans back in tally frames.
-    std::env::set_var("RDO_TRACE_SPANS", "1");
-
     println!("loading synthetic TPC-H/TPC-DS data ...");
     let env = BenchmarkEnv::load(ScaleFactor::gb(2), 4, true, 42).expect("workload generation");
 
-    println!("spawning 2 localhost worker process(es) ...");
-    let cluster = LocalCluster::spawn(2).expect("spawn workers");
-    println!("workers: {}", cluster.addr_list());
-    let transport = Arc::new(TcpTransport::connect(cluster.addrs()).expect("connect workers"));
-
     let trace = TraceHandle::enabled();
     // A zero broadcast threshold forces every join through the hash path,
-    // so the trace shows repartition exchanges — including the
-    // `serve.repartition` spans the workers measured remotely.
+    // so the trace shows hash joins fed by repartition exchanges.
     let driver = DynamicDriver::new(
         DynamicConfig::dynamic(JoinAlgorithmRule::with_threshold(0.0))
             .with_parallel(ParallelConfig::serial().with_workers(2))
             .with_trace(trace.clone()),
     );
     let mut catalog = env.catalog.clone();
-    let outcome = driver
-        .execute_with_transport(&q9(), &mut catalog, transport.clone())
-        .expect("distributed execution");
+    let outcome = driver.execute(&q9(), &mut catalog).expect("execution");
     println!(
-        "Q9: {} result rows across {} stages\n",
+        "Q9: {} result rows across {} stages, {} rows repartitioned\n",
         outcome.result.len(),
-        outcome.stage_plans.len()
+        outcome.stage_plans.len(),
+        outcome.total.rows_shuffled,
     );
 
     let profile = trace.profile();
@@ -57,31 +39,24 @@ fn main() {
 
     // The audit trail: plan-time estimates vs materialized actuals per stage
     // (with Q-error) and the explanation of every re-optimization decision.
-    // Bit-identical to what an in-process run of the same query records.
     println!("\noptimizer audit:");
     print!("{}", outcome.audit.render());
 
-    // Per-span latency percentiles, straight from the merged histograms
-    // (worker-side serve.repartition observations included).
-    if let Some(h) = profile.histogram("exec.join") {
-        println!(
-            "\nexec.join latency over {} spans: p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms",
-            h.count(),
-            h.quantile_ns(0.5) as f64 / 1e6,
-            h.quantile_ns(0.9) as f64 / 1e6,
-            h.quantile_ns(0.99) as f64 / 1e6,
-        );
+    // Per-span latency percentiles, straight from the span histograms.
+    for name in ["exec.join", "pool.morsel"] {
+        if let Some(h) = profile.histogram(name) {
+            println!(
+                "\n{name} latency over {} spans: p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms",
+                h.count(),
+                h.quantile_ns(0.5) as f64 / 1e6,
+                h.quantile_ns(0.9) as f64 / 1e6,
+                h.quantile_ns(0.99) as f64 / 1e6,
+            );
+        }
     }
 
     let path = rdo_trace::export_path().unwrap_or_else(|| "trace_profile_q9.json".to_string());
     std::fs::write(&path, profile.chrome_trace_json())
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("\nwrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
-
-    drop(transport);
-    let statuses = cluster.shutdown().expect("clean shutdown");
-    println!(
-        "workers shut down cleanly ({} process(es), all exit 0) ✓",
-        statuses.len()
-    );
 }

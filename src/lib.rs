@@ -16,14 +16,10 @@
 //! * [`exec`] — the execution runtime: physical operators (hash / broadcast /
 //!   indexed nested-loop joins), the memory-budgeted grace/hybrid hash join
 //!   (`RDO_JOIN_BUDGET`), the partition-parallel executor (a persistent
-//!   worker pool running one task per partition, with explicit exchange
-//!   operators between them behind a pluggable `Transport` seam), the Sink
-//!   and the cluster cost model;
-//! * [`net`] — the distributed multi-process exchange backend: a
-//!   length-prefixed TCP transport (`RDO_TRANSPORT=tcp`) that routes the
-//!   exchange operators across worker processes as framed page batches,
-//!   plus the worker-process entry points and the localhost cluster
-//!   spawner;
+//!   worker pool running one task per partition, with explicit, metered
+//!   exchange operators between them), the Sink and the cluster cost model;
+//! * [`net`] — page-batch wire framing over the spill page codecs, kept only
+//!   for the wall-clock benchmark's `net.page_batch_*` probe;
 //! * [`planner`] — the query model, cardinality estimation, the greedy
 //!   next-join Planner and the static baselines (cost-based, best-order,
 //!   worst-order, pilot-run);
@@ -42,9 +38,7 @@
 //! * [`server`] — the multi-query SQL server front-end: TCP sessions over a
 //!   length-prefixed frame protocol, one shared worker pool, global memory
 //!   admission (`RDO_SERVER_MEM_BUDGET`) and a learned-stats plan cache that
-//!   lets repeat queries plan from measured cardinalities;
-//! * [`lsm`] — the LSM ingestion substrate whose components carry the
-//!   ingestion-time statistics the paper's initial plans rely on.
+//!   lets repeat queries plan from measured cardinalities.
 //!
 //! # Quickstart
 //!
@@ -71,7 +65,6 @@
 pub use rdo_common as common;
 pub use rdo_core as core;
 pub use rdo_exec as exec;
-pub use rdo_lsm as lsm;
 pub use rdo_net as net;
 pub use rdo_planner as planner;
 pub use rdo_server as server;
@@ -93,12 +86,10 @@ pub mod prelude {
         DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
     };
     pub use rdo_exec::{
-        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, InProcessTransport,
-        JoinAlgorithm, ParallelConfig, ParallelExecutor, PhysicalPlan, PostProcess, Predicate,
-        SortKey, Transport, TransportKind, WorkerPool,
+        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm,
+        ParallelConfig, ParallelExecutor, PhysicalPlan, PostProcess, Predicate, SortKey,
+        WorkerPool,
     };
-    pub use rdo_lsm::{LsmDataset, LsmOptions, PrefixMergePolicy, TieredMergePolicy};
-    pub use rdo_net::{LocalCluster, TcpTransport};
     pub use rdo_planner::{
         BestOrderOptimizer, CostBasedOptimizer, DatasetRef, GreedyPlanner, JoinAlgorithmRule,
         LearnedStatsCatalog, NextJoinPolicy, Optimizer, PilotRunOptimizer, QuerySpec,

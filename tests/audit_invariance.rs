@@ -1,41 +1,35 @@
 //! The optimizer audit trail is a property of the *query and the statistics*,
 //! never of the physical schedule: plan-time estimates come from
 //! deterministic sketches and actuals from coordinator-side materialized row
-//! counts, so the audit must be bit-identical across worker counts, across
-//! transports (in-process vs TCP), and across every query in the evaluation
-//! suite. A scrape endpoint test rides along: `/metrics` and `/progress`
-//! answer over real HTTP while a run's collector is registered.
+//! counts, so the audit must be bit-identical across worker counts and
+//! across every query in the evaluation suite. A scrape endpoint test rides
+//! along: `/metrics` and `/progress` answer over real HTTP while a run's
+//! collector is registered.
 //!
-//! No test here mutates the process environment; the TCP leg serves a worker
-//! on an in-thread listener exactly like `trace_profile.rs`.
+//! No test here mutates the process environment.
 
 use runtime_dynamic_optimization::prelude::*;
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 fn env() -> BenchmarkEnv {
     BenchmarkEnv::load(ScaleFactor::gb(2), 4, true, 42).expect("workload generation")
 }
 
-fn audited_run(
-    env: &BenchmarkEnv,
-    workers: usize,
-    transport: Arc<dyn Transport>,
-) -> DynamicOutcome {
+fn audited_run(env: &BenchmarkEnv, workers: usize) -> DynamicOutcome {
     let config = DynamicConfig::default()
         .with_parallel(ParallelConfig::serial().with_workers(workers))
         .with_trace(TraceHandle::enabled());
     let mut catalog = env.catalog.clone();
     DynamicDriver::new(config)
-        .execute_with_transport(&q9(), &mut catalog, transport)
+        .execute(&q9(), &mut catalog)
         .expect("audited execution")
 }
 
 #[test]
 fn audit_is_worker_count_invariant() {
     let env = env();
-    let one = audited_run(&env, 1, Arc::new(InProcessTransport));
-    let four = audited_run(&env, 4, Arc::new(InProcessTransport));
+    let one = audited_run(&env, 1);
+    let four = audited_run(&env, 4);
     assert_eq!(one.result, four.result);
     assert_eq!(
         one.audit, four.audit,
@@ -46,28 +40,6 @@ fn audit_is_worker_count_invariant() {
         four.audit.render(),
         "the rendered table is bit-identical too"
     );
-}
-
-#[test]
-fn audit_is_transport_invariant() {
-    let env = env();
-    let in_process = audited_run(&env, 2, Arc::new(InProcessTransport));
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind worker");
-    let addr = listener.local_addr().expect("local addr");
-    let server = std::thread::spawn(move || rdo_net::worker::serve(listener));
-    let transport = Arc::new(TcpTransport::connect(&[addr]).expect("connect worker"));
-    let over_tcp = audited_run(&env, 2, transport.clone());
-    drop(transport);
-    rdo_net::shutdown_workers(&[addr]).expect("stop worker");
-    server.join().expect("server thread").expect("serve loop");
-
-    assert_eq!(over_tcp.result, in_process.result);
-    assert_eq!(
-        over_tcp.audit, in_process.audit,
-        "shipping exchanges over a socket must not change a single audit bit"
-    );
-    assert_eq!(over_tcp.audit.render(), in_process.audit.render());
 }
 
 #[test]

@@ -1,31 +1,25 @@
 //! Tracing is an *observer*, never a participant: enabling it must not
 //! change a single bit of any outcome, and the logical span tree it records
-//! must be a property of the query — identical across worker counts and
-//! transports — not of the physical schedule that happened to run it.
+//! must be a property of the query — identical across worker counts — not
+//! of the physical schedule that happened to run it.
 //!
 //! No test here mutates the process environment: tracing is enabled through
-//! `DynamicConfig::with_trace` / `QueryRunner::with_tracing`, and the TCP
-//! leg serves a worker on an in-thread listener.
+//! `DynamicConfig::with_trace` / `QueryRunner::with_tracing`.
 
 use runtime_dynamic_optimization::prelude::*;
-use std::sync::Arc;
 
 fn env() -> BenchmarkEnv {
     BenchmarkEnv::load(ScaleFactor::gb(2), 4, true, 42).expect("workload generation")
 }
 
-fn traced_run(
-    env: &BenchmarkEnv,
-    workers: usize,
-    transport: Arc<dyn Transport>,
-) -> (DynamicOutcome, Profile) {
+fn traced_run(env: &BenchmarkEnv, workers: usize) -> (DynamicOutcome, Profile) {
     let trace = TraceHandle::enabled();
     let config = DynamicConfig::default()
         .with_parallel(ParallelConfig::serial().with_workers(workers))
         .with_trace(trace.clone());
     let mut catalog = env.catalog.clone();
     let outcome = DynamicDriver::new(config)
-        .execute_with_transport(&q9(), &mut catalog, transport)
+        .execute(&q9(), &mut catalog)
         .expect("traced execution");
     (outcome, trace.profile())
 }
@@ -39,7 +33,7 @@ fn tracing_changes_no_outcome_bit() {
             .execute(&q9(), &mut catalog)
             .expect("untraced execution")
     };
-    let (traced, profile) = traced_run(&env, 1, Arc::new(InProcessTransport));
+    let (traced, profile) = traced_run(&env, 1);
     assert_eq!(traced.result, untraced.result, "results must be identical");
     assert_eq!(traced.total, untraced.total, "metrics must be identical");
     assert_eq!(traced.stage_plans, untraced.stage_plans);
@@ -52,8 +46,8 @@ fn tracing_changes_no_outcome_bit() {
 #[test]
 fn logical_shape_is_worker_count_invariant() {
     let env = env();
-    let (outcome_1, profile_1) = traced_run(&env, 1, Arc::new(InProcessTransport));
-    let (outcome_4, profile_4) = traced_run(&env, 4, Arc::new(InProcessTransport));
+    let (outcome_1, profile_1) = traced_run(&env, 1);
+    let (outcome_4, profile_4) = traced_run(&env, 4);
     assert_eq!(outcome_1.result, outcome_4.result);
     assert_eq!(
         profile_1.logical_shape(),
@@ -63,37 +57,9 @@ fn logical_shape_is_worker_count_invariant() {
 }
 
 #[test]
-fn logical_shape_is_transport_invariant() {
-    let env = env();
-    let (reference, in_process) = traced_run(&env, 2, Arc::new(InProcessTransport));
-
-    // One worker served on an in-thread listener — no processes, no env.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind worker");
-    let addr = listener.local_addr().expect("local addr");
-    let server = std::thread::spawn(move || rdo_net::worker::serve(listener));
-    let transport = Arc::new(TcpTransport::connect(&[addr]).expect("connect worker"));
-    let (distributed, over_tcp) = traced_run(&env, 2, transport.clone());
-    assert!(
-        transport.stats().bytes_sent > 0,
-        "the exchanges really crossed the socket"
-    );
-    drop(transport);
-    rdo_net::shutdown_workers(&[addr]).expect("stop worker");
-    server.join().expect("server thread").expect("serve loop");
-
-    assert_eq!(distributed.result, reference.result);
-    assert_eq!(distributed.total, reference.total);
-    assert_eq!(
-        over_tcp.logical_shape(),
-        in_process.logical_shape(),
-        "eliding physical spans leaves the same logical tree on both transports"
-    );
-}
-
-#[test]
 fn profile_records_the_driver_stages_and_metrics() {
     let env = env();
-    let (outcome, profile) = traced_run(&env, 1, Arc::new(InProcessTransport));
+    let (outcome, profile) = traced_run(&env, 1);
 
     let names: Vec<&str> = profile.spans().iter().map(|s| s.name.as_str()).collect();
     for expected in [
