@@ -148,11 +148,13 @@ mod tests {
             parse_or_warn("RDO_X", "7", "default", parse_env_u64),
             Some(7)
         );
-        assert_eq!(
-            parse_or_warn("RDO_X", "sideways", "default", parse_env_u64),
-            None,
-            "invalid values warn and keep the default"
-        );
+        // Captured: an uncaptured warning would land in whichever capture a
+        // concurrently running log test holds and break its line count.
+        let (value, lines) = crate::log::capture(crate::log::Level::Warn, || {
+            parse_or_warn("RDO_X", "sideways", "default", parse_env_u64)
+        });
+        assert_eq!(value, None, "invalid values warn and keep the default");
+        assert!(lines.iter().any(|l| l.contains("RDO_X")), "{lines:?}");
         assert_eq!(
             parse_or_warn("RDO_C", "on", "default", parse_env_bool),
             Some(true)

@@ -89,4 +89,29 @@ mod tests {
             RdoError::UnknownDataset("b".into())
         );
     }
+
+    #[test]
+    fn io_errors_convert_and_keep_their_message() {
+        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "spill page gone");
+        let e: RdoError = io.into();
+        assert_eq!(e, RdoError::Io("spill page gone".into()));
+        assert_eq!(e.to_string(), "io error: spill page gone");
+    }
+
+    #[test]
+    fn display_prefixes_name_the_failing_layer() {
+        let cases = [
+            (RdoError::UnknownDataset("t".into()), "unknown dataset: t"),
+            (RdoError::InvalidQuery("q".into()), "invalid query: q"),
+            (RdoError::Planning("p".into()), "planning error: p"),
+            (RdoError::Execution("x".into()), "execution error: x"),
+            (
+                RdoError::MissingStatistics("s".into()),
+                "missing statistics: s",
+            ),
+        ];
+        for (error, rendered) in cases {
+            assert_eq!(error.to_string(), rendered);
+        }
+    }
 }

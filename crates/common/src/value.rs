@@ -336,4 +336,20 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Date(4).to_string(), "d4");
     }
+
+    #[test]
+    fn numeric_rank_places_nulls_first_and_bools_at_zero_and_one() {
+        assert_eq!(Value::Null.numeric_rank(), f64::NEG_INFINITY);
+        assert_eq!(Value::Bool(false).numeric_rank(), 0.0);
+        assert_eq!(Value::Bool(true).numeric_rank(), 1.0);
+        assert_eq!(Value::Date(-4).numeric_rank(), -4.0);
+        assert_eq!(Value::Float64(2.5).numeric_rank(), 2.5);
+        // Strings rank on their first eight bytes only.
+        assert_eq!(string_rank("abcdefgh1"), string_rank("abcdefgh2"));
+        assert!(string_rank("abcdef") < string_rank("abcdeg"));
+        // The u64 → f64 conversion keeps 53 bits, so the order is
+        // non-decreasing (not strict) in the last bytes.
+        assert!(string_rank("abcdefg") <= string_rank("abcdefgh"));
+        assert_eq!(Value::from("xyz").numeric_rank(), string_rank("xyz"));
+    }
 }

@@ -263,4 +263,58 @@ mod tests {
         assert_eq!(r.online_stats, 0.0);
         assert_eq!(r.overhead_fraction(), 0.0);
     }
+
+    #[test]
+    fn metrics_text_types_every_counter_once() {
+        let m = ExecutionMetrics {
+            rows_scanned: 7,
+            grace_peak_transient_bytes: 9,
+            ..Default::default()
+        };
+        let text = execution_metrics_text(&m);
+        assert_eq!(text.matches("# TYPE ").count(), 33);
+        assert_eq!(text.matches(" counter\n").count(), 32);
+        assert!(text.contains("# TYPE rdo_grace_peak_transient_bytes gauge\n"));
+        assert!(text.contains("\nrdo_rows_scanned 7\n"), "{text}");
+        assert!(
+            text.contains("\nrdo_grace_peak_transient_bytes 9\n"),
+            "{text}"
+        );
+        assert!(text.contains("\nrdo_output_rows 0\n"), "{text}");
+    }
+
+    #[test]
+    fn planner_invocations_are_charged_to_reoptimization() {
+        let model = CostModel::default();
+        let b = CostBreakdown::of(
+            &outcome_with(ExecutionMetrics::new(), ExecutionMetrics::new()),
+            &model,
+        );
+        let planner = 2.0 * model.planner_invocation;
+        assert!((b.total - planner).abs() < 1e-9);
+        assert!((b.reoptimization - planner).abs() < 1e-9);
+        assert_eq!(b.base_execution, 0.0);
+        assert_eq!(b.predicate_pushdown, 0.0);
+    }
+
+    #[test]
+    fn materialization_io_is_spread_over_the_partitions() {
+        let total = ExecutionMetrics {
+            rows_materialized: 8_000,
+            bytes_materialized: 400_000,
+            ..Default::default()
+        };
+        let outcome = outcome_with(total, ExecutionMetrics::new());
+        let one = CostModel::with_partitions(1);
+        let four = CostModel::with_partitions(4);
+        let io = |model: &CostModel| {
+            CostBreakdown::of(&outcome, model).reoptimization - 2.0 * model.planner_invocation
+        };
+        assert!(io(&one) > 0.0);
+        assert!((io(&one) - 4.0 * io(&four)).abs() < 1e-6 * io(&one));
+        assert_eq!(
+            simulated_cost(&outcome.total, &one),
+            outcome.total.simulated_cost(&one)
+        );
+    }
 }

@@ -92,4 +92,13 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn with_workers_keeps_explicit_counts() {
+        assert_eq!(ParallelConfig::serial().with_workers(6).workers, 6);
+        assert_eq!(
+            ParallelConfig::default().with_workers(1),
+            ParallelConfig::serial()
+        );
+    }
 }

@@ -263,4 +263,105 @@ mod tests {
             .collect();
         assert_eq!(values, [30, 10, 20, 5, 7, 6, 1]);
     }
+
+    fn int_batch(values: &[i64]) -> Batch {
+        let rows: Vec<Tuple> = values
+            .iter()
+            .map(|&v| Tuple::new(vec![Value::Int64(v)]))
+            .collect();
+        Batch::from_rows(1, &rows)
+    }
+
+    #[test]
+    fn from_buckets_concatenates_destinations_in_source_order() {
+        let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
+        // Two sources, each bucketed into two destinations.
+        let bucketed = vec![
+            (vec![vec![int_batch(&[1, 2])], vec![int_batch(&[3])]], 2, 16),
+            (vec![vec![int_batch(&[4])], vec![int_batch(&[5, 6])]], 1, 8),
+        ];
+        let (out, rows, bytes) = PartitionedData::from_buckets(schema, bucketed, 2, 0);
+        assert_eq!((rows, bytes), (3, 24), "moved volume is the sources' sum");
+        assert_eq!(out.partition_key(), Some(0));
+        let values = |p: usize| -> Vec<Value> {
+            out.partition_rows(p)
+                .iter()
+                .map(|r| r.value(0).clone())
+                .collect()
+        };
+        assert_eq!(values(0), [1, 2, 4].map(Value::Int64));
+        assert_eq!(values(1), [3, 5, 6].map(Value::Int64));
+    }
+
+    #[test]
+    fn to_rows_ignores_chunk_boundaries() {
+        let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
+        let coarse = PartitionedData::new(
+            schema.clone(),
+            vec![vec![int_batch(&[1, 2, 3])], vec![int_batch(&[4])]],
+            None,
+        );
+        let fine = PartitionedData::new(
+            schema,
+            vec![
+                vec![int_batch(&[1]), int_batch(&[]), int_batch(&[2, 3])],
+                vec![int_batch(&[4])],
+            ],
+            None,
+        );
+        assert_ne!(coarse.partitions(), fine.partitions());
+        assert_eq!(coarse.to_rows(), fine.to_rows());
+        assert_eq!(coarse.partition_len(0), fine.partition_len(0));
+        assert_eq!(coarse.approx_bytes(), fine.approx_bytes());
+    }
+
+    #[test]
+    fn all_batches_shares_payloads_in_partition_order() {
+        let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
+        let d = PartitionedData::new(
+            schema,
+            vec![vec![int_batch(&[9])], Vec::new(), vec![int_batch(&[8, 7])]],
+            None,
+        );
+        let all = d.all_batches();
+        assert_eq!(all.len(), 2);
+        assert!(std::ptr::eq(
+            all[0].column(0),
+            d.partitions()[0][0].column(0)
+        ));
+        assert!(std::ptr::eq(
+            all[1].column(0),
+            d.partitions()[2][0].column(0)
+        ));
+        assert_eq!(d.into_partitions().iter().map(Vec::len).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn partition_key_tags_only_its_own_column() {
+        let keyed = PartitionedData::from_rows(
+            Schema::for_dataset("t", &[("a", DataType::Int64), ("b", DataType::Int64)]),
+            vec![Vec::new(); 2],
+            Some(1),
+        );
+        assert!(keyed.is_partitioned_on(1));
+        assert!(!keyed.is_partitioned_on(0));
+        let unkeyed = data(10, 2);
+        assert_eq!(unkeyed.partition_key(), None);
+        assert!(!unkeyed.is_partitioned_on(0) && !unkeyed.is_partitioned_on(1));
+    }
+
+    #[test]
+    fn partition_ids_stay_in_range_and_agree_with_the_digest() {
+        for n in [1, 2, 3, 8] {
+            for v in -20..20 {
+                let value = Value::Int64(v);
+                let p = partition_for(&value, n);
+                assert!(p < n);
+                assert_eq!(p, partition_for_hash(hash_value(&value), n));
+            }
+        }
+        // Zero partitions is treated as one rather than dividing by zero.
+        assert_eq!(partition_for_hash(12345, 0), 0);
+        assert_eq!(partition_for(&Value::from("x"), 1), 0);
+    }
 }

@@ -148,4 +148,33 @@ mod tests {
             input.partitions()[0][0].column(0)
         ));
     }
+
+    #[test]
+    fn repartition_preserves_the_row_multiset() {
+        let input = data(300, 5);
+        let (out, _, _) = HashRepartition::new(0).apply(&input, &WorkerPool::new(2));
+        assert_eq!(out.num_partitions(), 5);
+        let mut before = input.gather().into_rows();
+        let mut after = out.gather().into_rows();
+        before.sort();
+        after.sort();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn repartition_of_empty_input_moves_nothing() {
+        let input = data(0, 4);
+        let (out, rows, bytes) = HashRepartition::new(1).apply(&input, &WorkerPool::new(2));
+        assert_eq!((rows, bytes), (0, 0));
+        assert_eq!(out.num_partitions(), 4);
+        assert_eq!(out.row_count(), 0);
+        assert!(out.is_partitioned_on(1));
+    }
+
+    #[test]
+    fn broadcast_of_empty_input_charges_nothing() {
+        let (replica, rows, bytes) = Broadcast::new(8).apply(&data(0, 3));
+        assert_eq!(replica.iter().map(Batch::num_rows).sum::<usize>(), 0);
+        assert_eq!((rows, bytes), (0, 0));
+    }
 }

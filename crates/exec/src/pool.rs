@@ -344,4 +344,14 @@ mod tests {
         // The pool survives a panicked job.
         assert_eq!(pool.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
     }
+
+    #[test]
+    fn more_workers_than_tasks_returns_every_result() {
+        let pool = WorkerPool::new(8);
+        assert_eq!(pool.workers(), 8);
+        for tasks in [1, 3, 7] {
+            let out = pool.map_indexed(tasks, |i| i * 10);
+            assert_eq!(out, (0..tasks).map(|i| i * 10).collect::<Vec<_>>());
+        }
+    }
 }

@@ -192,4 +192,76 @@ mod tests {
         let t = table();
         assert!(prepare_scan(&t, "orders", Some(&[FieldRef::new("orders", "nope")])).is_err());
     }
+
+    fn lineitem_schema() -> Schema {
+        Schema::for_dataset(
+            "l",
+            &[
+                ("l_k", DataType::Int64),
+                ("l_c", DataType::Int64),
+                ("l_q", DataType::Int64),
+            ],
+        )
+    }
+
+    #[test]
+    fn resolve_keys_maps_each_pair_to_its_own_side() {
+        let left = table().schema_as("o");
+        let keys = [
+            (FieldRef::new("o", "o_k"), FieldRef::new("l", "l_k")),
+            (FieldRef::new("o", "o_c"), FieldRef::new("l", "l_c")),
+        ];
+        let (l, r) = resolve_keys(&left, &lineitem_schema(), &keys).unwrap();
+        assert_eq!(l, vec![0, 1]);
+        assert_eq!(r, vec![0, 1]);
+    }
+
+    #[test]
+    fn resolve_keys_rejects_a_key_from_the_wrong_side() {
+        let left = table().schema_as("o");
+        let swapped = [(FieldRef::new("l", "l_k"), FieldRef::new("o", "o_k"))];
+        assert!(resolve_keys(&left, &lineitem_schema(), &swapped).is_err());
+    }
+
+    #[test]
+    fn indexed_join_setup_puts_the_indexed_side_first() {
+        let t = table();
+        let keys = [(FieldRef::new("orders", "o_c"), FieldRef::new("l", "l_q"))];
+        let setup = prepare_indexed_join(&t, "orders", None, &lineitem_schema(), &keys).unwrap();
+        assert_eq!(setup.out_schema.len(), 5);
+        assert_eq!(
+            setup.out_schema.field(0).name,
+            FieldRef::new("orders", "o_k")
+        );
+        assert_eq!(setup.out_schema.field(2).name, FieldRef::new("l", "l_k"));
+        assert_eq!(setup.left_key_indexes, vec![1]);
+        assert_eq!(setup.right_key_indexes, vec![2]);
+        assert_eq!(setup.first_right_key_index, 2);
+        assert_eq!(setup.partition_key, Some(0));
+    }
+
+    #[test]
+    fn indexed_join_setup_tracks_the_key_through_the_projection() {
+        let t = table();
+        let keys = [(FieldRef::new("orders", "o_c"), FieldRef::new("l", "l_c"))];
+        let only_c = [FieldRef::new("orders", "o_c")];
+        let setup =
+            prepare_indexed_join(&t, "orders", Some(&only_c), &lineitem_schema(), &keys).unwrap();
+        assert_eq!(setup.out_schema.len(), 4);
+        // The key predicate still resolves against the unprojected table.
+        assert_eq!(setup.left_key_indexes, vec![1]);
+        assert_eq!(setup.partition_key, None, "o_k projected away");
+        let bad = [(FieldRef::new("orders", "o_c"), FieldRef::new("l", "nope"))];
+        assert!(prepare_indexed_join(&t, "orders", None, &lineitem_schema(), &bad).is_err());
+    }
+
+    #[test]
+    fn scan_setup_of_an_unpartitioned_table_has_no_key() {
+        let schema = Schema::for_dataset("r", &[("x", DataType::Int64)]);
+        let rows = (0..4).map(|i| Tuple::new(vec![Value::Int64(i)])).collect();
+        let t = Table::from_relation("r", Relation::new(schema, rows).unwrap(), 2, None).unwrap();
+        let setup = prepare_scan(&t, "r", None).unwrap();
+        assert_eq!(setup.partition_key, None);
+        assert_eq!(setup.out_schema, setup.schema);
+    }
 }

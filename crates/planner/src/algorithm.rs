@@ -231,4 +231,34 @@ mod tests {
         let b = JoinSideInfo::new("b", 10.0);
         assert!(rule().choose(&a, &b).build_is_second);
     }
+
+    #[test]
+    fn indexed_nested_loop_is_oriented_like_the_broadcast_it_replaces() {
+        let fact = JoinSideInfo::new("store_sales", 2_000_000.0)
+            .with_bare_base_scan(true)
+            .with_index(true);
+        let dim = JoinSideInfo::new("date_dim", 300.0).with_filter(true);
+        let choice = rule().with_indexed_nested_loop(true).choose(&dim, &fact);
+        assert_eq!(choice.algorithm, JoinAlgorithm::IndexedNestedLoop);
+        assert!(!choice.build_is_second, "the filtered first side is built");
+    }
+
+    #[test]
+    fn hash_joins_build_on_the_smaller_side_either_way() {
+        let small = JoinSideInfo::new("orders", 5_000.0);
+        let large = JoinSideInfo::new("lineitem", 50_000.0);
+        let choice = rule().choose(&small, &large);
+        assert_eq!(choice.algorithm, JoinAlgorithm::Hash);
+        assert!(!choice.build_is_second);
+        assert!(rule().choose(&large, &small).build_is_second);
+    }
+
+    #[test]
+    fn default_rule_broadcasts_up_to_25k_rows_without_inl() {
+        let rule = JoinAlgorithmRule::default();
+        assert!(rule.can_broadcast(25_000.0));
+        assert!(!rule.can_broadcast(25_001.0));
+        assert!(!rule.enable_indexed_nested_loop);
+        assert_eq!(JoinAlgorithmRule::with_threshold(25_000.0), rule);
+    }
 }

@@ -125,4 +125,35 @@ mod tests {
         let (_, overhead) = opt.plan_with_overhead(&spec(), &cat, cat.stats()).unwrap();
         assert_eq!(overhead, ExecutionMetrics::new());
     }
+
+    #[test]
+    fn plan_computes_the_same_rows_as_the_best_order_baseline() {
+        use crate::optimizers::best_order::BestOrderOptimizer;
+        let cat = catalog();
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
+        let run = |plan: PhysicalPlan| {
+            let mut m = ExecutionMetrics::new();
+            exec.execute_to_relation(&plan, &mut m).unwrap().sorted()
+        };
+        let cost_based = run(CostBasedOptimizer::default()
+            .plan(&spec(), &cat, cat.stats())
+            .unwrap());
+        let best = run(BestOrderOptimizer::default()
+            .plan(&spec(), &cat, cat.stats())
+            .unwrap());
+        // 20 keys: 100 `a` rows × 10 `b` rows × 1 `c` row each.
+        assert_eq!(cost_based.len(), 20 * 100 * 10);
+        assert_eq!(cost_based.rows(), best.rows());
+    }
+
+    #[test]
+    fn zero_threshold_plans_hash_joins_only() {
+        let cat = catalog();
+        let plan = CostBasedOptimizer::new(JoinAlgorithmRule::with_threshold(0.0))
+            .plan(&spec(), &cat, cat.stats())
+            .unwrap();
+        let sig = plan.signature();
+        assert!(!sig.contains("⋈b") && !sig.contains("⋈i"), "{sig}");
+        assert_eq!(plan.join_count(), 2);
+    }
 }

@@ -111,4 +111,22 @@ mod tests {
         );
         assert_eq!(WorstOrderOptimizer.name(), "worst-order");
     }
+
+    #[test]
+    fn worst_order_computes_the_same_rows_as_best_order() {
+        let cat = catalog();
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
+        let run = |plan: PhysicalPlan| {
+            let mut m = ExecutionMetrics::new();
+            exec.execute_to_relation(&plan, &mut m).unwrap().sorted()
+        };
+        let worst = WorstOrderOptimizer
+            .plan(&spec(), &cat, cat.stats())
+            .unwrap();
+        assert_eq!(worst.join_count(), 2);
+        let best = BestOrderOptimizer::default()
+            .plan(&spec(), &cat, cat.stats())
+            .unwrap();
+        assert_eq!(run(worst).rows(), run(best).rows());
+    }
 }

@@ -285,4 +285,58 @@ mod tests {
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
+
+    #[test]
+    fn grants_that_fit_together_are_admitted_without_waiting() {
+        let ctl = AdmissionController::new(100);
+        let a = ctl.admit(40, 10 * MS).unwrap();
+        let b = ctl.admit(40, 10 * MS).unwrap();
+        assert_eq!(ctl.reserved(), 80);
+        assert_eq!(ctl.peak(), 80);
+        assert_eq!(ctl.waits(), 0);
+        assert_eq!(ctl.queue_depth(), 0, "both served");
+        drop(a);
+        assert_eq!(ctl.reserved(), 40);
+        drop(b);
+        assert_eq!(ctl.reserved(), 0);
+    }
+
+    #[test]
+    fn zero_byte_grants_never_wait_for_budget() {
+        let ctl = AdmissionController::new(100);
+        let holder = ctl.admit(100, 10 * MS).unwrap();
+        let free = ctl.admit(0, 10 * MS).unwrap();
+        assert_eq!(free.bytes(), 0);
+        assert_eq!(ctl.timeouts(), 0);
+        drop((holder, free));
+        let empty = AdmissionController::new(0);
+        assert_eq!(empty.admit(50, 10 * MS).unwrap().bytes(), 0, "clamped");
+    }
+
+    /// A waiter that times out behind the head leaves a marker; the head
+    /// skips it once it moves, so later arrivals are not stuck behind it.
+    #[test]
+    fn a_waiter_abandoned_mid_queue_is_skipped() {
+        let ctl = AdmissionController::new(100);
+        let holder = ctl.admit(100, 10 * MS).unwrap();
+        let head = {
+            let ctl = Arc::clone(&ctl);
+            std::thread::spawn(move || {
+                let ticket = ctl.admit(100, Duration::from_secs(30)).unwrap();
+                ticket.bytes()
+            })
+        };
+        // The holder was served; wait until the head waiter has its ticket.
+        while ctl.queue_depth() < 1 {
+            std::thread::sleep(MS);
+        }
+        let err = ctl.admit(10, 20 * MS).unwrap_err();
+        assert!(err.to_string().contains("admission timeout"), "{err}");
+        drop(holder);
+        assert_eq!(head.join().unwrap(), 100);
+        let next = ctl.admit(10, Duration::from_secs(30)).unwrap();
+        assert_eq!(next.bytes(), 10);
+        assert_eq!(ctl.timeouts(), 1);
+        assert_eq!(ctl.queue_depth(), 0);
+    }
 }

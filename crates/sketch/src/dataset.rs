@@ -456,4 +456,32 @@ mod tests {
             vec!["a".to_string(), "b".to_string()]
         );
     }
+
+    #[test]
+    fn register_replaces_earlier_statistics() {
+        let mut catalog = StatsCatalog::new();
+        for n in [10, 30] {
+            let mut b = DatasetStatsBuilder::all_columns(&schema());
+            b.observe_relation(&relation(n));
+            catalog.register("orders", b.build());
+        }
+        assert_eq!(catalog.len(), 1);
+        assert_eq!(catalog.row_count("orders"), Some(30));
+    }
+
+    #[test]
+    fn removed_statistics_are_returned_and_forgotten() {
+        let mut catalog = StatsCatalog::new();
+        let mut b = DatasetStatsBuilder::all_columns(&schema());
+        b.observe_relation(&relation(5));
+        catalog.register("orders", b.build());
+        let removed = catalog.remove("orders").expect("registered");
+        assert_eq!(removed.row_count, 5);
+        assert!(catalog.remove("orders").is_none());
+        assert_eq!(catalog.row_count("orders"), None);
+        assert!(matches!(
+            catalog.require("orders"),
+            Err(RdoError::MissingStatistics(name)) if name == "orders"
+        ));
+    }
 }

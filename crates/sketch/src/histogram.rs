@@ -203,4 +203,24 @@ mod tests {
         assert!(h.max().unwrap() >= 980.0);
         assert_eq!(h.num_buckets(), 16);
     }
+
+    #[test]
+    fn equality_outside_the_observed_range_is_zero() {
+        let h = uniform_hist(1_000, 10);
+        assert_eq!(h.equality_selectivity(-1.0, Some(100.0)), 0.0);
+        assert_eq!(h.equality_selectivity(5_000.0, None), 0.0);
+        assert!((h.equality_selectivity(500.0, Some(4.0)) - 0.25).abs() < 1e-12);
+        let fallback = h.equality_selectivity(500.0, None);
+        assert!(fallback > 0.0 && fallback < 0.1, "{fallback}");
+    }
+
+    #[test]
+    fn a_constant_column_is_selected_whole_by_its_point() {
+        let h = EquiHeightHistogram::from_values(std::iter::repeat_n(5.0, 400), 8);
+        assert_eq!(h.min(), Some(5.0));
+        assert_eq!(h.max(), Some(5.0));
+        assert!((h.range_selectivity(5.0, 5.0) - 1.0).abs() < 1e-9);
+        assert_eq!(h.range_selectivity(6.0, 7.0), 0.0);
+        assert!((h.estimate_range_rows(0.0, 10.0) - 400.0).abs() < 1e-6);
+    }
 }

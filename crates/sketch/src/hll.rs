@@ -355,4 +355,27 @@ mod tests {
         let hll = HyperLogLog::new(16);
         assert_eq!(hll.num_registers(), 65536);
     }
+
+    #[test]
+    fn merge_is_commutative_and_idempotent() {
+        let mut a = HyperLogLog::default();
+        let mut b = HyperLogLog::default();
+        for i in 0..3_000 {
+            a.insert(&Value::Int64(i));
+            b.insert(&Value::Int64(i + 2_000));
+        }
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.estimate(), ba.estimate());
+        let once = ab.estimate();
+        ab.merge(&b);
+        ab.merge(&ab.clone());
+        assert_eq!(ab.estimate(), once, "re-merging adds nothing");
+        assert!(
+            relative_error(once, 5_000.0) < 0.05,
+            "union estimate {once}"
+        );
+    }
 }

@@ -287,4 +287,62 @@ mod tests {
         let stmt = SelectStatement::default();
         assert!(stmt.where_conjuncts().is_empty());
     }
+
+    #[test]
+    fn expressions_display_in_sql_form() {
+        let lit = |l| ScalarExpr::Literal(l);
+        assert_eq!(lit(Literal::Int(-3)).to_string(), "-3");
+        assert_eq!(lit(Literal::Float(2.5)).to_string(), "2.5");
+        assert_eq!(lit(Literal::Bool(true)).to_string(), "true");
+        assert_eq!(lit(Literal::Null).to_string(), "NULL");
+        assert_eq!(lit(Literal::Date(10)).to_string(), "DATE(10)");
+        assert_eq!(ScalarExpr::column(None, "o_k").to_string(), "o_k");
+        let nested = ScalarExpr::FunctionCall {
+            name: "f".into(),
+            args: vec![
+                ScalarExpr::FunctionCall {
+                    name: "g".into(),
+                    args: vec![ScalarExpr::column(Some("t"), "x")],
+                },
+                lit(Literal::String("a".into())),
+            ],
+        };
+        assert_eq!(nested.to_string(), "f(g(t.x), 'a')");
+        assert_eq!(
+            ScalarExpr::FunctionCall {
+                name: "now".into(),
+                args: vec![]
+            }
+            .to_string(),
+            "now()"
+        );
+    }
+
+    #[test]
+    fn parameters_are_found_at_any_call_depth() {
+        let deep = ScalarExpr::FunctionCall {
+            name: "outer".into(),
+            args: vec![ScalarExpr::FunctionCall {
+                name: "inner".into(),
+                args: vec![ScalarExpr::Parameter("moy".into())],
+            }],
+        };
+        assert!(deep.contains_parameter());
+        assert!(!deep.is_column());
+        assert!(ScalarExpr::Parameter("p".into()).contains_parameter());
+        for plain in [
+            ScalarExpr::Star,
+            ScalarExpr::Literal(Literal::Int(1)),
+            ScalarExpr::column(None, "x"),
+        ] {
+            assert!(!plain.contains_parameter(), "{plain}");
+        }
+        // A single (non-AND) condition is its own only conjunct.
+        let only = Condition::BoolFunction { call: deep };
+        let stmt = SelectStatement {
+            where_clause: Some(only.clone()),
+            ..Default::default()
+        };
+        assert_eq!(stmt.where_conjuncts(), vec![&only]);
+    }
 }

@@ -63,4 +63,13 @@ mod tests {
         let e: RdoError = SqlError::new("bad query").into();
         assert!(matches!(e, RdoError::InvalidQuery(msg) if msg.contains("bad query")));
     }
+
+    #[test]
+    fn converted_errors_keep_the_offset_in_their_message() {
+        let e: RdoError = SqlError::at(12, "unexpected token").into();
+        assert_eq!(
+            e,
+            RdoError::InvalidQuery("unexpected token (at byte 12)".into())
+        );
+    }
 }

@@ -178,4 +178,47 @@ mod tests {
         let dbg = format!("{reg:?}");
         assert!(dbg.contains("f") && dbg.contains("g"));
     }
+
+    #[test]
+    fn re_registering_a_name_replaces_the_function() {
+        let mut reg = UdfRegistry::new();
+        reg.register_scalar("f", |_| Value::Int64(1));
+        reg.register_scalar("F", |_| Value::Int64(2));
+        assert_eq!(reg.scalar_names(), vec!["f".to_string()]);
+        assert_eq!(reg.scalar("f").unwrap()(&Value::Null), Value::Int64(2));
+    }
+
+    #[test]
+    fn scalar_udfs_and_value_functions_are_separate_namespaces() {
+        let mut reg = UdfRegistry::new();
+        reg.register_scalar("only_scalar", |v| v.clone());
+        reg.register_value_fn("only_value", |_| Ok(Value::Int64(0)));
+        assert!(reg.value_fn("only_scalar").is_none());
+        assert!(reg.scalar("only_value").is_none());
+        assert_eq!(reg.value_fn_names(), vec!["only_value".to_string()]);
+    }
+
+    #[test]
+    fn value_function_errors_reach_the_caller() {
+        let mut reg = UdfRegistry::new();
+        reg.register_value_fn("needs_args", |args| {
+            args.first()
+                .cloned()
+                .ok_or_else(|| RdoError::InvalidQuery("needs_args takes one argument".into()))
+        });
+        let f = reg.value_fn("needs_args").unwrap();
+        assert!(matches!(f(&[]), Err(RdoError::InvalidQuery(_))));
+        assert_eq!(f(&[Value::Int64(4)]).unwrap(), Value::Int64(4));
+    }
+
+    #[test]
+    fn set_rebinds_a_parameter() {
+        let mut params = ParamBindings::new().with("moy", 9i64);
+        params.set("moy", 11i64);
+        params.set("year", 1998i64);
+        assert_eq!(params.get("moy").unwrap(), Value::Int64(11));
+        assert_eq!(params.get("year").unwrap(), Value::Int64(1998));
+        let err = params.get("day").unwrap_err();
+        assert!(err.to_string().contains("$day"), "{err}");
+    }
 }

@@ -764,4 +764,37 @@ mod tests {
         assert_eq!(cat.stats().row_count("I_1"), Some(40));
         assert!(cat.stats().get("I_1").unwrap().column(&custkey).is_some());
     }
+
+    #[test]
+    fn table_names_are_sorted_and_unknown_names_error() {
+        let mut cat = Catalog::new(2);
+        for name in ["zeta", "alpha", "mid"] {
+            cat.ingest(name, relation(5), IngestOptions::default())
+                .unwrap();
+        }
+        assert_eq!(
+            cat.table_names(),
+            ["alpha", "mid", "zeta"].map(String::from)
+        );
+        assert!(matches!(
+            cat.table_handle("nope"),
+            Err(RdoError::UnknownDataset(name)) if name == "nope"
+        ));
+        assert!(!cat.has_table("nope"));
+    }
+
+    #[test]
+    fn dropping_an_unknown_table_changes_nothing() {
+        let mut cat = Catalog::new(2);
+        cat.ingest(
+            "orders",
+            relation(20),
+            IngestOptions::partitioned_on("o_orderkey").with_index("o_custkey"),
+        )
+        .unwrap();
+        cat.drop_table("lineitem");
+        assert_eq!(cat.table("orders").unwrap().row_count(), 20);
+        assert_eq!(cat.stats().row_count("orders"), Some(20));
+        assert!(cat.has_secondary_index("orders", "o_custkey"));
+    }
 }

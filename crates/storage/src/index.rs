@@ -162,4 +162,41 @@ mod tests {
         let keys: usize = (0..3).map(|p| idx.partition_keys(p)).sum();
         assert!(keys >= 50, "at least 50 distinct keys overall, got {keys}");
     }
+
+    #[test]
+    fn every_row_is_reachable_through_its_own_key() {
+        let t = table(300, 3);
+        let idx = SecondaryIndex::build(&t, "l_orderkey").unwrap();
+        for p in 0..3 {
+            for (chunk, batch) in t.batches(p).iter().enumerate() {
+                for slot in 0..batch.num_rows() {
+                    let key = batch.value(slot, 0);
+                    // l_orderkey is unique: one address per key.
+                    assert_eq!(idx.probe(p, &key), &[(chunk as u32, slot as u32)]);
+                }
+            }
+            assert_eq!(idx.partition_keys(p), t.partition_len(p));
+        }
+    }
+
+    #[test]
+    fn addresses_of_a_key_follow_storage_order() {
+        let t = table(2000, 2);
+        let idx = SecondaryIndex::build(&t, "l_partkey").unwrap();
+        for p in 0..2 {
+            let addrs = idx.probe(p, &Value::Int64(3));
+            assert!(!addrs.is_empty());
+            assert!(addrs.windows(2).all(|w| w[0] < w[1]), "{addrs:?}");
+        }
+    }
+
+    #[test]
+    fn index_of_an_empty_table_is_empty() {
+        let t = table(0, 4);
+        let idx = SecondaryIndex::build(&t, "l_partkey").unwrap();
+        assert_eq!(idx.num_partitions(), 4);
+        assert_eq!(idx.total_entries(), 0);
+        assert!((0..4).all(|p| idx.partition_keys(p) == 0));
+        assert!(idx.probe(0, &Value::Int64(0)).is_empty());
+    }
 }

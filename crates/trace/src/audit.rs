@@ -274,4 +274,41 @@ mod tests {
         assert!(text.contains("no prior stage measured"), "{text}");
         assert!(text.contains("no alternative join was plannable"), "{text}");
     }
+
+    #[test]
+    fn believed_delta_never_goes_negative() {
+        let d = ReoptDecision {
+            point: 1,
+            trigger: Some(record("pushdown:a", Some(300.0), 100)),
+            chosen: "(a ⋈ b)".to_string(),
+            chosen_cardinality: 50.0,
+            chosen_score: 80.0,
+            runner_up: Some(("(a ⋈ c)".to_string(), 60.0)),
+        };
+        assert_eq!(d.believed_delta(), Some(0.0));
+        assert_eq!(d.trigger_q_error(), Some(3.0));
+    }
+
+    #[test]
+    fn an_empty_log_renders_a_placeholder() {
+        let log = AuditLog::default();
+        assert!(log.is_empty());
+        assert!(
+            log.render().contains("no audit records"),
+            "{}",
+            log.render()
+        );
+        let decisions_only = AuditLog {
+            estimates: vec![],
+            decisions: vec![ReoptDecision {
+                point: 1,
+                trigger: None,
+                chosen: "(x ⋈ y)".to_string(),
+                chosen_cardinality: 1.0,
+                chosen_score: 1.0,
+                runner_up: None,
+            }],
+        };
+        assert!(!decisions_only.is_empty());
+    }
 }

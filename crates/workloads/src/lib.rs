@@ -96,4 +96,48 @@ mod tests {
         assert!(env.with_indexes);
         assert_eq!(env.scale.gb, 2);
     }
+
+    #[test]
+    fn loaded_tables_have_the_scale_row_counts_and_statistics() {
+        let scale = ScaleFactor::gb(1);
+        let env = BenchmarkEnv::load(scale, 3, false, 11).unwrap();
+        let (h, d) = (scale.tpch(), scale.tpcds());
+        for (name, rows) in [
+            ("lineitem", h.lineitem),
+            ("orders", h.orders),
+            ("customer", h.customer),
+            ("region", h.region),
+            ("store_sales", d.store_sales),
+            ("item", d.item),
+        ] {
+            let table = env.catalog.table(name).unwrap();
+            assert_eq!(table.row_count() as u64, rows, "{name}");
+            assert_eq!(table.num_partitions(), 3, "{name}");
+            assert_eq!(env.catalog.stats().row_count(name), Some(rows), "{name}");
+        }
+    }
+
+    #[test]
+    fn secondary_indexes_are_built_only_on_request() {
+        let without = BenchmarkEnv::load(ScaleFactor::gb(1), 2, false, 5).unwrap();
+        let with = BenchmarkEnv::load(ScaleFactor::gb(1), 2, true, 5).unwrap();
+        for column in ["l_partkey", "l_suppkey"] {
+            assert!(!without.catalog.has_secondary_index("lineitem", column));
+            assert!(with.catalog.has_secondary_index("lineitem", column));
+        }
+        assert!(!with.catalog.has_secondary_index("lineitem", "l_orderkey"));
+    }
+
+    #[test]
+    fn loading_is_deterministic_per_seed() {
+        let a = BenchmarkEnv::load(ScaleFactor::gb(1), 2, false, 9).unwrap();
+        let b = BenchmarkEnv::load(ScaleFactor::gb(1), 2, false, 9).unwrap();
+        for name in ["lineitem", "orders", "store_sales", "store_returns"] {
+            assert_eq!(
+                a.catalog.table(name).unwrap().gather(),
+                b.catalog.table(name).unwrap().gather(),
+                "{name}"
+            );
+        }
+    }
 }

@@ -134,4 +134,12 @@ mod tests {
             "scale factor is clamped to at least 1"
         );
     }
+
+    #[test]
+    fn small_tables_have_scale_floors() {
+        assert_eq!(ScaleFactor::gb(1).tpch().supplier, 10);
+        assert_eq!(ScaleFactor::gb(100).tpch().supplier, 50);
+        assert_eq!(ScaleFactor::gb(1).tpcds().store, 5);
+        assert_eq!(ScaleFactor::gb(100).tpcds().store, 15);
+    }
 }
