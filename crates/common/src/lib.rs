@@ -9,6 +9,7 @@ pub mod batch;
 pub mod env;
 pub mod error;
 pub mod log;
+pub mod lru;
 pub mod schema;
 pub mod tuple;
 pub mod value;
@@ -18,6 +19,7 @@ pub use batch::{
     DEFAULT_BATCH_SIZE,
 };
 pub use error::{RdoError, Result};
+pub use lru::Lru;
 pub use schema::{Field, FieldRef, Schema};
 pub use tuple::{Relation, Tuple};
 pub use value::{DataType, Value};

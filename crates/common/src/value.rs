@@ -143,9 +143,14 @@ impl Value {
     }
 }
 
-/// Maps a string to a float preserving lexicographic order on the first eight
-/// bytes — [`Value::numeric_rank`] of a string, callable on a borrowed slot
-/// of a string column. Used only for histogram bucketing of string columns.
+/// Maps a string to a float that never decreases in lexicographic order —
+/// [`Value::numeric_rank`] of a string, callable on a borrowed slot of a
+/// string column. Used only for histogram bucketing of string columns.
+///
+/// The rank reads the first eight bytes as a big-endian `u64`, and the
+/// conversion to `f64` keeps 53 bits. So two strings that differ within their
+/// first six bytes rank strictly in order; strings that agree on those six
+/// bytes may tie, and strings that agree on their first eight always do.
 pub fn string_rank(s: &str) -> f64 {
     let mut bytes = [0u8; 8];
     for (i, b) in s.as_bytes().iter().take(8).enumerate() {
@@ -316,6 +321,19 @@ mod tests {
     fn numeric_rank_monotone_for_strings() {
         assert!(Value::from("apple").numeric_rank() < Value::from("banana").numeric_rank());
         assert!(Value::from("a").numeric_rank() < Value::from("ab").numeric_rank());
+    }
+
+    #[test]
+    fn string_rank_is_strict_within_six_bytes_and_may_tie_after() {
+        // A difference in the sixth byte survives the conversion to f64.
+        assert!(string_rank("abcdef") < string_rank("abcdeg"));
+        assert!(string_rank("abcde") < string_rank("abcdea"));
+        // A difference in the eighth byte is rounded away: a tie, not an
+        // inversion.
+        assert_eq!(string_rank("abcdefgh"), string_rank("abcdefgi"));
+        assert!(string_rank("abcdefgh") <= string_rank("abcdefgi"));
+        // Past the eighth byte nothing is read.
+        assert_eq!(string_rank("abcdefghX"), string_rank("abcdefghY"));
     }
 
     #[test]

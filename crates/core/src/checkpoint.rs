@@ -7,23 +7,18 @@
 //! failure by not having to start over from the beginning of a long-running
 //! query." This module implements that extension.
 //!
-//! [`CheckpointedDriver`] runs [`crate::DynamicDriver`]'s stage loop — there
-//! is one Algorithm 1, and it reports every materialized stage to whoever
-//! owns the temporaries. This owner records each report in a
-//! [`CheckpointLog`] and leaves the intermediates in the catalog when a
-//! failure interrupts the run. A subsequent execution with the same log
-//! *replays* the completed stages — reusing their intermediates and
-//! statistics — and starts the loop from the remaining query.
-//! [`FailureInjector`] provides deterministic failure injection for tests and
-//! experiments.
+//! A dynamic run is one list of [`Stage`]s, each but the last ending in a
+//! Sink. A [`CheckpointLog`] is the prefix of that list whose Sinks completed,
+//! plus the query it leaves. [`CheckpointedDriver`] runs
+//! [`crate::DynamicDriver`]'s stage loop on the caller's log and keeps the
+//! intermediates when a failure interrupts the run; a later execution of the
+//! same query resumes from the log's remaining query. [`FailureInjector`]
+//! provides deterministic failure injection for tests and experiments.
 
-pub use crate::driver::StageKind;
-use crate::driver::{DynamicConfig, DynamicDriver};
-use rdo_common::{RdoError, Relation, Result};
-use rdo_exec::ExecutionMetrics;
+use crate::driver::{drop_intermediates, DynamicConfig, DynamicDriver, DynamicOutcome, Stage};
+use rdo_common::{RdoError, Result};
 use rdo_planner::QuerySpec;
 use rdo_storage::Catalog;
-use rdo_trace::audit::AuditLog;
 
 /// Deterministic failure injection: the run fails after a given number of
 /// newly executed (and checkpointed) stages.
@@ -45,31 +40,30 @@ impl FailureInjector {
         }
     }
 
-    fn should_fail(&self, executed_stages: u32) -> bool {
-        matches!(self.fail_after, Some(limit) if executed_stages >= limit)
+    /// The injected failure, once `executed` newly executed stages reach the
+    /// limit.
+    pub(crate) fn check(&self, executed: u32) -> Result<()> {
+        match self.fail_after {
+            Some(limit) if executed >= limit => Err(RdoError::Execution(format!(
+                "injected failure after {executed} newly executed stage(s); checkpoints retained"
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
-/// One completed (and materialized) stage.
-#[derive(Debug, Clone)]
-pub struct CheckpointEntry {
-    /// What the stage was.
-    pub kind: StageKind,
-    /// Human-readable description (plan signature).
-    pub description: String,
-    /// Name of the materialized temporary table holding the stage's output.
-    pub table: String,
-    /// The remaining query after the stage's reconstruction.
-    pub spec_after: QuerySpec,
-}
-
-/// The durable record of completed stages. In AsterixDB this would live next to
-/// the temporary files of the Sink operator; here it is an in-memory value the
-/// caller keeps across the failed and the recovering execution.
+/// The durable record of a query's executed stages. In AsterixDB this would
+/// live next to the temporary files of the Sink operator; here it is an
+/// in-memory value the caller keeps across the failed and the recovering
+/// execution.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointLog {
-    /// Completed stages in execution order.
-    pub entries: Vec<CheckpointEntry>,
+    /// The executed prefix of the query's stage list, in execution order;
+    /// each stage's Sink table holds its output.
+    pub stages: Vec<Stage>,
+    /// The query left to run after `stages`. Its name — from which the
+    /// intermediates' table names derive — is the query the log belongs to.
+    pub remaining: QuerySpec,
 }
 
 impl CheckpointLog {
@@ -80,37 +74,19 @@ impl CheckpointLog {
 
     /// Number of checkpointed stages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.stages.len()
     }
 
     /// True if nothing has been checkpointed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.stages.is_empty()
     }
 
     /// Names of the materialized intermediates the log references.
     pub fn tables(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.table.clone()).collect()
+        let sinks = self.stages.iter().filter_map(|s| s.sink.as_ref());
+        sinks.map(|sink| sink.table.clone()).collect()
     }
-}
-
-/// The outcome of a checkpointed (possibly recovering) execution.
-#[derive(Debug, Clone)]
-pub struct RecoveredOutcome {
-    /// The final query result, projected onto the SELECT list.
-    pub result: Relation,
-    /// Metrics of the work done *by this execution* (recovered stages cost
-    /// nothing — that is the point of the checkpoint).
-    pub metrics: ExecutionMetrics,
-    /// Stages replayed from the checkpoint log.
-    pub stages_recovered: u32,
-    /// Stages newly executed by this run.
-    pub stages_executed: u32,
-    /// Plan signature of every stage this run executed (recovered stages are
-    /// annotated).
-    pub stage_plans: Vec<String>,
-    /// The optimizer audit trail of the stages this run executed.
-    pub audit: AuditLog,
 }
 
 /// A dynamic-optimization driver whose stages double as recovery checkpoints.
@@ -126,94 +102,53 @@ impl CheckpointedDriver {
         Self { config }
     }
 
-    /// Executes (or resumes) the query. Completed stages found in `log` are
-    /// replayed from their materialized intermediates; newly completed stages
-    /// are appended to `log`. When `injector` triggers, the run returns an
-    /// execution error and leaves both the log and the intermediates in place
-    /// so a later call can resume. On success every temporary table is dropped
-    /// and the log is cleared.
+    /// Executes (or resumes) the query. A non-empty `log` must belong to
+    /// `spec` (the same query name); the run starts from its remaining query,
+    /// and the outcome lists its stages first, as recovered. Newly completed
+    /// stages are appended to `log`. When `injector` triggers, the run returns
+    /// an execution error and leaves both the log and the intermediates in
+    /// place so a later call can resume. On success every temporary table is
+    /// dropped and the log is cleared.
     pub fn execute(
         &self,
         spec: &QuerySpec,
         catalog: &mut Catalog,
         injector: FailureInjector,
         log: &mut CheckpointLog,
-    ) -> Result<RecoveredOutcome> {
+    ) -> Result<DynamicOutcome> {
         spec.validate()?;
-
-        // ---- Replay the checkpointed stages. ----
-        let mut remaining = spec.clone();
-        let mut materialized_joins = 0u32;
-        let mut stage_plans = Vec::new();
-        for entry in &log.entries {
-            if !catalog.has_table(&entry.table) {
-                return Err(RdoError::Execution(format!(
-                    "checkpointed intermediate `{}` is missing from the catalog; cannot recover",
-                    entry.table
-                )));
-            }
-            if entry.kind == StageKind::Join {
-                materialized_joins += 1;
-            }
-            stage_plans.push(format!("recovered {}", entry.description));
-            remaining = entry.spec_after.clone();
+        if log.is_empty() {
+            log.remaining = spec.clone();
+        } else if log.remaining.name != spec.name {
+            return Err(RdoError::Execution(format!(
+                "the checkpoint log belongs to query `{}`, not `{}`; cannot recover",
+                log.remaining.name, spec.name
+            )));
         }
-        let stages_recovered = log.len() as u32;
+        if let Some(table) = log.tables().into_iter().find(|t| !catalog.has_table(t)) {
+            return Err(RdoError::Execution(format!(
+                "checkpointed intermediate `{table}` is missing from the catalog; cannot recover"
+            )));
+        }
 
-        // ---- Run the rest, one checkpoint per materialized stage. Spilled
-        // checkpoints survive between the failed and the recovering execution
-        // because the catalog keeps the same spill manager for an unchanged
-        // configuration. ----
-        let mut executed = 0u32;
-        let outcome = DynamicDriver::new(self.config.clone()).run_stages(
-            remaining,
-            materialized_joins,
-            catalog,
-            &mut |stage| {
-                log.entries.push(CheckpointEntry {
-                    kind: stage.kind,
-                    description: stage.description.to_string(),
-                    table: stage.table.to_string(),
-                    spec_after: stage.spec_after.clone(),
-                });
-                executed += 1;
-                if injector.should_fail(executed) {
-                    return Err(injected_failure(executed));
-                }
-                Ok(())
-            },
-        )?;
+        // Spilled checkpoints survive between the failed and the recovering
+        // execution because the catalog keeps the same spill manager for an
+        // unchanged configuration.
+        let outcome = DynamicDriver::new(self.config.clone()).run_stages(log, catalog, injector)?;
 
         // Success: the checkpoints are no longer needed.
-        for table in log.tables() {
-            catalog.drop_table(&table);
-        }
-        log.entries.clear();
-
-        stage_plans.extend(outcome.stage_plans);
-        Ok(RecoveredOutcome {
-            result: outcome.result,
-            metrics: outcome.total,
-            stages_recovered,
-            stages_executed: executed,
-            stage_plans,
-            audit: outcome.audit,
-        })
+        drop_intermediates(&outcome.stages, catalog);
+        *log = CheckpointLog::new();
+        Ok(outcome)
     }
-}
-
-fn injected_failure(executed: u32) -> RdoError {
-    RdoError::Execution(format!(
-        "injected failure after {executed} newly executed stage(s); checkpoints retained"
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::DynamicDriver;
-    use rdo_common::{DataType, FieldRef, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, Predicate};
+    use crate::driver::{SinkTarget, StageKind};
+    use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
+    use rdo_exec::{CmpOp, ExecutionMetrics, PhysicalPlan, Predicate};
     use rdo_planner::DatasetRef;
     use rdo_storage::IngestOptions;
 
@@ -312,10 +247,10 @@ mod tests {
         let outcome = CheckpointedDriver::new(DynamicConfig::default())
             .execute(&spec(), &mut cat, FailureInjector::none(), &mut log)
             .unwrap();
-        assert_eq!(outcome.result.sorted(), expected);
+        assert_eq!(outcome.result.clone().sorted(), expected);
         assert_eq!(outcome.stages_recovered, 0);
         assert!(
-            outcome.stages_executed >= 3,
+            outcome.stages_executed() >= 3,
             "pushdowns + at least one join"
         );
         assert!(log.is_empty(), "log cleared after success");
@@ -357,7 +292,7 @@ mod tests {
             .execute(&spec(), &mut cat, FailureInjector::none(), &mut log)
             .unwrap();
         assert_eq!(outcome.stages_recovered, 2);
-        assert!(outcome.stages_executed >= 1);
+        assert!(outcome.stages_executed() >= 1);
         assert_eq!(
             outcome.result.sorted(),
             expected,
@@ -431,7 +366,7 @@ mod tests {
                 &mut log,
             )
             .unwrap();
-        assert!(outcome.stages_executed < 100);
+        assert!(outcome.stages_executed() < 100);
         assert!(log.is_empty());
     }
 
@@ -439,16 +374,21 @@ mod tests {
     fn checkpoint_log_helpers() {
         let mut log = CheckpointLog::new();
         assert!(log.is_empty());
-        log.entries.push(CheckpointEntry {
+        log.stages.push(Stage {
             kind: StageKind::Pushdown,
-            description: "x".into(),
-            table: "t".into(),
-            spec_after: QuerySpec::new("q"),
+            plan: PhysicalPlan::scan("x"),
+            sink: Some(SinkTarget {
+                table: "t".into(),
+                placement: None,
+                tracked: Vec::new(),
+                collect_stats: false,
+            }),
+            metrics: ExecutionMetrics::new(),
         });
         assert_eq!(log.len(), 1);
         assert_eq!(log.tables(), vec!["t".to_string()]);
-        assert!(!FailureInjector::none().should_fail(10));
-        assert!(FailureInjector::after_stages(2).should_fail(2));
-        assert!(!FailureInjector::after_stages(2).should_fail(1));
+        assert!(FailureInjector::none().check(10).is_ok());
+        assert!(FailureInjector::after_stages(2).check(2).is_err());
+        assert!(FailureInjector::after_stages(2).check(1).is_ok());
     }
 }

@@ -1,5 +1,6 @@
 //! The runtime dynamic optimization driver (Algorithm 1 of the paper).
 
+use crate::checkpoint::{CheckpointLog, FailureInjector};
 use rdo_common::{FieldRef, RdoError, Relation, Result};
 use rdo_exec::{
     materialize, ExecutionMetrics, ParallelConfig, ParallelExecutor, PartitionedData, PhysicalPlan,
@@ -182,16 +183,17 @@ impl DynamicConfig {
 pub struct DynamicOutcome {
     /// The final query result (already projected onto the SELECT list).
     pub result: Relation,
-    /// Metrics of everything the driver executed (including overheads).
+    /// Metrics of everything this execution ran (including overheads).
     pub total: ExecutionMetrics,
-    /// Subset of `total` incurred by the predicate push-down stage.
-    pub pushdown: ExecutionMetrics,
     /// Number of Planner invocations (re-optimization points + final planning).
     pub planner_invocations: u32,
     /// Number of materialized intermediate results (re-optimization points).
     pub reoptimization_points: u32,
-    /// Signature of the plan executed at every stage, in order.
-    pub stage_plans: Vec<String>,
+    /// The query's stage list in execution order, the final job last. The
+    /// first `stages_recovered` were replayed from a checkpoint log.
+    pub stages: Vec<Stage>,
+    /// Stages replayed from a [`CheckpointLog`] (0 from [`DynamicDriver`]).
+    pub stages_recovered: u32,
     /// The optimizer audit trail: per-stage estimate-vs-actual records plus
     /// one decision explanation per re-optimization point. Derived entirely
     /// from deterministic coordinator-side quantities, so it is bit-identical
@@ -200,33 +202,73 @@ pub struct DynamicOutcome {
 }
 
 impl DynamicOutcome {
-    /// The overall plan shape as a single string (for EXPLAIN-style reports).
+    /// Number of materializing stages this execution ran itself: every
+    /// stage after the recovered ones but the final job.
+    pub fn stages_executed(&self) -> u32 {
+        (self.stages.len() - self.stages_recovered as usize).saturating_sub(1) as u32
+    }
+
+    /// The overall plan shape as a single string (for EXPLAIN-style reports):
+    /// each stage's [`Stage::description`], recovered ones marked so.
     pub fn plan_description(&self) -> String {
-        self.stage_plans.join(" ; ")
+        let (recovered, executed) = self.stages.split_at(self.stages_recovered as usize);
+        let recovered = recovered
+            .iter()
+            .map(|s| format!("recovered {}", s.description()));
+        let rendered: Vec<String> = recovered
+            .chain(executed.iter().map(Stage::description))
+            .collect();
+        rendered.join(" ; ")
     }
 }
 
-/// The kind of a materialized stage.
+/// The kind of a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// A pushed-down single-variable query (Algorithm 1 lines 6–9).
     Pushdown,
     /// A materialized join from the re-optimization loop.
     Join,
+    /// The final job, which returns the result instead of materializing it.
+    Final,
 }
 
-/// A completed stage whose output now sits in the catalog as a temporary
-/// table — what the stage loop reports to its caller, who owns the
-/// temporaries: [`DynamicDriver`] drops them when the run ends,
-/// [`crate::CheckpointedDriver`] logs them as checkpoints.
-pub(crate) struct MaterializedStage<'a> {
-    pub(crate) kind: StageKind,
-    /// The stage's entry in [`DynamicOutcome::stage_plans`].
-    pub(crate) description: &'a str,
+/// Where a stage's Sink stores its output.
+#[derive(Debug, Clone)]
+pub struct SinkTarget {
     /// Name of the temporary table holding the stage's output.
-    pub(crate) table: &'a str,
-    /// The remaining query after the stage's reconstruction.
-    pub(crate) spec_after: &'a QuerySpec,
+    pub table: String,
+    /// The column the stored partitions are placed on.
+    pub placement: Option<FieldRef>,
+    /// The columns the Sink keeps statistics on: their later join keys.
+    pub tracked: Vec<FieldRef>,
+    /// Whether the Sink builds sketches, not only row counts.
+    pub collect_stats: bool,
+}
+
+/// One job of a dynamic run (the paper's Figure 4): a plan, the Sink its
+/// output goes to — every stage but the final job has one — and what running
+/// it cost.
+#[derive(Debug, Clone)]
+pub struct Stage {
+    /// What the stage is.
+    pub kind: StageKind,
+    /// The plan the stage executed.
+    pub plan: PhysicalPlan,
+    /// Where the stage's output was materialized.
+    pub sink: Option<SinkTarget>,
+    /// What executing and materializing the stage cost.
+    pub metrics: ExecutionMetrics,
+}
+
+impl Stage {
+    /// The stage's plan signature, push-downs prefixed `pushdown`.
+    pub fn description(&self) -> String {
+        match self.kind {
+            StageKind::Pushdown => format!("pushdown {}", self.plan.signature()),
+            StageKind::Join | StageKind::Final => self.plan.signature(),
+        }
+    }
 }
 
 /// The runtime dynamic optimization driver.
@@ -247,38 +289,33 @@ impl DynamicDriver {
     /// but restored before returning.
     pub fn execute(&self, spec: &QuerySpec, catalog: &mut Catalog) -> Result<DynamicOutcome> {
         spec.validate()?;
-        let mut temporaries: Vec<String> = Vec::new();
-        let outcome = self.run_stages(spec.clone(), 0, catalog, &mut |stage| {
-            temporaries.push(stage.table.to_string());
-            Ok(())
-        });
+        let mut log = CheckpointLog::new();
+        log.remaining = spec.clone();
+        let outcome = self.run_stages(&mut log, catalog, FailureInjector::none());
         // Always clean up temporary tables, even on error.
-        for table in &temporaries {
-            catalog.drop_table(table);
-        }
+        drop_intermediates(outcome.as_ref().map_or(&log.stages, |o| &o.stages), catalog);
         outcome
     }
 
-    /// Algorithm 1 from a given starting point: `spec` is the remaining
-    /// query and `materialized_joins` the re-optimization points already
-    /// spent on it (the query itself and 0, or what a checkpoint log
-    /// replayed). Every stage that materializes an intermediate is reported
-    /// to `on_stage` right after its Sink; an error from the callback stops
-    /// the run there. The temporaries stay in the catalog — dropping them is
-    /// the caller's decision.
+    /// Algorithm 1 from where `log` leaves off: `log.remaining` is the query
+    /// still to run, and `log.stages` the stages already run for it (none, or
+    /// what a checkpoint log replays). Each materializing stage is appended
+    /// to `log.stages` right after its Sink, `log.remaining` moves past it,
+    /// and `injector` may then stop the run. On success the outcome takes the
+    /// whole stage list. The temporaries stay in the catalog — dropping them
+    /// is the caller's decision.
     pub(crate) fn run_stages(
         &self,
-        mut spec: QuerySpec,
-        materialized_joins: u32,
+        log: &mut CheckpointLog,
         catalog: &mut Catalog,
-        on_stage: &mut dyn FnMut(MaterializedStage<'_>) -> Result<()>,
+        injector: FailureInjector,
     ) -> Result<DynamicOutcome> {
         let trace = self.config.trace.clone();
         let _trace_guard = trace.install();
         // Live observability: start the RDO_METRICS_ADDR scrape listener (a
         // no-op without the knob) and expose this query's collector to it.
         rdo_trace::serve::ensure_started_from_env();
-        rdo_trace::serve::register_query(&spec.name, &trace);
+        rdo_trace::serve::register_query(&log.remaining.name, &trace);
         // The spill policy applies to the intermediates this run
         // materializes, and one persistent worker pool is shared by every
         // stage's executor and Sink barrier (threads spawn once, not per
@@ -289,25 +326,23 @@ impl DynamicDriver {
             None => WorkerPool::new(self.config.parallel.workers),
         };
         let planner = GreedyPlanner::new(self.config.policy, self.config.rule);
-        let mut total = ExecutionMetrics::new();
-        let mut pushdown = ExecutionMetrics::new();
+        let stages_recovered = log.stages.len() as u32;
+        let joins = log.stages.iter().filter(|s| s.kind == StageKind::Join);
+        let mut reoptimization_points = joins.count() as u32;
         let mut planner_invocations = 0u32;
-        let mut stage_plans = Vec::new();
         let mut audit = AuditLog::default();
-        let mut reoptimization_points = materialized_joins;
 
         let outcome = (|| -> Result<DynamicOutcome> {
             let mut root = rdo_trace::span("driver.execute");
-            root.attr_str("query", &spec.name);
+            root.attr_str("query", &log.remaining.name);
             // ---- Stage 1: predicate push-down (Algorithm 1, lines 6–9). ----
             if self.config.push_down_predicates {
-                for alias in spec.pushdown_candidates() {
+                for alias in log.remaining.pushdown_candidates() {
+                    let spec = &log.remaining;
                     let mut stage_span = rdo_trace::span("stage.pushdown");
                     stage_span.attr_str("table", &alias);
                     rdo_trace::note("stage", &format!("pushdown:{alias}"));
-                    let mut stage_metrics = ExecutionMetrics::new();
-                    let plan = Self::pushdown_plan(&spec, &alias)?;
-                    let description = format!("pushdown {}", plan.signature());
+                    let plan = Self::pushdown_plan(spec, &alias)?;
                     // The value-qualified signature of this filtered scan —
                     // the key repeat queries find the measured cardinality
                     // under (the plan signature alone is predicate-blind).
@@ -319,60 +354,43 @@ impl DynamicDriver {
                     // before execution so the audit compares plan-time numbers.
                     // With a learned catalog attached, a repeat query's
                     // estimate is the previously measured row count.
-                    let estimator =
+                    let mut estimator =
                         SizeEstimator::new(catalog, catalog.stats(), EstimationMode::Static);
-                    let estimator = match self.config.learned.as_deref() {
-                        Some(learned) => estimator.with_learned(learned),
-                        None => estimator,
+                    if let Some(learned) = self.config.learned.as_deref() {
+                        estimator = estimator.with_learned(learned);
+                    }
+                    let estimated_rows = estimator.dataset_size(spec, &alias).ok();
+                    let table = format!("{}__{}_filtered", sanitize(&spec.name), alias);
+                    let rest = reconstruct_after_pushdown(spec, &alias, &table);
+                    let sink = SinkTarget {
+                        placement: (spec.joins_involving(&alias).first())
+                            .and_then(|j| spec.key_of(j, &alias))
+                            .cloned(),
+                        tracked: spec.join_key_columns().remove(&alias).unwrap_or_default(),
+                        collect_stats: self.config.collect_online_stats,
+                        table,
                     };
-                    let estimated_rows = estimator.dataset_size(&spec, &alias).ok();
-                    let data = ParallelExecutor::with_pool(catalog, pool.clone())
-                        .execute(&plan, &mut stage_metrics)?;
-                    let table_name = format!("{}__{}_filtered", sanitize(&spec.name), alias);
-                    let partition_key = spec
-                        .joins_involving(&alias)
-                        .first()
-                        .and_then(|j| spec.key_of(j, &alias));
-                    let tracked = Self::tracked_columns(&spec, &alias);
-                    let materialized = materialize(
-                        &pool,
-                        catalog,
-                        &table_name,
-                        &data,
-                        partition_key,
-                        &tracked,
-                        self.config.collect_online_stats,
-                        &mut stage_metrics,
-                    )?;
+                    let (stage, actual_rows) =
+                        run_stage(catalog, &pool, StageKind::Pushdown, plan, sink)?;
                     audit.estimates.push(EstimateRecord {
                         stage: format!("pushdown:{alias}"),
-                        operator: plan.signature(),
+                        operator: stage.plan.signature(),
                         estimated_rows,
-                        actual_rows: materialized.rows,
+                        actual_rows,
                     });
                     if let Some(learned) = &self.config.learned {
-                        learned.observe(&learned_key, materialized.rows);
+                        learned.observe(&learned_key, actual_rows);
                     }
-                    spec = reconstruct_after_pushdown(&spec, &alias, &table_name);
-                    pushdown.add(&stage_metrics);
-                    total.add(&stage_metrics);
-                    on_stage(MaterializedStage {
-                        kind: StageKind::Pushdown,
-                        description: &description,
-                        table: &table_name,
-                        spec_after: &spec,
-                    })?;
-                    stage_plans.push(description);
+                    log.stages.push(stage);
+                    log.remaining = rest;
+                    injector.check(log.stages.len() as u32 - stages_recovered)?;
                 }
             }
 
             // ---- Stage 2: the re-optimization loop (Algorithm 1, lines 11–15). ----
-            while join_edges(&spec).len() > 2
-                && self
-                    .config
-                    .reopt_budget
-                    .is_none_or(|budget| reoptimization_points < budget)
-            {
+            let budget = self.config.reopt_budget.unwrap_or(u32::MAX);
+            while join_edges(&log.remaining).len() > 2 && reoptimization_points < budget {
+                let spec = &log.remaining;
                 planner_invocations += 1;
                 reoptimization_points += 1;
                 let mut stage_span = rdo_trace::span("stage.reopt");
@@ -380,16 +398,13 @@ impl DynamicDriver {
                 rdo_trace::note("stage", &format!("reopt#{reoptimization_points}"));
                 let (planned, plan, runner_up) = {
                     let _planning = rdo_trace::span("planner.plan");
-                    let ranked = planner.ranked_joins(&spec, catalog, catalog.stats())?;
-                    let planned = ranked
-                        .first()
-                        .cloned()
-                        .ok_or_else(|| RdoError::Planning("no plannable join found".into()))?;
-                    let plan = planner.join_plan(&spec, &planned)?;
+                    let ranked = planner.ranked_joins(spec, catalog, catalog.stats())?;
+                    let Some(planned) = ranked.first().cloned() else {
+                        return Err(RdoError::Planning("no plannable join found".into()));
+                    };
+                    let plan = planner.join_plan(spec, &planned)?;
                     let runner_up = match ranked.get(1) {
-                        Some(second) => {
-                            Some((planner.join_plan(&spec, second)?.signature(), second.score))
-                        }
+                        Some(s) => Some((planner.join_plan(spec, s)?.signature(), s.score)),
                         None => None,
                     };
                     (planned, plan, runner_up)
@@ -406,39 +421,28 @@ impl DynamicDriver {
                     runner_up,
                 });
 
-                let mut stage_metrics = ExecutionMetrics::new();
-                let data = ParallelExecutor::with_pool(catalog, pool.clone())
-                    .execute(&plan, &mut stage_metrics)?;
-
-                let name = format!("{}__I{}", sanitize(&spec.name), reoptimization_points);
-                let new_spec = reconstruct_after_join(
-                    &spec,
+                let table = format!("{}__I{}", sanitize(&spec.name), reoptimization_points);
+                let rest = reconstruct_after_join(
+                    spec,
                     &planned.probe_alias,
                     &planned.build_alias,
-                    &name,
+                    &table,
                 );
                 // Online statistics are collected on the attributes that
                 // participate in later join stages, and skipped entirely on the
                 // last iteration (Section 5.3, "Online Statistics").
-                let remaining_edges = join_edges(&new_spec).len();
-                let collect = self.config.collect_online_stats && remaining_edges > 2;
-                let tracked = Self::tracked_columns(&new_spec, &name);
-                let partition_key = planned.keys.first().map(|(probe, _)| probe);
-                let materialized = materialize(
-                    &pool,
-                    catalog,
-                    &name,
-                    &data,
-                    partition_key,
-                    &tracked,
-                    collect,
-                    &mut stage_metrics,
-                )?;
+                let sink = SinkTarget {
+                    placement: planned.keys.first().map(|(probe, _)| probe.clone()),
+                    tracked: rest.join_key_columns().remove(&table).unwrap_or_default(),
+                    collect_stats: self.config.collect_online_stats && join_edges(&rest).len() > 2,
+                    table,
+                };
+                let (stage, actual_rows) = run_stage(catalog, &pool, StageKind::Join, plan, sink)?;
                 audit.estimates.push(EstimateRecord {
                     stage: format!("reopt#{reoptimization_points}"),
-                    operator: plan.signature(),
+                    operator: stage.plan.signature(),
                     estimated_rows: Some(planned.estimated_cardinality),
-                    actual_rows: materialized.rows,
+                    actual_rows,
                 });
                 // Join-stage cardinalities are NOT recorded in the learned
                 // catalog: `plan.signature()` renders filtered-scan leaves
@@ -446,74 +450,62 @@ impl DynamicDriver {
                 // across queries with different constants. Only the
                 // value-qualified `filter_key` observations of the push-down
                 // stages feed the catalog.
-                spec = new_spec;
-                total.add(&stage_metrics);
-                let description = plan.signature();
-                on_stage(MaterializedStage {
-                    kind: StageKind::Join,
-                    description: &description,
-                    table: &name,
-                    spec_after: &spec,
-                })?;
-                stage_plans.push(description);
+                log.stages.push(stage);
+                log.remaining = rest;
+                injector.check(log.stages.len() as u32 - stages_recovered)?;
             }
 
             // ---- Stage 3: final job. With an unlimited budget at most two joins
             // remain and the greedy planner orders them; with an exhausted
             // budget the rest of the query is planned statically (Selinger DP)
             // over whatever statistics the executed stages refreshed. ----
+            let spec = &log.remaining;
             planner_invocations += 1;
             let mut stage_span = rdo_trace::span("stage.final");
             rdo_trace::note("stage", "final");
-            let (final_plan, final_estimate) = {
+            let (plan, final_estimate) = {
                 let _planning = rdo_trace::span("planner.plan");
-                if join_edges(&spec).len() > 2 {
+                if join_edges(spec).len() > 2 {
                     // The budget-exhausted cost-based path reports no
                     // single-number cardinality estimate.
-                    let plan = CostBasedOptimizer::new(self.config.rule).plan(
-                        &spec,
-                        catalog,
-                        catalog.stats(),
-                    )?;
-                    (plan, None)
+                    let optimizer = CostBasedOptimizer::new(self.config.rule);
+                    (optimizer.plan(spec, catalog, catalog.stats())?, None)
                 } else {
-                    let estimate = planner
-                        .estimate_remaining(&spec, catalog, catalog.stats())
-                        .ok()
-                        .flatten();
-                    (
-                        planner.plan_remaining(&spec, catalog, catalog.stats())?,
-                        estimate,
-                    )
+                    let estimate = planner.estimate_remaining(spec, catalog, catalog.stats());
+                    let plan = planner.plan_remaining(spec, catalog, catalog.stats())?;
+                    (plan, estimate.ok().flatten())
                 }
             };
-            stage_plans.push(final_plan.signature());
-            stage_span.attr_str("plan", &final_plan.signature());
-            let mut stage_metrics = ExecutionMetrics::new();
-            let result = final_job(
-                &ParallelExecutor::with_pool(catalog, pool.clone()),
-                &final_plan,
-                &spec.projection,
-                &mut stage_metrics,
-            )?;
-            total.add(&stage_metrics);
+            let operator = plan.signature();
+            stage_span.attr_str("plan", &operator);
+            let mut metrics = ExecutionMetrics::new();
+            let executor = ParallelExecutor::with_pool(catalog, pool.clone());
+            let result = final_job(&executor, &plan, &spec.projection, &mut metrics)?;
             // Like the join stages above, the final plan's signature is
             // predicate-blind (any single-table filtered query renders as
             // `σ(table)`), so its cardinality is not observed under it.
             audit.estimates.push(EstimateRecord {
                 stage: "final".to_string(),
-                operator: final_plan.signature(),
+                operator,
                 estimated_rows: final_estimate,
                 actual_rows: result.len() as u64,
             });
-
+            let mut stages = std::mem::take(&mut log.stages);
+            stages.push(Stage {
+                kind: StageKind::Final,
+                plan,
+                sink: None,
+                metrics,
+            });
+            let executed = stages[stages_recovered as usize..].iter();
+            let total = executed.fold(ExecutionMetrics::new(), |sum, s| sum.merge(s.metrics));
             Ok(DynamicOutcome {
                 result,
                 total,
-                pushdown,
                 planner_invocations,
                 reoptimization_points,
-                stage_plans,
+                stages,
+                stages_recovered,
                 audit,
             })
         })();
@@ -544,11 +536,42 @@ impl DynamicDriver {
         }
         Ok(plan)
     }
+}
 
-    /// The columns of `alias` worth collecting statistics on: its join keys in
-    /// the (remaining) query.
-    fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<FieldRef> {
-        spec.join_key_columns().remove(alias).unwrap_or_default()
+/// Runs one materializing stage: executes `plan`, stores its output at
+/// `sink` and returns the stage, with its own metrics, and the rows stored.
+fn run_stage(
+    catalog: &mut Catalog,
+    pool: &WorkerPool,
+    kind: StageKind,
+    plan: PhysicalPlan,
+    sink: SinkTarget,
+) -> Result<(Stage, u64)> {
+    let mut metrics = ExecutionMetrics::new();
+    let data = ParallelExecutor::with_pool(catalog, pool.clone()).execute(&plan, &mut metrics)?;
+    let stored = materialize(
+        pool,
+        catalog,
+        &sink.table,
+        &data,
+        sink.placement.as_ref(),
+        &sink.tracked,
+        sink.collect_stats,
+        &mut metrics,
+    )?;
+    let stage = Stage {
+        kind,
+        plan,
+        sink: Some(sink),
+        metrics,
+    };
+    Ok((stage, stored.rows))
+}
+
+/// Drops the temporary tables the stages' Sinks wrote.
+pub(crate) fn drop_intermediates(stages: &[Stage], catalog: &mut Catalog) {
+    for sink in stages.iter().filter_map(|s| s.sink.as_ref()) {
+        catalog.drop_table(&sink.table);
     }
 }
 
@@ -663,6 +686,19 @@ mod tests {
             ])
     }
 
+    /// The summed metrics of the push-down stages.
+    fn pushdown(outcome: &DynamicOutcome) -> ExecutionMetrics {
+        let mut sum = ExecutionMetrics::new();
+        for stage in outcome
+            .stages
+            .iter()
+            .filter(|s| s.kind == StageKind::Pushdown)
+        {
+            sum.add(&stage.metrics);
+        }
+        sum
+    }
+
     /// The truth: d1 keeps ids with attr==3 and id<1000 → ids {3,13,...,93} (10
     /// rows); every fact row matches d2 and d3 always, and d1 when f_d1 % 10 == 3
     /// → 1/10 of fact rows → 1_000 results.
@@ -686,8 +722,8 @@ mod tests {
         assert_eq!(outcome.reoptimization_points, 1);
         assert_eq!(outcome.planner_invocations, 2);
         assert!(outcome.total.rows_materialized > 0);
-        assert!(outcome.pushdown.rows_scanned >= 100, "d1 was pushed down");
-        assert!(outcome.stage_plans.len() >= 3, "pushdown + loop + final");
+        assert!(pushdown(&outcome).rows_scanned >= 100, "d1 was pushed down");
+        assert!(outcome.stages.len() >= 3, "pushdown + loop + final");
         assert!(!outcome.plan_description().is_empty());
     }
 
@@ -730,7 +766,7 @@ mod tests {
             .execute(&spec(), &mut cat)
             .unwrap();
         assert_eq!(outcome.result.len(), EXPECTED_ROWS);
-        assert_eq!(outcome.pushdown, ExecutionMetrics::new());
+        assert_eq!(pushdown(&outcome), ExecutionMetrics::new());
     }
 
     #[test]
@@ -757,7 +793,7 @@ mod tests {
         // One planner invocation for the final (static) job; the push-down stage
         // still ran and refreshed the statistics it produced.
         assert_eq!(outcome.planner_invocations, 1);
-        assert!(outcome.pushdown.rows_scanned > 0);
+        assert!(pushdown(&outcome).rows_scanned > 0);
     }
 
     #[test]
@@ -827,7 +863,7 @@ mod tests {
                 .unwrap();
             assert_eq!(outcome.result, reference.result, "workers={workers}");
             assert_eq!(outcome.total, reference.total, "workers={workers}");
-            assert_eq!(outcome.stage_plans, reference.stage_plans);
+            assert_eq!(outcome.plan_description(), reference.plan_description());
             assert_eq!(outcome.audit, reference.audit, "workers={workers}");
         }
     }
@@ -841,7 +877,7 @@ mod tests {
         let audit = &outcome.audit;
         assert_eq!(
             audit.estimates.len(),
-            outcome.stage_plans.len(),
+            outcome.stages.len(),
             "one estimate record per executed stage"
         );
         assert_eq!(
@@ -892,7 +928,7 @@ mod tests {
             outcome.total
         );
         assert_eq!(outcome.result, reference.result, "bit-identical result");
-        assert_eq!(outcome.stage_plans, reference.stage_plans);
+        assert_eq!(outcome.plan_description(), reference.plan_description());
         let mut scrubbed = outcome.total;
         scrubbed.spill_pages_written = 0;
         scrubbed.spill_bytes_written = 0;
@@ -931,7 +967,7 @@ mod tests {
             outcome.total
         );
         assert_eq!(outcome.result, reference.result, "bit-identical result");
-        assert_eq!(outcome.stage_plans, reference.stage_plans);
+        assert_eq!(outcome.plan_description(), reference.plan_description());
         let mut scrubbed = outcome.total;
         scrubbed.grace_partitions_spilled = 0;
         scrubbed.grace_pages_written = 0;
@@ -970,7 +1006,7 @@ mod tests {
                 .unwrap();
             assert_eq!(outcome.result, reference.result);
             assert_eq!(outcome.total, reference.total);
-            assert_eq!(outcome.stage_plans, reference.stage_plans);
+            assert_eq!(outcome.plan_description(), reference.plan_description());
         }
     }
 

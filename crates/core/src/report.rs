@@ -1,6 +1,6 @@
 //! Cost breakdowns used to reproduce the overhead analysis of Figure 6.
 
-use crate::driver::DynamicOutcome;
+use crate::driver::{DynamicOutcome, StageKind};
 use rdo_exec::{CostModel, ExecutionMetrics};
 
 /// Decomposition of a dynamic run's simulated cost into the components the
@@ -40,7 +40,11 @@ impl CostBreakdown {
             / partitions;
         let reoptimization = reopt_io + planner_cost;
         let online_stats = m.stats_values_observed as f64 * model.stats_value / partitions;
-        let predicate_pushdown = outcome.pushdown.simulated_cost(model);
+        // Recovered stages ran (and were paid for) in an earlier execution.
+        let pushdown = (outcome.stages[outcome.stages_recovered as usize..].iter())
+            .filter(|s| s.kind == StageKind::Pushdown)
+            .fold(ExecutionMetrics::new(), |sum, s| sum.merge(s.metrics));
+        let predicate_pushdown = pushdown.simulated_cost(model);
         let base_execution = (total - reoptimization - online_stats).max(0.0);
         Self {
             total,
@@ -181,16 +185,30 @@ pub fn execution_metrics_text(m: &ExecutionMetrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Stage;
     use rdo_common::{DataType, Relation, Schema};
+    use rdo_exec::PhysicalPlan;
+
+    fn stage(kind: StageKind, metrics: ExecutionMetrics) -> Stage {
+        Stage {
+            kind,
+            plan: PhysicalPlan::scan("a"),
+            sink: None,
+            metrics,
+        }
+    }
 
     fn outcome_with(total: ExecutionMetrics, pushdown: ExecutionMetrics) -> DynamicOutcome {
         DynamicOutcome {
             result: Relation::empty(Schema::for_dataset("t", &[("a", DataType::Int64)])),
             total,
-            pushdown,
             planner_invocations: 2,
             reoptimization_points: 1,
-            stage_plans: vec!["(a ⋈ b)".into()],
+            stages: vec![
+                stage(StageKind::Pushdown, pushdown),
+                stage(StageKind::Final, ExecutionMetrics::new()),
+            ],
+            stages_recovered: 0,
             audit: Default::default(),
         }
     }
@@ -234,10 +252,10 @@ mod tests {
             &DynamicOutcome {
                 result: Relation::empty(Schema::for_dataset("t", &[("a", DataType::Int64)])),
                 total: ExecutionMetrics::new(),
-                pushdown: ExecutionMetrics::new(),
                 planner_invocations: 0,
                 reoptimization_points: 0,
-                stage_plans: vec![],
+                stages: vec![],
+                stages_recovered: 0,
                 audit: Default::default(),
             },
             &CostModel::default(),

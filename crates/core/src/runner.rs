@@ -299,6 +299,7 @@ impl QueryRunner {
         let outcome = DynamicDriver::new(config).execute(spec, catalog)?;
         let wall_seconds = start.elapsed().as_secs_f64();
         let breakdown = CostBreakdown::of(&outcome, &self.cost_model);
+        let plan = outcome.plan_description();
         Ok(RunReport {
             strategy,
             query: spec.name.clone(),
@@ -306,7 +307,7 @@ impl QueryRunner {
             wall_seconds,
             simulated_cost: breakdown.total,
             metrics: outcome.total,
-            plan: outcome.stage_plans.join(" ; "),
+            plan,
             breakdown: Some(breakdown),
             audit_log: outcome.audit,
             trace,

@@ -24,38 +24,16 @@
 //! text, so a server-owned catalog must be [`LearnedStatsCatalog::bounded`]:
 //! when the cap is exceeded, the least-recently-touched entry is evicted.
 
+use rdo_common::Lru;
 use rdo_exec::{Predicate, PredicateExpr};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// One learned entry: the measured row count plus a recency stamp for
-/// eviction.
-#[derive(Debug, Clone, Copy)]
-struct Learned {
-    rows: u64,
-    touched: u64,
-}
-
-#[derive(Debug, Default)]
-struct Entries {
-    map: HashMap<String, Learned>,
-    clock: u64,
-}
-
-impl Entries {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-}
 
 /// Measured subplan cardinalities keyed by canonical subplan signature.
 #[derive(Debug, Default)]
 pub struct LearnedStatsCatalog {
-    entries: Mutex<Entries>,
-    /// Maximum number of entries; `None` is unbounded (single-query use).
-    cap: Option<usize>,
+    /// Measured row counts; unbounded unless built by [`Self::bounded`].
+    entries: Mutex<Lru<u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -73,7 +51,7 @@ impl LearnedStatsCatalog {
     /// bound.
     pub fn bounded(cap: usize) -> Self {
         Self {
-            cap: Some(cap.max(1)),
+            entries: Mutex::new(Lru::new(cap)),
             ..Self::default()
         }
     }
@@ -84,34 +62,14 @@ impl LearnedStatsCatalog {
     /// least-recently-touched entry.
     pub fn observe(&self, key: &str, rows: u64) {
         let mut entries = self.entries.lock().expect("learned-stats lock poisoned");
-        let touched = entries.tick();
-        if let Some(cap) = self.cap {
-            if !entries.map.contains_key(key) {
-                while entries.map.len() >= cap {
-                    let coldest = entries
-                        .map
-                        .iter()
-                        .min_by_key(|(_, v)| v.touched)
-                        .map(|(k, _)| k.clone())
-                        .expect("map at cap is non-empty");
-                    entries.map.remove(&coldest);
-                }
-            }
-        }
-        entries
-            .map
-            .insert(key.to_string(), Learned { rows, touched });
+        entries.insert(key.to_string(), rows);
     }
 
     /// Looks a subplan up, counting the hit or miss (a hit also refreshes the
     /// entry's eviction recency).
     pub fn lookup(&self, key: &str) -> Option<u64> {
         let mut entries = self.entries.lock().expect("learned-stats lock poisoned");
-        let touched = entries.tick();
-        let found = entries.map.get_mut(key).map(|entry| {
-            entry.touched = touched;
-            entry.rows
-        });
+        let found = entries.get(key).copied();
         drop(entries);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -126,9 +84,8 @@ impl LearnedStatsCatalog {
         self.entries
             .lock()
             .expect("learned-stats lock poisoned")
-            .map
-            .get(key)
-            .map(|entry| entry.rows)
+            .peek(key)
+            .copied()
     }
 
     /// Number of learned subplans.
@@ -136,7 +93,6 @@ impl LearnedStatsCatalog {
         self.entries
             .lock()
             .expect("learned-stats lock poisoned")
-            .map
             .len()
     }
 

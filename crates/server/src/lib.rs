@@ -39,7 +39,7 @@ use crate::protocol::{
     ROWS_PER_FRAME,
 };
 use rdo_common::env::{parse_env_positive_usize, parse_env_u64, parse_or_warn};
-use rdo_common::{Relation, Result};
+use rdo_common::{Lru, Relation, Result};
 use rdo_core::{DynamicConfig, DynamicDriver};
 use rdo_exec::{ParallelConfig, WorkerPool};
 use rdo_planner::{JoinAlgorithmRule, LearnedStatsCatalog};
@@ -47,7 +47,6 @@ use rdo_spill::SpillConfig;
 use rdo_sql::{BoundQuery, ParamBindings, UdfRegistry};
 use rdo_storage::Catalog;
 use rdo_trace::TraceHandle;
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,56 +172,6 @@ impl ServerConfig {
     }
 }
 
-/// A bounded LRU map. The plan cache keys on client-controlled SQL text —
-/// every distinct inline literal is a new key — so the map must evict rather
-/// than grow with the workload's value diversity. Eviction scans for the
-/// least-recently-used entry; the cap is small enough that O(cap) is noise
-/// next to compiling a plan.
-struct Lru<V> {
-    cap: usize,
-    clock: u64,
-    entries: HashMap<String, (u64, V)>,
-}
-
-impl<V: Clone> Lru<V> {
-    fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            clock: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<V> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(key).map(|(touched, value)| {
-            *touched = clock;
-            value.clone()
-        })
-    }
-
-    fn insert(&mut self, key: String, value: V) {
-        self.clock += 1;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.cap {
-                let coldest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (touched, _))| *touched)
-                    .map(|(k, _)| k.clone())
-                    .expect("map at cap is non-empty");
-                self.entries.remove(&coldest);
-            }
-        }
-        self.entries.insert(key, (self.clock, value));
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// State shared by every session of one server.
 struct Shared {
     catalog: Catalog,
@@ -233,7 +182,8 @@ struct Shared {
     learned: Arc<LearnedStatsCatalog>,
     /// Bound plans keyed by normalized SQL text, reused verbatim by repeat
     /// queries (the stable name keeps intermediate-table names and plan
-    /// signatures identical across runs).
+    /// signatures identical across runs). Bounded, because every distinct
+    /// inline literal is a new key.
     cache: Mutex<Lru<Arc<BoundQuery>>>,
     trace: TraceHandle,
     config: ServerConfig,
@@ -464,7 +414,7 @@ fn run_query(
     let key = rdo_sql::normalize(sql).map_err(invalid)?;
     let cached = {
         let mut cache = shared.cache.lock().expect("cache mutex poisoned");
-        cache.get(&key)
+        cache.get(&key).cloned()
     };
     let warm = cached.is_some();
     shared.trace.counter(
@@ -654,23 +604,6 @@ mod tests {
         let warning = parse_env_u64(MEM_BUDGET_ENV, "64MB", "admission stays disabled")
             .expect_err("64MB is not a byte count");
         assert!(warning.contains(MEM_BUDGET_ENV) && warning.contains("admission stays disabled"));
-    }
-
-    #[test]
-    fn lru_bounds_entries_and_tracks_recency() {
-        let mut lru = Lru::new(2);
-        lru.insert("a".into(), 1);
-        lru.insert("b".into(), 2);
-        assert_eq!(lru.get("a"), Some(1), "touch a so b is coldest");
-        lru.insert("c".into(), 3);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get("b"), None, "coldest entry evicted");
-        assert_eq!(lru.get("a"), Some(1));
-        assert_eq!(lru.get("c"), Some(3));
-        // Re-inserting an existing key refreshes instead of evicting.
-        lru.insert("a".into(), 10);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get("a"), Some(10));
     }
 
     #[test]

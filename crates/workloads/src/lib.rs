@@ -109,6 +109,7 @@ mod tests {
             ("region", h.region),
             ("store_sales", d.store_sales),
             ("item", d.item),
+            ("date_dim", d.date_dim),
         ] {
             let table = env.catalog.table(name).unwrap();
             assert_eq!(table.row_count() as u64, rows, "{name}");

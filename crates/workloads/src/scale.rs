@@ -42,7 +42,7 @@ impl ScaleFactor {
             store_sales: 300 * gb,
             store_returns: 30 * gb,
             catalog_sales: 150 * gb,
-            date_dim: 1_826, // five years of days, independent of scale
+            date_dim: crate::tpcds::CALENDAR_DAYS as u64, // independent of scale
             item: 30 * gb,
             store: 5 + gb / 10,
         }
@@ -110,7 +110,7 @@ mod tests {
         let s = ScaleFactor::gb(1000);
         assert_eq!(s.tpch().nation, 25);
         assert_eq!(s.tpch().region, 5);
-        assert_eq!(s.tpcds().date_dim, 1_826);
+        assert_eq!(s.tpcds().date_dim, 1_825);
         assert!(s.tpcds().store < 1_000);
     }
 

@@ -1,8 +1,8 @@
 //! Synthetic TPC-DS style data generator (the tables used by queries 17 and 50).
 //!
-//! `date_dim` covers five years (1998-01-01 .. 2002-12-31) with one row per
-//! day, independent of scale factor, exactly like the real benchmark where the
-//! calendar dimension has a fixed size. `store_returns` is generated as a
+//! `date_dim` covers [`CALENDAR_DAYS`] days (1998-01-01 .. 2002-12-30) with
+//! one row per day, independent of scale factor, exactly like the real
+//! benchmark where the calendar dimension has a fixed size. `store_returns` is generated as a
 //! sample of `store_sales` (a return references the original sale's customer,
 //! item and ticket number) so the fact-to-fact composite joins of Q17 and Q50
 //! produce realistic match rates; `catalog_sales` partially overlaps

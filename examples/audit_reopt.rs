@@ -82,7 +82,7 @@ fn main() -> rdo_common::Result<()> {
     println!(
         "\nQ9: {} result rows across {} stages, {} re-optimization point(s)\n",
         outcome.result.len(),
-        outcome.stage_plans.len(),
+        outcome.stages.len(),
         outcome.reoptimization_points
     );
     print!("{}", outcome.audit.render());

@@ -25,9 +25,9 @@ fn main() -> rdo_common::Result<()> {
     println!(
         "uninterrupted {}: {} stages, {} result rows, {} base rows scanned",
         query.name,
-        baseline.stages_executed,
+        baseline.stages_executed(),
         baseline.result.len(),
-        baseline.metrics.rows_scanned
+        baseline.total.rows_scanned
     );
 
     // ------------------------------------------------------ crash + resume --
@@ -42,21 +42,25 @@ fn main() -> rdo_common::Result<()> {
         "\ninjected crash: {}",
         crash.expect_err("the injector fails the run")
     );
-    println!("checkpoints left behind:");
-    for entry in &log.entries {
+    println!("checkpoints left behind (the executed prefix of the stage list):");
+    for (stage, table) in log.stages.iter().zip(log.tables()) {
         println!(
-            "  [{:?}] {} -> table {}",
-            entry.kind, entry.description, entry.table
+            "  [{:?}] {} -> table {table}",
+            stage.kind,
+            stage.description()
         );
     }
 
     let recovered = driver.execute(&query, &mut env.catalog, FailureInjector::none(), &mut log)?;
     println!(
         "\nrecovered run: {} stages replayed from checkpoints, {} newly executed, {} base rows scanned",
-        recovered.stages_recovered, recovered.stages_executed, recovered.metrics.rows_scanned
+        recovered.stages_recovered,
+        recovered.stages_executed(),
+        recovered.total.rows_scanned
     );
+    println!("recovered plan: {}", recovered.plan_description());
     let saved =
-        1.0 - recovered.metrics.rows_scanned as f64 / baseline.metrics.rows_scanned.max(1) as f64;
+        1.0 - recovered.total.rows_scanned as f64 / baseline.total.rows_scanned.max(1) as f64;
     println!(
         "scan work saved by resuming instead of restarting: {:.1}%",
         100.0 * saved

@@ -25,8 +25,17 @@ fn main() -> rdo_common::Result<()> {
     );
     println!("  planner invocations:    {}", outcome.planner_invocations);
     println!("\nstages (in execution order):");
-    for (i, stage) in outcome.stage_plans.iter().enumerate() {
-        println!("  [{i}] {stage}");
+    for (i, stage) in outcome.stages.iter().enumerate() {
+        let sink = match &stage.sink {
+            Some(sink) => format!("-> {}", sink.table),
+            None => "-> result".to_string(),
+        };
+        println!(
+            "  [{i}] {:<8} {} {sink} ({} rows scanned)",
+            format!("{:?}", stage.kind),
+            stage.description(),
+            stage.metrics.rows_scanned
+        );
     }
 
     let model = CostModel::with_partitions(8);

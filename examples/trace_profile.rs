@@ -30,7 +30,7 @@ fn main() {
     println!(
         "Q9: {} result rows across {} stages, {} rows repartitioned\n",
         outcome.result.len(),
-        outcome.stage_plans.len(),
+        outcome.stages.len(),
         outcome.total.rows_shuffled,
     );
 

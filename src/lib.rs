@@ -23,8 +23,9 @@
 //! * [`planner`] — the query model, cardinality estimation, the greedy
 //!   next-join Planner and the static baselines (cost-based, best-order,
 //!   worst-order, pilot-run);
-//! * [`core`] — the runtime dynamic optimization driver (Algorithm 1) and the
-//!   strategy runner;
+//! * [`core`] — the runtime dynamic optimization driver (Algorithm 1), whose
+//!   run is one list of stages that doubles as its recovery checkpoints, and
+//!   the strategy runner;
 //! * [`trace`] — the observability substrate: structured spans, counters,
 //!   gauges and latency histograms, the optimizer audit trail
 //!   (estimate-vs-actual Q-error, re-optimization decision explanations) and
@@ -83,7 +84,8 @@ pub mod prelude {
     };
     pub use rdo_core::{
         CheckpointLog, CheckpointedDriver, CostBreakdown, DynamicConfig, DynamicDriver,
-        DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
+        DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, SinkTarget, Stage,
+        StageKind, Strategy,
     };
     pub use rdo_exec::{
         AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm,

@@ -60,7 +60,7 @@ fn every_evaluation_query_records_a_complete_audit() {
         // One estimate row per executed stage, one decision per re-opt point.
         assert_eq!(
             outcome.audit.estimates.len(),
-            outcome.stage_plans.len(),
+            outcome.stages.len(),
             "{}: every stage carries an estimate record",
             query.name
         );

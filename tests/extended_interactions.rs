@@ -59,7 +59,7 @@ fn checkpointed_driver_respects_the_reopt_budget() {
             &mut CheckpointLog::new(),
         )
         .unwrap();
-    assert!(uninterrupted.stages_executed <= unlimited_run.stages_executed);
+    assert!(uninterrupted.stages_executed() <= unlimited_run.stages_executed());
 }
 
 #[test]

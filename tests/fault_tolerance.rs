@@ -2,7 +2,8 @@
 //! resumable from its re-optimization checkpoints and produce exactly the
 //! answer an uninterrupted run produces.
 
-use rdo_workloads::q9;
+use rdo_common::RdoError;
+use rdo_workloads::{q8, q9};
 use runtime_dynamic_optimization::prelude::*;
 
 fn env() -> BenchmarkEnv {
@@ -80,13 +81,13 @@ fn recovery_skips_already_executed_work() {
 
     assert_eq!(resumed.stages_recovered, 1);
     assert_eq!(
-        resumed.stages_executed + resumed.stages_recovered,
-        full.stages_executed,
+        resumed.stages_executed() + resumed.stages_recovered,
+        full.stages_executed(),
         "the recovering run executes exactly the stages the crash skipped"
     );
     // The recovering run scans strictly fewer base rows than the full run
     // because the checkpointed stage is not re-executed.
-    assert!(resumed.metrics.rows_scanned < full.metrics.rows_scanned);
+    assert!(resumed.total.rows_scanned < full.total.rows_scanned);
     assert_eq!(resumed.result.sorted(), full.result.sorted());
 }
 
@@ -111,7 +112,7 @@ fn every_crash_point_recovers_to_the_same_answer() {
             &mut probe_log,
         )
         .unwrap();
-    let stages = probe.stages_executed;
+    let stages = probe.stages_executed();
     assert!(stages >= 2, "Q9 must have several checkpointable stages");
 
     for crash_after in 1..=stages {
@@ -134,6 +135,58 @@ fn every_crash_point_recovers_to_the_same_answer() {
     }
 }
 
+/// A log belongs to the query that wrote it: replaying Q8's checkpoints for
+/// Q9 is refused before the catalog or the log is touched, and Q8 can still
+/// resume from the log afterwards.
+#[test]
+fn a_checkpoint_log_is_not_replayed_for_another_query() {
+    let mut env = env();
+    let config = DynamicConfig::dynamic(JoinAlgorithmRule::with_threshold(2_000.0));
+    let expected = DynamicDriver::new(config.clone())
+        .execute(&q8(), &mut env.catalog)
+        .unwrap()
+        .result
+        .sorted();
+    let driver = CheckpointedDriver::new(config);
+    let mut log = CheckpointLog::new();
+    driver
+        .execute(
+            &q8(),
+            &mut env.catalog,
+            FailureInjector::after_stages(1),
+            &mut log,
+        )
+        .unwrap_err();
+    assert_eq!(log.len(), 1);
+    let tables = env.catalog.table_names();
+    let logged = log.tables();
+
+    let error = driver
+        .execute(&q9(), &mut env.catalog, FailureInjector::none(), &mut log)
+        .unwrap_err();
+    assert!(matches!(error, RdoError::Execution(_)), "{error}");
+    assert!(error.to_string().contains("belongs to query"), "{error}");
+    assert_eq!(
+        env.catalog.table_names(),
+        tables,
+        "the catalog is untouched"
+    );
+    assert_eq!(log.tables(), logged, "the log is untouched");
+
+    let resumed = driver
+        .execute(&q8(), &mut env.catalog, FailureInjector::none(), &mut log)
+        .unwrap();
+    assert_eq!(resumed.stages_recovered, 1);
+    assert!(
+        resumed
+            .plan_description()
+            .starts_with("recovered pushdown "),
+        "{}",
+        resumed.plan_description()
+    );
+    assert_eq!(resumed.result.sorted(), expected);
+}
+
 /// The checkpointed driver owns the temporaries differently; everything else
 /// is the dynamic driver's one loop, so an uninterrupted run is the dynamic
 /// run — result rows in order, every metric counter, the stage plans (the
@@ -152,12 +205,12 @@ fn uninterrupted_checkpointed_run_equals_the_dynamic_driver() {
             .execute(&query, &mut catalog, FailureInjector::none(), &mut log)
             .unwrap();
         assert_eq!(checkpointed.result, dynamic.result, "{}", query.name);
-        assert_eq!(checkpointed.metrics, dynamic.total, "{}", query.name);
-        assert_eq!(checkpointed.stage_plans, dynamic.stage_plans);
+        assert_eq!(checkpointed.total, dynamic.total, "{}", query.name);
+        assert_eq!(checkpointed.plan_description(), dynamic.plan_description());
         assert_eq!(checkpointed.audit, dynamic.audit, "{}", query.name);
         assert_eq!(
-            checkpointed.stages_executed as usize + 1,
-            dynamic.stage_plans.len(),
+            checkpointed.stages_executed() as usize + 1,
+            dynamic.stages.len(),
             "every stage but the final job is a checkpoint"
         );
         assert_eq!(catalog.table_names(), env.catalog.table_names());
@@ -215,14 +268,14 @@ fn checkpointed_run_is_traced_audited_and_feeds_the_learned_catalog() {
     assert!(stages.iter().any(|s| s == "stage.pushdown"), "{stages:?}");
     assert!(stages.iter().any(|s| s == "stage.reopt"), "{stages:?}");
     assert_eq!(stages.last().map(String::as_str), Some("stage.final"));
-    assert_eq!(stages.len(), outcome.stage_plans.len());
+    assert_eq!(stages.len(), outcome.stages.len());
     assert_eq!(
         profile.logical_shape(),
         dynamic_trace.profile().logical_shape(),
         "one loop, one span tree"
     );
 
-    assert_eq!(outcome.audit.estimates.len(), outcome.stage_plans.len());
+    assert_eq!(outcome.audit.estimates.len(), outcome.stages.len());
     assert!(!outcome.audit.decisions.is_empty());
     assert_eq!(outcome.audit, dynamic.audit);
     assert!(
@@ -263,13 +316,13 @@ fn resumed_run_traces_only_the_stages_it_executed() {
     let stages = stage_spans(&resumed_trace.profile());
     assert_eq!(
         stages.len(),
-        resumed.stages_executed as usize + 1,
+        resumed.stages_executed() as usize + 1,
         "executed stages plus the final job: {stages:?}"
     );
     assert_eq!(stages.last().map(String::as_str), Some("stage.final"));
     assert_eq!(resumed.audit.estimates.len(), stages.len());
     assert_eq!(
-        resumed.stage_plans.len(),
+        resumed.stages.len(),
         stages.len() + 2,
         "the plan list also names the two recovered stages"
     );

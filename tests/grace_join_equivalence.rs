@@ -64,7 +64,8 @@ fn grace_runs_match_in_memory_runs_on_all_evaluation_queries() {
                 query.name
             );
             assert_eq!(
-                outcome.stage_plans, reference.stage_plans,
+                outcome.plan_description(),
+                reference.plan_description(),
                 "{}: plan choice diverged at workers={workers}",
                 query.name
             );
@@ -167,7 +168,7 @@ fn hybrid_budget_keeps_resident_buckets_and_matches() {
     let memory = run(SpillConfig::disabled());
     let hybrid = run(SpillConfig::disabled().with_join_budget(256));
     assert_eq!(hybrid.result, memory.result);
-    assert_eq!(hybrid.stage_plans, memory.stage_plans);
+    assert_eq!(hybrid.plan_description(), memory.plan_description());
     assert_eq!(scrub_grace(hybrid.total), scrub_grace(memory.total));
     assert!(
         hybrid.total.grace_bytes_written > 0,
@@ -206,7 +207,12 @@ fn stored_pages_are_smaller_than_logical_bytes_and_match_in_memory() {
             SpillConfig::disabled().with_join_budget(TINY_JOIN_BUDGET),
         );
         assert_eq!(grace.result, memory.result, "{}", query.name);
-        assert_eq!(grace.stage_plans, memory.stage_plans, "{}", query.name);
+        assert_eq!(
+            grace.plan_description(),
+            memory.plan_description(),
+            "{}",
+            query.name
+        );
         assert_eq!(
             scrub_grace(grace.total),
             scrub_grace(memory.total),
@@ -279,7 +285,7 @@ fn join_and_spill_budgets_compose() {
         .execute(&query, &mut catalog)
         .expect("fully out-of-core execution");
     assert_eq!(outcome.result, reference.result);
-    assert_eq!(outcome.stage_plans, reference.stage_plans);
+    assert_eq!(outcome.plan_description(), reference.plan_description());
     assert!(
         outcome.total.spill_bytes_written > 0 && outcome.total.grace_bytes_written > 0,
         "both subsystems engaged: {:?}",

@@ -92,7 +92,8 @@ fn dynamic_driver_is_worker_count_invariant() {
                         query.name
                     );
                     assert_eq!(
-                        outcome.stage_plans, expected.stage_plans,
+                        outcome.plan_description(),
+                        expected.plan_description(),
                         "{}: plan choice diverged at workers={workers}",
                         query.name
                     );
@@ -300,7 +301,7 @@ fn observable_digest() -> u64 {
             "{:?}|{:?}|{:?}",
             outcome.result.rows(),
             outcome.total,
-            outcome.stage_plans
+            outcome.plan_description()
         )
         .hash(&mut hasher);
     }

@@ -40,7 +40,7 @@ fn stats_rendered(env: &BenchmarkEnv, workers: usize) -> String {
                 &mut CheckpointLog::new(),
             )
             .expect("uninterrupted run")
-            .stages_executed;
+            .stages_executed();
         assert!(stages >= 2, "{}: push-down and re-opt stages", query.name);
 
         let mut log = CheckpointLog::new();

@@ -59,7 +59,8 @@ fn spilled_runs_match_in_memory_runs_on_all_evaluation_queries() {
                 query.name
             );
             assert_eq!(
-                outcome.stage_plans, reference.stage_plans,
+                outcome.plan_description(),
+                reference.plan_description(),
                 "{}: plan choice diverged at workers={workers}",
                 query.name
             );
@@ -145,7 +146,12 @@ fn stored_pages_are_smaller_than_logical_bytes_and_match_in_memory() {
         let memory = run(&query, SpillConfig::disabled());
         let spilled = run(&query, SpillConfig::disabled().with_budget(TINY_BUDGET));
         assert_eq!(spilled.result, memory.result, "{}", query.name);
-        assert_eq!(spilled.stage_plans, memory.stage_plans, "{}", query.name);
+        assert_eq!(
+            spilled.plan_description(),
+            memory.plan_description(),
+            "{}",
+            query.name
+        );
         assert_eq!(
             scrub_spill(spilled.total),
             scrub_spill(memory.total),

@@ -36,7 +36,7 @@ fn tracing_changes_no_outcome_bit() {
     let (traced, profile) = traced_run(&env, 1);
     assert_eq!(traced.result, untraced.result, "results must be identical");
     assert_eq!(traced.total, untraced.total, "metrics must be identical");
-    assert_eq!(traced.stage_plans, untraced.stage_plans);
+    assert_eq!(traced.plan_description(), untraced.plan_description());
     assert!(
         !profile.spans().is_empty(),
         "the traced run actually recorded spans"
