@@ -7,10 +7,10 @@ use rdo_exec::{
     WorkerPool,
 };
 use rdo_planner::greedy::join_edges;
+use rdo_planner::optimizers::leaf_scan;
 use rdo_planner::{
-    reconstruct_after_join, reconstruct_after_pushdown, CostBasedOptimizer, EstimationMode,
-    GreedyPlanner, JoinAlgorithmRule, LearnedStatsCatalog, NextJoinPolicy, Optimizer, QuerySpec,
-    SizeEstimator,
+    reconstruct_after_join, reconstruct_after_pushdown, EstimationMode, GreedyPlanner,
+    JoinAlgorithmRule, LearnedStatsCatalog, NextJoinPolicy, QuerySpec, SizeEstimator,
 };
 use rdo_storage::Catalog;
 use rdo_storage::SpillConfig;
@@ -342,21 +342,29 @@ impl DynamicDriver {
                     let mut stage_span = rdo_trace::span("stage.pushdown");
                     stage_span.attr_str("table", &alias);
                     rdo_trace::note("stage", &format!("pushdown:{alias}"));
-                    let plan = Self::pushdown_plan(spec, &alias)?;
-                    // The value-qualified signature of this filtered scan —
-                    // the key repeat queries find the measured cardinality
-                    // under (the plan signature alone is predicate-blind).
-                    let stage_predicates: Vec<_> =
-                        spec.predicates_for(&alias).into_iter().cloned().collect();
-                    let learned_key =
-                        LearnedStatsCatalog::filter_key(spec.table_of(&alias)?, &stage_predicates);
+                    let plan = leaf_scan(spec, &alias)?;
+                    // With a learned catalog attached, the value-qualified
+                    // signature of this filtered scan is the key repeat
+                    // queries find its measured cardinality under (the plan
+                    // signature alone is predicate-blind), and a repeat
+                    // query's estimate is the previously measured row count.
+                    let learned = match self.config.learned.as_deref() {
+                        Some(learned) => {
+                            let predicates: Vec<_> =
+                                spec.predicates_for(&alias).into_iter().cloned().collect();
+                            let key = LearnedStatsCatalog::filter_key(
+                                spec.table_of(&alias)?,
+                                &predicates,
+                            );
+                            Some((learned, key))
+                        }
+                        None => None,
+                    };
                     // The planner's estimate for the filtered dataset, recorded
                     // before execution so the audit compares plan-time numbers.
-                    // With a learned catalog attached, a repeat query's
-                    // estimate is the previously measured row count.
                     let mut estimator =
                         SizeEstimator::new(catalog, catalog.stats(), EstimationMode::Static);
-                    if let Some(learned) = self.config.learned.as_deref() {
+                    if let Some((learned, _)) = learned {
                         estimator = estimator.with_learned(learned);
                     }
                     let estimated_rows = estimator.dataset_size(spec, &alias).ok();
@@ -378,8 +386,8 @@ impl DynamicDriver {
                         estimated_rows,
                         actual_rows,
                     });
-                    if let Some(learned) = &self.config.learned {
-                        learned.observe(&learned_key, actual_rows);
+                    if let Some((learned, key)) = learned {
+                        learned.observe(&key, actual_rows);
                     }
                     log.stages.push(stage);
                     log.remaining = rest;
@@ -396,18 +404,16 @@ impl DynamicDriver {
                 let mut stage_span = rdo_trace::span("stage.reopt");
                 stage_span.attr_u64("point", reoptimization_points as u64);
                 rdo_trace::note("stage", &format!("reopt#{reoptimization_points}"));
-                let (planned, plan, runner_up) = {
+                let (planned, runner_up) = {
                     let _planning = rdo_trace::span("planner.plan");
-                    let ranked = planner.ranked_joins(spec, catalog, catalog.stats())?;
-                    let Some(planned) = ranked.first().cloned() else {
-                        return Err(RdoError::Planning("no plannable join found".into()));
-                    };
-                    let plan = planner.join_plan(spec, &planned)?;
-                    let runner_up = match ranked.get(1) {
-                        Some(s) => Some((planner.join_plan(spec, s)?.signature(), s.score)),
-                        None => None,
-                    };
-                    (planned, plan, runner_up)
+                    let mut ranked = planner
+                        .ranked_joins(spec, catalog, catalog.stats())?
+                        .into_iter();
+                    let planned = ranked
+                        .next()
+                        .ok_or_else(|| RdoError::Planning("no plannable join found".into()))?;
+                    let runner_up = ranked.next().map(|s| (s.joined.plan.signature(), s.score));
+                    (planned, runner_up)
                 };
                 // Explain the decision: the estimate the last stage corrected,
                 // the join the refreshed statistics picked, and the alternative
@@ -415,8 +421,8 @@ impl DynamicDriver {
                 audit.decisions.push(ReoptDecision {
                     point: reoptimization_points,
                     trigger: audit.estimates.last().cloned(),
-                    chosen: plan.signature(),
-                    chosen_cardinality: planned.estimated_cardinality,
+                    chosen: planned.joined.plan.signature(),
+                    chosen_cardinality: planned.joined.est_rows,
                     chosen_score: planned.score,
                     runner_up,
                 });
@@ -424,24 +430,25 @@ impl DynamicDriver {
                 let table = format!("{}__I{}", sanitize(&spec.name), reoptimization_points);
                 let rest = reconstruct_after_join(
                     spec,
-                    &planned.probe_alias,
-                    &planned.build_alias,
+                    &planned.edge.left_alias,
+                    &planned.edge.right_alias,
                     &table,
                 );
                 // Online statistics are collected on the attributes that
                 // participate in later join stages, and skipped entirely on the
                 // last iteration (Section 5.3, "Online Statistics").
                 let sink = SinkTarget {
-                    placement: planned.keys.first().map(|(probe, _)| probe.clone()),
+                    placement: planned.probe_key().cloned(),
                     tracked: rest.join_key_columns().remove(&table).unwrap_or_default(),
                     collect_stats: self.config.collect_online_stats && join_edges(&rest).len() > 2,
                     table,
                 };
-                let (stage, actual_rows) = run_stage(catalog, &pool, StageKind::Join, plan, sink)?;
+                let (stage, actual_rows) =
+                    run_stage(catalog, &pool, StageKind::Join, planned.joined.plan, sink)?;
                 audit.estimates.push(EstimateRecord {
                     stage: format!("reopt#{reoptimization_points}"),
                     operator: stage.plan.signature(),
-                    estimated_rows: Some(planned.estimated_cardinality),
+                    estimated_rows: Some(planned.joined.est_rows),
                     actual_rows,
                 });
                 // Join-stage cardinalities are NOT recorded in the learned
@@ -457,24 +464,14 @@ impl DynamicDriver {
 
             // ---- Stage 3: final job. With an unlimited budget at most two joins
             // remain and the greedy planner orders them; with an exhausted
-            // budget the rest of the query is planned statically (Selinger DP)
-            // over whatever statistics the executed stages refreshed. ----
+            // budget it plans the rest of the query statically. ----
             let spec = &log.remaining;
             planner_invocations += 1;
             let mut stage_span = rdo_trace::span("stage.final");
             rdo_trace::note("stage", "final");
             let (plan, final_estimate) = {
                 let _planning = rdo_trace::span("planner.plan");
-                if join_edges(spec).len() > 2 {
-                    // The budget-exhausted cost-based path reports no
-                    // single-number cardinality estimate.
-                    let optimizer = CostBasedOptimizer::new(self.config.rule);
-                    (optimizer.plan(spec, catalog, catalog.stats())?, None)
-                } else {
-                    let estimate = planner.estimate_remaining(spec, catalog, catalog.stats());
-                    let plan = planner.plan_remaining(spec, catalog, catalog.stats())?;
-                    (plan, estimate.ok().flatten())
-                }
+                planner.plan_remaining(spec, catalog, catalog.stats())?
             };
             let operator = plan.signature();
             stage_span.attr_str("plan", &operator);
@@ -521,20 +518,6 @@ impl DynamicDriver {
             }
         }
         outcome
-    }
-
-    /// Builds the single-variable query for one pushed-down dataset (the paper's
-    /// Q2/Q3): its local predicates plus a projection onto the attributes the
-    /// remaining query needs.
-    fn pushdown_plan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
-        let table = spec.table_of(alias)?;
-        let predicates = spec.predicates_for(alias).into_iter().cloned().collect();
-        let projection = spec.required_columns(alias, false);
-        let mut plan = PhysicalPlan::scan_aliased(alias, table).with_predicates(predicates);
-        if !projection.is_empty() {
-            plan = plan.with_projection(projection);
-        }
-        Ok(plan)
     }
 }
 

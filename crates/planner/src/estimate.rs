@@ -8,8 +8,12 @@
 //! ```
 //!
 //! where `S(x)` is the number of qualified rows of `x` immediately before the
-//! join and `U(x.k)` the number of distinct values of the join key. The way
-//! `S(x)` is obtained is what distinguishes the strategies:
+//! join and `U(x.k)` the number of distinct values of the join key. The
+//! formula is written once, in [`SizeEstimator::join_size`], and applied once,
+//! in the planner's one join step
+//! ([`join_subplans`](crate::optimizers::join_subplans)), which the dynamic
+//! Planner and every static baseline share. The way `S(x)` is obtained is
+//! what distinguishes the strategies:
 //!
 //! * [`EstimationMode::Static`] — initial (ingestion) statistics, independence
 //!   assumption for multiple predicates, System-R default factors for complex
@@ -23,8 +27,8 @@
 //! stage the filtered datasets *are* materialized and their statistics are exact.
 
 use crate::learned::LearnedStatsCatalog;
-use crate::query::{JoinCondition, QuerySpec};
-use rdo_common::{FieldRef, RdoError, Result};
+use crate::query::QuerySpec;
+use rdo_common::{FieldRef, Result};
 use rdo_exec::expr::evaluate_all_batch;
 use rdo_sketch::{ColumnStats, DatasetStats, StatsCatalog};
 use rdo_storage::Catalog;
@@ -68,11 +72,6 @@ impl<'a> SizeEstimator<'a> {
     pub fn with_learned(mut self, learned: &'a LearnedStatsCatalog) -> Self {
         self.learned = Some(learned);
         self
-    }
-
-    /// The estimation mode.
-    pub fn mode(&self) -> EstimationMode {
-        self.mode
     }
 
     /// The raw (pre-predicate) row count of the dataset behind `alias`.
@@ -172,44 +171,12 @@ impl<'a> SizeEstimator<'a> {
         distinct.min(size_hint.max(1.0)).max(1.0)
     }
 
-    /// Formula 1 with already-computed inputs.
+    /// Formula 1, the planner's one join-size estimate: `S(A)·S(B) /
+    /// max(U(A.k), U(B.k))`, with the denominator at least 1. A composite-key
+    /// join passes the largest distinct count of each side.
     pub fn join_size(s_a: f64, s_b: f64, u_a: f64, u_b: f64) -> f64 {
         let denom = u_a.max(u_b).max(1.0);
         (s_a * s_b / denom).max(0.0)
-    }
-
-    /// Estimated cardinality of one join condition of the query, with the
-    /// qualified sizes of the two sides supplied by the caller (they may be the
-    /// estimated outputs of already-planned sub-joins).
-    pub fn join_cardinality(
-        &self,
-        spec: &QuerySpec,
-        condition: &JoinCondition,
-        left_size: f64,
-        right_size: f64,
-    ) -> f64 {
-        let u_left = self.column_distinct(spec, &condition.left, left_size);
-        let u_right = self.column_distinct(spec, &condition.right, right_size);
-        Self::join_size(left_size, right_size, u_left, u_right)
-    }
-
-    /// Estimated cardinality of a join condition using each side's estimated
-    /// post-predicate dataset size.
-    pub fn condition_cardinality(
-        &self,
-        spec: &QuerySpec,
-        condition: &JoinCondition,
-    ) -> Result<f64> {
-        let (l, r) = spec.join_homes(condition);
-        let left_size = self.dataset_size(spec, l)?;
-        let right_size = self.dataset_size(spec, r)?;
-        Ok(self.join_cardinality(spec, condition, left_size, right_size))
-    }
-
-    /// Convenience error used when a condition references a dataset without
-    /// statistics or storage.
-    pub fn missing(alias: &str) -> RdoError {
-        RdoError::MissingStatistics(alias.to_string())
     }
 }
 
@@ -359,12 +326,19 @@ mod tests {
     }
 
     #[test]
-    fn condition_cardinality_pk_fk_join() {
+    fn pk_fk_join_estimate() {
+        use crate::optimizers::{join_subplans, SubPlan};
+        use crate::JoinAlgorithmRule;
         let cat = catalog();
         let q = spec();
         let est = SizeEstimator::new(&cat, cat.stats(), EstimationMode::Static);
-        let card = est.condition_cardinality(&q, &q.joins[0]).unwrap();
+        let leaf = |alias| SubPlan::leaf(&q, alias, est.dataset_size(&q, alias).unwrap()).unwrap();
+        let rule = JoinAlgorithmRule::default();
+        let joined = join_subplans(&q, &cat, &est, &rule, &leaf("orders"), &leaf("customer"))
+            .unwrap()
+            .expect("a join condition connects the two");
         // Every order matches exactly one customer → ~10_000 rows.
+        let card = joined.est_rows;
         assert!(
             (card - 10_000.0).abs() < 1_500.0,
             "estimated {card}, expected ≈10_000"

@@ -3,14 +3,18 @@
 //! At every re-optimization point the dynamic approach does **not** form the
 //! complete plan; it only searches for the cheapest next join (the one with the
 //! least estimated result cardinality, formula 1) and the best algorithm for it.
+//! Each candidate is the planner's one join step, [`join_subplans`], over the
+//! leaves of the edge's two datasets — the step the static baselines build
+//! their plans from.
 //! The INGRES-like baseline uses the same machinery but scores candidate joins
 //! by the cardinalities of the participating datasets only.
 
-use crate::algorithm::{JoinAlgorithmRule, JoinSideInfo};
+use crate::algorithm::JoinAlgorithmRule;
 use crate::estimate::{EstimationMode, SizeEstimator};
-use crate::query::{JoinCondition, QuerySpec};
+use crate::optimizers::{dp_full_plan, join_subplans, SubPlan};
+use crate::query::QuerySpec;
 use rdo_common::{FieldRef, RdoError, Result};
-use rdo_exec::{JoinAlgorithm, PhysicalPlan};
+use rdo_exec::PhysicalPlan;
 use rdo_sketch::StatsCatalog;
 use rdo_storage::Catalog;
 use std::collections::BTreeMap;
@@ -39,29 +43,6 @@ pub struct JoinEdge {
 }
 
 impl JoinEdge {
-    /// True if the edge connects the two given aliases (in either order).
-    pub fn connects(&self, a: &str, b: &str) -> bool {
-        (self.left_alias == a && self.right_alias == b)
-            || (self.left_alias == b && self.right_alias == a)
-    }
-
-    /// True if the edge touches the alias.
-    pub fn involves(&self, alias: &str) -> bool {
-        self.left_alias == alias || self.right_alias == alias
-    }
-
-    /// Key pairs oriented so the first element belongs to `alias`.
-    pub fn keys_from(&self, alias: &str) -> Vec<(FieldRef, FieldRef)> {
-        if self.left_alias == alias {
-            self.keys.clone()
-        } else {
-            self.keys
-                .iter()
-                .map(|(l, r)| (r.clone(), l.clone()))
-                .collect()
-        }
-    }
-
     /// Human-readable description.
     pub fn describe(&self) -> String {
         let conds: Vec<String> = self
@@ -106,26 +87,28 @@ pub fn join_edges(spec: &QuerySpec) -> Vec<JoinEdge> {
 }
 
 /// The planner's decision for the next join to execute.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PlannedJoin {
     /// The edge being joined.
     pub edge: JoinEdge,
-    /// Probe-side alias (left input of the physical join).
-    pub probe_alias: String,
-    /// Build-side alias (right input; broadcast for Broadcast/INL).
-    pub build_alias: String,
-    /// Key pairs oriented `(probe key, build key)`.
-    pub keys: Vec<(FieldRef, FieldRef)>,
-    /// Chosen join algorithm.
-    pub algorithm: JoinAlgorithm,
-    /// Estimated result cardinality (formula 1).
-    pub estimated_cardinality: f64,
-    /// Estimated qualified rows of the probe side.
-    pub probe_rows: f64,
-    /// Estimated qualified rows of the build side.
-    pub build_rows: f64,
+    /// The join as a sub-plan: the job's plan (probe side left, build side
+    /// right — broadcast for Broadcast/INL — and keys oriented `(probe key,
+    /// build key)`), the two aliases it covers and its estimated result
+    /// cardinality (formula 1).
+    pub joined: SubPlan,
     /// Score used to pick this join (depends on the policy).
     pub score: f64,
+}
+
+impl PlannedJoin {
+    /// The probe side's key of the first key pair: the column the join's
+    /// output is placed on.
+    pub fn probe_key(&self) -> Option<&FieldRef> {
+        match &self.joined.plan {
+            PhysicalPlan::Join { keys, .. } => keys.first().map(|(probe, _)| probe),
+            PhysicalPlan::Scan { .. } => None,
+        }
+    }
 }
 
 /// The greedy next-join planner.
@@ -143,122 +126,26 @@ impl GreedyPlanner {
         Self { policy, rule }
     }
 
-    /// Estimates the result cardinality of an edge given the two side sizes.
-    fn edge_cardinality(
-        estimator: &SizeEstimator<'_>,
-        spec: &QuerySpec,
-        edge: &JoinEdge,
-        left_size: f64,
-        right_size: f64,
-    ) -> f64 {
-        // For composite-key edges only the most selective condition is used:
-        // multiplying per-condition factors assumes the key columns are
-        // independent, which badly underestimates correlated composite keys
-        // (e.g. partsupp ⋈ lineitem, where the supplier key is functionally
-        // determined by the part key).
-        let mut denominator = 1.0f64;
-        for (lk, rk) in &edge.keys {
-            let u_l = estimator.column_distinct(spec, lk, left_size);
-            let u_r = estimator.column_distinct(spec, rk, right_size);
-            denominator = denominator.max(u_l.max(u_r).max(1.0));
-        }
-        (left_size * right_size / denominator).max(0.0)
-    }
-
-    /// Builds the [`JoinSideInfo`] for one side of an edge.
-    fn side_info(
+    /// The leaf of one dataset, sized by the policy. The INGRES-like policy
+    /// knows nothing beyond dataset cardinalities, so it cannot anticipate the
+    /// effect of local predicates that have not been materialized yet; the
+    /// statistics policy estimates them from the histograms.
+    fn leaf(
         &self,
         spec: &QuerySpec,
-        catalog: &Catalog,
+        estimator: &SizeEstimator<'_>,
         alias: &str,
-        key: &FieldRef,
-        estimated_rows: f64,
-    ) -> Result<JoinSideInfo> {
-        let table = spec.table_of(alias)?;
-        let table_ref = catalog.table(table)?;
-        let has_local_predicates = !spec.predicates_for(alias).is_empty();
-        let is_bare_base_scan = !has_local_predicates && !table_ref.is_temporary();
-        // A materialized intermediate (temporary table) counts as "filtered":
-        // it is the product of earlier predicate or join work.
-        let has_filter = has_local_predicates || table_ref.is_temporary();
-        let indexed = catalog.has_secondary_index(table, &key.field);
-        Ok(JoinSideInfo::new(alias, estimated_rows)
-            .with_bare_base_scan(is_bare_base_scan)
-            .with_filter(has_filter)
-            .with_index(indexed))
+    ) -> Result<SubPlan> {
+        let size = match self.policy {
+            NextJoinPolicy::Statistics => estimator.dataset_size(spec, alias)?,
+            NextJoinPolicy::CardinalityOnly => estimator.base_rows(spec, alias)?,
+        };
+        SubPlan::leaf(spec, alias, size)
     }
 
-    /// Plans one candidate edge: size estimates, score, algorithm and orientation.
-    fn plan_edge(
-        &self,
-        spec: &QuerySpec,
-        catalog: &Catalog,
-        estimator: &SizeEstimator<'_>,
-        edge: &JoinEdge,
-    ) -> Result<PlannedJoin> {
-        // The INGRES-like policy knows nothing beyond dataset cardinalities, so
-        // it cannot anticipate the effect of local predicates that have not been
-        // materialized yet; the statistics policy estimates them from the
-        // histograms.
-        let (left_size, right_size) = match self.policy {
-            NextJoinPolicy::Statistics => (
-                estimator.dataset_size(spec, &edge.left_alias)?,
-                estimator.dataset_size(spec, &edge.right_alias)?,
-            ),
-            NextJoinPolicy::CardinalityOnly => (
-                estimator.base_rows(spec, &edge.left_alias)?,
-                estimator.base_rows(spec, &edge.right_alias)?,
-            ),
-        };
-        let cardinality = Self::edge_cardinality(estimator, spec, edge, left_size, right_size);
-        let score = match self.policy {
-            NextJoinPolicy::Statistics => cardinality,
-            NextJoinPolicy::CardinalityOnly => left_size + right_size,
-        };
-
-        let left_info =
-            self.side_info(spec, catalog, &edge.left_alias, &edge.keys[0].0, left_size)?;
-        let right_info = self.side_info(
-            spec,
-            catalog,
-            &edge.right_alias,
-            &edge.keys[0].1,
-            right_size,
-        )?;
-        let choice = self.rule.choose(&left_info, &right_info);
-        let (probe_alias, build_alias, keys, probe_rows, build_rows) = if choice.build_is_second {
-            (
-                edge.left_alias.clone(),
-                edge.right_alias.clone(),
-                edge.keys.clone(),
-                left_size,
-                right_size,
-            )
-        } else {
-            (
-                edge.right_alias.clone(),
-                edge.left_alias.clone(),
-                edge.keys_from(&edge.right_alias),
-                right_size,
-                left_size,
-            )
-        };
-        Ok(PlannedJoin {
-            edge: edge.clone(),
-            probe_alias,
-            build_alias,
-            keys,
-            algorithm: choice.algorithm,
-            estimated_cardinality: cardinality,
-            probe_rows,
-            build_rows,
-            score,
-        })
-    }
-
-    /// Plans every remaining join edge and ranks them best-first by
-    /// `(score, edge description)` — the exact order [`Self::next_join`]
-    /// selects under, so `ranked_joins(..)[0]` *is* the next join and
+    /// Plans every remaining join edge — the join step over the leaves of its
+    /// two datasets — and ranks them best-first by `(score, edge
+    /// description)`, so `ranked_joins(..)[0]` *is* the next join and
     /// `ranked_joins(..)[1]` is the runner-up the audit trail reports as
     /// rejected.
     pub fn ranked_joins(
@@ -272,10 +159,31 @@ impl GreedyPlanner {
         if edges.is_empty() {
             return Err(RdoError::Planning("query has no joins left to plan".into()));
         }
-        let mut ranked = edges
-            .iter()
-            .map(|edge| self.plan_edge(spec, catalog, &estimator, edge))
-            .collect::<Result<Vec<_>>>()?;
+        let leaves = spec
+            .aliases()
+            .into_iter()
+            .map(|alias| Ok((alias, self.leaf(spec, &estimator, alias)?)))
+            .collect::<Result<BTreeMap<_, _>>>()?;
+        let mut ranked = Vec::with_capacity(edges.len());
+        for edge in edges {
+            let (left, right) = (
+                &leaves[edge.left_alias.as_str()],
+                &leaves[edge.right_alias.as_str()],
+            );
+            let joined = join_subplans(spec, catalog, &estimator, &self.rule, left, right)?
+                .ok_or_else(|| {
+                    RdoError::Planning(format!("no condition joins {}", edge.describe()))
+                })?;
+            let score = match self.policy {
+                NextJoinPolicy::Statistics => joined.est_rows,
+                NextJoinPolicy::CardinalityOnly => left.est_rows + right.est_rows,
+            };
+            ranked.push(PlannedJoin {
+                edge,
+                joined,
+                score,
+            });
+        }
         ranked.sort_by(|a, b| {
             a.score
                 .partial_cmp(&b.score)
@@ -298,186 +206,54 @@ impl GreedyPlanner {
             .ok_or_else(|| RdoError::Planning("no plannable join found".into()))
     }
 
-    /// Builds the physical scan of one dataset of the query: local predicates
-    /// pushed into the scan plus a projection onto the columns the rest of the
-    /// query needs.
-    pub fn scan_plan(spec: &QuerySpec, alias: &str, project: bool) -> Result<PhysicalPlan> {
-        let table = spec.table_of(alias)?;
-        let predicates = spec.predicates_for(alias).into_iter().cloned().collect();
-        let mut plan = PhysicalPlan::scan_aliased(alias, table).with_predicates(predicates);
-        if project {
-            let columns = spec.required_columns(alias, false);
-            if !columns.is_empty() {
-                plan = plan.with_projection(columns);
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Builds the physical plan of one planned join (the job executed at a
-    /// re-optimization point).
-    pub fn join_plan(&self, spec: &QuerySpec, planned: &PlannedJoin) -> Result<PhysicalPlan> {
-        // The probe side of an indexed nested-loop join must stay a base-table
-        // scan without projection so the executor can use its secondary index
-        // and fetch full rows.
-        let project_probe = planned.algorithm != JoinAlgorithm::IndexedNestedLoop;
-        let probe = Self::scan_plan(spec, &planned.probe_alias, project_probe)?;
-        let build = Self::scan_plan(spec, &planned.build_alias, true)?;
-        Ok(PhysicalPlan::join_on(
-            probe,
-            build,
-            planned.keys.clone(),
-            planned.algorithm,
-        ))
-    }
-
-    /// Builds the final physical plan once at most two join edges remain
-    /// (Algorithm 1 stops re-optimizing at that point: "there is only one
-    /// possible remaining join order" to decide, which the statistics gathered
-    /// so far suffice for).
+    /// Plans the final job and returns it with its estimated result
+    /// cardinality — the number the audit trail compares against the final
+    /// stage's actual row count. Algorithm 1 stops re-optimizing once at most
+    /// two join edges remain: "there is only one possible remaining join
+    /// order" to decide, which the statistics gathered so far suffice for.
+    /// More edges remain only when a re-optimization budget ran out; the rest
+    /// of the query is then planned statically (Selinger DP) over whatever
+    /// statistics the executed stages refreshed, with no single-number
+    /// estimate.
     pub fn plan_remaining(
         &self,
         spec: &QuerySpec,
         catalog: &Catalog,
         stats: &StatsCatalog,
-    ) -> Result<PhysicalPlan> {
+    ) -> Result<(PhysicalPlan, Option<f64>)> {
+        let estimator = SizeEstimator::new(catalog, stats, EstimationMode::Static);
         let edges = join_edges(spec);
-        match edges.len() {
-            0 => {
-                if spec.datasets.len() == 1 {
-                    GreedyPlanner::scan_plan(spec, &spec.datasets[0].alias, false)
-                } else {
-                    Err(RdoError::Planning(
+        let last = match edges.len() {
+            0 => match spec.datasets.as_slice() {
+                [single] => {
+                    let size = estimator.dataset_size(spec, &single.alias)?;
+                    SubPlan::leaf(spec, &single.alias, size)?
+                }
+                _ => {
+                    return Err(RdoError::Planning(
                         "cannot plan a multi-dataset query without joins".into(),
                     ))
                 }
-            }
-            1 => {
-                let planned = self.next_join(spec, catalog, stats)?;
-                self.join_plan(spec, &planned)
-            }
+            },
+            1 => self.next_join(spec, catalog, stats)?.joined,
             2 => {
-                let estimator = SizeEstimator::new(catalog, stats, EstimationMode::Static);
-                let first = self.next_join(spec, catalog, stats)?;
-                let inner_plan = self.join_plan(spec, &first)?;
-                let other_edge = edges
+                // The second edge joins the first join's result with the
+                // remaining dataset, which both policies size by its
+                // statistics.
+                let inner = self.next_join(spec, catalog, stats)?.joined;
+                let outer = edges
                     .iter()
-                    .find(|e| !e.connects(&first.edge.left_alias, &first.edge.right_alias))
+                    .flat_map(|e| [&e.left_alias, &e.right_alias])
+                    .find(|alias| !inner.aliases.contains(*alias))
                     .ok_or_else(|| RdoError::Planning("expected a second join edge".into()))?;
-
-                // The second edge connects the inner result with the remaining
-                // dataset: the endpoint not consumed by the first join.
-                let consumed = [
-                    first.edge.left_alias.as_str(),
-                    first.edge.right_alias.as_str(),
-                ];
-                let outer_alias = if consumed.contains(&other_edge.left_alias.as_str()) {
-                    other_edge.right_alias.clone()
-                } else {
-                    other_edge.left_alias.clone()
-                };
-                let outer_keys = other_edge.keys_from(&outer_alias);
-                let outer_size = estimator.dataset_size(spec, &outer_alias)?;
-                let outer_info =
-                    self.side_info(spec, catalog, &outer_alias, &outer_keys[0].0, outer_size)?;
-                let inner_info = JoinSideInfo::new("intermediate", first.estimated_cardinality)
-                    .with_filter(true);
-                let choice = self.rule.choose(&inner_info, &outer_info);
-                if choice.build_is_second {
-                    // Probe = inner join result, build = remaining dataset.
-                    let build = GreedyPlanner::scan_plan(spec, &outer_alias, true)?;
-                    let keys: Vec<(FieldRef, FieldRef)> = outer_keys
-                        .iter()
-                        .map(|(outer, inner)| (inner.clone(), outer.clone()))
-                        .collect();
-                    Ok(PhysicalPlan::join_on(
-                        inner_plan,
-                        build,
-                        keys,
-                        choice.algorithm,
-                    ))
-                } else {
-                    // Probe = remaining dataset (possibly via its index), build =
-                    // inner join result.
-                    let project_probe = choice.algorithm != JoinAlgorithm::IndexedNestedLoop;
-                    let probe = GreedyPlanner::scan_plan(spec, &outer_alias, project_probe)?;
-                    Ok(PhysicalPlan::join_on(
-                        probe,
-                        inner_plan,
-                        outer_keys,
-                        choice.algorithm,
-                    ))
-                }
+                let outer = SubPlan::leaf(spec, outer, estimator.dataset_size(spec, outer)?)?;
+                join_subplans(spec, catalog, &estimator, &self.rule, &inner, &outer)?
+                    .ok_or_else(|| RdoError::Planning("expected a second join edge".into()))?
             }
-            n => Err(RdoError::Planning(format!(
-                "plan_remaining called with {n} join edges; re-optimization should continue"
-            ))),
-        }
+            _ => return Ok((dp_full_plan(spec, catalog, &estimator, &self.rule)?, None)),
+        };
+        Ok((last.plan, Some(last.est_rows)))
     }
-
-    /// The planner's cardinality estimate for the plan [`Self::plan_remaining`]
-    /// would build — the number the audit trail compares against the final
-    /// stage's actual row count. `None` when more than two edges remain (the
-    /// cost-based fallback path reports no single-number estimate).
-    pub fn estimate_remaining(
-        &self,
-        spec: &QuerySpec,
-        catalog: &Catalog,
-        stats: &StatsCatalog,
-    ) -> Result<Option<f64>> {
-        let estimator = SizeEstimator::new(catalog, stats, EstimationMode::Static);
-        let edges = join_edges(spec);
-        match edges.len() {
-            0 => {
-                if spec.datasets.len() == 1 {
-                    Ok(Some(estimator.dataset_size(spec, &spec.datasets[0].alias)?))
-                } else {
-                    Ok(None)
-                }
-            }
-            1 => Ok(Some(
-                self.next_join(spec, catalog, stats)?.estimated_cardinality,
-            )),
-            2 => {
-                let first = self.next_join(spec, catalog, stats)?;
-                let other_edge = edges
-                    .iter()
-                    .find(|e| !e.connects(&first.edge.left_alias, &first.edge.right_alias))
-                    .ok_or_else(|| RdoError::Planning("expected a second join edge".into()))?;
-                let consumed = [
-                    first.edge.left_alias.as_str(),
-                    first.edge.right_alias.as_str(),
-                ];
-                let outer_alias = if consumed.contains(&other_edge.left_alias.as_str()) {
-                    other_edge.right_alias.clone()
-                } else {
-                    other_edge.left_alias.clone()
-                };
-                let outer_size = estimator.dataset_size(spec, &outer_alias)?;
-                let inner_size = first.estimated_cardinality;
-                // Chain formula 1 through the intermediate: the inner side's
-                // per-key distinct count comes from the originating dataset,
-                // capped by the intermediate's estimated size (a join cannot
-                // raise a column's distinct count).
-                let mut denominator = 1.0f64;
-                for (outer_key, inner_key) in other_edge.keys_from(&outer_alias) {
-                    let u_outer = estimator.column_distinct(spec, &outer_key, outer_size);
-                    let u_inner = estimator.column_distinct(spec, &inner_key, inner_size);
-                    denominator = denominator.max(u_outer.max(u_inner).max(1.0));
-                }
-                Ok(Some((inner_size * outer_size / denominator).max(0.0)))
-            }
-            _ => Ok(None),
-        }
-    }
-}
-
-/// Convenience: all join conditions of an edge as [`JoinCondition`]s.
-pub fn edge_conditions(edge: &JoinEdge) -> Vec<JoinCondition> {
-    edge.keys
-        .iter()
-        .map(|(l, r)| JoinCondition::new(l.clone(), r.clone()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -485,7 +261,7 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, Relation, Schema, Tuple, Value};
-    use rdo_exec::{CmpOp, ParallelConfig, ParallelExecutor, Predicate};
+    use rdo_exec::{CmpOp, JoinAlgorithm, ParallelConfig, ParallelExecutor, Predicate};
     use rdo_storage::IngestOptions;
 
     /// fact(f_id, f_dim, f_big) 10_000 rows; dim(d_id, d_cat) 100 rows;
@@ -580,8 +356,16 @@ mod tests {
             assert_eq!(l.dataset, edges[0].left_alias);
             assert_eq!(r.dataset, edges[0].right_alias);
         }
-        let from_sr = edges[0].keys_from("sr");
-        assert!(from_sr.iter().all(|(l, _)| l.dataset == "sr"));
+    }
+
+    /// The algorithm and key pairs of a join plan.
+    fn join_parts(plan: &PhysicalPlan) -> (JoinAlgorithm, &[(FieldRef, FieldRef)]) {
+        match plan {
+            PhysicalPlan::Join {
+                algorithm, keys, ..
+            } => (*algorithm, keys),
+            PhysicalPlan::Scan { .. } => panic!("expected a join, got {plan:?}"),
+        }
     }
 
     #[test]
@@ -597,8 +381,8 @@ mod tests {
             0i64,
         ));
         let planned = planner(1_000.0).next_join(&q, &cat, cat.stats()).unwrap();
-        assert!(planned.edge.connects("fact", "dim"));
-        assert!(planned.estimated_cardinality < 5_000.0);
+        assert_eq!(planned.edge.describe(), "dim.d_id = fact.f_dim");
+        assert!(planned.joined.est_rows < 5_000.0);
     }
 
     #[test]
@@ -613,7 +397,7 @@ mod tests {
             JoinAlgorithmRule::with_threshold(1_000.0),
         );
         let planned = ingres.next_join(&q, &cat, cat.stats()).unwrap();
-        assert!(planned.edge.connects("fact", "dim"));
+        assert_eq!(planned.edge.describe(), "dim.d_id = fact.f_dim");
         assert_eq!(planned.score, 10_100.0);
     }
 
@@ -627,14 +411,13 @@ mod tests {
             3i64,
         ));
         let planned = planner(1_000.0).next_join(&q, &cat, cat.stats()).unwrap();
-        assert!(planned.edge.connects("fact", "dim"));
-        assert_eq!(planned.algorithm, JoinAlgorithm::Broadcast);
-        assert_eq!(planned.build_alias, "dim");
-        assert_eq!(planned.probe_alias, "fact");
-        assert!(planned
-            .keys
+        assert_eq!(planned.edge.describe(), "dim.d_id = fact.f_dim");
+        assert_eq!(planned.joined.plan.signature(), "(fact ⋈b σ(dim))");
+        let (_, keys) = join_parts(&planned.joined.plan);
+        assert!(keys
             .iter()
             .all(|(p, b)| p.dataset == "fact" && b.dataset == "dim"));
+        assert_eq!(planned.probe_key(), Some(&FieldRef::new("fact", "f_dim")));
     }
 
     #[test]
@@ -648,32 +431,32 @@ mod tests {
         let rule = JoinAlgorithmRule::with_threshold(1_000.0).with_indexed_nested_loop(true);
         let planner = GreedyPlanner::new(NextJoinPolicy::Statistics, rule);
         let planned = planner.next_join(&q, &cat, cat.stats()).unwrap();
-        assert_eq!(planned.algorithm, JoinAlgorithm::IndexedNestedLoop);
         assert_eq!(
-            planned.probe_alias, "fact",
+            planned.joined.plan.signature(),
+            "(fact ⋈i σ(dim))",
             "the indexed base table is the probe side"
         );
-        assert_eq!(planned.build_alias, "dim");
     }
 
     #[test]
     fn hash_join_when_build_too_large() {
         let cat = catalog();
         let planned = planner(10.0).next_join(&spec(), &cat, cat.stats()).unwrap();
-        assert_eq!(planned.algorithm, JoinAlgorithm::Hash);
+        assert_eq!(join_parts(&planned.joined.plan).0, JoinAlgorithm::Hash);
     }
 
     #[test]
-    fn join_plan_and_execution_round_trip() {
+    fn planned_join_executes() {
         let cat = catalog();
-        let q = spec();
-        let p = planner(1_000.0);
-        let planned = p.next_join(&q, &cat, cat.stats()).unwrap();
-        let plan = p.join_plan(&q, &planned).unwrap();
-        assert_eq!(plan.join_count(), 1);
+        let planned = planner(1_000.0)
+            .next_join(&spec(), &cat, cat.stats())
+            .unwrap();
+        assert_eq!(planned.joined.plan.join_count(), 1);
         let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = rdo_exec::ExecutionMetrics::new();
-        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+        let rel = exec
+            .execute_to_relation(&planned.joined.plan, &mut m)
+            .unwrap();
         assert_eq!(
             rel.len(),
             10_000,
@@ -686,7 +469,7 @@ mod tests {
         let cat = catalog();
         let q = spec();
         let p = planner(1_000.0);
-        let plan = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
+        let (plan, _) = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
         assert_eq!(plan.join_count(), 2);
         assert_eq!(plan.datasets().len(), 3);
         let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
@@ -700,7 +483,7 @@ mod tests {
         let cat = catalog();
         let q = QuerySpec::new("q").with_dataset(DatasetRef::named("dim"));
         let p = planner(1_000.0);
-        let plan = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
+        let (plan, _) = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
         assert_eq!(plan.join_count(), 0);
         let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = rdo_exec::ExecutionMetrics::new();
@@ -708,25 +491,26 @@ mod tests {
     }
 
     #[test]
-    fn plan_remaining_rejects_too_many_edges() {
+    fn plan_remaining_plans_past_two_edges_statically() {
+        use crate::optimizers::{cost_based::CostBasedOptimizer, Optimizer};
+        use crate::query::JoinCondition;
         let cat = catalog();
-        let q = spec().with_dataset(DatasetRef::named("dim2")); // never reached
-                                                                // Build a 3-edge query by adding a third edge between dim and big.
+        // A 3-edge query: a third edge between dim and big.
         let q = QuerySpec {
-            datasets: vec![
-                DatasetRef::named("fact"),
-                DatasetRef::named("dim"),
-                DatasetRef::named("big"),
-            ],
             joins: vec![
                 JoinCondition::new(FieldRef::new("fact", "f_dim"), FieldRef::new("dim", "d_id")),
                 JoinCondition::new(FieldRef::new("fact", "f_big"), FieldRef::new("big", "b_id")),
                 JoinCondition::new(FieldRef::new("dim", "d_id"), FieldRef::new("big", "b_id")),
             ],
-            ..q
+            ..spec()
         };
         let p = planner(1_000.0);
-        assert!(p.plan_remaining(&q, &cat, cat.stats()).is_err());
+        let (plan, estimate) = p.plan_remaining(&q, &cat, cat.stats()).unwrap();
+        assert_eq!(estimate, None, "the static fallback has no single estimate");
+        let static_plan = CostBasedOptimizer::new(p.rule)
+            .plan(&q, &cat, cat.stats())
+            .unwrap();
+        assert_eq!(format!("{plan:?}"), format!("{static_plan:?}"));
     }
 
     #[test]
@@ -740,7 +524,10 @@ mod tests {
         let p = planner(1_000.0);
         let ranked = p.ranked_joins(&q, &cat, cat.stats()).unwrap();
         assert_eq!(ranked.len(), 2, "one candidate per remaining edge");
-        assert_eq!(ranked[0], p.next_join(&q, &cat, cat.stats()).unwrap());
+        assert_eq!(
+            format!("{:?}", ranked[0]),
+            format!("{:?}", p.next_join(&q, &cat, cat.stats()).unwrap())
+        );
         assert!(
             ranked[0].score <= ranked[1].score,
             "runner-up never beats the winner"
@@ -748,13 +535,13 @@ mod tests {
     }
 
     #[test]
-    fn estimate_remaining_covers_every_edge_count() {
+    fn plan_remaining_estimates_every_edge_count() {
         let cat = catalog();
         let p = planner(1_000.0);
 
         // 0 edges: a single dataset estimates its own size.
         let single = QuerySpec::new("q").with_dataset(DatasetRef::named("dim"));
-        let est = p.estimate_remaining(&single, &cat, cat.stats()).unwrap();
+        let (_, est) = p.plan_remaining(&single, &cat, cat.stats()).unwrap();
         assert_eq!(est, Some(100.0));
 
         // 1 edge: the next join's estimated cardinality.
@@ -762,16 +549,14 @@ mod tests {
             .with_dataset(DatasetRef::named("fact"))
             .with_dataset(DatasetRef::named("dim"))
             .with_join(FieldRef::new("fact", "f_dim"), FieldRef::new("dim", "d_id"));
-        let est = p.estimate_remaining(&one, &cat, cat.stats()).unwrap();
+        let (_, est) = p.plan_remaining(&one, &cat, cat.stats()).unwrap();
         let next = p.next_join(&one, &cat, cat.stats()).unwrap();
-        assert_eq!(est, Some(next.estimated_cardinality));
+        assert_eq!(est, Some(next.joined.est_rows));
 
         // 2 edges: formula 1 chained through the intermediate; the estimate
         // should be in the ballpark of the true 10_000-row result.
-        let est = p
-            .estimate_remaining(&spec(), &cat, cat.stats())
-            .unwrap()
-            .unwrap();
+        let (_, est) = p.plan_remaining(&spec(), &cat, cat.stats()).unwrap();
+        let est = est.unwrap();
         assert!(est > 0.0, "positive estimate, got {est}");
         let actual = 10_000.0f64;
         let q = (est / actual).max(actual / est);
@@ -786,16 +571,12 @@ mod tests {
     }
 
     #[test]
-    fn edge_conditions_roundtrip() {
+    fn edge_describes_its_conditions() {
         let edge = JoinEdge {
             left_alias: "a".into(),
             right_alias: "b".into(),
             keys: vec![(FieldRef::new("a", "x"), FieldRef::new("b", "y"))],
         };
-        let conds = edge_conditions(&edge);
-        assert_eq!(conds.len(), 1);
-        assert_eq!(conds[0].describe(), "a.x = b.y");
-        assert!(edge.involves("a") && !edge.involves("c"));
-        assert!(edge.describe().contains("a.x = b.y"));
+        assert_eq!(edge.describe(), "a.x = b.y");
     }
 }

@@ -6,8 +6,9 @@
 //!   equi-join conditions, projection list), playing the role of the SQL++ /
 //!   Algebricks representation.
 //! * [`SizeEstimator`] — cardinality estimation: System-R's join-size formula
-//!   driven by the statistics catalog, with the default selectivity factors for
-//!   complex predicates that static optimizers must fall back to.
+//!   (formula 1, written once in [`SizeEstimator::join_size`]) driven by the
+//!   statistics catalog, with the default selectivity factors for complex
+//!   predicates that static optimizers must fall back to.
 //! * [`JoinAlgorithmRule`] — the physical rule choosing hash, broadcast or
 //!   indexed nested-loop for a join, given the estimated input sizes and the
 //!   available secondary indexes.
@@ -19,8 +20,12 @@
 //! * [`correlation`] — a CORDS-style screening tool quantifying how far the
 //!   independence assumption is from the truth for a dataset's local
 //!   predicates (the error source that motivates predicate push-down).
-//! * [`optimizers`] — the static baselines: cost-based (Selinger-style dynamic
-//!   programming over initial statistics), worst-order, best-order and pilot-run.
+//! * [`optimizers`] — the planner's one join step
+//!   ([`optimizers::join_subplans`]: formula 1 plus the algorithm rule over
+//!   two sub-plans, whose leaves are each a [`optimizers::leaf_scan`]), which
+//!   the greedy Planner ranks candidates with, and the static baselines built
+//!   from it: cost-based (Selinger-style dynamic programming over initial
+//!   statistics), worst-order, best-order and pilot-run.
 
 pub mod algorithm;
 pub mod correlation;

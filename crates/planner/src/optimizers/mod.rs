@@ -23,6 +23,7 @@ pub mod pilot_run;
 pub mod worst_order;
 
 use crate::algorithm::{JoinAlgorithmRule, JoinSideInfo};
+use crate::estimate::SizeEstimator;
 use crate::query::QuerySpec;
 use rdo_common::{FieldRef, RdoError, Result};
 use rdo_exec::{ExecutionMetrics, PhysicalPlan};
@@ -64,7 +65,7 @@ pub trait LeafStats {
     fn leaf_distinct(&self, spec: &QuerySpec, column: &FieldRef, cap: f64) -> f64;
 }
 
-impl LeafStats for crate::estimate::SizeEstimator<'_> {
+impl LeafStats for SizeEstimator<'_> {
     fn leaf_size(&self, spec: &QuerySpec, alias: &str) -> Result<f64> {
         self.dataset_size(spec, alias)
     }
@@ -90,32 +91,39 @@ pub struct SubPlan {
     pub leaf_alias: Option<String>,
 }
 
-/// Builds the leaf sub-plan for one dataset of the query.
-pub fn make_leaf(spec: &QuerySpec, stats: &dyn LeafStats, alias: &str) -> Result<SubPlan> {
+impl SubPlan {
+    /// The leaf of one dataset of the query: its [`leaf_scan`], estimated to
+    /// produce `est_rows` rows.
+    pub fn leaf(spec: &QuerySpec, alias: &str, est_rows: f64) -> Result<Self> {
+        Ok(Self {
+            plan: leaf_scan(spec, alias)?,
+            aliases: BTreeSet::from([alias.to_string()]),
+            est_rows,
+            cost: 0.0,
+            leaf_alias: Some(alias.to_string()),
+        })
+    }
+}
+
+/// The scan of one dataset of the query: its local predicates pushed in and a
+/// projection onto the columns the rest of the query needs. Every leaf of
+/// every plan, static or dynamic, and every push-down stage is this scan, so
+/// the comparison between strategies is about join order and algorithms
+/// rather than row width.
+pub fn leaf_scan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
     let table = spec.table_of(alias)?;
     let predicates = spec.predicates_for(alias).into_iter().cloned().collect();
-    let mut plan = PhysicalPlan::scan_aliased(alias, table).with_predicates(predicates);
-    // Project each scan onto the columns the rest of the query needs, exactly
-    // like the dynamic driver's scans, so the comparison between strategies is
-    // about join order and algorithms rather than row width.
+    let plan = PhysicalPlan::scan_aliased(alias, table).with_predicates(predicates);
     let columns = spec.required_columns(alias, false);
-    if !columns.is_empty() {
-        plan = plan.with_projection(columns);
-    }
-    let est_rows = stats.leaf_size(spec, alias)?;
-    let mut aliases = BTreeSet::new();
-    aliases.insert(alias.to_string());
-    Ok(SubPlan {
-        plan,
-        aliases,
-        est_rows,
-        cost: 0.0,
-        leaf_alias: Some(alias.to_string()),
+    Ok(if columns.is_empty() {
+        plan
+    } else {
+        plan.with_projection(columns)
     })
 }
 
 /// The join conditions of the query connecting two disjoint alias sets,
-/// oriented `(key in a, key in b)`.
+/// oriented `(key in a, key in b)`, in the order the query lists them.
 pub fn connecting_keys(
     spec: &QuerySpec,
     a: &BTreeSet<String>,
@@ -133,33 +141,33 @@ pub fn connecting_keys(
     keys
 }
 
-fn side_info_for(
+/// What the join-algorithm rule needs to know about one input of a join on
+/// `key`. A leaf is filtered when it has local predicates or is a
+/// materialized intermediate (the product of earlier predicate or join work),
+/// and a bare base-table scan otherwise; a joined sub-plan is an
+/// intermediate result.
+fn side_info(
     spec: &QuerySpec,
     catalog: &Catalog,
     sub: &SubPlan,
     key: &FieldRef,
-) -> JoinSideInfo {
-    match &sub.leaf_alias {
-        Some(alias) => {
-            let has_predicates = !spec.predicates_for(alias).is_empty();
-            let table = spec.table_of(alias).unwrap_or(alias);
-            let temporary = catalog
-                .table(table)
-                .map(|t| t.is_temporary())
-                .unwrap_or(false);
-            let indexed = catalog.has_secondary_index(table, &key.field);
-            JoinSideInfo::new(alias.clone(), sub.est_rows)
-                .with_bare_base_scan(!has_predicates && !temporary)
-                .with_filter(has_predicates || temporary)
-                .with_index(indexed)
-        }
-        None => JoinSideInfo::new("intermediate", sub.est_rows).with_filter(true),
-    }
+) -> Result<JoinSideInfo> {
+    let Some(alias) = &sub.leaf_alias else {
+        return Ok(JoinSideInfo::new("intermediate", sub.est_rows).with_filter(true));
+    };
+    let table = spec.table_of(alias)?;
+    let temporary = catalog.table(table)?.is_temporary();
+    let filtered = !spec.predicates_for(alias).is_empty();
+    Ok(JoinSideInfo::new(alias.clone(), sub.est_rows)
+        .with_bare_base_scan(!filtered && !temporary)
+        .with_filter(filtered || temporary)
+        .with_index(catalog.has_secondary_index(table, &key.field)))
 }
 
-/// Joins two sub-plans if the query connects them; returns `None` for a cross
-/// product. The estimated output uses the System-R formula over all connecting
-/// conditions; the algorithm and build side come from the rule.
+/// The planner's one join step: joins two sub-plans if the query connects
+/// them, `None` for a cross product. The estimated output is formula 1 over
+/// all connecting conditions; the algorithm and build side come from the
+/// rule, which sees `a` first and builds on `b` on a tie.
 pub fn join_subplans(
     spec: &QuerySpec,
     catalog: &Catalog,
@@ -167,49 +175,43 @@ pub fn join_subplans(
     rule: &JoinAlgorithmRule,
     a: &SubPlan,
     b: &SubPlan,
-) -> Option<SubPlan> {
+) -> Result<Option<SubPlan>> {
     let keys = connecting_keys(spec, &a.aliases, &b.aliases);
     if keys.is_empty() {
-        return None;
+        return Ok(None);
     }
-    // Composite-key joins use only the most selective condition (see
-    // `GreedyPlanner::edge_cardinality`): assuming independence between the key
-    // columns of a composite foreign key badly underestimates the result.
-    let mut denominator = 1.0f64;
-    for (ka, kb) in &keys {
-        let u_a = stats.leaf_distinct(spec, ka, a.est_rows);
-        let u_b = stats.leaf_distinct(spec, kb, b.est_rows);
-        denominator = denominator.max(u_a.max(u_b).max(1.0));
-    }
-    let est_rows = (a.est_rows * b.est_rows / denominator).max(0.0);
+    // A composite-key join uses only its most selective condition: multiplying
+    // per-condition factors assumes the key columns are independent, which
+    // badly underestimates correlated composite keys (e.g. partsupp ⋈
+    // lineitem, where the supplier key is functionally determined by the part
+    // key).
+    let (u_a, u_b) = keys.iter().fold((1.0f64, 1.0f64), |(u_a, u_b), (ka, kb)| {
+        (
+            u_a.max(stats.leaf_distinct(spec, ka, a.est_rows)),
+            u_b.max(stats.leaf_distinct(spec, kb, b.est_rows)),
+        )
+    });
+    let est_rows = SizeEstimator::join_size(a.est_rows, b.est_rows, u_a, u_b);
 
-    let a_info = side_info_for(spec, catalog, a, &keys[0].0);
-    let b_info = side_info_for(spec, catalog, b, &keys[0].1);
+    let a_info = side_info(spec, catalog, a, &keys[0].0)?;
+    let b_info = side_info(spec, catalog, b, &keys[0].1)?;
     let choice = rule.choose(&a_info, &b_info);
     let plan = if choice.build_is_second {
-        PhysicalPlan::join_on(
-            a.plan.clone(),
-            b.plan.clone(),
-            keys.clone(),
-            choice.algorithm,
-        )
+        PhysicalPlan::join_on(a.plan.clone(), b.plan.clone(), keys, choice.algorithm)
     } else {
-        let swapped: Vec<(FieldRef, FieldRef)> = keys
-            .iter()
-            .map(|(ka, kb)| (kb.clone(), ka.clone()))
-            .collect();
+        let swapped = keys.into_iter().map(|(ka, kb)| (kb, ka)).collect();
         PhysicalPlan::join_on(b.plan.clone(), a.plan.clone(), swapped, choice.algorithm)
     };
 
     let mut aliases = a.aliases.clone();
     aliases.extend(b.aliases.iter().cloned());
-    Some(SubPlan {
+    Ok(Some(SubPlan {
         plan,
         aliases,
         est_rows,
         cost: a.cost + b.cost + est_rows,
         leaf_alias: None,
-    })
+    }))
 }
 
 /// Greedy full-plan construction: repeatedly merge the pair of sub-plans whose
@@ -226,7 +228,7 @@ pub fn greedy_full_plan(
     let mut subplans: Vec<SubPlan> = spec
         .aliases()
         .into_iter()
-        .map(|alias| make_leaf(spec, stats, alias))
+        .map(|alias| SubPlan::leaf(spec, alias, stats.leaf_size(spec, alias)?))
         .collect::<Result<Vec<_>>>()?;
     if subplans.is_empty() {
         return Err(RdoError::Planning("query has no datasets".into()));
@@ -236,7 +238,7 @@ pub fn greedy_full_plan(
         for i in 0..subplans.len() {
             for j in (i + 1)..subplans.len() {
                 let Some(candidate) =
-                    join_subplans(spec, catalog, stats, rule, &subplans[i], &subplans[j])
+                    join_subplans(spec, catalog, stats, rule, &subplans[i], &subplans[j])?
                 else {
                     continue;
                 };
@@ -288,7 +290,7 @@ pub fn dp_full_plan(
     let full_mask: usize = (1 << n) - 1;
     let mut table: Vec<Option<SubPlan>> = vec![None; 1 << n];
     for (i, alias) in aliases.iter().enumerate() {
-        table[1 << i] = Some(make_leaf(spec, stats, alias)?);
+        table[1 << i] = Some(SubPlan::leaf(spec, alias, stats.leaf_size(spec, alias)?)?);
     }
     for mask in 1..=full_mask {
         if table[mask].is_some() {
@@ -306,7 +308,7 @@ pub fn dp_full_plan(
                 continue;
             }
             if let (Some(a), Some(b)) = (&table[left], &table[right]) {
-                if let Some(candidate) = join_subplans(spec, catalog, stats, rule, a, b) {
+                if let Some(candidate) = join_subplans(spec, catalog, stats, rule, a, b)? {
                     let better = match &best {
                         None => true,
                         Some(current) => candidate.cost < current.cost,
@@ -454,7 +456,7 @@ mod tests {
             0i64,
         ));
         let estimator = SizeEstimator::new(&cat, cat.stats(), EstimationMode::Static);
-        let leaf = make_leaf(&q, &estimator, "other").unwrap();
+        let leaf = SubPlan::leaf(&q, "other", estimator.leaf_size(&q, "other").unwrap()).unwrap();
         assert!(
             leaf.est_rows < 200.0,
             "filtered leaf estimate {}",
@@ -477,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn inl_probe_side_remains_unprojected_scan() {
+    fn inl_probe_scan_carries_its_projection() {
         let mut cat = catalog();
         // Rebuild fact with a secondary index on k so INL becomes possible.
         let schema =
@@ -499,20 +501,34 @@ mod tests {
                 FieldRef::new("dim", "v"),
                 CmpOp::Eq,
                 1i64,
-            ));
+            ))
+            .with_projection(vec![FieldRef::new("fact2", "id")]);
         let estimator = SizeEstimator::new(&cat, cat.stats(), EstimationMode::Static);
         let rule = JoinAlgorithmRule::with_threshold(100.0).with_indexed_nested_loop(true);
-        let plan = greedy_full_plan(&q, &cat, &estimator, &rule, false).unwrap();
-        match &plan {
-            PhysicalPlan::Join { algorithm, .. } => {
-                assert_eq!(*algorithm, JoinAlgorithm::IndexedNestedLoop)
-            }
-            _ => panic!("expected a join"),
-        }
+        let static_plan = greedy_full_plan(&q, &cat, &estimator, &rule, false).unwrap();
+        let planner = crate::GreedyPlanner::new(crate::NextJoinPolicy::Statistics, rule);
+        let (dynamic_plan, _) = planner.plan_remaining(&q, &cat, cat.stats()).unwrap();
         let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
-        let mut m = ExecutionMetrics::new();
-        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
-        assert!(!rel.is_empty());
-        assert!(m.index_lookups > 0);
+        for plan in [static_plan, dynamic_plan] {
+            let PhysicalPlan::Join {
+                left, algorithm, ..
+            } = &plan
+            else {
+                panic!("expected a join, got {plan:?}")
+            };
+            assert_eq!(*algorithm, JoinAlgorithm::IndexedNestedLoop);
+            let PhysicalPlan::Scan { projection, .. } = left.as_ref() else {
+                panic!("expected the indexed scan as the probe side, got {left:?}")
+            };
+            assert_eq!(
+                projection.as_deref(),
+                Some(&[FieldRef::new("fact2", "id"), FieldRef::new("fact2", "k")][..]),
+                "the probe scan keeps only the columns the query needs"
+            );
+            let mut m = ExecutionMetrics::new();
+            let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+            assert_eq!(rel.len(), 7 * 100, "7 dim keys, 100 fact2 rows each");
+            assert!(m.index_lookups > 0);
+        }
     }
 }
