@@ -1,5 +1,6 @@
 //! Error type shared across the workspace.
 
+use crate::{DataType, FieldRef};
 use std::fmt;
 
 /// Result alias used throughout the workspace.
@@ -45,6 +46,23 @@ impl fmt::Display for RdoError {
 }
 
 impl std::error::Error for RdoError {}
+
+impl RdoError {
+    /// The error for an equi-join whose two keys have different types. The
+    /// join kernels match keys by type, so such a join would return no rows
+    /// rather than compare the values.
+    pub fn join_key_types(
+        left: &FieldRef,
+        left_type: DataType,
+        right: &FieldRef,
+        right_type: DataType,
+    ) -> Self {
+        RdoError::InvalidQuery(format!(
+            "equi-join {left} = {right} compares {left_type} with {right_type}; \
+             join keys must have the same type"
+        ))
+    }
+}
 
 impl From<std::io::Error> for RdoError {
     fn from(e: std::io::Error) -> Self {

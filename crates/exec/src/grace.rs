@@ -691,7 +691,7 @@ fn leaf_nested_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{chunk_rows, hash_join_partition, rows_of};
+    use crate::partition::{batch_size, chunk_rows, hash_join_partition_chunked, rows_of};
     use rdo_common::{Tuple, Value};
     use rdo_storage::SpillConfig;
 
@@ -735,7 +735,8 @@ mod tests {
     fn matches_in_memory_kernel_for_all_budgets() {
         let probe = rows(200, 37);
         let build = rows(60, 37);
-        let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (expected, expected_tally) =
+            hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         for budget in [1u64, 64, 512, 4096, u64::MAX] {
             for fanout in [2, 8] {
                 for max_depth in [0, 1, 3] {
@@ -787,7 +788,7 @@ mod tests {
         let build: Vec<Tuple> = (0..30)
             .map(|i| Tuple::new(vec![Value::Int64(7), Value::Int64(100 + i)]))
             .collect();
-        let (expected, _) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (expected, _) = hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         let ctx = GraceContext::new(manager(), 8).with_max_depth(2);
         let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected, "40 × 30 cross product on the hot key");
@@ -801,7 +802,8 @@ mod tests {
         probe.push(Tuple::new(vec![Value::Null, Value::Int64(0)]));
         let mut build = rows(80, 11);
         build.push(Tuple::new(vec![Value::Null, Value::Int64(0)]));
-        let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (expected, expected_tally) =
+            hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         let ctx = GraceContext::new(manager(), 1);
         let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected);
@@ -916,7 +918,8 @@ mod tests {
     fn streaming_partitioner_bounds_transient_footprint() {
         let probe = rows(4_000, 997);
         let build = rows(4_000, 997);
-        let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (expected, expected_tally) =
+            hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         let ctx = GraceContext::new(manager(), 2_048); // 512-byte pages
         let (out, tally) = grace_rows(&probe, &build, &ctx);
         assert_eq!(out, expected);
@@ -944,7 +947,8 @@ mod tests {
     fn dispatch_without_context_is_the_plain_kernel() {
         let probe = rows(30, 5);
         let build = rows(10, 5);
-        let (expected, expected_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (expected, expected_tally) =
+            hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         let (out, tally) = joined_partition(
             &chunk_rows(&probe, 7),
             &chunk_rows(&build, 4),
@@ -979,7 +983,8 @@ mod tests {
                 budget == 1
             );
             for probe in &probes {
-                let (expected, expected_tally) = hash_join_partition(probe, &build, &[0], &[0]);
+                let (expected, expected_tally) =
+                    hash_join_partition_chunked(probe, &build, &[0], &[0], batch_size());
                 let (out, tally) = prepared
                     .join_partition(&chunk_rows(probe, 16), &[0], &[0])
                     .unwrap();

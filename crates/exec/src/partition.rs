@@ -147,19 +147,9 @@ pub(crate) fn rows_of(batches: &[Batch]) -> Vec<Tuple> {
     out
 }
 
-/// Filters and projects the rows of one partition. Row adapter over the
-/// scan operator at the process-wide [`batch_size`].
-pub fn scan_partition(
-    schema: &Schema,
-    predicates: &[Predicate],
-    projection: Option<&[usize]>,
-    rows: &[Tuple],
-) -> Result<(Vec<Tuple>, ScanTally)> {
-    scan_partition_chunked(schema, predicates, projection, rows, batch_size())
-}
-
-/// [`scan_partition`] with an explicit chunk size (tests sweep sizes without
-/// touching the environment). Output and tally are chunk-size invariant.
+/// Filters and projects the rows of one partition, `chunk_size` rows per
+/// batch: a row adapter over the scan operator. Output and tally are
+/// chunk-size invariant.
 pub fn scan_partition_chunked(
     schema: &Schema,
     predicates: &[Predicate],
@@ -601,24 +591,7 @@ impl JoinBuildTable {
 /// Builds a hash table over `build_rows` and probes it with `probe_rows`,
 /// emitting `probe ++ build` rows. Row adapter over [`JoinBuildTable`]: the
 /// build table is built once, the probe side streams through in
-/// [`batch_size`] chunks.
-pub fn hash_join_partition(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-) -> (Vec<Tuple>, JoinTally) {
-    hash_join_partition_chunked(
-        probe_rows,
-        build_rows,
-        probe_key_indexes,
-        build_key_indexes,
-        batch_size(),
-    )
-}
-
-/// [`hash_join_partition`] with an explicit chunk size. Output and tally are
-/// chunk-size invariant.
+/// `chunk_size`-row batches. Output and tally are chunk-size invariant.
 pub fn hash_join_partition_chunked(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],
@@ -827,19 +800,9 @@ pub fn repartition_batches(
     (buckets, moved_rows, moved_bytes)
 }
 
-/// Buckets one source partition's rows by the hash of the key column. Row
-/// adapter over [`repartition_batches`] at the process-wide [`batch_size`].
-pub fn repartition_partition(
-    rows: &[Tuple],
-    key_index: usize,
-    from: usize,
-    num_partitions: usize,
-) -> (Vec<Vec<Tuple>>, u64, u64) {
-    repartition_partition_chunked(rows, key_index, from, num_partitions, batch_size())
-}
-
-/// [`repartition_partition`] with an explicit chunk size. Buckets and
-/// shuffle counters are chunk-size invariant.
+/// Buckets one source partition's rows by the hash of the key column,
+/// `chunk_size` rows per batch: a row adapter over [`repartition_batches`].
+/// Buckets and shuffle counters are chunk-size invariant.
 pub fn repartition_partition_chunked(
     rows: &[Tuple],
     key_index: usize,
@@ -919,7 +882,8 @@ mod tests {
             crate::expr::CmpOp::Eq,
             2i64,
         )];
-        let (out, tally) = scan_partition(&schema(), &predicates, None, &rows).unwrap();
+        let (out, tally) =
+            scan_partition_chunked(&schema(), &predicates, None, &rows, batch_size()).unwrap();
         assert_eq!(tally.scanned_rows, 10);
         assert_eq!(tally.kept, 2);
         assert_eq!(out.len(), 2);
@@ -930,7 +894,7 @@ mod tests {
     fn hash_join_kernel_concats_probe_then_build() {
         let probe = rows(10);
         let build = rows(5);
-        let (out, tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (out, tally) = hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         assert_eq!(tally.build_rows, 5);
         assert_eq!(tally.probe_rows, 10);
         assert_eq!(tally.output_rows, 5, "keys 0..5 match");
@@ -941,7 +905,7 @@ mod tests {
     fn null_keys_never_match() {
         let probe = vec![Tuple::new(vec![Value::Null, Value::Int64(0)])];
         let build = vec![Tuple::new(vec![Value::Null, Value::Int64(0)])];
-        let (out, tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        let (out, tally) = hash_join_partition_chunked(&probe, &build, &[0], &[0], batch_size());
         assert!(out.is_empty());
         assert_eq!(tally.output_rows, 0);
     }
@@ -949,7 +913,7 @@ mod tests {
     #[test]
     fn repartition_kernel_buckets_by_hash() {
         let rows = rows(100);
-        let (buckets, moved, bytes) = repartition_partition(&rows, 1, 0, 4);
+        let (buckets, moved, bytes) = repartition_partition_chunked(&rows, 1, 0, 4, batch_size());
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 100);
         assert!(moved > 0 && moved <= 100);
         assert!(bytes > 0);
@@ -1002,7 +966,7 @@ mod tests {
             assert_eq!(chunked, reference, "chunk size {chunk_size}");
         }
         // Empty partitions produce no output, no counters, no resolve errors.
-        let empty = scan_partition(&schema, &predicates, None, &[]).unwrap();
+        let empty = scan_partition_chunked(&schema, &predicates, None, &[], batch_size()).unwrap();
         assert_eq!(empty, (Vec::new(), ScanTally::default()));
     }
 
@@ -1019,11 +983,11 @@ mod tests {
         }
         // Empty sides behave like the row kernel, including the tally.
         assert_eq!(
-            hash_join_partition(&[], &build, &[0], &[0]),
+            hash_join_partition_chunked(&[], &build, &[0], &[0], batch_size()),
             hash_join_partition_rows(&[], &build, &[0], &[0])
         );
         assert_eq!(
-            hash_join_partition(&probe, &[], &[0], &[0]),
+            hash_join_partition_chunked(&probe, &[], &[0], &[0], batch_size()),
             hash_join_partition_rows(&probe, &[], &[0], &[0])
         );
     }

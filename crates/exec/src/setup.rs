@@ -5,7 +5,7 @@
 //! partition-key survival are computed once per operator, before any
 //! per-partition work starts.
 
-use rdo_common::{FieldRef, Result, Schema};
+use rdo_common::{FieldRef, RdoError, Result, Schema};
 use rdo_storage::Table;
 
 /// Everything a scan derives from the plan node before touching rows.
@@ -104,19 +104,23 @@ pub fn prepare_indexed_join(
 }
 
 /// Resolves every join-key pair against the schemas of the two join inputs.
+/// The two keys of a pair must have the same type.
 pub fn resolve_keys(
     left: &Schema,
     right: &Schema,
     keys: &[(FieldRef, FieldRef)],
 ) -> Result<(Vec<usize>, Vec<usize>)> {
-    let left_indexes = keys
-        .iter()
-        .map(|(l, _)| left.index_of(l))
-        .collect::<Result<_>>()?;
-    let right_indexes = keys
-        .iter()
-        .map(|(_, r)| right.index_of(r))
-        .collect::<Result<_>>()?;
+    let mut left_indexes = Vec::with_capacity(keys.len());
+    let mut right_indexes = Vec::with_capacity(keys.len());
+    for (l, r) in keys {
+        let (li, ri) = (left.index_of(l)?, right.index_of(r)?);
+        let (left_type, right_type) = (left.field(li).data_type, right.field(ri).data_type);
+        if left_type != right_type {
+            return Err(RdoError::join_key_types(l, left_type, r, right_type));
+        }
+        left_indexes.push(li);
+        right_indexes.push(ri);
+    }
     Ok((left_indexes, right_indexes))
 }
 
@@ -221,6 +225,18 @@ mod tests {
         let left = table().schema_as("o");
         let swapped = [(FieldRef::new("l", "l_k"), FieldRef::new("o", "o_k"))];
         assert!(resolve_keys(&left, &lineitem_schema(), &swapped).is_err());
+    }
+
+    #[test]
+    fn resolve_keys_rejects_keys_of_different_types() {
+        let left = table().schema_as("o");
+        let right = Schema::for_dataset("f", &[("f_k", DataType::Float64)]);
+        let keys = [(FieldRef::new("o", "o_k"), FieldRef::new("f", "f_k"))];
+        let err = resolve_keys(&left, &right, &keys).unwrap_err().to_string();
+        assert!(
+            err.contains("o.o_k = f.f_k compares Int64 with Float64"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -268,17 +268,20 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let threads: Vec<_> = (0..4)
             .map(|i| {
-                let ctl = Arc::clone(&ctl);
+                let waiter = Arc::clone(&ctl);
                 let order = Arc::clone(&order);
-                // Stagger arrivals so ticket numbers follow thread index.
-                std::thread::sleep(3 * MS);
-                std::thread::spawn(move || {
-                    let _t = ctl.admit(100, Duration::from_secs(30)).unwrap();
+                let thread = std::thread::spawn(move || {
+                    let _t = waiter.admit(100, Duration::from_secs(30)).unwrap();
                     order.lock().unwrap().push(i);
-                })
+                });
+                // Let this thread take its ticket before the next one
+                // arrives, so ticket numbers follow thread index.
+                while ctl.queue_depth() < i + 1 {
+                    std::thread::sleep(MS);
+                }
+                thread
             })
             .collect();
-        std::thread::sleep(20 * MS);
         drop(first);
         for t in threads {
             t.join().unwrap();

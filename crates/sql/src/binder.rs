@@ -16,7 +16,7 @@
 use crate::ast::{Condition, Literal, ScalarExpr, SelectStatement};
 use crate::error::SqlError;
 use crate::udf::{ParamBindings, ScalarUdf, UdfRegistry};
-use rdo_common::{FieldRef, Result, Value};
+use rdo_common::{DataType, FieldRef, RdoError, Result, Value};
 use rdo_exec::{AggregateExpr, AggregateFunc, CmpOp, PostProcess, Predicate, SortKey};
 use rdo_planner::{DatasetRef, QuerySpec};
 use rdo_storage::Catalog;
@@ -247,6 +247,11 @@ impl Binder<'_> {
                             ))
                             .into());
                         }
+                        let left_type = self.column_type(&l, bindings)?;
+                        let right_type = self.column_type(&r, bindings)?;
+                        if left_type != right_type {
+                            return Err(RdoError::join_key_types(&l, left_type, &r, right_type));
+                        }
                         spec.joins.push(rdo_planner::JoinCondition::new(l, r));
                     }
                     (true, false) => {
@@ -368,6 +373,21 @@ impl Binder<'_> {
     }
 
     /// Resolves a column reference to a [`FieldRef`] over a FROM-clause alias.
+    /// The type of a column [`Self::resolve_column`] resolved.
+    fn column_type(
+        &self,
+        column: &FieldRef,
+        bindings: &HashMap<String, String>,
+    ) -> Result<DataType> {
+        let table = bindings
+            .get(&column.dataset)
+            .ok_or_else(|| RdoError::UnknownDataset(column.dataset.clone()))?;
+        let schema = self.catalog.table(table)?.schema();
+        Ok(schema
+            .field(schema.index_of_unqualified(&column.field)?)
+            .data_type)
+    }
+
     fn resolve_column(
         &self,
         expr: &ScalarExpr,

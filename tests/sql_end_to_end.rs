@@ -177,3 +177,73 @@ fn ad_hoc_sql_aggregation_over_tpch_runs_end_to_end() {
         "every supplier joins exactly one nation"
     );
 }
+
+/// An equi-join between columns of different types used to return no rows
+/// with `Ok` under every strategy (the kernels match keys by type), while a
+/// nested loop found 200. It is now rejected with an error naming both
+/// columns and both types: by the binder for SQL text, and when the join's
+/// keys are resolved for a hand-built spec.
+#[test]
+fn mixed_type_equi_joins_are_rejected() {
+    let mut catalog = Catalog::new(4);
+    let a = Relation::new(
+        Schema::for_dataset("a", &[("id", DataType::Int64), ("x", DataType::Int64)]),
+        (0..200)
+            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int64(i % 10)]))
+            .collect(),
+    )
+    .unwrap();
+    catalog
+        .ingest("a", a, IngestOptions::partitioned_on("id"))
+        .unwrap();
+    let strategies = Strategy::COMPARISON.into_iter().chain([
+        Strategy::ReoptWithoutOnlineStats,
+        Strategy::DynamicWithoutPushdown,
+    ]);
+    let others = [
+        (
+            "b_float",
+            DataType::Float64,
+            (0..10)
+                .map(|i| Value::Float64(i as f64))
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "b_utf8",
+            DataType::Utf8,
+            (0..10).map(|i| Value::Utf8(i.to_string())).collect(),
+        ),
+    ];
+    for (table, data_type, values) in others {
+        let b = Relation::new(
+            Schema::for_dataset(table, &[("y", data_type)]),
+            values.into_iter().map(|y| Tuple::new(vec![y])).collect(),
+        )
+        .unwrap();
+        catalog.ingest(table, b, IngestOptions::default()).unwrap();
+        let names_both = |err: String| {
+            let expected = ["a.x", "b.y", "Int64", &data_type.to_string()];
+            assert!(expected.iter().all(|s| err.contains(s)), "{err}");
+        };
+
+        let sql = format!("SELECT a.id FROM a, {table} b WHERE a.x = b.y");
+        let compiled = compile(
+            &sql,
+            "e9",
+            &catalog,
+            &UdfRegistry::new(),
+            &ParamBindings::new(),
+        );
+        names_both(compiled.expect_err("the binder rejects").to_string());
+
+        let spec = QuerySpec::new("e9")
+            .with_dataset(DatasetRef::named("a"))
+            .with_dataset(DatasetRef::aliased("b", table))
+            .with_join(FieldRef::new("a", "x"), FieldRef::new("b", "y"))
+            .with_projection(vec![FieldRef::new("a", "id")]);
+        for strategy in strategies.clone() {
+            let run = runner().run(strategy, &spec, &mut catalog);
+            names_both(run.expect_err("the join is rejected").to_string());
+        }
+    }
+}
